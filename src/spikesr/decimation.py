@@ -33,95 +33,119 @@ __all__ = [
 class IntervalSet:
     """Finite union of disjoint closed intervals, kept sorted.
 
-    Overlapping or touching inputs are merged on construction; degenerate
-    single-point intervals are allowed.
+    The components are held as two arrays of start and end points, and every
+    operation works on those arrays.  Overlapping or touching inputs are
+    merged on construction in one pass: the endpoints are sorted by
+    (start, end) with one lexsort, and a new component begins wherever a start
+    exceeds the running maximum of the ends before it.  Merging only compares
+    and copies endpoints, so it is exact.  Degenerate single-point intervals
+    are allowed; reversed intervals and NaN endpoints raise ValueError.
     """
 
-    __slots__ = ("_intervals",)
+    __slots__ = ("_starts", "_ends")
 
     def __init__(self, intervals=()):
-        pairs = []
-        for a, b in intervals:
-            a, b = float(a), float(b)
-            if b < a:
-                raise ValueError(f"invalid interval [{a}, {b}]")
-            pairs.append((a, b))
-        pairs.sort()
-        merged: list[list[float]] = []
-        for a, b in pairs:
-            if merged and a <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        self._intervals = tuple((a, b) for a, b in merged)
+        pairs = np.array(list(intervals), dtype=float)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("intervals must be (start, end) pairs")
+        self._starts, self._ends = _merge(pairs[:, 0], pairs[:, 1])
+
+    @classmethod
+    def _from_endpoints(cls, starts: np.ndarray, ends: np.ndarray) -> "IntervalSet":
+        """Merge of the intervals [starts[i], ends[i]], without a per-pair copy."""
+        out = cls.__new__(cls)
+        out._starts, out._ends = _merge(starts, ends)
+        return out
 
     @property
     def intervals(self) -> tuple:
-        return self._intervals
+        return tuple(zip(self._starts.tolist(), self._ends.tolist()))
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        return self._starts.size
 
     def __iter__(self):
-        return iter(self._intervals)
+        return iter(self.intervals)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalSet) and self._intervals == other._intervals
+        return (
+            isinstance(other, IntervalSet)
+            and np.array_equal(self._starts, other._starts)
+            and np.array_equal(self._ends, other._ends)
+        )
 
     def __repr__(self) -> str:
-        return f"IntervalSet({list(self._intervals)!r})"
+        return f"IntervalSet({list(self.intervals)!r})"
 
     @property
     def is_empty(self) -> bool:
-        return not self._intervals
+        return self._starts.size == 0
 
     def measure(self) -> float:
-        return float(sum(b - a for a, b in self._intervals))
+        return float(np.sum(self._ends - self._starts))
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
-        return any(a - tol <= x <= b + tol for a, b in self._intervals)
+        return bool(np.any((self._starts - tol <= x) & (x <= self._ends + tol)))
 
     def __contains__(self, x) -> bool:
         return self.contains(float(x))
 
     def padded(self, pad: float) -> "IntervalSet":
         """Grow every component outward by pad (components may merge)."""
-        return IntervalSet((a - pad, b + pad) for a, b in self._intervals)
+        return IntervalSet._from_endpoints(self._starts - pad, self._ends + pad)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(list(self._intervals) + list(other._intervals))
+        return IntervalSet._from_endpoints(
+            np.concatenate((self._starts, other._starts)),
+            np.concatenate((self._ends, other._ends)),
+        )
 
     def intersect(self, lo: float, hi: float) -> "IntervalSet":
         """Intersection with the closed interval [lo, hi]."""
-        out = []
-        for a, b in self._intervals:
-            a2, b2 = max(a, lo), min(b, hi)
-            if a2 <= b2:
-                out.append((a2, b2))
-        return IntervalSet(out)
+        starts, ends = np.maximum(self._starts, lo), np.minimum(self._ends, hi)
+        keep = starts <= ends
+        return IntervalSet._from_endpoints(starts[keep], ends[keep])
 
     def complement_within(self, lo: float, hi: float) -> "IntervalSet":
-        """Closure of [lo, hi] minus this set."""
+        """Closure of [lo, hi] minus this set: the gaps before, between and
+        after the components inside [lo, hi] that have positive length."""
         if hi < lo:
             raise ValueError("empty host interval")
-        out = []
-        cursor = lo
-        for a, b in self.intersect(lo, hi):
-            if a > cursor:
-                out.append((cursor, a))
-            cursor = max(cursor, b)
-        if cursor < hi:
-            out.append((cursor, hi))
-        if not out and self.is_empty:
-            out.append((lo, hi))
-        return IntervalSet(out)
+        if self.is_empty:
+            return IntervalSet([(lo, hi)])
+        inner = self.intersect(lo, hi)
+        starts = np.concatenate(([lo], inner._ends))
+        ends = np.concatenate((inner._starts, [hi]))
+        keep = starts < ends
+        return IntervalSet._from_endpoints(starts[keep], ends[keep])
 
     def to_json_dict(self) -> dict:
-        return {"intervals": [[a, b] for a, b in self._intervals]}
+        return {"intervals": [[a, b] for a, b in self.intervals]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "IntervalSet":
         return cls(obj["intervals"])
+
+
+def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """Start and end arrays of the sorted disjoint components of the closed
+    intervals [starts[i], ends[i]]."""
+    if np.isnan(starts).any() or np.isnan(ends).any():
+        raise ValueError("interval endpoints must not be NaN")
+    reversed_ = np.flatnonzero(ends < starts)
+    if reversed_.size:
+        k = reversed_[0]
+        raise ValueError(f"invalid interval [{starts[k]}, {ends[k]}]")
+    if starts.size == 0:
+        return starts, ends
+    order = np.lexsort((ends, starts))
+    starts, reach = starts[order], np.maximum.accumulate(ends[order])
+    breaks = np.flatnonzero(starts[1:] > reach[:-1])
+    first = np.concatenate(([0], breaks + 1))
+    last = np.append(breaks, starts.size - 1)
+    return starts[first], reach[last]
 
 
 @dataclass(frozen=True)
@@ -163,32 +187,55 @@ def angular_distance(alpha: complex, beta: complex) -> float:
     return float(abs(np.angle(complex(alpha) / complex(beta))))
 
 
+def _sigma_pieces(seps: np.ndarray, alpha: float, lo: float, hi: float):
+    """Start and end arrays of every piece of the sigma sets of all
+    separations seps, clipped to [lo, hi]; pieces may overlap.
+
+    Separation delta contributes the closed intervals of half-width
+    alpha / (2 pi delta) centered at ell / delta, for every integer ell whose
+    interval meets [lo, hi].
+    """
+    half_width = alpha / (2.0 * math.pi * seps)
+    period = 1.0 / seps
+    first = np.ceil((lo - half_width) / period)
+    last = np.floor((hi + half_width) / period)
+    counts = np.maximum(last - first + 1.0, 0.0).astype(np.int64)
+    owner = np.repeat(np.arange(seps.size), counts)
+    offsets = np.cumsum(counts) - counts
+    ell = first[owner] + (np.arange(owner.size) - offsets[owner])
+    center = ell * period[owner]
+    starts = np.maximum(center - half_width[owner], lo)
+    ends = np.minimum(center + half_width[owner], hi)
+    keep = starts <= ends
+    return starts[keep], ends[keep]
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha <= math.pi:
+        raise ValueError("angular threshold must lie in (0, pi]")
+
+
 def sigma_intervals(delta: float, alpha: float, interval) -> IntervalSet:
     """Rates lambda in [a, b] at which two nodes separated by delta stay within
     angular distance alpha after mapping to the unit circle.
 
     The result is the intersection of [a, b] with the periodic union of
     closed intervals of half-width alpha / (2 pi delta) centered at the
-    integer multiples of 1 / delta.
+    integer multiples of 1 / delta.  It is the one-separation case of the
+    piece generator admissible_lambdas uses for all pairs at once.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("node separation must be positive")
-    if not 0 < alpha <= math.pi:
-        raise ValueError("angular threshold must lie in (0, pi]")
+    if not math.isfinite(delta):
+        raise ValueError("node separation must be finite")
+    _check_alpha(alpha)
     a, b = float(interval[0]), float(interval[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("interval endpoints must be finite")
     if b < a:
         raise ValueError("empty interval")
-    half_width = alpha / (2.0 * math.pi * delta)
-    period = 1.0 / delta
-    first = math.ceil((a - half_width) / period)
-    last = math.floor((b + half_width) / period)
-    pieces = []
-    for ell in range(first, last + 1):
-        center = ell * period
-        lo, hi = max(center - half_width, a), min(center + half_width, b)
-        if lo <= hi:
-            pieces.append((lo, hi))
-    return IntervalSet(pieces)
+    starts, ends = _sigma_pieces(np.array([float(delta)]), alpha, a, b)
+    return IntervalSet._from_endpoints(starts, ends)
 
 
 def admissible_lambdas(
@@ -203,32 +250,42 @@ def admissible_lambdas(
     Every pair involving a non-cluster node must keep mapped angular distance
     at least alpha (default 1/d^2); cluster pairs automatically satisfy the
     linear separation 2 pi lambda tau h on this range because omega h is capped
-    at (2d-1)/2.  The exclusion intervals are padded outward by pad so that the
-    returned complement is conservative.
+    at (2d-1)/2.  The exclusion set is built in one pass: the sigma-set pieces
+    of all those pairs (see sigma_intervals) are generated together as flat
+    arrays and merged once.  Its components are then padded outward by pad, so
+    that the returned complement is conservative.
 
-    Raises EmptyAdmissibleSetError when nothing in the range survives.
+    Raises ValueError for non-finite or non-positive omega, alpha outside
+    (0, pi], negative or non-finite pad, and non-finite or coincident nodes;
+    EmptyAdmissibleSetError when nothing in the range survives.
     """
     x = np.asarray(nodes, dtype=float)
     d = geometry.d
     if len(x) != d:
         raise ValueError("node count does not match the geometry")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("nodes must be finite")
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
     if omega <= 0:
         raise ValueError("omega must be positive")
     if omega * geometry.h > (2 * d - 1) / 2 + 1e-12:
         raise ValueError("omega exceeds the cluster condition omega h <= (2d-1)/2")
     if alpha is None:
         alpha = 1.0 / d**2
-    lo = omega / (2.0 * (2 * d - 1))
-    hi = omega / (2 * d - 1)
+    _check_alpha(alpha)
+    if not (math.isfinite(pad) and pad >= 0):
+        raise ValueError("pad must be finite and non-negative")
+    j, k = np.triu_indices(d, 1)
+    seps = np.abs(x[k] - x[j])
+    if np.any(seps == 0):
+        raise ValueError("node separation must be positive")
     in_cluster = np.zeros(d, dtype=bool)
     in_cluster[geometry.cluster_slice] = True
-    excluded = IntervalSet()
-    for j in range(d):
-        for k in range(j + 1, d):
-            if in_cluster[j] and in_cluster[k]:
-                continue
-            sep = abs(x[k] - x[j])
-            excluded = excluded.union(sigma_intervals(sep, alpha, (lo, hi)))
+    seps = seps[~(in_cluster[j] & in_cluster[k])]
+    lo = omega / (2.0 * (2 * d - 1))
+    hi = omega / (2 * d - 1)
+    excluded = IntervalSet._from_endpoints(*_sigma_pieces(seps, alpha, lo, hi))
     admissible = excluded.padded(pad).complement_within(lo, hi)
     if admissible.is_empty:
         raise EmptyAdmissibleSetError(
@@ -259,21 +316,18 @@ def gautschi_bounds(z, min_gap: float = 1e-12) -> JacobianBoundReport:
     """
     w = np.atleast_1d(np.asarray(z, dtype=complex))
     d = len(w)
-    gaps = np.abs(w[:, None] - w[None, :])
-    if d > 1 and gaps[~np.eye(d, dtype=bool)].min() < min_gap:
+    off = ~np.eye(d, dtype=bool)
+    # Row j lists the gaps from node j to the other nodes, in index order.
+    partner_gaps = np.abs(w[:, None] - w[None, :])[off].reshape(d, d - 1)
+    if d > 1 and partner_gaps.min() < min_gap:
         raise NearCoincidentNodesError("near-coincident nodes: separation below threshold")
 
-    delta = np.zeros(d)
-    gamma = np.ones(d)
-    for j in range(d):
-        others = [l for l in range(d) if l != j]
-        if others:
-            delta[j] = float(np.sum(1.0 / gaps[j, others]))
-            gamma[j] = float(
-                np.prod((1.0 + np.abs(w[others])) / gaps[j, others]) ** 2
-            )
-    amp_bounds = (1.0 + 2.0 * (1.0 + np.abs(w)) * delta) * gamma
-    node_bounds = (1.0 + np.abs(w)) * gamma
+    modulus = np.abs(w)
+    partner_moduli = np.broadcast_to(modulus, (d, d))[off].reshape(d, d - 1)
+    delta = np.sum(1.0 / partner_gaps, axis=1)
+    gamma = np.prod((1.0 + partner_moduli) / partner_gaps, axis=1) ** 2
+    amp_bounds = (1.0 + 2.0 * (1.0 + modulus) * delta) * gamma
+    node_bounds = (1.0 + modulus) * gamma
 
     matrix = confluent_vandermonde(w)
     inverse = np.linalg.inv(matrix)

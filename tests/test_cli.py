@@ -218,3 +218,20 @@ def test_decimation_clustered_signal_report(tmp_path):
             if j < 2 and k < 2:
                 continue
             assert angular_distance(z[j], z[k]) >= 1.0 / 9.0
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--omega", "nan"], "omega must be finite"),
+        (["--omega", "200", "--alpha", "4"], "angular threshold"),
+    ],
+)
+def test_decimation_bad_parameters_exit_2(tmp_path, capsys, flags, message):
+    from spikesr.signal import make_clustered_nodes, standard_cluster_geometry
+
+    nodes = make_clustered_nodes(standard_cluster_geometry(2, 3, 0.001)) / (2 * math.pi)
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps({"amplitudes": [[1, 0]] * 3, "nodes": list(nodes)}))
+    assert main(["decimation", "-i", str(src), "-p", "2", *flags]) == 2
+    assert message in capsys.readouterr().err

@@ -16,6 +16,81 @@ from spikesr.errors import EmptyAdmissibleSetError, NearCoincidentNodesError
 from spikesr.signal import ClusterGeometry, make_clustered_nodes, standard_cluster_geometry
 
 
+# ------------------------------------------------ pair-by-pair reference code
+# The loop forms of the interval-set construction and the Gautschi bounds that
+# the vectorised code in spikesr.decimation replaces.  Every step compares or
+# copies the same floats, so the admissible sets must agree exactly.
+
+
+def _reference_merge(pairs):
+    merged = []
+    for a, b in sorted(pairs):
+        if merged and a <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], b)
+        else:
+            merged.append([a, b])
+    return [(a, b) for a, b in merged]
+
+
+def _reference_sigma_pieces(delta, alpha, a, b):
+    half_width = alpha / (2.0 * math.pi * delta)
+    period = 1.0 / delta
+    first = math.ceil((a - half_width) / period)
+    last = math.floor((b + half_width) / period)
+    pieces = []
+    for ell in range(first, last + 1):
+        center = ell * period
+        lo, hi = max(center - half_width, a), min(center + half_width, b)
+        if lo <= hi:
+            pieces.append((lo, hi))
+    return pieces
+
+
+def _reference_admissible(nodes, geometry, omega, alpha, pad):
+    """Intervals of the admissible set, or None when it is empty."""
+    d = geometry.d
+    lo, hi = omega / (2.0 * (2 * d - 1)), omega / (2 * d - 1)
+    in_cluster = np.zeros(d, dtype=bool)
+    in_cluster[geometry.cluster_slice] = True
+    excluded = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            if in_cluster[j] and in_cluster[k]:
+                continue
+            sigma = _reference_merge(
+                _reference_sigma_pieces(abs(nodes[k] - nodes[j]), alpha, lo, hi)
+            )
+            excluded = _reference_merge(excluded + sigma)
+    padded = _reference_merge([(a - pad, b + pad) for a, b in excluded])
+    inner = _reference_merge(
+        [(max(a, lo), min(b, hi)) for a, b in padded if max(a, lo) <= min(b, hi)]
+    )
+    out, cursor = [], lo
+    for a, b in inner:
+        if a > cursor:
+            out.append((cursor, a))
+        cursor = max(cursor, b)
+    if cursor < hi:
+        out.append((cursor, hi))
+    if not out and not padded:
+        out.append((lo, hi))
+    return tuple(_reference_merge(out)) or None
+
+
+def _reference_gautschi(z):
+    w = np.atleast_1d(np.asarray(z, dtype=complex))
+    d = len(w)
+    gaps = np.abs(w[:, None] - w[None, :])
+    delta = np.zeros(d)
+    gamma = np.ones(d)
+    for j in range(d):
+        others = [l for l in range(d) if l != j]
+        if others:
+            delta[j] = float(np.sum(1.0 / gaps[j, others]))
+            gamma[j] = float(np.prod((1.0 + np.abs(w[others])) / gaps[j, others]) ** 2)
+    return delta, gamma
+
+
 # ---------------------------------------------------------------- IntervalSet
 
 
@@ -40,6 +115,42 @@ def test_interval_set_json_round_trip():
     s = IntervalSet([(0.5, 1.5), (2.0, 2.0)])
     again = IntervalSet.from_json_dict(s.to_json_dict())
     assert again == s
+
+
+@pytest.mark.parametrize(
+    "pieces, merged",
+    [
+        ([(5, 6), (1, 2), (3, 4)], ((1, 2), (3, 4), (5, 6))),  # unsorted
+        ([(0, 10), (2, 3), (4, 12)], ((0, 12),)),  # nested, then overlapping
+        ([(0, 1), (1, 2), (3, 4), (4, 4)], ((0, 2), (3, 4))),  # touching
+        ([(1, 2), (1, 2), (1, 2)], ((1, 2),)),  # duplicates
+        ([(3, 3), (1, 1), (1, 2)], ((1, 2), (3, 3))),  # degenerate
+        ([(2, 5), (2, 3), (2, 4)], ((2, 5),)),  # shared start, unsorted ends
+        ([], ()),
+    ],
+)
+def test_interval_set_constructor_cases(pieces, merged):
+    s = IntervalSet(pieces)
+    assert s.intervals == merged
+    assert len(s) == len(merged)
+    assert list(s) == list(merged)
+    assert s == IntervalSet(reversed(pieces))
+    assert s.is_empty == (not merged)
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        [(0, 1), (3, 2)],  # reversed
+        [(0, 1), (math.nan, 2)],
+        [(0, math.nan)],
+        [(0, 1, 2)],
+        [0, 1],
+    ],
+)
+def test_interval_set_rejects_bad_input(pieces):
+    with pytest.raises(ValueError):
+        IntervalSet(pieces)
 
 
 # ----------------------------------------------------------- angular distance
@@ -115,6 +226,36 @@ def test_sigma_intervals_membership_matches_direct_evaluation():
                 assert sigma.contains(lam, tol=1e-12)
             elif ang > alpha + 1e-9:
                 assert not sigma.contains(lam, tol=-1e-12)
+
+
+def test_sigma_intervals_match_reference_loop():
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        delta = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
+        alpha = rng.uniform(1e-3, math.pi)
+        a = rng.uniform(-10, 10)
+        b = a + float(np.exp(rng.uniform(np.log(1e-3), np.log(20.0))))
+        expected = tuple(_reference_merge(_reference_sigma_pieces(delta, alpha, a, b)))
+        assert sigma_intervals(delta, alpha, (a, b)).intervals == expected
+
+
+@pytest.mark.parametrize(
+    "delta, alpha, interval",
+    [
+        (0.0, 1.0, (0, 1)),
+        (math.nan, 1.0, (0, 1)),
+        (math.inf, 1.0, (0, 1)),
+        (1.0, 0.0, (0, 1)),
+        (1.0, 4.0, (0, 1)),
+        (1.0, math.nan, (0, 1)),
+        (1.0, 1.0, (1, 0)),
+        (1.0, 1.0, (0, math.nan)),
+        (1.0, 1.0, (-math.inf, 0)),
+    ],
+)
+def test_sigma_intervals_rejects_bad_input(delta, alpha, interval):
+    with pytest.raises(ValueError):
+        sigma_intervals(delta, alpha, interval)
 
 
 # --------------------------------------------------------- admissible lambdas
@@ -222,6 +363,71 @@ def test_admissible_rejects_omega_outside_cluster_condition():
         admissible_lambdas(nodes, geometry, 1e9)
 
 
+def _jittered_layout(rng, p, d, h):
+    """Standard layout with cluster extent h, its non-cluster nodes moved by up
+    to a tenth of their spacing."""
+    nodes, geometry = _normalized_cluster(p, d, 2 * math.pi * h)
+    spacing = (nodes[-1] - nodes[p - 1]) / (d - p) if d > p else 0.0
+    nodes[p:] += rng.uniform(-0.1, 0.1, d - p) * spacing
+    return nodes, geometry
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+def test_admissible_matches_pair_by_pair_reference(p, d):
+    rng = np.random.default_rng(100 * p + d)
+    empty = 0
+    for omega in np.geomspace(50.0, 8000.0, 5):
+        h = rng.uniform(0.3, 0.9) * (2 * d - 1) / 2.0 / omega
+        nodes, geometry = _jittered_layout(rng, p, d, h)
+        alphas = [1.0 / d**2, math.exp(rng.uniform(math.log(1.0 / d**2), math.log(1.5))),
+                  1.5, 0.999 * math.pi]
+        for alpha in alphas:
+            for pad in (0.0, 1e-12):
+                expected = _reference_admissible(nodes, geometry, omega, alpha, pad)
+                if expected is None:
+                    empty += 1
+                    with pytest.raises(EmptyAdmissibleSetError):
+                        admissible_lambdas(nodes, geometry, omega, alpha, pad)
+                else:
+                    got = admissible_lambdas(nodes, geometry, omega, alpha, pad)
+                    assert got.intervals == expected
+                    assert got == IntervalSet(expected)
+    if d > p:
+        assert empty > 0  # alpha = 0.999 pi excludes every rate
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"omega": math.nan}, "omega must be finite"),
+        ({"omega": math.inf}, "omega must be finite"),
+        ({"omega": 0.0}, "omega must be positive"),
+        ({"omega": -5.0}, "omega must be positive"),
+        ({"alpha": 4.0}, "angular threshold"),
+        ({"alpha": 0.0}, "angular threshold"),
+        ({"alpha": math.nan}, "angular threshold"),
+        ({"alpha": math.inf}, "angular threshold"),
+        ({"pad": -1e-12}, "pad must be finite"),
+        ({"pad": math.nan}, "pad must be finite"),
+        ({"pad": math.inf}, "pad must be finite"),
+        ({"node": (2, math.nan)}, "nodes must be finite"),
+        ({"node": (2, math.inf)}, "nodes must be finite"),
+        ({"node": (2, None)}, "node separation must be positive"),  # non-cluster pair
+        ({"node": (1, None)}, "node separation must be positive"),  # cluster pair
+    ],
+)
+def test_admissible_rejects_bad_input(change, message):
+    nodes, geometry = _normalized_cluster(2, 3, 0.001)
+    args = {"omega": 200.0, "alpha": None, "pad": 1e-12}
+    args.update({k: v for k, v in change.items() if k != "node"})
+    if "node" in change:
+        index, value = change["node"]
+        nodes[index] = nodes[index - 1] if value is None else value
+    with pytest.raises(ValueError, match=message):
+        admissible_lambdas(nodes, geometry, args["omega"], args["alpha"], args["pad"])
+
+
 # ------------------------------------------------- confluent Vandermonde etc.
 
 
@@ -256,6 +462,26 @@ def test_gautschi_bounds_single_node_conventions():
     assert report.gamma[0] == 1.0
     assert report.amplitude_row_bounds[0] == pytest.approx(1.0)
     assert report.node_row_bounds[0] == pytest.approx(1.0 + abs(0.7 + 0.2j))
+
+
+def test_gautschi_bounds_match_reference_loop():
+    # Summation order is unchanged; complex moduli may round differently in
+    # the last place, so gamma and the bounds agree to a few ulps.
+    rng = np.random.default_rng(18)
+    for _ in range(500):
+        d = int(rng.integers(1, 9))
+        z = rng.uniform(0.5, 2.0, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+        if d > 1 and np.abs(z[:, None] - z[None, :])[~np.eye(d, dtype=bool)].min() < 1e-3:
+            continue
+        delta, gamma = _reference_gautschi(z)
+        report = gautschi_bounds(z)
+        np.testing.assert_allclose(report.delta, delta, rtol=1e-14)
+        np.testing.assert_allclose(report.gamma, gamma, rtol=1e-14)
+        modulus = np.abs(z)
+        np.testing.assert_allclose(
+            report.amplitude_row_bounds, (1 + 2 * (1 + modulus) * delta) * gamma, rtol=1e-14
+        )
+        np.testing.assert_allclose(report.node_row_bounds, (1 + modulus) * gamma, rtol=1e-14)
 
 
 def test_gautschi_dominance_property():
