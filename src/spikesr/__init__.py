@@ -48,8 +48,6 @@ from .matrix_pencil import (
     RecoveryResult,
     build_hankel,
     default_pencil_param,
-    hankel_down,
-    hankel_up,
     mp_recover,
 )
 from .prony import (

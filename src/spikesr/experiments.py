@@ -11,7 +11,6 @@ parameter draws and the fitting helpers extract the power-law scalings.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -129,10 +128,14 @@ class PhaseBoundaryFit:
     n_failure: int
 
 
-def _circular_distance(a: float, b: float) -> float:
-    """Distance on the unit torus, min over integer shifts of |a - b - n|."""
+def _circular_distance(a, b) -> np.ndarray:
+    """Distance on the unit torus, min over integer shifts of |a - b - n|.
+
+    Elementwise with broadcasting, so an outer pair of arguments gives the
+    matrix of distances between two node sets.
+    """
     frac = (a - b) % 1.0
-    return min(frac, 1.0 - frac)
+    return np.minimum(frac, 1.0 - frac)
 
 
 def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
@@ -228,23 +231,24 @@ def single_experiment(
 
     est_nodes = result.estimate.nodes
     est_amps = result.estimate.amplitudes
-    errors, successes, kx, ka = [], [], [], []
-    for j in range(d):
-        dist_to_true = [_circular_distance(est_nodes[j], x[l]) for l in range(d)]
-        e_j = min(dist_to_true)
-        own_gap = min(abs(x[l] - x[j]) for l in range(d) if l != j)
-        ok = e_j < own_gap / 3.0
-        errors.append(float(e_j))
-        successes.append(bool(ok))
-        if ok and eps0 > 0:
-            nearest = int(np.argmin(dist_to_true))
-            kx.append(
-                float(_circular_distance(x[j], est_nodes[nearest]) * n_samples / eps0)
-            )
-            ka.append(float(abs(amps[j] - est_amps[nearest]) / eps0))
-        else:
-            kx.append(None)
-            ka.append(None)
+    # dist[j, l]: estimate j to true node l.  Estimate j is scored by its
+    # nearest true node, and Kx/Ka compare true node j with the estimate
+    # indexed by that nearest true node.
+    dist = _circular_distance(est_nodes[:, None], x[None, :])
+    errors = dist.min(axis=1)
+    nearest = dist.argmin(axis=1)
+    gaps = np.abs(x[:, None] - x[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    successes = (errors < gaps.min(axis=1) / 3.0).tolist()
+    kx = ka = (None,) * d
+    if eps0 > 0:
+        amp_err = amps - est_amps[nearest]
+        kx_all = _circular_distance(x, est_nodes[nearest]) * n_samples / eps0
+        # hypot, not np.abs: complex np.abs may differ from the scalar abs
+        # in the last ulp, and hypot matches it bit for bit
+        ka_all = np.hypot(amp_err.real, amp_err.imag) / eps0
+        kx = tuple(v if ok else None for v, ok in zip(kx_all.tolist(), successes))
+        ka = tuple(v if ok else None for v, ok in zip(ka_all.tolist(), successes))
 
     return ExperimentRecord(
         scheme=scheme,
@@ -256,10 +260,10 @@ def single_experiment(
         epsilon0=eps0,
         srf=srf,
         seed=seed,
-        node_errors=tuple(errors),
+        node_errors=tuple(errors.tolist()),
         successes=tuple(successes),
-        kx=tuple(kx),
-        ka=tuple(ka),
+        kx=kx,
+        ka=ka,
     )
 
 
@@ -488,9 +492,3 @@ def write_records_jsonl(records, stream, config: Optional[dict] = None) -> None:
                 for k, v in row.items()
             }
             stream.write(json.dumps(clean, sort_keys=True) + "\n")
-
-
-def records_csv_string(records, config: Optional[dict] = None) -> str:
-    buffer = io.StringIO()
-    write_records_csv(records, buffer, config)
-    return buffer.getvalue()

@@ -1,10 +1,15 @@
 """Matrix Pencil recovery of spike parameters from noisy unit-rate spectra.
 
-Given samples values[k] ~ sum_j a_j exp(2 pi i x_j k), the noiseless numbers
-z_j = exp(2 pi i x_j) are the rank-reducing values of the pencil formed by the
-two row-shifted blocks of the sample Hankel matrix.  With noise, both blocks
-are first projected onto their rank-d dominant subspaces and the reduced d x d
-pencil is solved instead.
+Given samples values[k] ~ sum_j a_j exp(2 pi i x_j k), the noiseless sample
+Hankel matrix H[i, j] = values[i + j] factors as V A W^T with V[i, j] = z_j^i
+and z_j = exp(2 pi i x_j), so its column space is spanned by the Vandermonde
+columns of the z_j.  That space is shift invariant: deleting the first row of
+V equals deleting its last row and multiplying by diag(z).  The estimator
+takes one SVD of H, keeps the d leading left singular vectors U (a basis of
+the signal subspace, which filters the noise), and solves the shift equation
+U[:-1] Psi = U[1:] by least squares; the eigenvalues of the d x d matrix Psi
+are the z_j.  This is the shift-invariance form of the Matrix Pencil method
+(Hua & Sarkar 1990, IEEE TASSP 38(5); ESPRIT, Roy & Kailath 1989).
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from .signal import SpectralSamples, SpikeTrain
 __all__ = [
     "RecoveryResult",
     "build_hankel",
-    "hankel_up",
-    "hankel_down",
     "default_pencil_param",
     "mp_recover",
 ]
@@ -32,15 +35,14 @@ class RecoveryResult:
     """Estimated signal plus diagnostics of the pencil solve.
 
     Node estimates live in (-1/2, 1/2] (principal angles of the recovered
-    eigenvalues divided by 2 pi).  sigma_upper / sigma_lower are the d retained
-    singular values of the two Hankel blocks; eigenvalues are the raw pencil
-    eigenvalues before angle extraction.
+    eigenvalues divided by 2 pi).  singular_values are the d leading singular
+    values of the full sample Hankel matrix; eigenvalues are the raw
+    shift-matrix eigenvalues before angle extraction, ordered like the nodes.
     """
 
     estimate: SpikeTrain
     pencil_param: int
-    sigma_upper: np.ndarray
-    sigma_lower: np.ndarray
+    singular_values: np.ndarray
     eigenvalues: np.ndarray
 
     def to_json_dict(self) -> dict:
@@ -50,8 +52,7 @@ class RecoveryResult:
                 [float(a.real), float(a.imag)] for a in self.estimate.amplitudes
             ],
             "L": int(self.pencil_param),
-            "sigma_A": [float(s) for s in self.sigma_upper],
-            "sigma_B": [float(s) for s in self.sigma_lower],
+            "sigma": [float(s) for s in self.singular_values],
         }
 
 
@@ -71,16 +72,6 @@ def build_hankel(samples, pencil_param: int) -> np.ndarray:
     return values[idx]
 
 
-def hankel_up(hankel: np.ndarray) -> np.ndarray:
-    """The block with the last row deleted."""
-    return hankel[:-1, :]
-
-
-def hankel_down(hankel: np.ndarray) -> np.ndarray:
-    """The block with the first row deleted."""
-    return hankel[1:, :]
-
-
 def default_pencil_param(count: int) -> int:
     """ceil(N / 2), the pencil parameter used throughout the experiments."""
     if count < 3:
@@ -96,14 +87,15 @@ def mp_recover(
 ) -> RecoveryResult:
     """Recover d nodes and amplitudes from N >= 2d unit-rate samples.
 
-    The two shifted Hankel blocks are reduced by rank-d truncated SVDs, the
-    d x d pencil is solved through the inverse of its diagonal side, and the
-    node amplitudes are fitted by least squares on the N x d Fourier
-    Vandermonde of the recovered angles.  Nodes are returned sorted ascending.
+    One SVD of the (L+1) x (N-L) sample Hankel matrix gives the d leading left
+    singular vectors U; the least-squares solution Psi of U[:-1] Psi = U[1:]
+    has the node exponentials z_j as its eigenvalues.  The node amplitudes are
+    fitted by least squares on the N x d Fourier Vandermonde of the recovered
+    angles.  Nodes are returned sorted ascending.
 
-    Raises RankDeficiencyError when a retained singular value of the lower
-    block falls under rank_tol times its largest one, and EigenFailureError
-    when the eigenvalue solve fails or yields coincident nodes.
+    Raises RankDeficiencyError when the d-th singular value of the Hankel
+    matrix falls under rank_tol times its largest one, and EigenFailureError
+    when the shift solve fails or yields coincident nodes.
     """
     values = _sample_values(samples)
     n = len(values)
@@ -115,31 +107,18 @@ def mp_recover(
     if not d <= L <= n - d:
         raise ValueError(f"pencil parameter must lie in [{d}, {n - d}]")
 
-    hankel = build_hankel(values, L)
-    upper = hankel_up(hankel)
-    lower = hankel_down(hankel)
-
-    u1, s1, v1h = np.linalg.svd(upper, full_matrices=False)
-    u2, s2, v2h = np.linalg.svd(lower, full_matrices=False)
-    u1, s1, v1h = u1[:, :d], s1[:d], v1h[:d]
-    u2, s2, v2h = u2[:, :d], s2[:d], v2h[:d]
-
-    if s2[-1] < rank_tol * s2[0]:
+    u, sigma, _ = np.linalg.svd(build_hankel(values, L), full_matrices=False)
+    u, sigma = u[:, :d], sigma[:d]
+    if sigma[-1] < rank_tol * sigma[0]:
         raise RankDeficiencyError(
-            "rank deficiency: truncated spectrum of the lower block is unsafe to invert"
+            "rank deficiency: the Hankel matrix has fewer than d significant singular values"
         )
 
-    # Reduced pencil: project the upper block onto the lower block's subspaces;
-    # the lower block itself reduces to its diagonal singular-value matrix.
-    reduced_upper = ((u2.conj().T @ u1) * s1) @ (v1h @ v2h.conj().T)
     try:
-        eigs = np.linalg.eigvals(reduced_upper / s2[:, None])
+        psi, *_ = np.linalg.lstsq(u[:-1], u[1:], rcond=None)
+        z = np.linalg.eigvals(psi)
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigen failure: {exc}") from exc
-    # The pencil orientation is fixed by exact recovery on noiseless data:
-    # the eigenvalues above converge to 1/z_j, so invert.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = 1.0 / eigs
 
     nodes = np.angle(z) / (2.0 * np.pi)
     order = np.argsort(nodes, kind="stable")
@@ -154,7 +133,6 @@ def mp_recover(
     return RecoveryResult(
         estimate=SpikeTrain(amplitudes=amps, nodes=nodes),
         pencil_param=L,
-        sigma_upper=s1.copy(),
-        sigma_lower=s2.copy(),
+        singular_values=sigma,
         eigenvalues=z,
     )

@@ -111,10 +111,10 @@ def prony_solve(
 
     nodes = np.roots(coeffs[::-1])  # companion-matrix eigenvalues
     scale = max(1.0, np.abs(nodes).max())
-    for j in range(d):
-        for k in range(j + 1, d):
-            if abs(nodes[j] - nodes[k]) < coincidence_tol * scale:
-                raise RepeatedRootsError("repeated roots: recovered nodes coincide")
+    gaps = np.abs(np.subtract.outer(nodes, nodes))
+    np.fill_diagonal(gaps, np.inf)
+    if gaps.min() < coincidence_tol * scale:
+        raise RepeatedRootsError("repeated roots: recovered nodes coincide")
 
     order = np.lexsort((np.abs(nodes), np.angle(nodes)))
     nodes = nodes[order]

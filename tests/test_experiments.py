@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from spikesr import experiments
 from spikesr.errors import DegenerateFitError, InsufficientDataError
 from spikesr.experiments import (
     CSV_HEADER,
+    DEFAULT_AMPLIFICATION_RANGES,
+    DEFAULT_PHASE_RANGES,
     ExperimentRecord,
     amplification_sweep,
     fit_loglog_slope,
@@ -15,6 +18,8 @@ from spikesr.experiments import (
     write_records_csv,
     write_records_jsonl,
 )
+from spikesr.matrix_pencil import mp_recover
+from spikesr.signal import make_clustered_nodes, standard_cluster_geometry
 
 
 def test_single_experiment_exact_regime_all_succeed():
@@ -70,6 +75,62 @@ def test_amplification_sweep_deterministic_and_sized():
         rec.p, rec.d, rec.h, rec.n_samples, rec.epsilon_requested, rec.scheme, rec.seed
     )
     assert again == rec
+
+
+def _reference_scores(x, amps, est_nodes, est_amps, n_samples, eps0):
+    """The former per-node scoring loop of single_experiment, kept as a reference."""
+
+    def circular(a, b):
+        frac = (a - b) % 1.0
+        return min(frac, 1.0 - frac)
+
+    d = len(x)
+    errors, successes, kx, ka = [], [], [], []
+    for j in range(d):
+        dist_to_true = [circular(est_nodes[j], x[l]) for l in range(d)]
+        e_j = min(dist_to_true)
+        own_gap = min(abs(x[l] - x[j]) for l in range(d) if l != j)
+        ok = e_j < own_gap / 3.0
+        errors.append(float(e_j))
+        successes.append(bool(ok))
+        if ok and eps0 > 0:
+            nearest = int(np.argmin(dist_to_true))
+            kx.append(float(circular(x[j], est_nodes[nearest]) * n_samples / eps0))
+            ka.append(float(abs(amps[j] - est_amps[nearest]) / eps0))
+        else:
+            kx.append(None)
+            ka.append(None)
+    return tuple(errors), tuple(successes), tuple(kx), tuple(ka)
+
+
+@pytest.mark.parametrize("ranges", [DEFAULT_AMPLIFICATION_RANGES, DEFAULT_PHASE_RANGES])
+@pytest.mark.parametrize("scheme", ["S1", "S2"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_scoring_matches_reference_loop(monkeypatch, ranges, scheme, p):
+    d = 4
+    estimates = []
+
+    def recording_recover(*args):
+        result = mp_recover(*args)
+        estimates.append(result.estimate)
+        return result
+
+    monkeypatch.setattr(experiments, "mp_recover", recording_recover)
+    records = amplification_sweep(
+        p, d, **ranges, trials=100, scheme=scheme, base_seed=p
+    )
+    scored = [rec for rec in records if rec.failure is None]
+    assert len(scored) == len(estimates) > 0
+    amps = experiments._scheme_amplitudes(scheme, d)
+    for rec, est in zip(scored, estimates):
+        x = make_clustered_nodes(standard_cluster_geometry(p, d, rec.h)) / (2 * math.pi)
+        expected = _reference_scores(
+            x, amps, est.nodes, est.amplitudes, rec.n_samples, rec.epsilon0
+        )
+        assert (rec.node_errors, rec.successes, rec.kx, rec.ka) == expected
+        assert all(type(e) is float for e in rec.node_errors)
+        assert all(type(ok) is bool for ok in rec.successes)
+        assert all(v is None or type(v) is float for v in rec.kx + rec.ka)
 
 
 def _planted_record(srf, kx, ka):

@@ -92,6 +92,26 @@ def test_prony_solve_repeated_roots():
         prony_solve(mu.astype(complex), 2)
 
 
+@pytest.mark.parametrize(
+    "node, gap, raises",
+    [
+        (0.5, 0.5e-3, True),  # coincidence_tol / 2 apart
+        (0.5, 2e-3, False),  # 2 coincidence_tol apart
+        (2.0, 1.5e-3, True),  # under the tolerance scaled by the node modulus 2
+        (2.0, 3e-3, False),
+    ],
+)
+def test_prony_solve_coincidence_threshold(node, gap, raises):
+    nodes = [node, node + gap]
+    mu = prony_map([1.0, -1.0j], nodes, 4)
+    if raises:
+        with pytest.raises(RepeatedRootsError):
+            prony_solve(mu, 2, coincidence_tol=1e-3)
+    else:
+        solution = prony_solve(mu, 2, coincidence_tol=1e-3)
+        np.testing.assert_allclose(np.sort(solution.nodes.real), nodes, rtol=1e-9)
+
+
 def test_prony_solve_input_validation():
     with pytest.raises(ValueError):
         prony_solve([1, 2, 3], 2)
