@@ -166,8 +166,10 @@ def cmd_recover(args, config: dict) -> int:
 
     try:
         result = mp_recover(samples, d, pencil)
-    except (SpikesrError, ValueError) as exc:
+    except (SpikesrError, np.linalg.LinAlgError) as exc:
         raise CliError(f"recovery failed: {exc}", EXIT_ESTIMATOR) from exc
+    except ValueError as exc:
+        raise CliError(f"bad recovery input: {exc}", EXIT_PARSE) from exc
 
     run_config = RunConfig(
         subcommand="recover",
@@ -368,7 +370,10 @@ def cmd_decimation(args, config: dict) -> int:
     widest = max(admissible.intervals, key=lambda ab: ab[1] - ab[0])
     sample_rate = 0.5 * (widest[0] + widest[1])
     mapped = np.exp(2j * np.pi * sample_rate * train.nodes)
-    bounds = gautschi_bounds(mapped)
+    try:
+        bounds = gautschi_bounds(mapped)
+    except SpikesrError as exc:
+        raise CliError(str(exc), EXIT_ESTIMATOR) from exc
 
     run_config = RunConfig(
         subcommand="decimation",

@@ -35,10 +35,10 @@ class IntervalSet:
 
     The components are held as two arrays of start and end points, and every
     operation works on those arrays.  Overlapping or touching inputs are
-    merged on construction in one pass: the endpoints are sorted by
-    (start, end) with one lexsort, and a new component begins wherever a start
-    exceeds the running maximum of the ends before it.  Merging only compares
-    and copies endpoints, so it is exact.  Degenerate single-point intervals
+    merged on construction in one pass: the intervals are sorted by start with
+    one stable argsort, and a new component begins wherever a start exceeds
+    the running maximum of the ends before it.  Merging only compares and
+    copies endpoints, so it is exact.  Degenerate single-point intervals
     are allowed; reversed intervals and NaN endpoints raise ValueError.
     """
 
@@ -55,8 +55,13 @@ class IntervalSet:
     @classmethod
     def _from_endpoints(cls, starts: np.ndarray, ends: np.ndarray) -> "IntervalSet":
         """Merge of the intervals [starts[i], ends[i]], without a per-pair copy."""
+        return cls._from_components(*_merge(starts, ends))
+
+    @classmethod
+    def _from_components(cls, starts: np.ndarray, ends: np.ndarray) -> "IntervalSet":
+        """Set whose components are already sorted, disjoint and not touching."""
         out = cls.__new__(cls)
-        out._starts, out._ends = _merge(starts, ends)
+        out._starts, out._ends = starts, ends
         return out
 
     @property
@@ -140,7 +145,9 @@ def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
         raise ValueError(f"invalid interval [{starts[k]}, {ends[k]}]")
     if starts.size == 0:
         return starts, ends
-    order = np.lexsort((ends, starts))
+    # Intervals with tied starts never split a component: the running maximum
+    # of their ends is the same in any order, so sorting by start suffices.
+    order = np.argsort(starts, kind="stable")
     starts, reach = starts[order], np.maximum.accumulate(ends[order])
     breaks = np.flatnonzero(starts[1:] > reach[:-1])
     first = np.concatenate(([0], breaks + 1))
@@ -250,10 +257,15 @@ def admissible_lambdas(
     Every pair involving a non-cluster node must keep mapped angular distance
     at least alpha (default 1/d^2); cluster pairs automatically satisfy the
     linear separation 2 pi lambda tau h on this range because omega h is capped
-    at (2d-1)/2.  The exclusion set is built in one pass: the sigma-set pieces
-    of all those pairs (see sigma_intervals) are generated together as flat
-    arrays and merged once.  Its components are then padded outward by pad, so
-    that the returned complement is conservative.
+    at (2d-1)/2.  The set is built with one merge: the sigma-set pieces of all
+    those pairs (see sigma_intervals) are generated together as flat arrays,
+    each piece is padded outward by pad so that the returned set is
+    conservative, and the padded pieces are merged once.  The admissible
+    components are the gaps of positive length before, between and after the
+    merged components clipped to the range.  Rounding is monotone, so padding
+    each piece gives the same set as padding the merged components; a
+    single-point component is dropped before the gaps are taken, so the gaps
+    on either side of it join, as in IntervalSet.complement_within.
 
     Raises ValueError for non-finite or non-positive omega, alpha outside
     (0, pi], negative or non-finite pad, and non-finite or coincident nodes;
@@ -276,22 +288,28 @@ def admissible_lambdas(
     _check_alpha(alpha)
     if not (math.isfinite(pad) and pad >= 0):
         raise ValueError("pad must be finite and non-negative")
-    j, k = np.triu_indices(d, 1)
-    seps = np.abs(x[k] - x[j])
-    if np.any(seps == 0):
+    gaps = np.abs(np.subtract.outer(x, x))
+    if np.count_nonzero(gaps == 0) > d:  # more zeros than the diagonal holds
         raise ValueError("node separation must be positive")
     in_cluster = np.zeros(d, dtype=bool)
     in_cluster[geometry.cluster_slice] = True
-    seps = seps[~(in_cluster[j] & in_cluster[k])]
+    seps = gaps[np.triu(~np.logical_and.outer(in_cluster, in_cluster), 1)]
     lo = omega / (2.0 * (2 * d - 1))
     hi = omega / (2 * d - 1)
-    excluded = IntervalSet._from_endpoints(*_sigma_pieces(seps, alpha, lo, hi))
-    admissible = excluded.padded(pad).complement_within(lo, hi)
-    if admissible.is_empty:
+    starts, ends = _sigma_pieces(seps, alpha, lo, hi)
+    if starts.size == 0:
+        return IntervalSet([(lo, hi)])
+    starts, ends = _merge(starts - pad, ends + pad)
+    starts, ends = np.maximum(starts, lo), np.minimum(ends, hi)
+    keep = starts < ends
+    gap_starts = np.concatenate(([lo], ends[keep]))
+    gap_ends = np.append(starts[keep], hi)
+    keep = gap_starts < gap_ends
+    if not keep.any():
         raise EmptyAdmissibleSetError(
             "empty admissible set: every rate in the range violates a separation condition"
         )
-    return admissible
+    return IntervalSet._from_components(gap_starts[keep], gap_ends[keep])
 
 
 def confluent_vandermonde(z) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EigenFailureError, RankDeficiencyError
-from .signal import SpectralSamples, SpikeTrain
+from .signal import SpectralSamples, SpikeTrain, _complex_to_json
 
 __all__ = [
     "RecoveryResult",
@@ -48,9 +48,7 @@ class RecoveryResult:
     def to_json_dict(self) -> dict:
         return {
             "nodes": [float(x) for x in self.estimate.nodes],
-            "amplitudes": [
-                [float(a.real), float(a.imag)] for a in self.estimate.amplitudes
-            ],
+            "amplitudes": _complex_to_json(self.estimate.amplitudes),
             "L": int(self.pencil_param),
             "sigma": [float(s) for s in self.singular_values],
         }
@@ -98,6 +96,8 @@ def mp_recover(
     when the shift solve fails or yields coincident nodes.
     """
     values = _sample_values(samples)
+    if not np.isfinite(values).all():
+        raise ValueError("samples must be finite")
     n = len(values)
     if d < 1:
         raise ValueError("model order d must be at least 1")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystemError, RepeatedRootsError
+from .signal import _complex_to_json
 
 __all__ = [
     "PronySolution",
@@ -47,8 +48,8 @@ class PronySolution:
 
     def to_json_dict(self) -> dict:
         return {
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
-            "nodes": [[float(z.real), float(z.imag)] for z in self.nodes],
+            "amplitudes": _complex_to_json(self.amplitudes),
+            "nodes": _complex_to_json(self.nodes),
         }
 
 

@@ -30,6 +30,18 @@ __all__ = [
 ]
 
 
+def _complex_to_json(values) -> list:
+    """[[re, im], ...] lists of a complex sequence: the JSON form of every
+    complex array the package writes."""
+    values = np.asarray(values, dtype=complex)
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
+def _complex_from_json(pairs) -> np.ndarray:
+    """Complex array of [[re, im], ...] pairs, the inverse of _complex_to_json."""
+    return np.array([complex(re, im) for re, im in pairs])
+
+
 def _frozen_1d(values, dtype) -> np.ndarray:
     out = np.atleast_1d(np.asarray(values, dtype=dtype)).copy()
     if out.ndim != 1:
@@ -68,14 +80,16 @@ class SpikeTrain:
 
     def to_json_dict(self) -> dict:
         return {
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
+            "amplitudes": _complex_to_json(self.amplitudes),
             "nodes": [float(x) for x in self.nodes],
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SpikeTrain":
-        amps = [complex(re, im) for re, im in obj["amplitudes"]]
-        return cls(amplitudes=np.array(amps), nodes=np.array(obj["nodes"], dtype=float))
+        return cls(
+            amplitudes=_complex_from_json(obj["amplitudes"]),
+            nodes=np.array(obj["nodes"], dtype=float),
+        )
 
 
 @dataclass(frozen=True)
@@ -137,14 +151,14 @@ class SpectralSamples:
 
     def to_json_dict(self) -> dict:
         return {
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
+            "values": _complex_to_json(self.values),
             "noise_bound": float(self.noise_bound),
             "actual_noise": float(self.actual_noise),
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SpectralSamples":
-        vals = np.array([complex(re, im) for re, im in obj["values"]])
+        vals = _complex_from_json(obj["values"])
         return cls(
             values=vals,
             count=len(vals),

@@ -56,6 +56,18 @@ def test_recover_estimator_failure_exits_3(tmp_path, capsys):
     assert main(["recover", "-i", str(src), "-d", "3"]) == 3
 
 
+def test_recover_bad_pencil_exits_2(pair_samples_file, capsys):
+    assert main(["recover", "-i", str(pair_samples_file), "-d", "2", "--pencil", "1"]) == 2
+    assert "pencil parameter must lie in [2, 2]" in capsys.readouterr().err
+
+
+def test_recover_non_finite_samples_exit_2(tmp_path, capsys):
+    src = tmp_path / "nan.json"
+    src.write_text('{"values": [[2, 0], [-1, 0], [NaN, 0], [2, 0], [-1, 0], [-1, 0]]}')
+    assert main(["recover", "-i", str(src), "-d", "2"]) == 2
+    assert "samples must be finite" in capsys.readouterr().err
+
+
 def test_version(capsys):
     assert main(["version"]) == 0
     assert capsys.readouterr().out.startswith("spikesr ")
@@ -218,6 +230,14 @@ def test_decimation_clustered_signal_report(tmp_path):
             if j < 2 and k < 2:
                 continue
             assert angular_distance(z[j], z[k]) >= 1.0 / 9.0
+
+
+def test_decimation_near_coincident_nodes_exit_3(tmp_path, capsys):
+    train = {"amplitudes": [[1, 0]] * 4, "nodes": [0.0, 1e-13, 0.3, 0.6]}
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps(train))
+    assert main(["decimation", "-i", str(src), "-p", "2", "--omega", "10"]) == 3
+    assert "near-coincident" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

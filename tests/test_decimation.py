@@ -5,6 +5,8 @@ import pytest
 
 from spikesr.decimation import (
     IntervalSet,
+    _merge,
+    _sigma_pieces,
     admissible_lambdas,
     angular_distance,
     confluent_vandermonde,
@@ -77,6 +79,31 @@ def _reference_admissible(nodes, geometry, omega, alpha, pad):
     return tuple(_reference_merge(out)) or None
 
 
+def _lexsort_merge(starts, ends):
+    """The merge sorted by (start, end) with a two-key lexsort."""
+    if starts.size == 0:
+        return starts, ends
+    order = np.lexsort((ends, starts))
+    starts, reach = starts[order], np.maximum.accumulate(ends[order])
+    breaks = np.flatnonzero(starts[1:] > reach[:-1])
+    first = np.concatenate(([0], breaks + 1))
+    last = np.append(breaks, starts.size - 1)
+    return starts[first], reach[last]
+
+
+def _composed_admissible(nodes, geometry, omega, alpha, pad):
+    """Admissible set as a chain of interval-set operations: merge the sigma
+    pieces, pad and re-merge, then clip, re-merge and take the complement."""
+    d = geometry.d
+    lo, hi = omega / (2.0 * (2 * d - 1)), omega / (2 * d - 1)
+    j, k = np.triu_indices(d, 1)
+    in_cluster = np.zeros(d, dtype=bool)
+    in_cluster[geometry.cluster_slice] = True
+    seps = np.abs(nodes[k] - nodes[j])[~(in_cluster[j] & in_cluster[k])]
+    excluded = IntervalSet._from_endpoints(*_sigma_pieces(seps, alpha, lo, hi))
+    return excluded.padded(pad).complement_within(lo, hi)
+
+
 def _reference_gautschi(z):
     w = np.atleast_1d(np.asarray(z, dtype=complex))
     d = len(w)
@@ -109,6 +136,24 @@ def test_interval_set_complement_and_intersect():
     assert IntervalSet().complement_within(0, 1).intervals == ((0, 1),)
     with pytest.raises(ValueError):
         IntervalSet([(2, 1)])
+
+
+def test_complement_within_bridges_a_single_point():
+    assert IntervalSet([(1, 1)]).complement_within(0, 2).intervals == ((0, 2),)
+    assert IntervalSet([(0, 0), (2, 2)]).complement_within(0, 2).intervals == ((0, 2),)
+
+
+def test_merge_by_start_matches_lexsort_with_tied_starts():
+    rng = np.random.default_rng(17)
+    for size in (1, 2, 5, 40, 300):
+        for _ in range(20):
+            # few distinct starts, so most of them are tied; some pieces are points
+            starts = rng.integers(0, max(2, size // 4), size).astype(float)
+            ends = starts + rng.choice([0.0, 0.5, 1.0, 3.0], size)
+            got = _merge(starts, ends)
+            expected = _lexsort_merge(starts, ends)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
 
 
 def test_interval_set_json_round_trip():
@@ -395,6 +440,40 @@ def test_admissible_matches_pair_by_pair_reference(p, d):
                     assert got == IntervalSet(expected)
     if d > p:
         assert empty > 0  # alpha = 0.999 pi excludes every rate
+
+
+def test_admissible_matches_composed_set_operations_on_scan_geometry():
+    # The decimation scan's geometry: p=3, d=8, omega geometric in [50, 8000],
+    # omega*h in (0.3, 0.9) (2d-1)/2 and alpha log-uniform in [1/d^2, 1.5].
+    p, d = 3, 8
+    rng = np.random.default_rng(2024)
+    compared = empty = 0
+    for omega in np.geomspace(50.0, 8000.0, 150):
+        h = rng.uniform(0.3, 0.9) * (2 * d - 1) / 2.0 / omega
+        nodes, geometry = _normalized_cluster(p, d, 2 * math.pi * h)
+        alpha = math.exp(rng.uniform(math.log(1.0 / d**2), math.log(1.5)))
+        for pad in (0.0, 1e-12):
+            expected = _composed_admissible(nodes, geometry, omega, alpha, pad)
+            compared += 1
+            if expected.is_empty:
+                empty += 1
+                with pytest.raises(EmptyAdmissibleSetError):
+                    admissible_lambdas(nodes, geometry, omega, alpha, pad)
+            else:
+                got = admissible_lambdas(nodes, geometry, omega, alpha, pad)
+                assert np.array_equal(got._starts, expected._starts)
+                assert np.array_equal(got._ends, expected._ends)
+    assert compared == 300 and 0 < empty < compared
+
+
+def test_admissible_bridges_single_point_exclusions():
+    # alpha so small that every sigma piece rounds to a single point: with no
+    # pad the complement bridges them, as complement_within does.
+    nodes, geometry = _normalized_cluster(2, 3, 0.001)
+    omega = 200.0
+    got = admissible_lambdas(nodes, geometry, omega, alpha=1e-300, pad=0.0)
+    assert got.intervals == ((omega / 10, omega / 5),)
+    assert got == _composed_admissible(nodes, geometry, omega, 1e-300, 0.0)
 
 
 @pytest.mark.parametrize(

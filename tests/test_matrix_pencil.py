@@ -184,6 +184,15 @@ def test_recover_validates_arguments():
         mp_recover(sample_spectrum(train, 3, 0.0, 0), 2)  # too few samples
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_recover_rejects_non_finite_samples(bad):
+    train = SpikeTrain(amplitudes=[1.0, 2.0], nodes=[0.1, 0.3])
+    values = sample_spectrum(train, 8, 0.0, 0).values.copy()
+    values[3] = bad
+    with pytest.raises(ValueError, match="samples must be finite"):
+        mp_recover(values, 2)
+
+
 def test_result_json_schema():
     train = SpikeTrain(amplitudes=[1.0], nodes=[0.25])
     result = mp_recover(sample_spectrum(train, 8, 0.0, 0), 1)
