@@ -7,8 +7,10 @@ conditioning bounds), version.
 
 Every option can come from a config file (flat key=value lines or a JSON
 object); explicit flags win over the config file, which wins over defaults.
-Seeds default to 0 and the resolved configuration is embedded in every output,
-so runs are reproducible byte for byte apart from one timestamp line.
+The experiment seed defaults to 0 and the resolved configuration is embedded
+in every output, so runs are reproducible byte for byte apart from one
+timestamp line.  The other subcommands draw no random numbers and record a
+null seed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class RunConfig:
 
     subcommand: str
     params: dict
-    seed: int
+    seed: int | None
     output: str | None
     fmt: str
 
@@ -150,7 +152,6 @@ def cmd_recover(args, config: dict) -> int:
     if d is None:
         raise CliError("recover needs --order", EXIT_PARSE)
     pencil = _resolve(args, config, "pencil", cast=int)
-    seed = _resolve(args, config, "seed", 0, int)
 
     obj = _read_json_file(path)
     try:
@@ -174,7 +175,7 @@ def cmd_recover(args, config: dict) -> int:
     run_config = RunConfig(
         subcommand="recover",
         params={"input": path, "order": d, "pencil": result.pencil_param},
-        seed=seed,
+        seed=None,
         output=_resolve(args, config, "output"),
         fmt="json",
     )
@@ -222,17 +223,19 @@ def cmd_experiment(args, config: dict) -> int:
     output = _resolve(args, config, "output")
 
     boundary = None
-    if kind == "amplification":
-        records = amplification_sweep(
-            p, d, h_range, n_range, eps_range, trials, scheme, seed
-        )
-    else:
-        try:
+    try:
+        if kind == "amplification":
+            records = amplification_sweep(
+                p, d, h_range, n_range, eps_range, trials, scheme, seed
+            )
+        else:
             records, boundary = phase_transition_sweep(
                 p, d, h_range, n_range, eps_range, trials, scheme, seed, node_index
             )
-        except DegenerateFitError as exc:
-            raise CliError(str(exc), EXIT_DEGENERATE_FIT) from exc
+    except DegenerateFitError as exc:
+        raise CliError(str(exc), EXIT_DEGENERATE_FIT) from exc
+    except ValueError as exc:
+        raise CliError(f"bad experiment input: {exc}", EXIT_PARSE) from exc
 
     run_config = RunConfig(
         subcommand="experiment",
@@ -315,7 +318,6 @@ def cmd_worstcase(args, config: dict) -> int:
     geometry = _geometry_from_args(args, config, train)
     omega = _resolve(args, config, "omega", cast=float)
     grid_points = _resolve(args, config, "grid_points", 1001, int)
-    seed = _resolve(args, config, "seed", 0, int)
 
     try:
         report = worst_case_signal(train, geometry, epsilon, omega, grid_points)
@@ -335,7 +337,7 @@ def cmd_worstcase(args, config: dict) -> int:
             "omega": omega,
             "grid_points": grid_points,
         },
-        seed=seed,
+        seed=None,
         output=_resolve(args, config, "output"),
         fmt="json",
     )
@@ -357,7 +359,6 @@ def cmd_decimation(args, config: dict) -> int:
         raise CliError(f"bad spike-train file: {exc}", EXIT_PARSE) from exc
     geometry = _geometry_from_args(args, config, train)
     alpha = _resolve(args, config, "alpha", cast=float)
-    seed = _resolve(args, config, "seed", 0, int)
 
     try:
         admissible = admissible_lambdas(train.nodes, geometry, omega, alpha)
@@ -385,7 +386,7 @@ def cmd_decimation(args, config: dict) -> int:
             "omega": omega,
             "alpha": alpha,
         },
-        seed=seed,
+        seed=None,
         output=_resolve(args, config, "output"),
         fmt="json",
     )
@@ -409,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", help="config file (key=value lines or JSON object)")
-        sp.add_argument("--seed", type=int, help="random seed (default 0)")
         sp.add_argument("--output", "-o", help="output file path")
 
     sp = sub.add_parser("recover", help="Matrix Pencil recovery from a samples file")
@@ -420,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiment", help="amplification or phase-transition sweep")
     common(sp)
+    sp.add_argument("--seed", type=int, help="base random seed (default 0)")
     sp.add_argument("--kind", choices=["amplification", "phase"])
     sp.add_argument("-p", type=int, help="cluster size")
     sp.add_argument("-d", type=int, help="total node count")

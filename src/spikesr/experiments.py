@@ -267,10 +267,12 @@ def single_experiment(
     )
 
 
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+def _log_bounds(bounds: tuple) -> tuple:
+    """Logs of a positive, ordered (lo, hi) range, for log-uniform draws."""
+    lo, hi = bounds
     if not 0 < lo <= hi:
         raise ValueError("range bounds must be positive and ordered")
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+    return np.log(lo), np.log(hi)
 
 
 def amplification_sweep(
@@ -292,13 +294,14 @@ def amplification_sweep(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    log_h, log_n, log_eps = map(_log_bounds, (h_range, n_range, eps_range))
     records = []
     for t in range(trials):
         rng = np.random.default_rng([base_seed, t])
-        h = _log_uniform(rng, *h_range)
-        n = int(round(_log_uniform(rng, *n_range)))
+        h = float(np.exp(rng.uniform(*log_h)))
+        n = int(round(float(np.exp(rng.uniform(*log_n)))))
         n = max(n, 2 * d + 2)
-        eps = _log_uniform(rng, *eps_range)
+        eps = float(np.exp(rng.uniform(*log_eps)))
         noise_seed = int(rng.integers(0, 2**63 - 1))
         records.append(
             single_experiment(p, d, h, n, eps, scheme, noise_seed, noise_kind)
@@ -462,6 +465,35 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _csv_rows(record: ExperimentRecord):
+    """The CSV cells of a record's rows, in CSV_HEADER order."""
+    trial = [
+        _format_cell(value)
+        for value in (
+            record.scheme,
+            record.p,
+            record.d,
+            record.h,
+            record.n_samples,
+            record.epsilon_requested,
+            record.epsilon0,
+            record.srf,
+        )
+    ]
+    seed = _format_cell(record.seed)
+    for j in range(record.d):
+        yield [
+            *trial,
+            str(j + 1),
+            record.node_class(j),
+            _format_cell(record.node_errors[j]),
+            _format_cell(record.successes[j]),
+            _format_cell(record.kx[j]),
+            _format_cell(record.ka[j]),
+            seed,
+        ]
+
+
 def write_records_csv(records, stream, config: Optional[dict] = None) -> None:
     """Write one CSV row per (record, node); metadata goes in comment lines.
 
@@ -477,8 +509,7 @@ def write_records_csv(records, stream, config: Optional[dict] = None) -> None:
     stream.write(CSV_HEADER + "\n")
     writer = csv.writer(stream, lineterminator="\n")
     for record in records:
-        for row in _record_rows(record):
-            writer.writerow([_format_cell(row[key]) for key in CSV_HEADER.split(",")])
+        writer.writerows(_csv_rows(record))
 
 
 def write_records_jsonl(records, stream, config: Optional[dict] = None) -> None:

@@ -71,6 +71,22 @@ def prony_polynomial(nodes) -> np.ndarray:
     return np.poly(w)[::-1]
 
 
+def _monic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of a monic polynomial given by its ascending coefficients.
+
+    The eigenvalues of the same companion matrix np.roots(coeffs[::-1])
+    builds, so the roots are bit-identical to it, without its input handling.
+    An exactly zero constant coefficient goes through np.roots, which strips
+    it and appends an exact zero root.
+    """
+    if coeffs[0] == 0:
+        return np.roots(coeffs[::-1])
+    desc = coeffs[::-1]
+    companion = np.eye(len(coeffs) - 1, k=-1, dtype=complex)
+    companion[0] = -desc[1:] / desc[0]
+    return np.linalg.eigvals(companion)
+
+
 def prony_solve(
     mu,
     d: int,
@@ -110,7 +126,7 @@ def prony_solve(
         )
     coeffs = coeffs / coeffs[-1]
 
-    nodes = np.roots(coeffs[::-1])  # companion-matrix eigenvalues
+    nodes = _monic_roots(coeffs)
     scale = max(1.0, np.abs(nodes).max())
     gaps = np.abs(np.subtract.outer(nodes, nodes))
     np.fill_diagonal(gaps, np.inf)

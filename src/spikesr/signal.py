@@ -64,7 +64,7 @@ class SpikeTrain:
             raise ValueError("amplitudes and nodes must have equal length")
         if len(nodes) == 0:
             raise ValueError("a spike train needs at least one node")
-        if not np.all(np.diff(nodes) > 0):
+        if not (nodes[1:] > nodes[:-1]).all():
             raise ValueError("nodes must be strictly increasing")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "nodes", nodes)
@@ -200,17 +200,21 @@ def sample_spectrum(
         raise ValueError("noise_bound must be nonnegative")
     clean = clean_spectrum(train, count)
     if noise_bound == 0:
-        noise = np.zeros(count, dtype=complex)
+        return SpectralSamples(
+            values=clean,
+            count=count,
+            noise_bound=float(noise_bound),
+            actual_noise=0.0,
+        )
+    rng = np.random.default_rng(rng_seed)
+    if noise_kind == "disk":
+        radius = rng.uniform(0.0, noise_bound, count)
+        theta = rng.uniform(0.0, 2.0 * np.pi, count)
+        noise = radius * np.exp(1j * theta)
+    elif noise_kind == "real":
+        noise = rng.uniform(-noise_bound, noise_bound, count).astype(complex)
     else:
-        rng = np.random.default_rng(rng_seed)
-        if noise_kind == "disk":
-            radius = rng.uniform(0.0, noise_bound, count)
-            theta = rng.uniform(0.0, 2.0 * np.pi, count)
-            noise = radius * np.exp(1j * theta)
-        elif noise_kind == "real":
-            noise = rng.uniform(-noise_bound, noise_bound, count).astype(complex)
-        else:
-            raise ValueError(f"unknown noise_kind {noise_kind!r}")
+        raise ValueError(f"unknown noise_kind {noise_kind!r}")
     actual = float(np.abs(noise).max()) if count else 0.0
     return SpectralSamples(
         values=clean + noise,
@@ -266,7 +270,7 @@ def make_clustered_nodes(geometry: ClusterGeometry) -> np.ndarray:
     rest_gap = (math.pi - (p - 1) * step) / (d - p + 1)
     rest = (p - 1) * step + rest_gap * np.arange(1, d - p + 1)
     nodes = np.concatenate([cluster, rest])
-    if not np.all(np.diff(nodes) > 0):
+    if not (nodes[1:] > nodes[:-1]).all():
         raise ValueError("layout parameters do not give strictly increasing nodes")
     return nodes
 

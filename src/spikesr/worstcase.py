@@ -9,8 +9,10 @@ deviates from it spectrally by an amount proportional to epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +32,20 @@ __all__ = [
 ]
 
 
+class _Construction(NamedTuple):
+    """Intermediates of one worst-case construction at epsilon > 0, kept for
+    the report's diagnostics."""
+
+    source: SpikeTrain
+    omega: float
+    grid_points: int
+    moments: np.ndarray  # centered-cluster moments of orders 0..2p-1
+    centered: np.ndarray  # centered source cluster nodes
+    amplitudes: np.ndarray  # real source cluster amplitudes
+    new_nodes: np.ndarray  # centered perturbed cluster nodes
+    new_amplitudes: np.ndarray
+
+
 @dataclass(frozen=True)
 class WorstCaseReport:
     """Perturbed signal plus measured deviations from the source signal.
@@ -38,15 +54,57 @@ class WorstCaseReport:
     of orders 0..2p-2; last_moment_delta the change in the order-(2p-1) moment
     (equal to the requested epsilon up to roundoff); the displacements are
     maxima over the cluster; spectral_deviation is the maximum transform
-    difference over a frequency grid.
+    difference over a frequency grid.  These five diagnostics are computed on
+    first read from the construction's intermediates and then cached, so a
+    caller that needs only the perturbed signal never pays for them.  A report
+    without a construction is the identity report of epsilon = 0, whose
+    diagnostics are all zero.
     """
 
     perturbed: SpikeTrain
-    moment_match_error: float
-    last_moment_delta: float
-    node_displacement: float
-    amplitude_displacement: float
-    spectral_deviation: float
+    _construction: Optional[_Construction] = field(default=None, repr=False)
+
+    @cached_property
+    def _new_moments(self) -> np.ndarray:
+        c = self._construction
+        return prony_map(c.new_amplitudes, c.new_nodes, len(c.moments)).real
+
+    @cached_property
+    def moment_match_error(self) -> float:
+        c = self._construction
+        if c is None:
+            return 0.0
+        return float(np.abs(self._new_moments[:-1] - c.moments[:-1]).max())
+
+    @cached_property
+    def last_moment_delta(self) -> float:
+        c = self._construction
+        if c is None:
+            return 0.0
+        return float(self._new_moments[-1] - c.moments[-1])
+
+    @cached_property
+    def node_displacement(self) -> float:
+        c = self._construction
+        if c is None:
+            return 0.0
+        return float(np.abs(c.new_nodes - c.centered).max())
+
+    @cached_property
+    def amplitude_displacement(self) -> float:
+        c = self._construction
+        if c is None:
+            return 0.0
+        return float(np.abs(c.new_amplitudes - c.amplitudes).max())
+
+    @cached_property
+    def spectral_deviation(self) -> float:
+        c = self._construction
+        if c is None:
+            return 0.0
+        return verify_spectral_deviation(
+            c.source, self.perturbed, c.omega, c.grid_points
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,6 +154,8 @@ def worst_case_signal(
     The spectral deviation in the report is measured on [-omega, omega] with
     omega defaulting to 1/h.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     p = geometry.p
@@ -111,14 +171,9 @@ def worst_case_signal(
     nodes_c = train.nodes[sl]
 
     if epsilon == 0:
-        return WorstCaseReport(
-            perturbed=train,
-            moment_match_error=0.0,
-            last_moment_delta=0.0,
-            node_displacement=0.0,
-            amplitude_displacement=0.0,
-            spectral_deviation=0.0,
-        )
+        return WorstCaseReport(perturbed=train)
+    if grid_points < 2:
+        raise ValueError("need at least two grid points")
 
     center = 0.5 * (nodes_c[0] + nodes_c[-1])
     centered = nodes_c - center
@@ -137,7 +192,7 @@ def worst_case_signal(
             "epsilon too large: perturbed moment system has complex nodes"
         )
     new_nodes = np.sort(sol.nodes.real)
-    if np.min(np.diff(new_nodes)) <= imag_tol * node_scale:
+    if (new_nodes[1:] - new_nodes[:-1]).min() <= imag_tol * node_scale:
         raise EpsilonTooLargeError(
             "epsilon too large: perturbed nodes coincide after the real snap"
         )
@@ -148,21 +203,16 @@ def worst_case_signal(
     spliced_amps = train.amplitudes.copy()
     spliced_nodes[sl] = new_nodes + center
     spliced_amps[sl] = new_amps
-    if not np.all(np.diff(spliced_nodes) > 0):
+    if not (spliced_nodes[1:] > spliced_nodes[:-1]).all():
         raise EpsilonTooLargeError(
             "epsilon too large: displaced cluster breaks the node ordering"
         )
     perturbed = SpikeTrain(amplitudes=spliced_amps, nodes=spliced_nodes)
 
-    new_moments = prony_map(new_amps, new_nodes, 2 * p).real
     return WorstCaseReport(
         perturbed=perturbed,
-        moment_match_error=float(np.abs(new_moments[: 2 * p - 1] - g[: 2 * p - 1]).max()),
-        last_moment_delta=float(new_moments[2 * p - 1] - g[2 * p - 1]),
-        node_displacement=float(np.abs(new_nodes - centered).max()),
-        amplitude_displacement=float(np.abs(new_amps - amps_c).max()),
-        spectral_deviation=verify_spectral_deviation(
-            train, perturbed, omega_eff, grid_points
+        _construction=_Construction(
+            train, omega_eff, grid_points, g, centered, amps_c, new_nodes, new_amps
         ),
     )
 

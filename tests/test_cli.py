@@ -28,7 +28,7 @@ def test_recover_pair(pair_samples_file, tmp_path, capsys):
     report = json.loads(out.read_text())
     np.testing.assert_allclose(report["nodes"], [-1 / 3, 1 / 3], atol=1e-9)
     assert report["L"] == 2
-    assert report["config"]["seed"] == 0
+    assert report["config"]["seed"] is None
 
 
 def test_recover_single_spike(tmp_path):
@@ -255,3 +255,50 @@ def test_decimation_bad_parameters_exit_2(tmp_path, capsys, flags, message):
     src.write_text(json.dumps({"amplitudes": [[1, 0]] * 3, "nodes": list(nodes)}))
     assert main(["decimation", "-i", str(src), "-p", "2", *flags]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--trials", "0"], "need at least one trial"),
+        (["--h-range", "0,0.1"], "range bounds must be positive and ordered"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["amplification", "phase"])
+def test_experiment_bad_sweep_input_exits_2(tmp_path, capsys, kind, flags, message):
+    out = tmp_path / "x.csv"
+    argv = ["experiment", "--kind", kind, "-p", "2", "-d", "3", "-o", str(out), *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad experiment input") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_worstcase_non_finite_epsilon_exits_2(tmp_path, capsys, epsilon):
+    train = {"amplitudes": [[1, 0], [-1, 0], [1, 0], [-1, 0]], "nodes": [0.0, 0.01, 0.3, 0.6]}
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps(train))
+    assert main(["worstcase", "-i", str(src), "-p", "2", "--epsilon", epsilon]) == 2
+    assert "epsilon must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["recover", "worstcase", "decimation"])
+def test_seed_only_on_experiment(pair_samples_file, capsys, subcommand):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "-i", str(pair_samples_file), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_reports_without_randomness_write_null_seed(tmp_path):
+    train = {"amplitudes": [[1, 0], [-1, 0], [1, 0]], "nodes": [0.0, 0.01, 0.3]}
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps(train))
+    for argv in (
+        ["worstcase", "-i", str(src), "-p", "2", "--epsilon", "1e-9"],
+        ["decimation", "-i", str(src), "-p", "2", "--omega", "100"],
+    ):
+        out = tmp_path / "report.json"
+        assert main([*argv, "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["seed"] is None

@@ -254,3 +254,141 @@ def test_jsonl_writer_round_trips_fields():
     payload = json.loads(lines[1])
     assert set(payload) == set(CSV_HEADER.split(","))
     assert payload["node_index"] == 1
+
+
+def _reference_rows(record):
+    """The former per-row dicts of the CSV and JSONL writers."""
+    return [
+        {
+            "scheme": record.scheme,
+            "p": record.p,
+            "d": record.d,
+            "h": record.h,
+            "N": record.n_samples,
+            "eps_req": record.epsilon_requested,
+            "eps0": record.epsilon0,
+            "srf": record.srf,
+            "node_index": j + 1,
+            "node_class": record.node_class(j),
+            "e": record.node_errors[j],
+            "succ": record.successes[j],
+            "Kx": record.kx[j],
+            "Ka": record.ka[j],
+            "seed": record.seed,
+        }
+        for j in range(record.d)
+    ]
+
+
+def _reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _reference_csv(records, config):
+    """The former dict-based write_records_csv, kept as a reference."""
+    import csv
+    import json
+
+    stream = io.StringIO()
+    meta = dict(config)
+    stamp = meta.pop("timestamp", None)
+    if stamp is not None:
+        stream.write(f"# timestamp: {stamp}\n")
+    stream.write(f"# config: {json.dumps(meta, sort_keys=True)}\n")
+    stream.write(CSV_HEADER + "\n")
+    writer = csv.writer(stream, lineterminator="\n")
+    for record in records:
+        for row in _reference_rows(record):
+            writer.writerow([_reference_cell(row[key]) for key in CSV_HEADER.split(",")])
+    return stream.getvalue()
+
+
+def _reference_jsonl(records, config):
+    import json
+
+    lines = [json.dumps({"config": config}, sort_keys=True) + "\n"]
+    for record in records:
+        for row in _reference_rows(record):
+            clean = {
+                k: (None if isinstance(v, float) and math.isnan(v) else v)
+                for k, v in row.items()
+            }
+            lines.append(json.dumps(clean, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("scheme", ["S1", "S2"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_writers_match_dict_based_reference(scheme, p):
+    records = amplification_sweep(
+        p, p + 2, **DEFAULT_PHASE_RANGES, trials=60, scheme=scheme, base_seed=p
+    )
+    records.append(
+        ExperimentRecord(
+            scheme="S,1", p=2, d=2, h=1e-3, n_samples=8, epsilon_requested=1e-9,
+            epsilon0=math.inf, srf=-0.0, seed=3, node_errors=(0.5, math.nan),
+            successes=(True, False), kx=(1.0, None), ka=(2.0, None),
+        )
+    )
+    records.append(single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0))
+    assert any(rec.failure is not None for rec in records)
+    assert any(rec.failure is None for rec in records)
+    config = {"trials": 60, "timestamp": "T0"}
+    buf = io.StringIO()
+    write_records_csv(records, buf, config)
+    assert buf.getvalue() == _reference_csv(records, config)
+    buf = io.StringIO()
+    write_records_jsonl(records, buf, config)
+    assert buf.getvalue() == _reference_jsonl(records, config)
+
+
+def _reference_sweep(p, d, h_range, n_range, eps_range, trials, scheme, base_seed):
+    """The former amplification_sweep, which validated the ranges and took
+    their logs on every draw, kept as a reference."""
+
+    def log_uniform(rng, lo, hi):
+        if not 0 < lo <= hi:
+            raise ValueError("range bounds must be positive and ordered")
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    records = []
+    for t in range(trials):
+        rng = np.random.default_rng([base_seed, t])
+        h = log_uniform(rng, *h_range)
+        n = max(int(round(log_uniform(rng, *n_range))), 2 * d + 2)
+        eps = log_uniform(rng, *eps_range)
+        noise_seed = int(rng.integers(0, 2**63 - 1))
+        records.append(single_experiment(p, d, h, n, eps, scheme, noise_seed))
+    return records
+
+
+@pytest.mark.parametrize("ranges", [DEFAULT_AMPLIFICATION_RANGES, DEFAULT_PHASE_RANGES])
+@pytest.mark.parametrize("scheme", ["S1", "S2"])
+def test_sweep_draws_match_per_draw_log_reference(ranges, scheme):
+    args = (2, 4, ranges["h_range"], ranges["n_range"], ranges["eps_range"], 80, scheme, 9)
+    records = amplification_sweep(*args)
+    expected = _reference_sweep(*args)
+    # repr is exact for floats and spells NaN the same on both sides
+    assert [repr(rec) for rec in records] == [repr(rec) for rec in expected]
+    if scheme == "S2":
+        assert any(rec.failure is not None for rec in records)
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        {"h_range": (0.0, 0.1)},
+        {"n_range": (96, 48)},
+        {"eps_range": (1e-9, math.nan)},
+    ],
+)
+def test_sweep_rejects_bad_ranges(ranges):
+    args = {**DEFAULT_AMPLIFICATION_RANGES, **ranges}
+    with pytest.raises(ValueError, match="positive and ordered"):
+        amplification_sweep(2, 4, **args, trials=3, scheme="S2", base_seed=0)

@@ -146,3 +146,76 @@ def test_prony_polynomial_ascending_monic():
 def test_solution_type_validation():
     with pytest.raises(ValueError):
         PronySolution(amplitudes=[1.0], nodes=[0.1, 0.2])
+
+
+def _reference_prony_solve(mu, d, null_tol=1e-10, coincidence_tol=1e-9):
+    """The former prony_solve, which took the nodes from np.roots, kept as a
+    reference."""
+    data = np.atleast_1d(np.asarray(mu, dtype=complex))
+    idx = np.add.outer(np.arange(d), np.arange(d + 1))
+    _, sigma, vh = np.linalg.svd(data[idx])
+    if sigma[0] == 0 or sigma[-1] / sigma[0] < null_tol:
+        raise DegenerateSystemError("degenerate")
+    coeffs = vh[-1].conj()
+    if abs(coeffs[-1]) < 1e-12 * np.abs(coeffs).max():
+        raise DegenerateSystemError("degenerate")
+    coeffs = coeffs / coeffs[-1]
+    nodes = np.roots(coeffs[::-1])
+    scale = max(1.0, np.abs(nodes).max())
+    gaps = np.abs(np.subtract.outer(nodes, nodes))
+    np.fill_diagonal(gaps, np.inf)
+    if gaps.min() < coincidence_tol * scale:
+        raise RepeatedRootsError("repeated")
+    order = np.lexsort((np.abs(nodes), np.angle(nodes)))
+    nodes = nodes[order]
+    vand = np.power.outer(nodes, np.arange(2 * d)).T
+    amps, *_ = np.linalg.lstsq(vand, data, rcond=None)
+    return amps, nodes
+
+
+def _assert_same_solution(mu, d):
+    try:
+        expected = _reference_prony_solve(mu, d)
+    except (DegenerateSystemError, RepeatedRootsError) as exc:
+        with pytest.raises(type(exc)):
+            prony_solve(mu, d)
+        return
+    sol = prony_solve(mu, d)
+    assert np.array_equal(sol.amplitudes, expected[0])
+    assert np.array_equal(sol.nodes, expected[1])
+
+
+def test_prony_solve_matches_np_roots_reference_on_random_systems():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        d = int(rng.integers(1, 6))
+        w = rng.uniform(0.5, 1.5, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+        a = rng.uniform(0.1, 10, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+        _assert_same_solution(prony_map(a, w, 2 * d), d)
+        # real clustered systems like the worst-case construction solves
+        x = np.sort(rng.uniform(-1e-2, 1e-2, d))
+        mu = prony_map((-1.0) ** np.arange(d), x, 2 * d).real
+        mu[-1] += 10.0 ** rng.uniform(-14, -4)
+        _assert_same_solution(mu.astype(complex), d)
+
+
+def test_prony_solve_zero_constant_coefficient_keeps_exact_zero_root():
+    # the null vector of [[2, 0]] is exactly (0, 1): the node is exactly zero
+    _assert_same_solution([2.0, 0.0], 1)
+    assert prony_solve([2.0, 0.0], 1).nodes[0] == 0
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [0.0, 0.5, 1.0],
+        [0.0, 0.0, -2.0, 1.0],
+        [1e-300, 0.0, 1.0],
+        [2.0 - 1.0j, 0.3j, -1.5, 1.0],
+    ],
+)
+def test_monic_roots_match_np_roots(coeffs):
+    from spikesr.prony import _monic_roots
+
+    c = np.asarray(coeffs, dtype=complex)
+    assert np.array_equal(_monic_roots(c), np.roots(c[::-1]))

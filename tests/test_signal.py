@@ -60,6 +60,25 @@ def test_sample_spectrum_constant_for_origin_spike():
     assert samples.actual_noise == 0.0
 
 
+@pytest.mark.parametrize(
+    "amplitudes, nodes",
+    [
+        ([-0.0], [0.0]),
+        ([complex(-0.0, -0.0), 1.0], [0.0, 0.25]),
+        ([1.0, -1.0, 1.0, -1.0], [0.0, 0.001, 0.2, 0.35]),
+        ([1.0, 1j, -2.0], [-0.3, 0.01, 0.02]),
+    ],
+)
+def test_zero_noise_samples_match_adding_a_zero_array(amplitudes, nodes):
+    # the former zero-noise path added np.zeros and measured its maximum
+    train = SpikeTrain(amplitudes=amplitudes, nodes=nodes)
+    for count in (1, 7, 64):
+        samples = sample_spectrum(train, count, 0.0, 0)
+        expected = clean_spectrum(train, count) + np.zeros(count, dtype=complex)
+        assert samples.values.tobytes() == expected.tobytes()
+        assert (samples.noise_bound, samples.actual_noise) == (0.0, 0.0)
+
+
 def test_sample_spectrum_noise_bound_and_determinism():
     train = SpikeTrain(amplitudes=[1.0, 1j], nodes=[0.1, 0.3])
     a = sample_spectrum(train, 8, 1e-3, 42)

@@ -1,9 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from spikesr.errors import EpsilonTooLargeError
+from spikesr import worstcase
+from spikesr.errors import (
+    DegenerateSystemError,
+    EpsilonTooLargeError,
+    RepeatedRootsError,
+)
+from spikesr.prony import prony_map, prony_solve
 from spikesr.signal import ClusterGeometry, SpikeTrain, moments, shift
 from spikesr.worstcase import (
     displacement_scaling_probe,
@@ -146,3 +153,133 @@ def test_probe_single_row_and_spectators():
 def test_probe_propagates_epsilon_too_large():
     with pytest.raises(EpsilonTooLargeError):
         displacement_scaling_probe(2, 2, [0.1], 1.0, epsilon_rule=lambda h: 1.0)
+
+
+def _reference_report(train, geometry, epsilon, omega=None, grid_points=1001, imag_tol=1e-9):
+    """The former worst_case_signal, which computed every diagnostic eagerly,
+    kept as a reference: (perturbed, the five diagnostics in field order)."""
+    p = geometry.p
+    sl = geometry.cluster_slice
+    omega_eff = (1.0 / geometry.h) if omega is None else float(omega)
+    amps_c = train.amplitudes[sl].real.astype(float)
+    nodes_c = train.nodes[sl]
+    if epsilon == 0:
+        return train, 0.0, 0.0, 0.0, 0.0, 0.0
+    center = 0.5 * (nodes_c[0] + nodes_c[-1])
+    centered = nodes_c - center
+    g = prony_map(amps_c, centered, 2 * p).real
+    g_bumped = g.copy()
+    g_bumped[2 * p - 1] += epsilon
+    try:
+        sol = prony_solve(g_bumped.astype(complex), p)
+    except (DegenerateSystemError, RepeatedRootsError) as exc:
+        raise EpsilonTooLargeError(str(exc)) from exc
+    node_scale = max(1.0, np.abs(sol.nodes).max())
+    if np.abs(sol.nodes.imag).max() > imag_tol * node_scale:
+        raise EpsilonTooLargeError("complex nodes")
+    new_nodes = np.sort(sol.nodes.real)
+    if np.min(np.diff(new_nodes)) <= imag_tol * node_scale:
+        raise EpsilonTooLargeError("coincide")
+    new_amps = sol.amplitudes[np.argsort(sol.nodes.real)].real
+    spliced_nodes = train.nodes.copy()
+    spliced_amps = train.amplitudes.copy()
+    spliced_nodes[sl] = new_nodes + center
+    spliced_amps[sl] = new_amps
+    if not np.all(np.diff(spliced_nodes) > 0):
+        raise EpsilonTooLargeError("ordering")
+    perturbed = SpikeTrain(amplitudes=spliced_amps, nodes=spliced_nodes)
+    new_moments = prony_map(new_amps, new_nodes, 2 * p).real
+    return (
+        perturbed,
+        float(np.abs(new_moments[: 2 * p - 1] - g[: 2 * p - 1]).max()),
+        float(new_moments[2 * p - 1] - g[2 * p - 1]),
+        float(np.abs(new_nodes - centered).max()),
+        float(np.abs(new_amps - amps_c).max()),
+        verify_spectral_deviation(train, perturbed, omega_eff, grid_points),
+    )
+
+
+_DIAGNOSTICS = (
+    "moment_match_error",
+    "last_moment_delta",
+    "node_displacement",
+    "amplitude_displacement",
+    "spectral_deviation",
+)
+
+
+@pytest.mark.parametrize("p, d", [(2, 2), (2, 4), (3, 3), (3, 5)])
+def test_lazy_report_matches_eager_reference(p, d):
+    rng = np.random.default_rng(p * 10 + d)
+    compared = failed = 0
+    for trial in range(60):
+        h = 10.0 ** rng.uniform(-3, -1)
+        cluster = h * np.arange(p) / (p - 1)
+        spectators = h + 0.2 * np.arange(1, d - p + 1)
+        train = SpikeTrain(
+            amplitudes=[(-1.0) ** j for j in range(d)],
+            nodes=np.concatenate([cluster, spectators]),
+        )
+        geometry = ClusterGeometry(
+            p=p, d=d, h=h, T=1.0, tau=1.0 / (p - 1), eta=min(1.0, h), kappa=1
+        )
+        eps = 0.0 if trial % 10 == 0 else 10.0 ** rng.uniform(-14, -3)
+        omega, grid = (None, 1001) if trial % 2 else (1.0, 3)
+        try:
+            expected = _reference_report(train, geometry, eps, omega, grid)
+        except EpsilonTooLargeError:
+            failed += 1
+            with pytest.raises(EpsilonTooLargeError):
+                worst_case_signal(train, geometry, eps, omega, grid)
+            continue
+        report = worst_case_signal(train, geometry, eps, omega, grid)
+        # read the diagnostics in reverse order: each is computed on first read
+        got = [getattr(report, name) for name in reversed(_DIAGNOSTICS)][::-1]
+        assert [repr(v) for v in got] == [repr(v) for v in expected[1:]]
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(report.perturbed.nodes, expected[0].nodes)
+        assert np.array_equal(report.perturbed.amplitudes, expected[0].amplitudes)
+        assert json.dumps(report.to_json_dict()) == json.dumps(
+            {
+                "perturbed": expected[0].to_json_dict(),
+                **dict(zip(_DIAGNOSTICS, expected[1:])),
+            }
+        )
+        compared += 1
+    assert compared > 20 and failed > 5
+
+
+def test_zero_epsilon_report_diagnostics_are_zero_floats():
+    train, geometry = _pair_cluster(0.01)
+    report = worst_case_signal(train, geometry, 0.0, grid_points=1)
+    assert [repr(getattr(report, name)) for name in _DIAGNOSTICS] == ["0.0"] * 5
+
+
+def test_accepted_construction_skips_the_diagnostics(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        worstcase, "verify_spectral_deviation", lambda *args: calls.append(args) or 0.5
+    )
+    train, geometry = _pair_cluster(0.01)
+    report = worst_case_signal(train, geometry, 1e-9)
+    assert calls == []
+    assert report.spectral_deviation == 0.5
+    assert report.spectral_deviation == 0.5
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_non_finite_epsilon_rejected_before_any_solve(monkeypatch, epsilon):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("prony_solve called")
+
+    monkeypatch.setattr(worstcase, "prony_solve", no_solve)
+    train, geometry = _pair_cluster(0.01)
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        worst_case_signal(train, geometry, epsilon)
+
+
+def test_grid_points_checked_before_the_report_is_read():
+    train, geometry = _pair_cluster(0.01)
+    with pytest.raises(ValueError, match="two grid points"):
+        worst_case_signal(train, geometry, 1e-9, grid_points=1)
