@@ -220,6 +220,8 @@ def cmd_experiment(args, config: dict) -> int:
     seed = _resolve(args, config, "seed", 0, int)
     node_index = _resolve(args, config, "node_index", cast=int)
     fmt = _resolve(args, config, "format", "csv")
+    if fmt not in ("csv", "jsonl"):
+        raise CliError(f"bad value for format: {fmt!r} (expected csv or jsonl)", EXIT_PARSE)
     output = _resolve(args, config, "output")
 
     boundary = None

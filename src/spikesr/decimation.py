@@ -11,7 +11,8 @@ the mapped nodes then predict how recovery errors amplify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -155,14 +156,17 @@ def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
     return starts[first], reach[last]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobianBoundReport:
     """Analytic row bounds for the inverse confluent Vandermonde of a node set,
     together with the measured l1 row norms of the actually computed inverse.
 
     Rows 1..d of the inverse act on amplitude coordinates, rows d+1..2d on node
     coordinates; the analytic bounds are (1 + 2 (1+|z_j|) Delta_j) Gamma_j and
-    (1 + |z_j|) Gamma_j respectively.
+    (1 + |z_j|) Gamma_j respectively.  condition_number, the 2-norm condition
+    number of the confluent matrix, needs a full SVD; it is computed on first
+    read from the matrix, which the report keeps read-only, and then cached,
+    so a caller that needs only the bounds and row norms never pays for it.
     """
 
     delta: np.ndarray
@@ -171,7 +175,11 @@ class JacobianBoundReport:
     node_row_bounds: np.ndarray
     empirical_amplitude_row_norms: np.ndarray
     empirical_node_row_norms: np.ndarray
-    condition_number: float
+    _matrix: np.ndarray = field(repr=False)
+
+    @cached_property
+    def condition_number(self) -> float:
+        return float(np.linalg.cond(self._matrix))
 
     def to_json_dict(self) -> dict:
         return {
@@ -314,14 +322,19 @@ def admissible_lambdas(
 
 def confluent_vandermonde(z) -> np.ndarray:
     """2d x 2d confluent Vandermonde of d distinct values: plain power columns
-    followed by their derivative columns."""
+    followed by their derivative columns.
+
+    Both blocks come from one table of the powers w_j^k, k < 2d: derivative
+    row k is k times plain row k-1, and derivative row 0 is zero.
+    """
     w = np.atleast_1d(np.asarray(z, dtype=complex))
     d = len(w)
-    k = np.arange(2 * d)
-    plain = np.power.outer(w, k).T  # 2d x d
-    deriv = k[:, None] * np.power.outer(w, np.maximum(k - 1, 0)).T
-    deriv[0, :] = 0.0
-    return np.hstack([plain, deriv])
+    plain = np.power.outer(w, np.arange(2 * d)).T  # 2d x d
+    out = np.empty((2 * d, 2 * d), dtype=complex)
+    out[:, :d] = plain
+    out[0, d:] = 0.0
+    out[1:, d:] = np.arange(1, 2 * d)[:, None] * plain[:-1]
+    return out
 
 
 def gautschi_bounds(z, min_gap: float = 1e-12) -> JacobianBoundReport:
@@ -350,6 +363,7 @@ def gautschi_bounds(z, min_gap: float = 1e-12) -> JacobianBoundReport:
     matrix = confluent_vandermonde(w)
     inverse = np.linalg.inv(matrix)
     row_norms = np.abs(inverse).sum(axis=1)
+    matrix.flags.writeable = False
     return JacobianBoundReport(
         delta=delta,
         gamma=gamma,
@@ -357,7 +371,7 @@ def gautschi_bounds(z, min_gap: float = 1e-12) -> JacobianBoundReport:
         node_row_bounds=node_bounds,
         empirical_amplitude_row_norms=row_norms[:d],
         empirical_node_row_norms=row_norms[d:],
-        condition_number=float(np.linalg.cond(matrix)),
+        _matrix=matrix,
     )
 
 

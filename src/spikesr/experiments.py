@@ -231,12 +231,11 @@ def single_experiment(
 
     est_nodes = result.estimate.nodes
     est_amps = result.estimate.amplitudes
-    # dist[j, l]: estimate j to true node l.  Estimate j is scored by its
-    # nearest true node, and Kx/Ka compare true node j with the estimate
-    # indexed by that nearest true node.
+    # dist[j, l]: estimate j to true node l.  True node l is scored by its
+    # nearest estimate, and Kx/Ka compare true node l with that estimate.
     dist = _circular_distance(est_nodes[:, None], x[None, :])
-    errors = dist.min(axis=1)
-    nearest = dist.argmin(axis=1)
+    errors = dist.min(axis=0)
+    nearest = dist.argmin(axis=0)
     gaps = np.abs(x[:, None] - x[None, :])
     np.fill_diagonal(gaps, np.inf)
     successes = (errors < gaps.min(axis=1) / 3.0).tolist()
@@ -355,6 +354,8 @@ def phase_transition_sweep(
 
     Raises DegenerateFitError when every trial shares one outcome.
     """
+    if node_index is not None and not 1 <= node_index <= d:
+        raise ValueError("node_index must lie in 1..d")
     records = amplification_sweep(
         p, d, h_range, n_range, eps_range, trials, scheme, base_seed, noise_kind
     )
@@ -364,8 +365,6 @@ def phase_transition_sweep(
         if node_index is None:
             ok = rec.all_success()
         else:
-            if not 1 <= node_index <= d:
-                raise ValueError("node_index must lie in 1..d")
             ok = bool(rec.successes[node_index - 1])
         eps_for_fit = rec.epsilon0
         if not math.isfinite(eps_for_fit) or eps_for_fit <= 0:

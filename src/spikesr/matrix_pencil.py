@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryResult:
     """Estimated signal plus diagnostics of the pencil solve.
 

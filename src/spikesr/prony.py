@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PronySolution:
     """Recovered amplitudes and (complex) nodes, sorted by node argument."""
 

@@ -50,7 +50,7 @@ def _frozen_1d(values, dtype) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpikeTrain:
     """Weighted point masses at strictly increasing real positions."""
 
@@ -127,7 +127,7 @@ class ClusterGeometry:
         return slice(self.kappa - 1, self.kappa - 1 + self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSamples:
     """Equispaced unit-rate spectral measurements with a recorded noise level.
 

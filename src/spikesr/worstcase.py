@@ -46,7 +46,7 @@ class _Construction(NamedTuple):
     new_amplitudes: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorstCaseReport:
     """Perturbed signal plus measured deviations from the source signal.
 
@@ -152,12 +152,14 @@ def worst_case_signal(
     when the displaced cluster would break the global node ordering.
 
     The spectral deviation in the report is measured on [-omega, omega] with
-    omega defaulting to 1/h.
+    omega defaulting to 1/h; a given omega must be finite and positive.
     """
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
+    if omega is not None and not (math.isfinite(omega) and omega > 0):
+        raise ValueError("omega must be finite and positive")
     p = geometry.p
     if train.d != geometry.d:
         raise ValueError("signal size does not match the geometry")

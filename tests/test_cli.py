@@ -302,3 +302,27 @@ def test_reports_without_randomness_write_null_seed(tmp_path):
         out = tmp_path / "report.json"
         assert main([*argv, "-o", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["seed"] is None
+
+
+@pytest.mark.parametrize("omega", ["nan", "inf", "-5", "0"])
+def test_worstcase_bad_omega_exits_2(tmp_path, capsys, omega):
+    train = {"amplitudes": [[1, 0], [-1, 0], [1, 0], [-1, 0]], "nodes": [0.0, 0.01, 0.3, 0.6]}
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps(train))
+    out = tmp_path / "report.json"
+    argv = ["worstcase", "-i", str(src), "-p", "2", "--epsilon", "1e-9", "-o", str(out)]
+    assert main([*argv, f"--omega={omega}"]) == 2
+    assert "omega must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config_text", ["format=xml\n", '{"format": "xml"}'])
+def test_experiment_config_format_checked(tmp_path, capsys, config_text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "x.csv"
+    argv = ["experiment", "--config", str(cfg), "--kind", "amplification",
+            "-p", "2", "-d", "3", "--trials", "2", "-o", str(out)]
+    assert main(argv) == 2
+    assert "bad value for format: 'xml'" in capsys.readouterr().err
+    assert not out.exists()

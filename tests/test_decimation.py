@@ -563,6 +563,114 @@ def test_gautschi_bounds_match_reference_loop():
         np.testing.assert_allclose(report.node_row_bounds, (1 + modulus) * gamma, rtol=1e-14)
 
 
+def _two_table_confluent_vandermonde(z):
+    """The former confluent_vandermonde: a second power table for the
+    derivative block, joined to the plain block with hstack."""
+    w = np.atleast_1d(np.asarray(z, dtype=complex))
+    d = len(w)
+    k = np.arange(2 * d)
+    plain = np.power.outer(w, k).T
+    deriv = k[:, None] * np.power.outer(w, np.maximum(k - 1, 0)).T
+    deriv[0, :] = 0.0
+    return np.hstack([plain, deriv])
+
+
+def _eager_gautschi(z):
+    """The former gautschi_bounds, which took the condition number eagerly;
+    returns its seven fields in the report's order."""
+    w = np.atleast_1d(np.asarray(z, dtype=complex))
+    d = len(w)
+    off = ~np.eye(d, dtype=bool)
+    partner_gaps = np.abs(w[:, None] - w[None, :])[off].reshape(d, d - 1)
+    modulus = np.abs(w)
+    partner_moduli = np.broadcast_to(modulus, (d, d))[off].reshape(d, d - 1)
+    delta = np.sum(1.0 / partner_gaps, axis=1)
+    gamma = np.prod((1.0 + partner_moduli) / partner_gaps, axis=1) ** 2
+    amp_bounds = (1.0 + 2.0 * (1.0 + modulus) * delta) * gamma
+    node_bounds = (1.0 + modulus) * gamma
+    matrix = _two_table_confluent_vandermonde(w)
+    row_norms = np.abs(np.linalg.inv(matrix)).sum(axis=1)
+    return (
+        delta, gamma, amp_bounds, node_bounds, row_norms[:d], row_norms[d:],
+        float(np.linalg.cond(matrix)),
+    )
+
+
+_REPORT_ARRAYS = (
+    "delta",
+    "gamma",
+    "amplitude_row_bounds",
+    "node_row_bounds",
+    "empirical_amplitude_row_norms",
+    "empirical_node_row_norms",
+)
+
+
+def _assert_matches_eager(z):
+    assert confluent_vandermonde(z).tobytes() == _two_table_confluent_vandermonde(z).tobytes()
+    *arrays, cond = _eager_gautschi(z)
+    report = gautschi_bounds(z)
+    for name, expected in zip(_REPORT_ARRAYS, arrays):
+        got = getattr(report, name)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+    assert type(report.condition_number) is float
+    assert report.condition_number == cond
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gautschi_matches_eager_two_table_reference(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(40):
+        z = rng.uniform(0.5, 2.0, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+        _assert_matches_eager(z)
+        _assert_matches_eager(np.exp(1j * np.sort(rng.uniform(0, 2 * np.pi, d))))
+    # a node at the origin: 0**0 is 1 in both power tables
+    _assert_matches_eager(np.concatenate(([0.0], np.exp(2j * np.pi * np.arange(1, d) / d))))
+
+
+def test_gautschi_matches_eager_reference_on_scan_geometry():
+    # Mapped nodes as the decimation scan builds them: p=3, d=8, the midpoint
+    # of the widest admissible interval (of the whole range when it is empty).
+    p, d = 3, 8
+    rng = np.random.default_rng(2025)
+    for omega in np.geomspace(50.0, 8000.0, 300):
+        h = rng.uniform(0.3, 0.9) * (2 * d - 1) / 2.0 / omega
+        nodes, geometry = _normalized_cluster(p, d, 2 * math.pi * h)
+        alpha = math.exp(rng.uniform(math.log(1.0 / d**2), math.log(1.5)))
+        try:
+            intervals = admissible_lambdas(nodes, geometry, omega, alpha).intervals
+        except EmptyAdmissibleSetError:
+            intervals = ((omega / (2.0 * (2 * d - 1)), omega / (2 * d - 1)),)
+        widest = max(intervals, key=lambda ab: ab[1] - ab[0])
+        _assert_matches_eager(np.exp(2j * np.pi * 0.5 * (widest[0] + widest[1]) * nodes))
+
+
+def test_gautschi_condition_number_computed_on_first_read(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+
+    def counting_cond(*args, **kwargs):
+        calls.append(args)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    z = np.exp(2j * np.pi * np.array([0.0, 0.01, 0.3, 0.6]))
+    report = gautschi_bounds(z)
+    assert calls == []
+    first = report.condition_number
+    assert report.condition_number == first and len(calls) == 1
+    assert report.to_json_dict()["condition_number"] == first and len(calls) == 1
+    assert first == _eager_gautschi(z)[-1]
+    assert not report._matrix.flags.writeable
+
+
+def test_gautschi_report_equality_is_identity():
+    z = np.exp(2j * np.pi * np.array([0.0, 0.01, 0.3]))
+    report = gautschi_bounds(z)
+    assert (report == report) is True
+    assert (report == gautschi_bounds(z)) is False
+
+
 def test_gautschi_dominance_property():
     rng = np.random.default_rng(17)
     done = 0

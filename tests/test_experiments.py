@@ -1,5 +1,6 @@
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,7 +79,8 @@ def test_amplification_sweep_deterministic_and_sized():
 
 
 def _reference_scores(x, amps, est_nodes, est_amps, n_samples, eps0):
-    """The former per-node scoring loop of single_experiment, kept as a reference."""
+    """Per-true-node scoring loop: true node l is scored by its nearest
+    estimate, and Kx/Ka compare true node l with that estimate."""
 
     def circular(a, b):
         frac = (a - b) % 1.0
@@ -86,17 +88,17 @@ def _reference_scores(x, amps, est_nodes, est_amps, n_samples, eps0):
 
     d = len(x)
     errors, successes, kx, ka = [], [], [], []
-    for j in range(d):
-        dist_to_true = [circular(est_nodes[j], x[l]) for l in range(d)]
-        e_j = min(dist_to_true)
-        own_gap = min(abs(x[l] - x[j]) for l in range(d) if l != j)
-        ok = e_j < own_gap / 3.0
-        errors.append(float(e_j))
+    for l in range(d):
+        dist_to_est = [circular(est_nodes[j], x[l]) for j in range(d)]
+        e_l = min(dist_to_est)
+        own_gap = min(abs(x[m] - x[l]) for m in range(d) if m != l)
+        ok = e_l < own_gap / 3.0
+        errors.append(float(e_l))
         successes.append(bool(ok))
         if ok and eps0 > 0:
-            nearest = int(np.argmin(dist_to_true))
-            kx.append(float(circular(x[j], est_nodes[nearest]) * n_samples / eps0))
-            ka.append(float(abs(amps[j] - est_amps[nearest]) / eps0))
+            nearest = int(np.argmin(dist_to_est))
+            kx.append(float(circular(x[l], est_nodes[nearest]) * n_samples / eps0))
+            ka.append(float(abs(amps[l] - est_amps[nearest]) / eps0))
         else:
             kx.append(None)
             ka.append(None)
@@ -131,6 +133,51 @@ def test_scoring_matches_reference_loop(monkeypatch, ranges, scheme, p):
         assert all(type(e) is float for e in rec.node_errors)
         assert all(type(ok) is bool for ok in rec.successes)
         assert all(v is None or type(v) is float for v in rec.kx + rec.ka)
+
+
+_BUILT = dict(p=2, d=3, h=0.05, n_samples=64)
+
+
+def _built_true_nodes():
+    geometry = standard_cluster_geometry(_BUILT["p"], _BUILT["d"], _BUILT["h"])
+    return make_clustered_nodes(geometry) / (2 * math.pi)
+
+
+def _experiment_with_estimate(monkeypatch, offsets, order):
+    """single_experiment (p=2, d=3, S1) whose estimator returns the true nodes
+    shifted by offsets, listed in the given order, with exact amplitudes."""
+    amps = experiments._scheme_amplitudes("S1", _BUILT["d"])
+    nodes = (_built_true_nodes() + offsets)[order]
+    est = SimpleNamespace(estimate=SimpleNamespace(nodes=nodes, amplitudes=amps[order]))
+    monkeypatch.setattr(experiments, "mp_recover", lambda *args: est)
+    return single_experiment(**_BUILT, epsilon=1e-6, scheme="S1", seed=5)
+
+
+def test_scoring_finds_each_true_nodes_estimate_in_any_order(monkeypatch):
+    # The estimates come back cyclically permuted: every true node still
+    # finds its own estimate, and its factors use that estimate.
+    offsets = np.array([1e-9, -2e-9, 3e-9])
+    rec = _experiment_with_estimate(monkeypatch, offsets, [1, 2, 0])
+    assert rec.successes == (True, True, True)
+    np.testing.assert_allclose(rec.node_errors, np.abs(offsets), rtol=1e-6)
+    np.testing.assert_allclose(
+        rec.kx, np.abs(offsets) * rec.n_samples / rec.epsilon0, rtol=1e-6
+    )
+    assert rec.ka == (0.0, 0.0, 0.0)
+
+
+def test_scoring_fails_a_true_node_left_without_an_estimate(monkeypatch):
+    # Estimates 0 and 1 both sit on true node 0, so true node 1 has no
+    # estimate within a third of its gap; scoring per estimate would have
+    # passed all three nodes.
+    x = _built_true_nodes()
+    offsets = np.array([1e-9, x[0] - x[1] + 2e-9, 0.0])
+    rec = _experiment_with_estimate(monkeypatch, offsets, [0, 1, 2])
+    assert rec.successes == (True, False, True)
+    assert rec.kx[1] is None and rec.ka[1] is None
+    assert rec.node_errors[1] == pytest.approx(x[1] - x[0] - 1e-9, rel=1e-6)
+    assert rec.kx[0] == pytest.approx(1e-9 * rec.n_samples / rec.epsilon0, rel=1e-6)
+    assert rec.kx[2] == 0.0
 
 
 def _planted_record(srf, kx, ka):
@@ -208,10 +255,17 @@ def test_phase_transition_single_node_selector():
         2, 8, (2e-3, 1e-1), (32, 128), (1e-2, 10.0), 300, "S1", 1, node_index=6
     )
     assert -1.5 < fit.slope < 1.5
-    with pytest.raises(ValueError):
+
+
+@pytest.mark.parametrize("node_index", [0, 9])
+def test_phase_transition_rejects_node_index_before_any_trial(monkeypatch, node_index):
+    calls = []
+    monkeypatch.setattr(experiments, "single_experiment", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="node_index must lie in 1..d"):
         phase_transition_sweep(
-            2, 8, (2e-3, 1e-1), (32, 128), (1e-2, 10.0), 50, "S1", 1, node_index=9
+            2, 8, (2e-3, 1e-1), (32, 128), (1e-2, 10.0), 50, "S1", 1, node_index=node_index
         )
+    assert calls == []
 
 
 def test_csv_writer_schema_and_determinism():

@@ -211,3 +211,29 @@ def test_cluster_geometry_validation():
         ClusterGeometry(p=2, d=3, h=2.0, T=1.0, tau=0.5, eta=0.1)
     with pytest.raises(ValueError):
         ClusterGeometry(p=2, d=3, h=0.1, T=1.0, tau=0.5, eta=0.1, kappa=3)
+
+
+def test_array_holding_results_compare_by_identity():
+    # The dataclasses holding arrays compare by identity: == returns a bool
+    # for d >= 2 instead of raising on an ambiguous array truth value.
+    from spikesr.matrix_pencil import mp_recover
+    from spikesr.prony import prony_solve
+    from spikesr.worstcase import worst_case_signal
+
+    def train():
+        return SpikeTrain(amplitudes=[1.0, -1.0, 1.0], nodes=[0.0, 0.01, 0.3])
+
+    geometry = ClusterGeometry(p=2, d=3, h=0.01, T=0.3, tau=1.0, eta=0.1, kappa=1)
+    samples = sample_spectrum(train(), 16, 0.0, 0)
+    makers = [
+        train,
+        lambda: sample_spectrum(train(), 16, 0.0, 0),
+        lambda: prony_solve(moments(train(), 6), 3),
+        lambda: mp_recover(samples, 3),
+        lambda: worst_case_signal(train(), geometry, 1e-9),
+    ]
+    for make in makers:
+        first, second = make(), make()
+        assert (first == first) is True
+        assert (first == second) is False
+        assert (first != second) is True

@@ -279,6 +279,18 @@ def test_non_finite_epsilon_rejected_before_any_solve(monkeypatch, epsilon):
         worst_case_signal(train, geometry, epsilon)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("epsilon", [0.0, 1e-9])
+def test_bad_omega_rejected_before_any_solve(monkeypatch, omega, epsilon):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("prony_solve called")
+
+    monkeypatch.setattr(worstcase, "prony_solve", no_solve)
+    train, geometry = _pair_cluster(0.01)
+    with pytest.raises(ValueError, match="omega must be finite and positive"):
+        worst_case_signal(train, geometry, epsilon, omega=omega)
+
+
 def test_grid_points_checked_before_the_report_is_read():
     train, geometry = _pair_cluster(0.01)
     with pytest.raises(ValueError, match="two grid points"):
