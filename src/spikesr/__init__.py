@@ -32,6 +32,7 @@ from .errors import (
     SpikesrError,
 )
 from .experiments import (
+    CSV_HEADER,
     DEFAULT_AMPLIFICATION_RANGES,
     DEFAULT_PHASE_RANGES,
     ExperimentRecord,
@@ -53,9 +54,7 @@ from .matrix_pencil import (
 from .prony import (
     PronySolution,
     prony_map,
-    prony_polynomial,
     prony_solve,
-    recurrence_residual,
 )
 from .signal import (
     ClusterGeometry,
@@ -66,10 +65,7 @@ from .signal import (
     make_clustered_nodes,
     moments,
     sample_spectrum,
-    scale,
-    shift,
     standard_cluster_geometry,
-    validate_cluster,
 )
 from .worstcase import (
     WorstCaseReport,

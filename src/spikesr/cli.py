@@ -219,6 +219,8 @@ def cmd_experiment(args, config: dict) -> int:
     scheme = _resolve(args, config, "scheme", "S1")
     seed = _resolve(args, config, "seed", 0, int)
     node_index = _resolve(args, config, "node_index", cast=int)
+    if node_index is not None and kind == "amplification":
+        raise CliError("node_index applies only to --kind phase", EXIT_PARSE)
     fmt = _resolve(args, config, "format", "csv")
     if fmt not in ("csv", "jsonl"):
         raise CliError(f"bad value for format: {fmt!r} (expected csv or jsonl)", EXIT_PARSE)

@@ -30,6 +30,9 @@ __all__ = [
     "predicted_condition_numbers",
 ]
 
+# Mapped nodes closer than this are near-coincident for gautschi_bounds.
+_MIN_GAP = 1e-12
+
 
 class IntervalSet:
     """Finite union of disjoint closed intervals, kept sorted.
@@ -97,35 +100,6 @@ class IntervalSet:
 
     def __contains__(self, x) -> bool:
         return self.contains(float(x))
-
-    def padded(self, pad: float) -> "IntervalSet":
-        """Grow every component outward by pad (components may merge)."""
-        return IntervalSet._from_endpoints(self._starts - pad, self._ends + pad)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet._from_endpoints(
-            np.concatenate((self._starts, other._starts)),
-            np.concatenate((self._ends, other._ends)),
-        )
-
-    def intersect(self, lo: float, hi: float) -> "IntervalSet":
-        """Intersection with the closed interval [lo, hi]."""
-        starts, ends = np.maximum(self._starts, lo), np.minimum(self._ends, hi)
-        keep = starts <= ends
-        return IntervalSet._from_endpoints(starts[keep], ends[keep])
-
-    def complement_within(self, lo: float, hi: float) -> "IntervalSet":
-        """Closure of [lo, hi] minus this set: the gaps before, between and
-        after the components inside [lo, hi] that have positive length."""
-        if hi < lo:
-            raise ValueError("empty host interval")
-        if self.is_empty:
-            return IntervalSet([(lo, hi)])
-        inner = self.intersect(lo, hi)
-        starts = np.concatenate(([lo], inner._ends))
-        ends = np.concatenate((inner._starts, [hi]))
-        keep = starts < ends
-        return IntervalSet._from_endpoints(starts[keep], ends[keep])
 
     def to_json_dict(self) -> dict:
         return {"intervals": [[a, b] for a, b in self.intervals]}
@@ -271,9 +245,10 @@ def admissible_lambdas(
     conservative, and the padded pieces are merged once.  The admissible
     components are the gaps of positive length before, between and after the
     merged components clipped to the range.  Rounding is monotone, so padding
-    each piece gives the same set as padding the merged components; a
-    single-point component is dropped before the gaps are taken, so the gaps
-    on either side of it join, as in IntervalSet.complement_within.
+    each piece gives the same set as padding the merged components.  Only
+    clipped components of positive length bound the gaps: a component that
+    clips to a single point is dropped, so the gaps on either side of it join
+    into one.
 
     Raises ValueError for non-finite or non-positive omega, alpha outside
     (0, pi], negative or non-finite pad, and non-finite or coincident nodes;
@@ -337,20 +312,25 @@ def confluent_vandermonde(z) -> np.ndarray:
     return out
 
 
-def gautschi_bounds(z, min_gap: float = 1e-12) -> JacobianBoundReport:
+def gautschi_bounds(z) -> JacobianBoundReport:
     """Closed-form l1 row bounds for the inverse confluent Vandermonde, plus the
     measured row norms of the computed inverse for a dominance check.
 
     Delta_j sums the reciprocal gaps from node j, Gamma_j is the squared
     product of (1+|z_l|)/|z_j-z_l| over the other nodes; empty sums and
     products (d = 1) give 0 and 1.
+
+    Raises ValueError for non-finite nodes and NearCoincidentNodesError when
+    two nodes lie closer than 1e-12.
     """
     w = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not np.isfinite(w).all():
+        raise ValueError("nodes must be finite")
     d = len(w)
     off = ~np.eye(d, dtype=bool)
     # Row j lists the gaps from node j to the other nodes, in index order.
     partner_gaps = np.abs(w[:, None] - w[None, :])[off].reshape(d, d - 1)
-    if d > 1 and partner_gaps.min() < min_gap:
+    if d > 1 and partner_gaps.min() < _MIN_GAP:
         raise NearCoincidentNodesError("near-coincident nodes: separation below threshold")
 
     modulus = np.abs(w)
@@ -385,8 +365,8 @@ def predicted_condition_numbers(
     (omega tau h)^{-2p+1} for amplitudes; the rest sit at the 1/omega and 1
     baselines.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValueError("omega must be finite and positive")
     p = geometry.p
     srf_gap = omega * geometry.tau * geometry.h
     cluster_node = (1.0 / omega) * srf_gap ** (-2 * p + 2)

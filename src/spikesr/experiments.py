@@ -35,6 +35,8 @@ from .signal import (
 from .worstcase import worst_case_signal
 
 __all__ = [
+    "DEFAULT_AMPLIFICATION_RANGES",
+    "DEFAULT_PHASE_RANGES",
     "ExperimentRecord",
     "SlopeFit",
     "PhaseBoundaryFit",
@@ -173,7 +175,6 @@ def single_experiment(
     epsilon: float,
     scheme: str,
     seed: int,
-    noise_kind: str = "disk",
 ) -> ExperimentRecord:
     """Run one clustered-recovery experiment and measure its amplification factors.
 
@@ -197,7 +198,7 @@ def single_experiment(
     srf = 1.0 / (n_samples * gap)
 
     if scheme == "S1":
-        samples = sample_spectrum(train, n_samples, epsilon, seed, noise_kind)
+        samples = sample_spectrum(train, n_samples, epsilon, seed)
         eps0 = samples.actual_noise
     else:
         norm_geometry = ClusterGeometry(
@@ -283,7 +284,6 @@ def amplification_sweep(
     trials: int,
     scheme: str,
     base_seed: int,
-    noise_kind: str = "disk",
 ) -> list[ExperimentRecord]:
     """Repeat single_experiment with (h, N, eps) drawn log-uniformly per trial.
 
@@ -302,9 +302,7 @@ def amplification_sweep(
         n = max(n, 2 * d + 2)
         eps = float(np.exp(rng.uniform(*log_eps)))
         noise_seed = int(rng.integers(0, 2**63 - 1))
-        records.append(
-            single_experiment(p, d, h, n, eps, scheme, noise_seed, noise_kind)
-        )
+        records.append(single_experiment(p, d, h, n, eps, scheme, noise_seed))
     return records
 
 
@@ -343,7 +341,6 @@ def phase_transition_sweep(
     scheme: str,
     base_seed: int,
     node_index: Optional[int] = None,
-    noise_kind: str = "disk",
 ) -> tuple[list[ExperimentRecord], PhaseBoundaryFit]:
     """Sweep (srf, eps) space and fit the success/failure boundary.
 
@@ -357,7 +354,7 @@ def phase_transition_sweep(
     if node_index is not None and not 1 <= node_index <= d:
         raise ValueError("node_index must lie in 1..d")
     records = amplification_sweep(
-        p, d, h_range, n_range, eps_range, trials, scheme, base_seed, noise_kind
+        p, d, h_range, n_range, eps_range, trials, scheme, base_seed
     )
     outcomes = []
     rows = []

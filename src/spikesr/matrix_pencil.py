@@ -29,6 +29,9 @@ __all__ = [
     "mp_recover",
 ]
 
+# The d-th Hankel singular value counts as zero below this multiple of the first.
+_RANK_TOL = 1e-13
+
 
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
@@ -81,7 +84,6 @@ def mp_recover(
     samples,
     d: int,
     pencil_param: Optional[int] = None,
-    rank_tol: float = 1e-13,
 ) -> RecoveryResult:
     """Recover d nodes and amplitudes from N >= 2d unit-rate samples.
 
@@ -92,7 +94,7 @@ def mp_recover(
     angles.  Nodes are returned sorted ascending.
 
     Raises RankDeficiencyError when the d-th singular value of the Hankel
-    matrix falls under rank_tol times its largest one, and EigenFailureError
+    matrix falls under 1e-13 times its largest one, and EigenFailureError
     when the shift solve fails or yields coincident nodes.
     """
     values = _sample_values(samples)
@@ -109,7 +111,7 @@ def mp_recover(
 
     u, sigma, _ = np.linalg.svd(build_hankel(values, L), full_matrices=False)
     u, sigma = u[:, :d], sigma[:d]
-    if sigma[-1] < rank_tol * sigma[0]:
+    if sigma[-1] < _RANK_TOL * sigma[0]:
         raise RankDeficiencyError(
             "rank deficiency: the Hankel matrix has fewer than d significant singular values"
         )

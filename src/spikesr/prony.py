@@ -19,9 +19,7 @@ from .signal import _complex_to_json
 __all__ = [
     "PronySolution",
     "prony_map",
-    "prony_polynomial",
     "prony_solve",
-    "recurrence_residual",
 ]
 
 
@@ -63,12 +61,6 @@ def prony_map(amplitudes, nodes, count: int) -> np.ndarray:
         raise ValueError("amplitudes and nodes must have equal length")
     k = np.arange(count)
     return np.power.outer(w, k).T @ a
-
-
-def prony_polynomial(nodes) -> np.ndarray:
-    """Monic polynomial with the given roots, coefficients ascending (c_d = 1)."""
-    w = np.atleast_1d(np.asarray(nodes, dtype=complex))
-    return np.poly(w)[::-1]
 
 
 def _monic_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -138,24 +130,3 @@ def prony_solve(
     vand = np.power.outer(nodes, np.arange(2 * d)).T
     amps, *_ = np.linalg.lstsq(vand, data, rcond=None)
     return PronySolution(amplitudes=amps, nodes=nodes)
-
-
-def recurrence_residual(nu, prony_coeffs) -> float:
-    """Worst violation of the moment recurrence sum_l nu_{k+l} c_l over all windows.
-
-    prony_coeffs holds the ascending coefficients of the monic node polynomial;
-    the residual is zero (to roundoff) exactly when nu is a power-sum sequence
-    of the polynomial's roots.
-    """
-    seq = np.atleast_1d(np.asarray(nu, dtype=complex))
-    c = np.atleast_1d(np.asarray(prony_coeffs, dtype=complex))
-    d = len(c) - 1
-    if d < 1:
-        raise ValueError("polynomial must have degree at least 1")
-    if abs(c[-1] - 1.0) > 1e-12:
-        raise ValueError("coefficients must be monic (last coefficient 1)")
-    if len(seq) < d + 1:
-        raise ValueError("sequence must cover at least one full window")
-    windows = len(seq) - d
-    residuals = [abs(seq[k : k + d + 1] @ c) for k in range(windows)]
-    return float(max(residuals))

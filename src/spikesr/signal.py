@@ -1,5 +1,4 @@
-"""Spike-train signal model: clustered node layouts, spectral sampling, and
-shift/scale normalization.
+"""Spike-train signal model: clustered node layouts and spectral sampling.
 
 A spike train is a finite sum of weighted point masses sum_j a_j delta(x - x_j)
 with complex amplitudes and strictly increasing real nodes.  Its transform
@@ -24,9 +23,6 @@ __all__ = [
     "moments",
     "standard_cluster_geometry",
     "make_clustered_nodes",
-    "validate_cluster",
-    "shift",
-    "scale",
 ]
 
 
@@ -72,11 +68,6 @@ class SpikeTrain:
     @property
     def d(self) -> int:
         return len(self.nodes)
-
-    @property
-    def sup_norm(self) -> float:
-        """max(||a||_inf, ||x||_inf), the norm used to compare signals."""
-        return float(max(np.abs(self.amplitudes).max(), np.abs(self.nodes).max()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,13 +179,12 @@ def sample_spectrum(
     count: int,
     noise_bound: float,
     rng_seed,
-    noise_kind: str = "disk",
 ) -> SpectralSamples:
     """Noisy unit-rate samples values[k] = m_k + n_k with |n_k| <= noise_bound.
 
-    noise_kind "disk" draws n_k = r exp(i theta) with r uniform on
-    [0, noise_bound] and theta uniform on [0, 2 pi); "real" draws n_k uniform
-    on [-noise_bound, noise_bound].  Deterministic given rng_seed.
+    The noise is bounded disk noise: n_k = r exp(i theta) with r uniform on
+    [0, noise_bound] and theta uniform on [0, 2 pi).  Deterministic given
+    rng_seed.
     """
     if noise_bound < 0:
         raise ValueError("noise_bound must be nonnegative")
@@ -207,20 +197,14 @@ def sample_spectrum(
             actual_noise=0.0,
         )
     rng = np.random.default_rng(rng_seed)
-    if noise_kind == "disk":
-        radius = rng.uniform(0.0, noise_bound, count)
-        theta = rng.uniform(0.0, 2.0 * np.pi, count)
-        noise = radius * np.exp(1j * theta)
-    elif noise_kind == "real":
-        noise = rng.uniform(-noise_bound, noise_bound, count).astype(complex)
-    else:
-        raise ValueError(f"unknown noise_kind {noise_kind!r}")
-    actual = float(np.abs(noise).max()) if count else 0.0
+    radius = rng.uniform(0.0, noise_bound, count)
+    theta = rng.uniform(0.0, 2.0 * np.pi, count)
+    noise = radius * np.exp(1j * theta)
     return SpectralSamples(
         values=clean + noise,
         count=count,
         noise_bound=float(noise_bound),
-        actual_noise=actual,
+        actual_noise=float(np.abs(noise).max()),
     )
 
 
@@ -273,42 +257,3 @@ def make_clustered_nodes(geometry: ClusterGeometry) -> np.ndarray:
     if not (nodes[1:] > nodes[:-1]).all():
         raise ValueError("layout parameters do not give strictly increasing nodes")
     return nodes
-
-
-def validate_cluster(nodes, geometry: ClusterGeometry, rtol: float = 1e-9) -> bool:
-    """Check the pairwise-distance conditions of a clustered configuration.
-
-    Cluster pairs must satisfy tau h <= |x_j - x_k| <= h and every pair with at
-    least one non-cluster node must satisfy eta T <= |x_l - x_j| <= T.  A
-    relative slack rtol absorbs floating-point boundary cases.
-    """
-    x = np.asarray(nodes, dtype=float)
-    if len(x) != geometry.d:
-        return False
-    in_cluster = np.zeros(len(x), dtype=bool)
-    in_cluster[geometry.cluster_slice] = True
-    lo_c, hi_c = geometry.tau * geometry.h, geometry.h
-    lo_n, hi_n = geometry.eta * geometry.T, geometry.T
-    for j in range(len(x)):
-        for k in range(j + 1, len(x)):
-            gap = abs(x[k] - x[j])
-            if in_cluster[j] and in_cluster[k]:
-                lo, hi = lo_c, hi_c
-            else:
-                lo, hi = lo_n, hi_n
-            slack = rtol * max(1.0, hi)
-            if not (lo - slack <= gap <= hi + slack):
-                return False
-    return True
-
-
-def shift(train: SpikeTrain, alpha: float) -> SpikeTrain:
-    """Translate every node by -alpha; amplitudes are unchanged."""
-    return SpikeTrain(amplitudes=train.amplitudes, nodes=train.nodes - alpha)
-
-
-def scale(train: SpikeTrain, T: float) -> SpikeTrain:
-    """Divide every node by T > 0; amplitudes are unchanged."""
-    if T <= 0:
-        raise ValueError("scale factor must be positive")
-    return SpikeTrain(amplitudes=train.amplitudes, nodes=train.nodes / T)

@@ -31,6 +31,10 @@ __all__ = [
     "displacement_scaling_probe",
 ]
 
+# Relative imaginary part, and relative gap, at or below which the perturbed
+# cluster nodes count as complex or coincident.
+_IMAG_TOL = 1e-9
+
 
 class _Construction(NamedTuple):
     """Intermediates of one worst-case construction at epsilon > 0, kept for
@@ -137,7 +141,6 @@ def worst_case_signal(
     epsilon: float,
     omega: float | None = None,
     grid_points: int = 1001,
-    imag_tol: float = 1e-9,
 ) -> WorstCaseReport:
     """Build the worst-case perturbation of the cluster part of a signal.
 
@@ -148,8 +151,9 @@ def worst_case_signal(
     leaving the non-cluster part untouched.
 
     Raises EpsilonTooLargeError when the perturbed system has complex or
-    coincident nodes (imaginary parts above imag_tol survive the snap), or
-    when the displaced cluster would break the global node ordering.
+    coincident nodes (imaginary parts above, or gaps at most, 1e-9 times the
+    node scale), or when the displaced cluster would break the global node
+    ordering.
 
     The spectral deviation in the report is measured on [-omega, omega] with
     omega defaulting to 1/h; a given omega must be finite and positive.
@@ -189,12 +193,12 @@ def worst_case_signal(
         raise EpsilonTooLargeError(f"epsilon too large: {exc}") from exc
 
     node_scale = max(1.0, np.abs(sol.nodes).max())
-    if np.abs(sol.nodes.imag).max() > imag_tol * node_scale:
+    if np.abs(sol.nodes.imag).max() > _IMAG_TOL * node_scale:
         raise EpsilonTooLargeError(
             "epsilon too large: perturbed moment system has complex nodes"
         )
     new_nodes = np.sort(sol.nodes.real)
-    if (new_nodes[1:] - new_nodes[:-1]).min() <= imag_tol * node_scale:
+    if (new_nodes[1:] - new_nodes[:-1]).min() <= _IMAG_TOL * node_scale:
         raise EpsilonTooLargeError(
             "epsilon too large: perturbed nodes coincide after the real snap"
         )

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from spikesr import cli
 from spikesr.cli import main
+from spikesr.experiments import PhaseBoundaryFit
 
 
 @pytest.fixture
@@ -326,3 +328,47 @@ def test_experiment_config_format_checked(tmp_path, capsys, config_text):
     assert main(argv) == 2
     assert "bad value for format: 'xml'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config_text",
+    [
+        (["--node-index", "2"], None),
+        ([], "node_index=7\n"),
+        ([], '{"node_index": 7}'),
+        (["--node-index", "1"], "kind=phase\n"),  # the flag's kind wins
+    ],
+)
+def test_experiment_node_index_rejected_for_amplification(
+    tmp_path, capsys, monkeypatch, flags, config_text
+):
+    def no_sweep(*_args):
+        raise AssertionError("sweep ran")
+
+    monkeypatch.setattr(cli, "amplification_sweep", no_sweep)
+    argv = ["experiment", "--kind", "amplification", "-p", "2", "-d", "3",
+            "--trials", "2", *flags]
+    if config_text is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "x.csv"
+    assert main([*argv, "-o", str(out)]) == 2
+    assert "node_index applies only to --kind phase" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_node_index_reaches_phase_sweep(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def fake_sweep(*args):
+        seen.append(args[8])
+        return [], PhaseBoundaryFit(-3.0, 0.0, (0.0, 0.0, 0.0), 1, 1)
+
+    monkeypatch.setattr(cli, "phase_transition_sweep", fake_sweep)
+    out = tmp_path / "node.jsonl"
+    argv = ["experiment", "--kind", "phase", "-p", "2", "-d", "3", "--node-index", "3",
+            "--format", "jsonl", "-o", str(out)]
+    assert main(argv) == 0
+    assert seen == [3]
+    assert json.loads(out.read_text())["config"]["params"]["node_index"] == 3

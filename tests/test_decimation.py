@@ -91,6 +91,36 @@ def _lexsort_merge(starts, ends):
     return starts[first], reach[last]
 
 
+def _endpoints(s):
+    pairs = np.array(s.intervals, dtype=float).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _padded(s, pad):
+    """IntervalSet s grown outward by pad (components may merge)."""
+    starts, ends = _endpoints(s)
+    return IntervalSet._from_endpoints(starts - pad, ends + pad)
+
+
+def _intersect(s, lo, hi):
+    """Intersection of IntervalSet s with the closed interval [lo, hi]."""
+    starts, ends = _endpoints(s)
+    starts, ends = np.maximum(starts, lo), np.minimum(ends, hi)
+    keep = starts <= ends
+    return IntervalSet._from_endpoints(starts[keep], ends[keep])
+
+
+def _complement_within(s, lo, hi):
+    """Closure of [lo, hi] minus IntervalSet s: the gaps of positive length
+    before, between and after the components of s inside [lo, hi].  Touching
+    gaps merge, so a single-point component is bridged."""
+    starts, ends = _endpoints(_intersect(s, lo, hi))
+    gap_starts = np.concatenate(([lo], ends))
+    gap_ends = np.append(starts, hi)
+    keep = gap_starts < gap_ends
+    return IntervalSet._from_endpoints(gap_starts[keep], gap_ends[keep])
+
+
 def _composed_admissible(nodes, geometry, omega, alpha, pad):
     """Admissible set as a chain of interval-set operations: merge the sigma
     pieces, pad and re-merge, then clip, re-merge and take the complement."""
@@ -101,7 +131,7 @@ def _composed_admissible(nodes, geometry, omega, alpha, pad):
     in_cluster[geometry.cluster_slice] = True
     seps = np.abs(nodes[k] - nodes[j])[~(in_cluster[j] & in_cluster[k])]
     excluded = IntervalSet._from_endpoints(*_sigma_pieces(seps, alpha, lo, hi))
-    return excluded.padded(pad).complement_within(lo, hi)
+    return _complement_within(_padded(excluded, pad), lo, hi)
 
 
 def _reference_gautschi(z):
@@ -130,17 +160,19 @@ def test_interval_set_merges_and_sorts():
 
 
 def test_interval_set_complement_and_intersect():
+    # the reference operations _composed_admissible is built from
     s = IntervalSet([(1, 2), (4, 5)])
-    assert s.complement_within(0, 6).intervals == ((0, 1), (2, 4), (5, 6))
-    assert s.intersect(1.5, 4.5).intervals == ((1.5, 2), (4, 4.5))
-    assert IntervalSet().complement_within(0, 1).intervals == ((0, 1),)
+    assert _complement_within(s, 0, 6).intervals == ((0, 1), (2, 4), (5, 6))
+    assert _intersect(s, 1.5, 4.5).intervals == ((1.5, 2), (4, 4.5))
+    assert _complement_within(IntervalSet(), 0, 1).intervals == ((0, 1),)
+    assert _padded(s, 1.0).intervals == ((0, 6),)
     with pytest.raises(ValueError):
         IntervalSet([(2, 1)])
 
 
 def test_complement_within_bridges_a_single_point():
-    assert IntervalSet([(1, 1)]).complement_within(0, 2).intervals == ((0, 2),)
-    assert IntervalSet([(0, 0), (2, 2)]).complement_within(0, 2).intervals == ((0, 2),)
+    assert _complement_within(IntervalSet([(1, 1)]), 0, 2).intervals == ((0, 2),)
+    assert _complement_within(IntervalSet([(0, 0), (2, 2)]), 0, 2).intervals == ((0, 2),)
 
 
 def test_merge_by_start_matches_lexsort_with_tied_starts():
@@ -468,7 +500,7 @@ def test_admissible_matches_composed_set_operations_on_scan_geometry():
 
 def test_admissible_bridges_single_point_exclusions():
     # alpha so small that every sigma piece rounds to a single point: with no
-    # pad the complement bridges them, as complement_within does.
+    # pad the gaps on either side of each point join into one.
     nodes, geometry = _normalized_cluster(2, 3, 0.001)
     omega = 200.0
     got = admissible_lambdas(nodes, geometry, omega, alpha=1e-300, pad=0.0)
@@ -697,6 +729,17 @@ def test_gautschi_rejects_near_coincident():
         gautschi_bounds([1.0, 1.0 + 1e-14])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+def test_gautschi_rejects_non_finite_nodes_before_any_solve(bad, monkeypatch):
+    def no_solve(*_args):
+        raise AssertionError("solve reached")
+
+    monkeypatch.setattr(np.linalg, "inv", no_solve)
+    for z in ([1.0, bad], [bad], [bad, 1j, -1.0]):
+        with pytest.raises(ValueError, match="nodes must be finite"):
+            gautschi_bounds(z)
+
+
 # --------------------------------------------------- predicted scaling shapes
 
 
@@ -714,3 +757,10 @@ def test_predicted_condition_numbers_examples():
     boundary = ClusterGeometry(p=2, d=3, h=0.1, T=1.0, tau=1.0, eta=0.2, kappa=1)
     factors = predicted_condition_numbers(boundary, 10.0)  # omega tau h = 1
     assert factors[0] == pytest.approx(factors[2])
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_predicted_condition_numbers_rejects_bad_omega(omega):
+    geometry = ClusterGeometry(p=2, d=3, h=0.01, T=1.0, tau=1.0, eta=0.2, kappa=1)
+    with pytest.raises(ValueError, match="omega must be finite and positive"):
+        predicted_condition_numbers(geometry, omega)

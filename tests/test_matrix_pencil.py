@@ -9,7 +9,7 @@ from spikesr.matrix_pencil import (
     default_pencil_param,
     mp_recover,
 )
-from spikesr.signal import SpikeTrain, sample_spectrum, shift
+from spikesr.signal import SpikeTrain, sample_spectrum
 
 
 def _circular(a, b):
@@ -158,7 +158,8 @@ def test_recover_shift_equivariance():
     train = SpikeTrain(amplitudes=[1.0, 2.0], nodes=[-0.1, 0.2])
     alpha = 0.15
     base = mp_recover(sample_spectrum(train, 24, 0.0, 0), 2)
-    moved = mp_recover(sample_spectrum(shift(train, alpha), 24, 0.0, 0), 2)
+    moved_train = SpikeTrain(amplitudes=train.amplitudes, nodes=train.nodes - alpha)
+    moved = mp_recover(sample_spectrum(moved_train, 24, 0.0, 0), 2)
     expected = np.sort((base.estimate.nodes - alpha + 0.5) % 1.0 - 0.5)
     assert _circular(moved.estimate.nodes, expected).max() < 1e-8
 

@@ -12,11 +12,26 @@ from spikesr.signal import (
     make_clustered_nodes,
     moments,
     sample_spectrum,
-    scale,
-    shift,
     standard_cluster_geometry,
-    validate_cluster,
 )
+
+
+def _meets_cluster_conditions(nodes, geometry, rtol=1e-9):
+    """Pairwise-distance conditions of a clustered configuration, all pairs at
+    once: tau h <= |x_j - x_k| <= h for cluster pairs, eta T <= |x_l - x_j| <= T
+    for every pair with a non-cluster node, each up to a relative slack rtol."""
+    x = np.asarray(nodes, dtype=float)
+    if len(x) != geometry.d:
+        return False
+    in_cluster = np.zeros(len(x), dtype=bool)
+    in_cluster[geometry.cluster_slice] = True
+    both = np.logical_and.outer(in_cluster, in_cluster)
+    lo = np.where(both, geometry.tau * geometry.h, geometry.eta * geometry.T)
+    hi = np.where(both, geometry.h, geometry.T)
+    slack = rtol * np.maximum(1.0, hi)
+    gaps = np.abs(np.subtract.outer(x, x))
+    ok = (lo - slack <= gaps) & (gaps <= hi + slack)
+    return bool(ok[np.triu_indices(len(x), 1)].all())
 
 
 def test_spike_train_invariants():
@@ -28,7 +43,6 @@ def test_spike_train_invariants():
         SpikeTrain(amplitudes=[], nodes=[])
     train = SpikeTrain(amplitudes=[1.0, -2.0], nodes=[-0.3, 0.4])
     assert train.d == 2
-    assert train.sup_norm == 2.0
 
 
 def test_fourier_single_spike_at_origin():
@@ -41,7 +55,7 @@ def test_fourier_blown_up_pair_sample():
     # nodes (1/10, 2/10) blown up by rate 10/3 become (1/3, 2/3); the first
     # unit-rate sample is exp(2 pi i/3) + exp(4 pi i/3) = -1.
     train = SpikeTrain(amplitudes=[1.0, 1.0], nodes=[0.1, 0.2])
-    blown = scale(train, 3.0 / 10.0)
+    blown = SpikeTrain(amplitudes=train.amplitudes, nodes=train.nodes / (3.0 / 10.0))
     np.testing.assert_allclose(blown.nodes, [1 / 3, 2 / 3], atol=1e-15)
     assert fourier_at(blown, -1.0) == pytest.approx(-1.0 + 0.0j, abs=1e-12)
     samples = sample_spectrum(blown, 4, 0.0, 0)
@@ -91,14 +105,17 @@ def test_sample_spectrum_noise_bound_and_determinism():
     assert np.any(c.values != a.values)
 
 
-def test_sample_spectrum_real_noise():
-    train = SpikeTrain(amplitudes=[1.0], nodes=[0.2])
-    samples = sample_spectrum(train, 16, 1e-2, 7, noise_kind="real")
-    noise = samples.values - clean_spectrum(train, 16)
-    assert np.abs(noise.imag).max() == 0.0
-    assert np.abs(noise.real).max() <= 1e-2
-    with pytest.raises(ValueError):
-        sample_spectrum(train, 4, 1e-2, 0, noise_kind="bogus")
+def test_sample_spectrum_draws_disk_noise():
+    # radius uniform on [0, bound], then angle uniform on [0, 2 pi), one stream
+    train = SpikeTrain(amplitudes=[1.0, -0.5j], nodes=[0.2, 0.45])
+    for count, bound, seed in ((1, 1e-2, 7), (16, 1e-2, 7), (64, 3.0, 123)):
+        rng = np.random.default_rng(seed)
+        radius = rng.uniform(0.0, bound, count)
+        noise = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+        samples = sample_spectrum(train, count, bound, seed)
+        expected = clean_spectrum(train, count) + noise
+        assert samples.values.tobytes() == expected.tobytes()
+        assert samples.actual_noise == float(np.abs(noise).max()) <= bound
 
 
 def test_sample_sign_convention_matches_fourier():
@@ -150,10 +167,14 @@ def test_make_clustered_nodes_rejects_wide_cluster():
 
 def test_validate_cluster_examples():
     tight = ClusterGeometry(p=2, d=2, h=0.01, T=1.0, tau=1.0, eta=0.005, kappa=1)
-    assert validate_cluster([0.0, 0.01], tight)
-    assert not validate_cluster([0.0, 0.02], tight)
+    assert _meets_cluster_conditions([0.0, 0.01], tight)
+    assert not _meets_cluster_conditions([0.0, 0.02], tight)
+    assert not _meets_cluster_conditions([0.0, 0.01, 0.02], tight)
+    loose = ClusterGeometry(p=2, d=3, h=0.01, T=1.0, tau=0.5, eta=0.5, kappa=1)
+    assert not _meets_cluster_conditions([0.0, 0.01, 0.3], loose)  # eta T breached
+    assert not _meets_cluster_conditions([0.0, 0.01, 1.5], loose)  # T breached
     geometry = standard_cluster_geometry(2, 3, 0.01)
-    assert validate_cluster(make_clustered_nodes(geometry), geometry)
+    assert _meets_cluster_conditions(make_clustered_nodes(geometry), geometry)
 
 
 def test_validate_cluster_randomized_layouts():
@@ -163,28 +184,13 @@ def test_validate_cluster_randomized_layouts():
         d = int(rng.integers(p, p + 4))
         h = float(np.exp(rng.uniform(np.log(1e-4), np.log(0.5))))
         geometry = standard_cluster_geometry(p, d, h)
-        assert validate_cluster(make_clustered_nodes(geometry), geometry)
-
-
-def test_shift_and_scale_examples():
-    shifted = shift(SpikeTrain(amplitudes=[1.0], nodes=[0.3]), 0.3)
-    np.testing.assert_allclose(shifted.nodes, [0.0])
-    scaled = scale(SpikeTrain(amplitudes=[1.0, 1.0], nodes=[-1.0, 1.0]), 2.0)
-    np.testing.assert_allclose(scaled.nodes, [-0.5, 0.5])
-    with pytest.raises(ValueError):
-        scale(scaled, 0.0)
-
-
-def test_scale_round_trip():
-    train = SpikeTrain(amplitudes=[1.0, 2.0], nodes=[-0.7, 1.3])
-    back = scale(scale(train, 7.3), 1 / 7.3)
-    np.testing.assert_allclose(back.nodes, train.nodes, rtol=1e-12)
+        assert _meets_cluster_conditions(make_clustered_nodes(geometry), geometry)
 
 
 def test_shift_preserves_transform_magnitude():
     rng = np.random.default_rng(3)
     train = SpikeTrain(amplitudes=[1.0, -2.0 + 1j], nodes=[-0.2, 0.5])
-    shifted = shift(train, 0.37)
+    shifted = SpikeTrain(amplitudes=train.amplitudes, nodes=train.nodes - 0.37)
     for s in rng.uniform(-5, 5, 10):
         assert abs(fourier_at(shifted, s)) == pytest.approx(
             abs(fourier_at(train, s)), rel=1e-12
