@@ -111,14 +111,12 @@ def _resolve(args, config: dict, key: str, default=None, cast=None):
 
 
 def _parse_range(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        lo, hi = value
-    else:
-        parts = str(value).split(",")
-        if len(parts) != 2:
-            raise CliError(f"bad range {value!r}: expected lo,hi", EXIT_PARSE)
+    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    try:
         lo, hi = parts
-    return (float(lo), float(hi))
+        return (float(lo), float(hi))
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad range {value!r}: expected lo,hi", EXIT_PARSE) from exc
 
 
 def _read_json_file(path: str) -> dict:
@@ -283,8 +281,10 @@ def _geometry_from_args(args, config: dict, train: SpikeTrain) -> ClusterGeometr
         raise CliError("need -p (cluster size)", EXIT_PARSE)
     kappa = _resolve(args, config, "kappa", 1, int)
     lo = kappa - 1
-    if not (0 <= lo and lo + p <= train.d):
-        raise CliError("cluster indices fall outside the signal", EXIT_PARSE)
+    if not (p >= 2 and 0 <= lo and lo + p <= train.d):
+        raise CliError(
+            "cluster indices fall outside the signal (need p >= 2)", EXIT_PARSE
+        )
     cluster = train.nodes[lo : lo + p]
     extent = _resolve(args, config, "extent", cast=float)
     if extent is None:

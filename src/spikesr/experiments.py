@@ -125,7 +125,6 @@ class PhaseBoundaryFit:
 
     slope: float
     intercept: float
-    weights: tuple
     n_success: int
     n_failure: int
 
@@ -146,25 +145,6 @@ def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
     if scheme == "S2":
         return np.array([(-1.0) ** j for j in range(d)], dtype=complex)
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-
-
-def _failed_record(scheme, p, d, h, n, eps, eps0, srf, seed, tag) -> ExperimentRecord:
-    return ExperimentRecord(
-        scheme=scheme,
-        p=p,
-        d=d,
-        h=h,
-        n_samples=n,
-        epsilon_requested=eps,
-        epsilon0=eps0,
-        srf=srf,
-        seed=seed,
-        node_errors=tuple([math.nan] * d),
-        successes=tuple([False] * d),
-        kx=tuple([None] * d),
-        ka=tuple([None] * d),
-        failure=tag,
-    )
 
 
 def single_experiment(
@@ -197,58 +177,56 @@ def single_experiment(
     gap = (h / (2.0 * math.pi)) / (p - 1)
     srf = 1.0 / (n_samples * gap)
 
-    if scheme == "S1":
-        samples = sample_spectrum(train, n_samples, epsilon, seed)
-        eps0 = samples.actual_noise
-    else:
-        norm_geometry = ClusterGeometry(
-            p=p,
-            d=d,
-            h=h / (2.0 * math.pi),
-            T=1.0,
-            tau=layout_geometry.tau,
-            eta=layout_geometry.eta / 2.0,
-            kappa=1,
-        )
-        try:
+    eps0 = math.nan
+    failure = None
+    kx = ka = (None,) * d
+    try:
+        if scheme == "S1":
+            samples = sample_spectrum(train, n_samples, epsilon, seed)
+            eps0 = samples.actual_noise
+        else:
+            norm_geometry = ClusterGeometry(
+                p=p,
+                d=d,
+                h=h / (2.0 * math.pi),
+                T=1.0,
+                tau=layout_geometry.tau,
+                eta=layout_geometry.eta / 2.0,
+                kappa=1,
+            )
             perturbed = worst_case_signal(
                 train, norm_geometry, epsilon, omega=1.0, grid_points=3
             ).perturbed
-        except SpikesrError as exc:
-            return _failed_record(
-                scheme, p, d, h, n_samples, epsilon, math.nan, srf, seed, str(exc)
+            samples = sample_spectrum(perturbed, n_samples, 0.0, seed)
+            eps0 = float(
+                np.abs(clean_spectrum(train, n_samples) - samples.values).max()
             )
-        samples = sample_spectrum(perturbed, n_samples, 0.0, seed)
-        eps0 = float(
-            np.abs(clean_spectrum(train, n_samples) - samples.values).max()
-        )
-
-    try:
         result = mp_recover(samples, d, default_pencil_param(n_samples))
     except SpikesrError as exc:
-        return _failed_record(
-            scheme, p, d, h, n_samples, epsilon, eps0, srf, seed, str(exc)
-        )
-
-    est_nodes = result.estimate.nodes
-    est_amps = result.estimate.amplitudes
-    # dist[j, l]: estimate j to true node l.  True node l is scored by its
-    # nearest estimate, and Kx/Ka compare true node l with that estimate.
-    dist = _circular_distance(est_nodes[:, None], x[None, :])
-    errors = dist.min(axis=0)
-    nearest = dist.argmin(axis=0)
-    gaps = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    successes = (errors < gaps.min(axis=1) / 3.0).tolist()
-    kx = ka = (None,) * d
-    if eps0 > 0:
-        amp_err = amps - est_amps[nearest]
-        kx_all = _circular_distance(x, est_nodes[nearest]) * n_samples / eps0
-        # hypot, not np.abs: complex np.abs may differ from the scalar abs
-        # in the last ulp, and hypot matches it bit for bit
-        ka_all = np.hypot(amp_err.real, amp_err.imag) / eps0
-        kx = tuple(v if ok else None for v, ok in zip(kx_all.tolist(), successes))
-        ka = tuple(v if ok else None for v, ok in zip(ka_all.tolist(), successes))
+        # a worst-case failure leaves eps0 NaN; an estimator failure keeps it
+        failure = str(exc)
+        node_errors = (math.nan,) * d
+        successes = (False,) * d
+    else:
+        est_nodes = result.estimate.nodes
+        est_amps = result.estimate.amplitudes
+        # dist[j, l]: estimate j to true node l.  True node l is scored by its
+        # nearest estimate, and Kx/Ka compare true node l with that estimate.
+        dist = _circular_distance(est_nodes[:, None], x[None, :])
+        errors = dist.min(axis=0)
+        nearest = dist.argmin(axis=0)
+        gaps = np.abs(x[:, None] - x[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        node_errors = tuple(errors.tolist())
+        successes = tuple((errors < gaps.min(axis=1) / 3.0).tolist())
+        if eps0 > 0:
+            amp_err = amps - est_amps[nearest]
+            kx_all = _circular_distance(x, est_nodes[nearest]) * n_samples / eps0
+            # hypot, not np.abs: complex np.abs may differ from the scalar abs
+            # in the last ulp, and hypot matches it bit for bit
+            ka_all = np.hypot(amp_err.real, amp_err.imag) / eps0
+            kx = tuple(v if ok else None for v, ok in zip(kx_all.tolist(), successes))
+            ka = tuple(v if ok else None for v, ok in zip(ka_all.tolist(), successes))
 
     return ExperimentRecord(
         scheme=scheme,
@@ -260,18 +238,21 @@ def single_experiment(
         epsilon0=eps0,
         srf=srf,
         seed=seed,
-        node_errors=tuple(errors.tolist()),
-        successes=tuple(successes),
+        node_errors=node_errors,
+        successes=successes,
         kx=kx,
         ka=ka,
+        failure=failure,
     )
 
 
 def _log_bounds(bounds: tuple) -> tuple:
-    """Logs of a positive, ordered (lo, hi) range, for log-uniform draws."""
+    """Logs of a positive, finite, ordered (lo, hi) range, for log-uniform draws."""
     lo, hi = bounds
     if not 0 < lo <= hi:
         raise ValueError("range bounds must be positive and ordered")
+    if not math.isfinite(hi):
+        raise ValueError("range bounds must be finite")
     return np.log(lo), np.log(hi)
 
 
@@ -325,7 +306,6 @@ def _logistic_boundary(features: np.ndarray, outcomes: np.ndarray) -> PhaseBound
     return PhaseBoundaryFit(
         slope=float(-w[1] / w[2]),
         intercept=float(-w[0] / w[2]),
-        weights=tuple(float(v) for v in w),
         n_success=int(outcomes.sum()),
         n_failure=int(len(outcomes) - outcomes.sum()),
     )
@@ -426,31 +406,6 @@ def fit_loglog_slope(
     return _ols_loglog(xs, ys)
 
 
-def _record_rows(record: ExperimentRecord) -> list[dict]:
-    rows = []
-    for j in range(record.d):
-        rows.append(
-            {
-                "scheme": record.scheme,
-                "p": record.p,
-                "d": record.d,
-                "h": record.h,
-                "N": record.n_samples,
-                "eps_req": record.epsilon_requested,
-                "eps0": record.epsilon0,
-                "srf": record.srf,
-                "node_index": j + 1,
-                "node_class": record.node_class(j),
-                "e": record.node_errors[j],
-                "succ": record.successes[j],
-                "Kx": record.kx[j],
-                "Ka": record.ka[j],
-                "seed": record.seed,
-            }
-        )
-    return rows
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
@@ -461,10 +416,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _csv_rows(record: ExperimentRecord):
-    """The CSV cells of a record's rows, in CSV_HEADER order."""
+def _json_cell(value):
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
+def _rows(record: ExperimentRecord, cell):
+    """Each node's values of a record in CSV_HEADER order, mapped by cell.
+
+    The per-trial values are mapped once per record, not once per node.
+    """
     trial = [
-        _format_cell(value)
+        cell(value)
         for value in (
             record.scheme,
             record.p,
@@ -476,16 +438,16 @@ def _csv_rows(record: ExperimentRecord):
             record.srf,
         )
     ]
-    seed = _format_cell(record.seed)
+    seed = cell(record.seed)
     for j in range(record.d):
         yield [
             *trial,
-            str(j + 1),
-            record.node_class(j),
-            _format_cell(record.node_errors[j]),
-            _format_cell(record.successes[j]),
-            _format_cell(record.kx[j]),
-            _format_cell(record.ka[j]),
+            cell(j + 1),
+            cell(record.node_class(j)),
+            cell(record.node_errors[j]),
+            cell(record.successes[j]),
+            cell(record.kx[j]),
+            cell(record.ka[j]),
             seed,
         ]
 
@@ -505,17 +467,14 @@ def write_records_csv(records, stream, config: Optional[dict] = None) -> None:
     stream.write(CSV_HEADER + "\n")
     writer = csv.writer(stream, lineterminator="\n")
     for record in records:
-        writer.writerows(_csv_rows(record))
+        writer.writerows(_rows(record, _format_cell))
 
 
 def write_records_jsonl(records, stream, config: Optional[dict] = None) -> None:
     """JSON-lines alternative to the CSV output with the same fields."""
     if config:
         stream.write(json.dumps({"config": config}, sort_keys=True) + "\n")
+    fields = CSV_HEADER.split(",")
     for record in records:
-        for row in _record_rows(record):
-            clean = {
-                k: (None if isinstance(v, float) and math.isnan(v) else v)
-                for k, v in row.items()
-            }
-            stream.write(json.dumps(clean, sort_keys=True) + "\n")
+        for row in _rows(record, _json_cell):
+            stream.write(json.dumps(dict(zip(fields, row)), sort_keys=True) + "\n")

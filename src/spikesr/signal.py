@@ -128,14 +128,11 @@ class SpectralSamples:
     """
 
     values: np.ndarray
-    count: int
     noise_bound: float
     actual_noise: float
 
     def __post_init__(self):
         vals = _frozen_1d(self.values, complex)
-        if len(vals) != self.count:
-            raise ValueError("count does not match the number of values")
         if self.noise_bound < 0 or self.actual_noise < 0:
             raise ValueError("noise magnitudes must be nonnegative")
         object.__setattr__(self, "values", vals)
@@ -149,10 +146,8 @@ class SpectralSamples:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SpectralSamples":
-        vals = _complex_from_json(obj["values"])
         return cls(
-            values=vals,
-            count=len(vals),
+            values=_complex_from_json(obj["values"]),
             noise_bound=float(obj["noise_bound"]),
             actual_noise=float(obj["actual_noise"]),
         )
@@ -192,7 +187,6 @@ def sample_spectrum(
     if noise_bound == 0:
         return SpectralSamples(
             values=clean,
-            count=count,
             noise_bound=float(noise_bound),
             actual_noise=0.0,
         )
@@ -202,7 +196,6 @@ def sample_spectrum(
     noise = radius * np.exp(1j * theta)
     return SpectralSamples(
         values=clean + noise,
-        count=count,
         noise_bound=float(noise_bound),
         actual_noise=float(np.abs(noise).max()),
     )
@@ -224,6 +217,8 @@ def standard_cluster_geometry(p: int, d: int, h: float) -> ClusterGeometry:
     nodes split the rest of [0, pi] evenly, which gives T = pi,
     tau = 1/(p-1) and eta = (pi - h) / (pi (d - p + 1)).
     """
+    if not 2 <= p <= d:
+        raise ValueError("cluster size p must satisfy 2 <= p <= d")
     if h >= math.pi:
         raise ValueError("cluster extent must be below pi")
     return ClusterGeometry(

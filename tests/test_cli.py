@@ -264,6 +264,9 @@ def test_decimation_bad_parameters_exit_2(tmp_path, capsys, flags, message):
     [
         (["--trials", "0"], "need at least one trial"),
         (["--h-range", "0,0.1"], "range bounds must be positive and ordered"),
+        (["--eps-range", "1e-9,inf"], "range bounds must be finite"),
+        (["-p", "1"], "cluster size p must satisfy 2 <= p <= d"),
+        (["-d", "1"], "cluster size p must satisfy 2 <= p <= d"),
     ],
 )
 @pytest.mark.parametrize("kind", ["amplification", "phase"])
@@ -273,6 +276,41 @@ def test_experiment_bad_sweep_input_exits_2(tmp_path, capsys, kind, flags, messa
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad experiment input") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--h-range", "a,b"], None),
+        ([], {"h_range": [1e-3, 1e-2, 1e-1]}),
+    ],
+)
+def test_experiment_malformed_range_exits_2(tmp_path, capsys, flags, config):
+    argv = ["experiment", "--kind", "amplification", "-p", "2", "-d", "3", *flags]
+    if config is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "x.csv"
+    assert main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad range") and "expected lo,hi" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["worstcase", "decimation"])
+@pytest.mark.parametrize("flags", [["-p", "0"], ["-p", "1", "--extent", "0.1"]])
+def test_geometry_with_fewer_than_two_cluster_nodes_exits_2(
+    tmp_path, capsys, subcommand, flags
+):
+    train = {"amplitudes": [[1, 0], [-1, 0], [1, 0], [-1, 0]], "nodes": [0.0, 0.01, 0.3, 0.6]}
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps(train))
+    out = tmp_path / "r.json"
+    level = {"worstcase": ["--epsilon", "1e-9"], "decimation": ["--omega", "200"]}[subcommand]
+    assert main([subcommand, "-i", str(src), *flags, *level, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 
 
@@ -363,7 +401,7 @@ def test_experiment_node_index_reaches_phase_sweep(tmp_path, capsys, monkeypatch
 
     def fake_sweep(*args):
         seen.append(args[8])
-        return [], PhaseBoundaryFit(-3.0, 0.0, (0.0, 0.0, 0.0), 1, 1)
+        return [], PhaseBoundaryFit(-3.0, 0.0, 1, 1)
 
     monkeypatch.setattr(cli, "phase_transition_sweep", fake_sweep)
     out = tmp_path / "node.jsonl"

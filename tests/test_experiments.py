@@ -446,3 +446,21 @@ def test_sweep_rejects_bad_ranges(ranges):
     args = {**DEFAULT_AMPLIFICATION_RANGES, **ranges}
     with pytest.raises(ValueError, match="positive and ordered"):
         amplification_sweep(2, 4, **args, trials=3, scheme="S2", base_seed=0)
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        {"h_range": (1e-3, math.inf)},
+        {"n_range": (48, math.inf)},
+        {"eps_range": (1e-9, math.inf)},
+        {"eps_range": (math.inf, math.inf)},
+    ],
+)
+def test_sweep_rejects_infinite_ranges_before_any_trial(monkeypatch, ranges):
+    calls = []
+    monkeypatch.setattr(experiments, "single_experiment", lambda *args: calls.append(args))
+    args = {**DEFAULT_AMPLIFICATION_RANGES, **ranges}
+    with pytest.raises(ValueError, match="range bounds must be finite"):
+        amplification_sweep(2, 4, **args, trials=3, scheme="S1", base_seed=0)
+    assert calls == []

@@ -157,6 +157,13 @@ def test_make_clustered_nodes_examples():
     np.testing.assert_allclose(nodes, [0.0, 0.01, 0.02, 0.02 + (math.pi - 0.02) / 2])
 
 
+@pytest.mark.parametrize("p, d", [(1, 3), (3, 2)])
+def test_standard_cluster_geometry_rejects_bad_cluster_size(p, d):
+    # checked before tau = 1/(p-1) and eta's 1/(d-p+1) are formed
+    with pytest.raises(ValueError, match="2 <= p <= d"):
+        standard_cluster_geometry(p, d, 0.1)
+
+
 def test_make_clustered_nodes_rejects_wide_cluster():
     with pytest.raises(ValueError):
         standard_cluster_geometry(2, 3, math.pi)
