@@ -7,16 +7,16 @@ conditioning bounds), version.
 
 Every option can come from a config file (flat key=value lines or a JSON
 object); explicit flags win over the config file, which wins over defaults.
-The experiment seed defaults to 0 and the resolved configuration is embedded
-in every output, so runs are reproducible byte for byte apart from one
-timestamp line.  The other subcommands draw no random numbers and record a
-null seed.
+A config value goes through its flag's own type and choices, so it is
+converted and checked exactly as the flag would be.  The experiment seed
+defaults to 0 and the resolved configuration is embedded in every output, so
+runs are reproducible byte for byte apart from one timestamp line.  The other
+subcommands draw no random numbers and record a null seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -42,26 +42,6 @@ from .worstcase import worst_case_signal
 EXIT_PARSE = 2
 EXIT_ESTIMATOR = 3
 EXIT_DEGENERATE_FIT = 4
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Resolved parameters of one CLI run, embedded in every output."""
-
-    subcommand: str
-    params: dict
-    seed: int | None
-    output: str | None
-    fmt: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "seed": self.seed,
-            "output": self.output,
-            "format": self.fmt,
-        }
 
 
 class CliError(Exception):
@@ -97,19 +77,6 @@ def _load_config_file(path: str) -> dict:
     return config
 
 
-def _resolve(args, config: dict, key: str, default=None, cast=None):
-    """Flag > config file > default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    if value is None or cast is None:
-        return value
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad value for {key}: {value!r}", EXIT_PARSE) from exc
-
-
 def _parse_range(value) -> tuple:
     parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
     try:
@@ -117,6 +84,44 @@ def _parse_range(value) -> tuple:
         return (float(lo), float(hi))
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad range {value!r}: expected lo,hi", EXIT_PARSE) from exc
+
+
+def _fill_from_config(args, config: dict) -> None:
+    """Set each option the command line left unset from the config file.
+
+    The value goes through the option's own type and choices: a scalar as its
+    text, so a JSON 2.7 or true fails an int option exactly as `-p 2.7` does,
+    and a JSON list only into a range option.  A JSON null counts as unset.
+    """
+    for action in args.options:
+        key = action.dest
+        value = config.get(key)
+        if value is None or getattr(args, key) is not None:
+            continue
+        is_list = isinstance(value, list)
+        try:
+            if is_list and action.type is not _parse_range:
+                raise TypeError("only a range option takes a list")
+            converted = (action.type or str)(value if is_list else str(value))
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"bad value for {key}: {value!r}", EXIT_PARSE) from exc
+        if action.choices is not None and converted not in action.choices:
+            expected = " or ".join(action.choices)
+            raise CliError(f"bad value for {key}: {value!r} (expected {expected})", EXIT_PARSE)
+        setattr(args, key, converted)
+
+
+def _set_defaults(args, **defaults) -> None:
+    """Give every option still unset after flags and config its default."""
+    for key, value in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+
+
+def _require(args, *keys: str) -> None:
+    for key in keys:
+        if getattr(args, key) in (None, ""):
+            raise CliError(f"{args.subcommand} needs --{key}", EXIT_PARSE)
 
 
 def _read_json_file(path: str) -> dict:
@@ -131,27 +136,37 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_json_report(run_config: RunConfig, body: dict) -> None:
-    payload = {"timestamp": _timestamp(), "config": run_config.to_json_dict()}
-    payload.update(body)
-    text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
-    if run_config.output:
-        with open(run_config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _run_config(args, params: dict, seed: int | None = None, fmt: str = "json") -> dict:
+    """Resolved parameters of one CLI run, embedded in every output."""
+    return {
+        "subcommand": args.subcommand,
+        "params": params,
+        "seed": seed,
+        "output": args.output,
+        "format": fmt,
+    }
+
+
+def _write_output(path: str, write) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        raise CliError(f"cannot write output file: {exc}", EXIT_PARSE) from exc
+
+
+def _write_json_report(args, params: dict, body: dict) -> None:
+    payload = {"timestamp": _timestamp(), "config": _run_config(args, params), **body}
+    text = json.dumps(payload, indent=2) + "\n"
+    if args.output:
+        _write_output(args.output, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
 
 
-def cmd_recover(args, config: dict) -> int:
-    path = _resolve(args, config, "input")
-    if not path:
-        raise CliError("recover needs --input", EXIT_PARSE)
-    d = _resolve(args, config, "order", cast=int)
-    if d is None:
-        raise CliError("recover needs --order", EXIT_PARSE)
-    pencil = _resolve(args, config, "pencil", cast=int)
-
-    obj = _read_json_file(path)
+def cmd_recover(args) -> int:
+    _require(args, "input", "order")
+    obj = _read_json_file(args.input)
     try:
         samples = SpectralSamples.from_json_dict(
             {
@@ -164,20 +179,14 @@ def cmd_recover(args, config: dict) -> int:
         raise CliError(f"bad samples file: {exc}", EXIT_PARSE) from exc
 
     try:
-        result = mp_recover(samples, d, pencil)
+        result = mp_recover(samples, args.order, args.pencil)
     except (SpikesrError, np.linalg.LinAlgError) as exc:
         raise CliError(f"recovery failed: {exc}", EXIT_ESTIMATOR) from exc
     except ValueError as exc:
         raise CliError(f"bad recovery input: {exc}", EXIT_PARSE) from exc
 
-    run_config = RunConfig(
-        subcommand="recover",
-        params={"input": path, "order": d, "pencil": result.pencil_param},
-        seed=None,
-        output=_resolve(args, config, "output"),
-        fmt="json",
-    )
-    _write_json_report(run_config, result.to_json_dict())
+    params = {"input": args.input, "order": args.order, "pencil": result.pencil_param}
+    _write_json_report(args, params, result.to_json_dict())
     return 0
 
 
@@ -199,73 +208,54 @@ def _print_amplification_fits(records) -> None:
             print(f"{label}: {exc}")
 
 
-def cmd_experiment(args, config: dict) -> int:
-    kind = _resolve(args, config, "kind")
-    if kind not in ("amplification", "phase"):
+def cmd_experiment(args) -> int:
+    if args.kind is None:
         raise CliError("experiment needs --kind amplification|phase", EXIT_PARSE)
-    p = _resolve(args, config, "p", cast=int)
-    d = _resolve(args, config, "d", cast=int)
-    if p is None or d is None:
+    if args.p is None or args.d is None:
         raise CliError("experiment needs -p and -d", EXIT_PARSE)
-    defaults = (
-        DEFAULT_AMPLIFICATION_RANGES if kind == "amplification" else DEFAULT_PHASE_RANGES
-    )
-    h_range = _parse_range(_resolve(args, config, "h_range", defaults["h_range"]))
-    n_range = _parse_range(_resolve(args, config, "n_range", defaults["n_range"]))
-    eps_range = _parse_range(_resolve(args, config, "eps_range", defaults["eps_range"]))
-    trials = _resolve(args, config, "trials", 500, int)
-    scheme = _resolve(args, config, "scheme", "S1")
-    seed = _resolve(args, config, "seed", 0, int)
-    node_index = _resolve(args, config, "node_index", cast=int)
-    if node_index is not None and kind == "amplification":
+    if args.node_index is not None and args.kind == "amplification":
         raise CliError("node_index applies only to --kind phase", EXIT_PARSE)
-    fmt = _resolve(args, config, "format", "csv")
-    if fmt not in ("csv", "jsonl"):
-        raise CliError(f"bad value for format: {fmt!r} (expected csv or jsonl)", EXIT_PARSE)
-    output = _resolve(args, config, "output")
+    ranges = (
+        DEFAULT_AMPLIFICATION_RANGES if args.kind == "amplification" else DEFAULT_PHASE_RANGES
+    )
+    _set_defaults(
+        args, trials=500, scheme="S1", seed=0, format="csv",
+        **{key: _parse_range(bounds) for key, bounds in ranges.items()},
+    )
+    sweep_args = (
+        args.p, args.d, args.h_range, args.n_range, args.eps_range,
+        args.trials, args.scheme, args.seed,
+    )
 
     boundary = None
     try:
-        if kind == "amplification":
-            records = amplification_sweep(
-                p, d, h_range, n_range, eps_range, trials, scheme, seed
-            )
+        if args.kind == "amplification":
+            records = amplification_sweep(*sweep_args)
         else:
-            records, boundary = phase_transition_sweep(
-                p, d, h_range, n_range, eps_range, trials, scheme, seed, node_index
-            )
+            records, boundary = phase_transition_sweep(*sweep_args, args.node_index)
     except DegenerateFitError as exc:
         raise CliError(str(exc), EXIT_DEGENERATE_FIT) from exc
     except ValueError as exc:
         raise CliError(f"bad experiment input: {exc}", EXIT_PARSE) from exc
 
-    run_config = RunConfig(
-        subcommand="experiment",
-        params={
-            "kind": kind,
-            "p": p,
-            "d": d,
-            "h_range": list(h_range),
-            "n_range": list(n_range),
-            "eps_range": list(eps_range),
-            "trials": trials,
-            "scheme": scheme,
-            "node_index": node_index,
-        },
-        seed=seed,
-        output=output,
-        fmt=fmt,
-    )
-    meta = dict(run_config.to_json_dict())
+    params = {
+        "kind": args.kind,
+        "p": args.p,
+        "d": args.d,
+        "h_range": list(args.h_range),
+        "n_range": list(args.n_range),
+        "eps_range": list(args.eps_range),
+        "trials": args.trials,
+        "scheme": args.scheme,
+        "node_index": args.node_index,
+    }
+    meta = _run_config(args, params, args.seed, args.format)
     meta["timestamp"] = _timestamp()
-    if output:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            if fmt == "jsonl":
-                write_records_jsonl(records, fh, meta)
-            else:
-                write_records_csv(records, fh, meta)
+    if args.output:
+        write = write_records_jsonl if args.format == "jsonl" else write_records_csv
+        _write_output(args.output, lambda fh: write(records, fh, meta))
 
-    if kind == "amplification":
+    if args.kind == "amplification":
         _print_amplification_fits(records)
     else:
         print(
@@ -275,18 +265,25 @@ def cmd_experiment(args, config: dict) -> int:
     return 0
 
 
-def _geometry_from_args(args, config: dict, train: SpikeTrain) -> ClusterGeometry:
-    p = _resolve(args, config, "p", cast=int)
+def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
+    """The spike train of --input and the cluster that -p, --kappa and
+    --extent pick out of it."""
+    obj = _read_json_file(args.input)
+    try:
+        train = SpikeTrain.from_json_dict(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad spike-train file: {exc}", EXIT_PARSE) from exc
+    p = args.p
     if p is None:
         raise CliError("need -p (cluster size)", EXIT_PARSE)
-    kappa = _resolve(args, config, "kappa", 1, int)
+    kappa = 1 if args.kappa is None else args.kappa
     lo = kappa - 1
     if not (p >= 2 and 0 <= lo and lo + p <= train.d):
         raise CliError(
             "cluster indices fall outside the signal (need p >= 2)", EXIT_PARSE
         )
     cluster = train.nodes[lo : lo + p]
-    extent = _resolve(args, config, "extent", cast=float)
+    extent = args.extent
     if extent is None:
         extent = float(cluster[-1] - cluster[0])
     span = float(train.nodes[-1] - train.nodes[0]) if train.d > 1 else extent
@@ -294,7 +291,7 @@ def _geometry_from_args(args, config: dict, train: SpikeTrain) -> ClusterGeometr
     gaps = np.diff(cluster)
     tau = float(gaps.min() / extent) if extent > 0 else 1.0
     try:
-        return ClusterGeometry(
+        geometry = ClusterGeometry(
             p=p,
             d=train.d,
             h=extent,
@@ -305,67 +302,41 @@ def _geometry_from_args(args, config: dict, train: SpikeTrain) -> ClusterGeometr
         )
     except ValueError as exc:
         raise CliError(f"bad cluster geometry: {exc}", EXIT_PARSE) from exc
+    return train, geometry
 
 
-def cmd_worstcase(args, config: dict) -> int:
-    path = _resolve(args, config, "input")
-    if not path:
-        raise CliError("worstcase needs --input", EXIT_PARSE)
-    epsilon = _resolve(args, config, "epsilon", cast=float)
-    if epsilon is None:
-        raise CliError("worstcase needs --epsilon", EXIT_PARSE)
-    obj = _read_json_file(path)
-    try:
-        train = SpikeTrain.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad spike-train file: {exc}", EXIT_PARSE) from exc
-    geometry = _geometry_from_args(args, config, train)
-    omega = _resolve(args, config, "omega", cast=float)
-    grid_points = _resolve(args, config, "grid_points", 1001, int)
+def _cluster_params(args, geometry: ClusterGeometry) -> dict:
+    return {"input": args.input, "p": geometry.p, "kappa": geometry.kappa, "extent": geometry.h}
+
+
+def cmd_worstcase(args) -> int:
+    _require(args, "input", "epsilon")
+    train, geometry = _train_and_geometry(args)
+    _set_defaults(args, grid_points=1001)
 
     try:
-        report = worst_case_signal(train, geometry, epsilon, omega, grid_points)
+        report = worst_case_signal(train, geometry, args.epsilon, args.omega, args.grid_points)
     except SpikesrError as exc:
         raise CliError(str(exc), EXIT_ESTIMATOR) from exc
     except ValueError as exc:
         raise CliError(f"bad worst-case input: {exc}", EXIT_PARSE) from exc
 
-    run_config = RunConfig(
-        subcommand="worstcase",
-        params={
-            "input": path,
-            "p": geometry.p,
-            "kappa": geometry.kappa,
-            "extent": geometry.h,
-            "epsilon": epsilon,
-            "omega": omega,
-            "grid_points": grid_points,
-        },
-        seed=None,
-        output=_resolve(args, config, "output"),
-        fmt="json",
-    )
-    _write_json_report(run_config, report.to_json_dict())
+    params = {
+        **_cluster_params(args, geometry),
+        "epsilon": args.epsilon,
+        "omega": args.omega,
+        "grid_points": args.grid_points,
+    }
+    _write_json_report(args, params, report.to_json_dict())
     return 0
 
 
-def cmd_decimation(args, config: dict) -> int:
-    path = _resolve(args, config, "input")
-    if not path:
-        raise CliError("decimation needs --input", EXIT_PARSE)
-    omega = _resolve(args, config, "omega", cast=float)
-    if omega is None:
-        raise CliError("decimation needs --omega", EXIT_PARSE)
-    obj = _read_json_file(path)
-    try:
-        train = SpikeTrain.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad spike-train file: {exc}", EXIT_PARSE) from exc
-    geometry = _geometry_from_args(args, config, train)
-    alpha = _resolve(args, config, "alpha", cast=float)
+def cmd_decimation(args) -> int:
+    _require(args, "input", "omega")
+    train, geometry = _train_and_geometry(args)
 
     try:
-        admissible = admissible_lambdas(train.nodes, geometry, omega, alpha)
+        admissible = admissible_lambdas(train.nodes, geometry, args.omega, args.alpha)
     except SpikesrError as exc:
         raise CliError(str(exc), EXIT_ESTIMATOR) from exc
     except ValueError as exc:
@@ -380,81 +351,73 @@ def cmd_decimation(args, config: dict) -> int:
     except SpikesrError as exc:
         raise CliError(str(exc), EXIT_ESTIMATOR) from exc
 
-    run_config = RunConfig(
-        subcommand="decimation",
-        params={
-            "input": path,
-            "p": geometry.p,
-            "kappa": geometry.kappa,
-            "extent": geometry.h,
-            "omega": omega,
-            "alpha": alpha,
-        },
-        seed=None,
-        output=_resolve(args, config, "output"),
-        fmt="json",
-    )
-    _write_json_report(
-        run_config,
-        {
-            "admissible": admissible.to_json_dict(),
-            "sample_rate": sample_rate,
-            "bounds": bounds.to_json_dict(),
-        },
-    )
+    params = {**_cluster_params(args, geometry), "omega": args.omega, "alpha": args.alpha}
+    body = {
+        "admissible": admissible.to_json_dict(),
+        "sample_rate": sample_rate,
+        "bounds": bounds.to_json_dict(),
+    }
+    _write_json_report(args, params, body)
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser.  Each subcommand records the Action of every option a
+    config file may set in its `options` default, next to its `handler`."""
     parser = argparse.ArgumentParser(
         prog="spikesr",
         description="Super-resolution of clustered spike trains",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
+    def command(name, handler, help_text):
+        """Add a subcommand; returns the function that declares its options."""
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="config file (key=value lines or JSON object)")
-        sp.add_argument("--output", "-o", help="output file path")
+        options = []
+        sp.set_defaults(handler=handler, options=options)
 
-    sp = sub.add_parser("recover", help="Matrix Pencil recovery from a samples file")
-    common(sp)
-    sp.add_argument("--input", "-i", help="SpectralSamples JSON file")
-    sp.add_argument("--order", "-d", type=int, help="model order d")
-    sp.add_argument("--pencil", "-L", type=int, help="pencil parameter (default ceil(N/2))")
+        def option(*flags, **kwargs):
+            options.append(sp.add_argument(*flags, **kwargs))
 
-    sp = sub.add_parser("experiment", help="amplification or phase-transition sweep")
-    common(sp)
-    sp.add_argument("--seed", type=int, help="base random seed (default 0)")
-    sp.add_argument("--kind", choices=["amplification", "phase"])
-    sp.add_argument("-p", type=int, help="cluster size")
-    sp.add_argument("-d", type=int, help="total node count")
-    sp.add_argument("--trials", type=int, help="number of trials (default 500)")
-    sp.add_argument("--scheme", choices=["S1", "S2"], help="perturbation scheme (default S1)")
-    sp.add_argument("--h-range", dest="h_range", help="lo,hi cluster extents")
-    sp.add_argument("--n-range", dest="n_range", help="lo,hi sample counts")
-    sp.add_argument("--eps-range", dest="eps_range", help="lo,hi noise levels")
-    sp.add_argument("--node-index", dest="node_index", type=int,
-                    help="track a single node's success (1-based, phase only)")
-    sp.add_argument("--format", choices=["csv", "jsonl"], help="output format (default csv)")
+        option("--output", "-o", help="output file path")
+        return option
 
-    sp = sub.add_parser("worstcase", help="worst-case cluster perturbation report")
-    common(sp)
-    sp.add_argument("--input", "-i", help="SpikeTrain JSON file")
-    sp.add_argument("-p", type=int, help="cluster size")
-    sp.add_argument("--kappa", type=int, help="1-based index of the first cluster node")
-    sp.add_argument("--extent", type=float, help="cluster extent (default: measured)")
-    sp.add_argument("--epsilon", type=float, help="perturbation level")
-    sp.add_argument("--omega", type=float, help="bandwidth for the deviation check")
-    sp.add_argument("--grid-points", dest="grid_points", type=int)
+    def cluster_options(option):
+        option("--input", "-i", help="SpikeTrain JSON file")
+        option("-p", type=int, help="cluster size")
+        option("--kappa", type=int, help="1-based index of the first cluster node")
+        option("--extent", type=float, help="cluster extent (default: measured)")
 
-    sp = sub.add_parser("decimation", help="admissible blowup factors and bounds")
-    common(sp)
-    sp.add_argument("--input", "-i", help="SpikeTrain JSON file")
-    sp.add_argument("-p", type=int, help="cluster size")
-    sp.add_argument("--kappa", type=int, help="1-based index of the first cluster node")
-    sp.add_argument("--extent", type=float, help="cluster extent (default: measured)")
-    sp.add_argument("--omega", type=float, help="bandwidth")
-    sp.add_argument("--alpha", type=float, help="angular threshold (default 1/d^2)")
+    option = command("recover", cmd_recover, "Matrix Pencil recovery from a samples file")
+    option("--input", "-i", help="SpectralSamples JSON file")
+    option("--order", "-d", type=int, help="model order d")
+    option("--pencil", "-L", type=int, help="pencil parameter (default ceil(N/2))")
+
+    option = command("experiment", cmd_experiment, "amplification or phase-transition sweep")
+    option("--seed", type=int, help="base random seed (default 0)")
+    option("--kind", choices=["amplification", "phase"])
+    option("-p", type=int, help="cluster size")
+    option("-d", type=int, help="total node count")
+    option("--trials", type=int, help="number of trials (default 500)")
+    option("--scheme", choices=["S1", "S2"], help="perturbation scheme (default S1)")
+    option("--h-range", dest="h_range", type=_parse_range, help="lo,hi cluster extents")
+    option("--n-range", dest="n_range", type=_parse_range, help="lo,hi sample counts")
+    option("--eps-range", dest="eps_range", type=_parse_range, help="lo,hi noise levels")
+    option("--node-index", dest="node_index", type=int,
+           help="track a single node's success (1-based, phase only)")
+    option("--format", choices=["csv", "jsonl"], help="output format (default csv)")
+
+    option = command("worstcase", cmd_worstcase, "worst-case cluster perturbation report")
+    cluster_options(option)
+    option("--epsilon", type=float, help="perturbation level")
+    option("--omega", type=float, help="bandwidth for the deviation check")
+    option("--grid-points", dest="grid_points", type=int)
+
+    option = command("decimation", cmd_decimation, "admissible blowup factors and bounds")
+    cluster_options(option)
+    option("--omega", type=float, help="bandwidth")
+    option("--alpha", type=float, help="angular threshold (default 1/d^2)")
 
     sub.add_parser("version", help="print the package version")
     return parser
@@ -462,19 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "version":
-        print(f"spikesr {__version__}")
-        return 0
     try:
-        config = _load_config_file(args.config) if args.config else {}
-        handler = {
-            "recover": cmd_recover,
-            "experiment": cmd_experiment,
-            "worstcase": cmd_worstcase,
-            "decimation": cmd_decimation,
-        }[args.subcommand]
-        return handler(args, config)
+        args = parser.parse_args(argv)
+        if args.subcommand == "version":
+            print(f"spikesr {__version__}")
+            return 0
+        if args.config:
+            _fill_from_config(args, _load_config_file(args.config))
+        return args.handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

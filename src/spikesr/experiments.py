@@ -275,6 +275,8 @@ def amplification_sweep(
     if trials < 1:
         raise ValueError("need at least one trial")
     log_h, log_n, log_eps = map(_log_bounds, (h_range, n_range, eps_range))
+    if h_range[1] >= math.pi:
+        raise ValueError("cluster extent must be below pi")
     records = []
     for t in range(trials):
         rng = np.random.default_rng([base_seed, t])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spikesr import cli
-from spikesr.cli import main
+from spikesr.cli import build_parser, main
 from spikesr.experiments import PhaseBoundaryFit
 
 
@@ -267,6 +267,7 @@ def test_decimation_bad_parameters_exit_2(tmp_path, capsys, flags, message):
         (["--eps-range", "1e-9,inf"], "range bounds must be finite"),
         (["-p", "1"], "cluster size p must satisfy 2 <= p <= d"),
         (["-d", "1"], "cluster size p must satisfy 2 <= p <= d"),
+        (["--h-range", "1e-3,3.2"], "cluster extent must be below pi"),
     ],
 )
 @pytest.mark.parametrize("kind", ["amplification", "phase"])
@@ -410,3 +411,117 @@ def test_experiment_node_index_reaches_phase_sweep(tmp_path, capsys, monkeypatch
     assert main(argv) == 0
     assert seen == [3]
     assert json.loads(out.read_text())["config"]["params"]["node_index"] == 3
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("p", 2.7),
+        ("p", True),
+        ("trials", 2.5),
+        ("seed", 1.5),
+        ("node_index", 2.5),
+        ("scheme", ["S2"]),  # only a range option takes a list
+    ],
+)
+def test_experiment_config_value_its_flag_rejects_exits_2(tmp_path, capsys, key, value):
+    config = {"kind": "amplification", "p": 2, "d": 3, "trials": 2, key: value}
+    if key == "node_index":
+        # two phase trials end in a degenerate fit (exit 4), 200 do not
+        config.update(kind="phase", trials=200)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    assert main(["experiment", "--config", str(cfg), "-o", str(out)]) == 2
+    assert f"bad value for {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["recover", "experiment", "worstcase", "decimation"])
+def test_unwritable_output_exits_2(pair_samples_file, tmp_path, capsys, subcommand):
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps({"amplitudes": [[1, 0], [-1, 0], [1, 0]], "nodes": [0.0, 0.01, 0.3]}))
+    argv = {
+        "recover": ["-i", str(pair_samples_file), "-d", "2"],
+        "experiment": ["--kind", "amplification", "-p", "2", "-d", "3", "--trials", "1"],
+        "worstcase": ["-i", str(train), "-p", "2", "--epsilon", "1e-9"],
+        "decimation": ["-i", str(train), "-p", "2", "--omega", "100"],
+    }[subcommand]
+    out = tmp_path / "missing-dir" / "out.txt"
+    assert main([subcommand, *argv, "-o", str(out)]) == 2
+    assert "error: cannot write output file" in capsys.readouterr().err
+
+
+def _one_value_per_option(tmp_path, samples_file):
+    """One valid value for every option of every subcommand, keyed by config
+    key, as (flag, value); a range value is a [lo, hi] list."""
+    train = tmp_path / "train.json"
+    train.write_text(
+        json.dumps({"amplitudes": [[1, 0], [-1, 0], [1, 0], [-1, 0]], "nodes": [0.0, 0.01, 0.3, 0.6]})
+    )
+    cluster = {
+        "input": ("-i", str(train)),
+        "p": ("-p", 2),
+        "kappa": ("--kappa", 1),
+        "extent": ("--extent", 0.02),
+    }
+    return {
+        "recover": {"input": ("-i", str(samples_file)), "order": ("-d", 2), "pencil": ("-L", 2)},
+        "experiment": {
+            "seed": ("--seed", 5),
+            "kind": ("--kind", "phase"),
+            "p": ("-p", 2),
+            "d": ("-d", 3),
+            "trials": ("--trials", 7),
+            "scheme": ("--scheme", "S2"),
+            "h_range": ("--h-range", [1e-3, 2.5e-2]),
+            "n_range": ("--n-range", [40, 60]),
+            "eps_range": ("--eps-range", [1e-9, 1e-5]),
+            "node_index": ("--node-index", 2),
+            "format": ("--format", "jsonl"),
+        },
+        "worstcase": {
+            **cluster,
+            "epsilon": ("--epsilon", 1e-9),
+            "omega": ("--omega", 50.0),
+            "grid_points": ("--grid-points", 101),
+        },
+        "decimation": {**cluster, "omega": ("--omega", 100.0), "alpha": ("--alpha", 0.05)},
+    }
+
+
+def _flag_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize("subcommand", ["recover", "experiment", "worstcase", "decimation"])
+def test_flag_and_config_values_embed_the_same_config(
+    pair_samples_file, tmp_path, monkeypatch, subcommand
+):
+    monkeypatch.setattr(
+        cli, "phase_transition_sweep", lambda *args: ([], PhaseBoundaryFit(-3.0, 0.0, 1, 1))
+    )
+    out = tmp_path / "out.txt"
+    values = {
+        "output": ("-o", str(out)),
+        **_one_value_per_option(tmp_path, pair_samples_file)[subcommand],
+    }
+    declared = [a.dest for a in build_parser().parse_args([subcommand]).options]
+    assert sorted(declared) == sorted(values)
+
+    def embedded_config(argv):
+        assert main([subcommand, *argv]) == 0
+        text = out.read_text()
+        config = json.loads(text.splitlines()[0] if subcommand == "experiment" else text)
+        out.unlink()
+        return {k: v for k, v in config["config"].items() if k != "timestamp"}
+
+    key_value = tmp_path / "run.cfg"
+    json_config = tmp_path / "run.json"
+    for key, (flag, value) in values.items():
+        others = [tok for k, (f, v) in values.items() if k != key for tok in (f, _flag_text(v))]
+        key_value.write_text(f"{key}={_flag_text(value)}\n")
+        json_config.write_text(json.dumps({key: value}))
+        by_flag = embedded_config([*others, flag, _flag_text(value)])
+        assert embedded_config([*others, "--config", str(key_value)]) == by_flag, key
+        assert embedded_config([*others, "--config", str(json_config)]) == by_flag, key

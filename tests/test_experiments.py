@@ -464,3 +464,15 @@ def test_sweep_rejects_infinite_ranges_before_any_trial(monkeypatch, ranges):
     with pytest.raises(ValueError, match="range bounds must be finite"):
         amplification_sweep(2, 4, **args, trials=3, scheme="S1", base_seed=0)
     assert calls == []
+
+
+@pytest.mark.parametrize("h_hi", [math.pi, 3.2])
+@pytest.mark.parametrize("trials", [3, 300])
+def test_sweep_rejects_h_range_at_or_above_pi_before_any_trial(monkeypatch, h_hi, trials):
+    # a draw at or above pi used to fail mid-sweep, so the outcome hung on the seed
+    calls = []
+    monkeypatch.setattr(experiments, "single_experiment", lambda *args: calls.append(args))
+    args = {**DEFAULT_AMPLIFICATION_RANGES, "h_range": (1e-3, h_hi)}
+    with pytest.raises(ValueError, match="cluster extent must be below pi"):
+        amplification_sweep(2, 3, **args, trials=trials, scheme="S1", base_seed=0)
+    assert calls == []
