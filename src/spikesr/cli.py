@@ -6,18 +6,20 @@ cluster perturbation report), decimation (admissible blowup factors and
 conditioning bounds), version.
 
 Every option can come from a config file (flat key=value lines or a JSON
-object); explicit flags win over the config file, which wins over defaults.
-A config value goes through its flag's own type and choices, so it is
-converted and checked exactly as the flag would be.  The experiment seed
-defaults to 0 and the resolved configuration is embedded in every output, so
-runs are reproducible byte for byte apart from one timestamp line.  The other
-subcommands draw no random numbers and record a null seed.
+object) whose keys must name options of the subcommand; explicit flags win
+over the config file, which wins over defaults.  A config value goes through
+its flag's own type and choices, so it is converted and checked exactly as
+the flag would be.  The experiment seed defaults to 0 and the resolved
+configuration is embedded in every output, so runs are reproducible byte for
+byte apart from one timestamp line.  The other subcommands draw no random
+numbers and record a null seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -92,10 +94,13 @@ def _fill_from_config(args, config: dict) -> None:
     The value goes through the option's own type and choices: a scalar as its
     text, so a JSON 2.7 or true fails an int option exactly as `-p 2.7` does,
     and a JSON list only into a range option.  A JSON null counts as unset.
+    A key that names no option of the subcommand is an error.
     """
-    for action in args.options:
-        key = action.dest
-        value = config.get(key)
+    declared = {action.dest: action for action in args.options}
+    for key, value in config.items():
+        action = declared.get(key)
+        if action is None:
+            raise CliError(f"unknown config key for {args.subcommand}: {key}", EXIT_PARSE)
         if value is None or getattr(args, key) is not None:
             continue
         is_list = isinstance(value, list)
@@ -136,27 +141,40 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _run_config(args, params: dict, seed: int | None = None, fmt: str = "json") -> dict:
-    """Resolved parameters of one CLI run, embedded in every output."""
+def _run_config(args) -> dict:
+    """Resolved configuration of one CLI run, embedded in every output: the
+    params hold each declared option in declaration order, except output,
+    seed and format, which sit beside them."""
+    params = {action.dest: getattr(args, action.dest) for action in args.options}
+    seed, output, fmt = (params.pop(key, None) for key in ("seed", "output", "format"))
     return {
         "subcommand": args.subcommand,
         "params": params,
         "seed": seed,
-        "output": args.output,
-        "format": fmt,
+        "output": output,
+        "format": fmt or "json",
     }
 
 
-def _write_output(path: str, write) -> None:
+def _write_output(path: str, write, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
             write(fh)
     except OSError as exc:
         raise CliError(f"cannot write output file: {exc}", EXIT_PARSE) from exc
 
 
-def _write_json_report(args, params: dict, body: dict) -> None:
-    payload = {"timestamp": _timestamp(), "config": _run_config(args, params), **body}
+def _check_writable(path: str) -> None:
+    """Fail before any work when the output file cannot be opened for
+    writing; a file the check creates is removed again."""
+    existed = os.path.exists(path)
+    _write_output(path, lambda fh: None, mode="a")
+    if not existed:
+        os.remove(path)
+
+
+def _write_json_report(args, body: dict) -> None:
+    payload = {"timestamp": _timestamp(), "config": _run_config(args), **body}
     text = json.dumps(payload, indent=2) + "\n"
     if args.output:
         _write_output(args.output, lambda fh: fh.write(text))
@@ -168,13 +186,7 @@ def cmd_recover(args) -> int:
     _require(args, "input", "order")
     obj = _read_json_file(args.input)
     try:
-        samples = SpectralSamples.from_json_dict(
-            {
-                "values": obj["values"],
-                "noise_bound": obj.get("noise_bound", 0.0),
-                "actual_noise": obj.get("actual_noise", 0.0),
-            }
-        )
+        samples = SpectralSamples.from_json_dict({"noise_bound": 0.0, "actual_noise": 0.0, **obj})
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad samples file: {exc}", EXIT_PARSE) from exc
 
@@ -185,8 +197,8 @@ def cmd_recover(args) -> int:
     except ValueError as exc:
         raise CliError(f"bad recovery input: {exc}", EXIT_PARSE) from exc
 
-    params = {"input": args.input, "order": args.order, "pencil": result.pencil_param}
-    _write_json_report(args, params, result.to_json_dict())
+    args.pencil = result.pencil_param
+    _write_json_report(args, result.to_json_dict())
     return 0
 
 
@@ -222,6 +234,8 @@ def cmd_experiment(args) -> int:
         args, trials=500, scheme="S1", seed=0, format="csv",
         **{key: _parse_range(bounds) for key, bounds in ranges.items()},
     )
+    if args.output:
+        _check_writable(args.output)
     sweep_args = (
         args.p, args.d, args.h_range, args.n_range, args.eps_range,
         args.trials, args.scheme, args.seed,
@@ -238,19 +252,7 @@ def cmd_experiment(args) -> int:
     except ValueError as exc:
         raise CliError(f"bad experiment input: {exc}", EXIT_PARSE) from exc
 
-    params = {
-        "kind": args.kind,
-        "p": args.p,
-        "d": args.d,
-        "h_range": list(args.h_range),
-        "n_range": list(args.n_range),
-        "eps_range": list(args.eps_range),
-        "trials": args.trials,
-        "scheme": args.scheme,
-        "node_index": args.node_index,
-    }
-    meta = _run_config(args, params, args.seed, args.format)
-    meta["timestamp"] = _timestamp()
+    meta = {**_run_config(args), "timestamp": _timestamp()}
     if args.output:
         write = write_records_jsonl if args.format == "jsonl" else write_records_csv
         _write_output(args.output, lambda fh: write(records, fh, meta))
@@ -267,7 +269,8 @@ def cmd_experiment(args) -> int:
 
 def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
     """The spike train of --input and the cluster that -p, --kappa and
-    --extent pick out of it."""
+    --extent pick out of it.  The kappa and extent in use are written back to
+    args."""
     obj = _read_json_file(args.input)
     try:
         train = SpikeTrain.from_json_dict(obj)
@@ -276,18 +279,16 @@ def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
     p = args.p
     if p is None:
         raise CliError("need -p (cluster size)", EXIT_PARSE)
-    kappa = 1 if args.kappa is None else args.kappa
-    lo = kappa - 1
+    _set_defaults(args, kappa=1)
+    lo = args.kappa - 1
     if not (p >= 2 and 0 <= lo and lo + p <= train.d):
         raise CliError(
             "cluster indices fall outside the signal (need p >= 2)", EXIT_PARSE
         )
     cluster = train.nodes[lo : lo + p]
+    _set_defaults(args, extent=float(cluster[-1] - cluster[0]))
     extent = args.extent
-    if extent is None:
-        extent = float(cluster[-1] - cluster[0])
-    span = float(train.nodes[-1] - train.nodes[0]) if train.d > 1 else extent
-    T = max(span, extent)
+    T = max(float(train.nodes[-1] - train.nodes[0]), extent)
     gaps = np.diff(cluster)
     tau = float(gaps.min() / extent) if extent > 0 else 1.0
     try:
@@ -297,16 +298,12 @@ def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
             h=extent,
             T=T,
             tau=min(1.0, tau),
-            eta=min(1.0, extent / T) if T > 0 else 1.0,
-            kappa=kappa,
+            eta=min(1.0, extent / T),
+            kappa=args.kappa,
         )
     except ValueError as exc:
         raise CliError(f"bad cluster geometry: {exc}", EXIT_PARSE) from exc
     return train, geometry
-
-
-def _cluster_params(args, geometry: ClusterGeometry) -> dict:
-    return {"input": args.input, "p": geometry.p, "kappa": geometry.kappa, "extent": geometry.h}
 
 
 def cmd_worstcase(args) -> int:
@@ -321,13 +318,7 @@ def cmd_worstcase(args) -> int:
     except ValueError as exc:
         raise CliError(f"bad worst-case input: {exc}", EXIT_PARSE) from exc
 
-    params = {
-        **_cluster_params(args, geometry),
-        "epsilon": args.epsilon,
-        "omega": args.omega,
-        "grid_points": args.grid_points,
-    }
-    _write_json_report(args, params, report.to_json_dict())
+    _write_json_report(args, report.to_json_dict())
     return 0
 
 
@@ -351,13 +342,12 @@ def cmd_decimation(args) -> int:
     except SpikesrError as exc:
         raise CliError(str(exc), EXIT_ESTIMATOR) from exc
 
-    params = {**_cluster_params(args, geometry), "omega": args.omega, "alpha": args.alpha}
     body = {
         "admissible": admissible.to_json_dict(),
         "sample_rate": sample_rate,
         "bounds": bounds.to_json_dict(),
     }
-    _write_json_report(args, params, body)
+    _write_json_report(args, body)
     return 0
 
 

@@ -280,8 +280,6 @@ def admissible_lambdas(
     lo = omega / (2.0 * (2 * d - 1))
     hi = omega / (2 * d - 1)
     starts, ends = _sigma_pieces(seps, alpha, lo, hi)
-    if starts.size == 0:
-        return IntervalSet([(lo, hi)])
     starts, ends = _merge(starts - pad, ends + pad)
     starts, ends = np.maximum(starts, lo), np.minimum(ends, hi)
     keep = starts < ends

@@ -23,9 +23,10 @@ from .errors import (
     InsufficientDataError,
     SpikesrError,
 )
-from .matrix_pencil import default_pencil_param, mp_recover
+from .matrix_pencil import mp_recover
 from .signal import (
     ClusterGeometry,
+    SpectralSamples,
     SpikeTrain,
     clean_spectrum,
     make_clustered_nodes,
@@ -197,11 +198,11 @@ def single_experiment(
             perturbed = worst_case_signal(
                 train, norm_geometry, epsilon, omega=1.0, grid_points=3
             ).perturbed
-            samples = sample_spectrum(perturbed, n_samples, 0.0, seed)
+            samples = SpectralSamples(clean_spectrum(perturbed, n_samples), 0.0, 0.0)
             eps0 = float(
                 np.abs(clean_spectrum(train, n_samples) - samples.values).max()
             )
-        result = mp_recover(samples, d, default_pencil_param(n_samples))
+        result = mp_recover(samples, d)
     except SpikesrError as exc:
         # a worst-case failure leaves eps0 NaN; an estimator failure keeps it
         failure = str(exc)

@@ -57,15 +57,8 @@ class RecoveryResult:
         }
 
 
-def _sample_values(samples) -> np.ndarray:
-    if isinstance(samples, SpectralSamples):
-        return samples.values
-    return np.atleast_1d(np.asarray(samples, dtype=complex))
-
-
-def build_hankel(samples, pencil_param: int) -> np.ndarray:
+def build_hankel(values: np.ndarray, pencil_param: int) -> np.ndarray:
     """(L+1) x (N-L) Hankel matrix H[i, j] = values[i + j]."""
-    values = _sample_values(samples)
     n = len(values)
     if not 1 <= pencil_param <= n - 1:
         raise ValueError(f"pencil parameter must lie in [1, {n - 1}]")
@@ -81,7 +74,7 @@ def default_pencil_param(count: int) -> int:
 
 
 def mp_recover(
-    samples,
+    samples: SpectralSamples,
     d: int,
     pencil_param: Optional[int] = None,
 ) -> RecoveryResult:
@@ -97,7 +90,7 @@ def mp_recover(
     matrix falls under 1e-13 times its largest one, and EigenFailureError
     when the shift solve fails or yields coincident nodes.
     """
-    values = _sample_values(samples)
+    values = samples.values
     if not np.isfinite(values).all():
         raise ValueError("samples must be finite")
     n = len(values)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystemError, RepeatedRootsError
-from .signal import _complex_to_json
+from .signal import _complex_to_json, _frozen_1d
 
 __all__ = [
     "PronySolution",
@@ -31,12 +31,10 @@ class PronySolution:
     nodes: np.ndarray
 
     def __post_init__(self):
-        amps = np.atleast_1d(np.asarray(self.amplitudes, dtype=complex)).copy()
-        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=complex)).copy()
+        amps = _frozen_1d(self.amplitudes, complex)
+        nodes = _frozen_1d(self.nodes, complex)
         if len(amps) != len(nodes) or len(nodes) == 0:
             raise ValueError("amplitudes and nodes must be nonempty and of equal length")
-        amps.flags.writeable = False
-        nodes.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "nodes", nodes)
 

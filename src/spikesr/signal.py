@@ -184,12 +184,6 @@ def sample_spectrum(
     if noise_bound < 0:
         raise ValueError("noise_bound must be nonnegative")
     clean = clean_spectrum(train, count)
-    if noise_bound == 0:
-        return SpectralSamples(
-            values=clean,
-            noise_bound=float(noise_bound),
-            actual_noise=0.0,
-        )
     rng = np.random.default_rng(rng_seed)
     radius = rng.uniform(0.0, noise_bound, count)
     theta = rng.uniform(0.0, 2.0 * np.pi, count)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,8 +37,8 @@ _IMAG_TOL = 1e-9
 
 
 class _Construction(NamedTuple):
-    """Intermediates of one worst-case construction at epsilon > 0, kept for
-    the report's diagnostics."""
+    """Intermediates of one worst-case construction, kept for the report's
+    diagnostics.  At epsilon = 0 the new cluster is the source cluster."""
 
     source: SpikeTrain
     omega: float
@@ -60,13 +60,13 @@ class WorstCaseReport:
     maxima over the cluster; spectral_deviation is the maximum transform
     difference over a frequency grid.  These five diagnostics are computed on
     first read from the construction's intermediates and then cached, so a
-    caller that needs only the perturbed signal never pays for them.  A report
-    without a construction is the identity report of epsilon = 0, whose
-    diagnostics are all zero.
+    caller that needs only the perturbed signal never pays for them.  At
+    epsilon = 0 the construction is the identity and every diagnostic reads
+    exactly zero.
     """
 
     perturbed: SpikeTrain
-    _construction: Optional[_Construction] = field(default=None, repr=False)
+    _construction: _Construction = field(repr=False)
 
     @cached_property
     def _new_moments(self) -> np.ndarray:
@@ -76,36 +76,26 @@ class WorstCaseReport:
     @cached_property
     def moment_match_error(self) -> float:
         c = self._construction
-        if c is None:
-            return 0.0
         return float(np.abs(self._new_moments[:-1] - c.moments[:-1]).max())
 
     @cached_property
     def last_moment_delta(self) -> float:
         c = self._construction
-        if c is None:
-            return 0.0
         return float(self._new_moments[-1] - c.moments[-1])
 
     @cached_property
     def node_displacement(self) -> float:
         c = self._construction
-        if c is None:
-            return 0.0
         return float(np.abs(c.new_nodes - c.centered).max())
 
     @cached_property
     def amplitude_displacement(self) -> float:
         c = self._construction
-        if c is None:
-            return 0.0
         return float(np.abs(c.new_amplitudes - c.amplitudes).max())
 
     @cached_property
     def spectral_deviation(self) -> float:
         c = self._construction
-        if c is None:
-            return 0.0
         return verify_spectral_deviation(
             c.source, self.perturbed, c.omega, c.grid_points
         )
@@ -148,15 +138,17 @@ def worst_case_signal(
     system).  Steps: center the cluster at the midpoint of its extreme nodes,
     compute its first 2p power moments, add epsilon to the last one, re-solve
     the moment system of order p, and splice the perturbed cluster back while
-    leaving the non-cluster part untouched.
+    leaving the non-cluster part untouched.  At epsilon = 0 the perturbed
+    signal is the source itself.
 
     Raises EpsilonTooLargeError when the perturbed system has complex or
     coincident nodes (imaginary parts above, or gaps at most, 1e-9 times the
     node scale), or when the displaced cluster would break the global node
     ordering.
 
-    The spectral deviation in the report is measured on [-omega, omega] with
-    omega defaulting to 1/h; a given omega must be finite and positive.
+    The spectral deviation in the report is measured on grid_points >= 2
+    equispaced points of [-omega, omega] with omega defaulting to 1/h; a
+    given omega must be finite and positive.
     """
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -175,15 +167,17 @@ def worst_case_signal(
         raise ValueError("cluster amplitudes must be real")
     amps_c = cluster_amps.real.astype(float)
     nodes_c = train.nodes[sl]
-
-    if epsilon == 0:
-        return WorstCaseReport(perturbed=train)
     if grid_points < 2:
         raise ValueError("need at least two grid points")
 
     center = 0.5 * (nodes_c[0] + nodes_c[-1])
     centered = nodes_c - center
     g = prony_map(amps_c, centered, 2 * p).real
+    if epsilon == 0:
+        return WorstCaseReport(
+            train,
+            _Construction(train, omega_eff, grid_points, g, centered, amps_c, centered, amps_c),
+        )
     g_bumped = g.copy()
     g_bumped[2 * p - 1] += epsilon
 
@@ -216,15 +210,9 @@ def worst_case_signal(
     perturbed = SpikeTrain(amplitudes=spliced_amps, nodes=spliced_nodes)
 
     return WorstCaseReport(
-        perturbed=perturbed,
-        _construction=_Construction(
-            train, omega_eff, grid_points, g, centered, amps_c, new_nodes, new_amps
-        ),
+        perturbed,
+        _Construction(train, omega_eff, grid_points, g, centered, amps_c, new_nodes, new_amps),
     )
-
-
-def _alternating_amplitudes(d: int) -> np.ndarray:
-    return np.array([(-1.0) ** j for j in range(d)])
 
 
 def displacement_scaling_probe(
@@ -232,15 +220,15 @@ def displacement_scaling_probe(
     d: int,
     h_values: Sequence[float],
     omega: float,
-    epsilon_rule: Callable[[float], float] | float = 0.02,
+    epsilon_coeff: float = 0.02,
 ) -> list[tuple[float, float, float]]:
     """Displacement amplification of the worst-case construction across cluster sizes.
 
     For each h the centered cluster is blown up by omega (p equispaced nodes
     spanning omega*h, alternating unit amplitudes; any extra d-p nodes sit far
     to the right and stay untouched) and perturbed with
-    epsilon = epsilon_rule(h), which defaults to c (omega tau h)^{2p-1} with a
-    small constant c to stay inside the solvable regime.
+    epsilon = epsilon_coeff (omega tau h)^{2p-1}, whose small default
+    coefficient stays inside the solvable regime.
 
     Returns one (srf, node_displacement/epsilon, amplitude_displacement/epsilon)
     row per h, where srf = 1/(omega tau h).  On a log-log scale the node column
@@ -249,14 +237,6 @@ def displacement_scaling_probe(
     if d < p:
         raise ValueError("d must be at least p")
     tau = 1.0 / (p - 1)
-    if callable(epsilon_rule):
-        rule = epsilon_rule
-    else:
-        coeff = float(epsilon_rule)
-
-        def rule(h: float) -> float:
-            return coeff * (omega * tau * h) ** (2 * p - 1)
-
     rows = []
     for h in h_values:
         extent = omega * h
@@ -264,12 +244,12 @@ def displacement_scaling_probe(
         cluster = -extent / 2.0 + gap * np.arange(p)
         spectators = extent / 2.0 + (1.0 + extent) * np.arange(1, d - p + 1)
         nodes = np.concatenate([cluster, spectators])
-        train = SpikeTrain(amplitudes=_alternating_amplitudes(d), nodes=nodes)
+        train = SpikeTrain(amplitudes=(-1.0) ** np.arange(d), nodes=nodes)
         span = max(nodes[-1] - nodes[0], extent)
         geometry = ClusterGeometry(
             p=p, d=d, h=extent, T=span, tau=tau, eta=min(1.0, extent / span), kappa=1
         )
-        eps = rule(h)
+        eps = epsilon_coeff * (omega * tau * h) ** (2 * p - 1)
         report = worst_case_signal(train, geometry, eps, omega=1.0, grid_points=3)
         srf = 1.0 / (omega * tau * h)
         rows.append(

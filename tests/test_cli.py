@@ -6,6 +6,7 @@ import pytest
 
 from spikesr import cli
 from spikesr.cli import build_parser, main
+from spikesr.errors import DegenerateFitError
 from spikesr.experiments import PhaseBoundaryFit
 
 
@@ -525,3 +526,94 @@ def test_flag_and_config_values_embed_the_same_config(
         by_flag = embedded_config([*others, flag, _flag_text(value)])
         assert embedded_config([*others, "--config", str(key_value)]) == by_flag, key
         assert embedded_config([*others, "--config", str(json_config)]) == by_flag, key
+
+
+@pytest.mark.parametrize("subcommand", ["recover", "experiment", "worstcase", "decimation"])
+def test_recorded_params_are_the_declared_options(
+    pair_samples_file, tmp_path, monkeypatch, subcommand
+):
+    monkeypatch.setattr(
+        cli, "phase_transition_sweep", lambda *args: ([], PhaseBoundaryFit(-3.0, 0.0, 1, 1))
+    )
+    recorded = []
+    run_config = cli._run_config
+
+    def spy(args):
+        recorded.append(run_config(args))
+        return recorded[-1]
+
+    monkeypatch.setattr(cli, "_run_config", spy)
+    out = tmp_path / "out.txt"
+    values = _one_value_per_option(tmp_path, pair_samples_file)[subcommand]
+    argv = [tok for flag, value in values.values() for tok in (flag, _flag_text(value))]
+    assert main([subcommand, *argv, "-o", str(out)]) == 0
+    declared = [a.dest for a in build_parser().parse_args([subcommand]).options]
+    expected = [key for key in declared if key not in ("output", "seed", "format")]
+    assert [list(config["params"]) for config in recorded] == [expected]
+    if subcommand != "experiment":
+        assert list(json.loads(out.read_text())["config"]["params"]) == expected
+
+
+@pytest.mark.parametrize(
+    "subcommand, config_text, key",
+    [
+        ("experiment", '{"kind": "amplification", "p": 2, "d": 3, "trails": 3, "seed": 1}', "trails"),
+        ("worstcase", '{"seed": 1}', "seed"),
+        ("experiment", "kind=amplification\np=2\nd=3\nh-range=1e-3,1e-2\n", "h-range"),
+    ],
+)
+def test_unknown_config_key_exits_2(tmp_path, capsys, monkeypatch, subcommand, config_text, key):
+    def no_sweep(*_args):
+        raise AssertionError("sweep ran")
+
+    monkeypatch.setattr(cli, "amplification_sweep", no_sweep)
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps({"amplitudes": [[1, 0], [-1, 0], [1, 0]], "nodes": [0.0, 0.01, 0.3]}))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text)
+    out = tmp_path / "out.txt"
+    argv = {
+        "experiment": [],
+        "worstcase": ["-i", str(train), "-p", "2", "--epsilon", "1e-9"],
+    }[subcommand]
+    assert main([subcommand, *argv, "--config", str(cfg), "-o", str(out)]) == 2
+    assert f"unknown config key for {subcommand}: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_output_checked_before_the_sweep(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "amplification_sweep", lambda *args: calls.append(args) or [])
+    out = tmp_path / "missing-dir" / "x.csv"
+    argv = ["experiment", "--kind", "amplification", "-p", "2", "-d", "3",
+            "--trials", "1500", "-o", str(out)]
+    assert main(argv) == 2
+    assert "error: cannot write output file" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("earlier", [None, "earlier run\n"])
+def test_experiment_failure_leaves_the_output_as_it_was(tmp_path, capsys, monkeypatch, earlier):
+    def degenerate(*_args):
+        raise DegenerateFitError("degenerate fit: all trials share one outcome")
+
+    monkeypatch.setattr(cli, "phase_transition_sweep", degenerate)
+    out = tmp_path / "x.csv"
+    if earlier is not None:
+        out.write_text(earlier)
+    argv = ["experiment", "--kind", "phase", "-p", "2", "-d", "3", "-o", str(out)]
+    assert main(argv) == 4
+    assert "degenerate fit" in capsys.readouterr().err
+    assert (out.read_text() if out.exists() else None) == earlier
+
+
+@pytest.mark.parametrize("epsilon", ["0", "1e-9"])
+def test_worstcase_single_grid_point_exits_2(tmp_path, capsys, epsilon):
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps({"amplitudes": [[1, 0], [-1, 0], [1, 0]], "nodes": [0.0, 0.01, 0.3]}))
+    out = tmp_path / "report.json"
+    argv = ["worstcase", "-i", str(train), "-p", "2", "--epsilon", epsilon,
+            "--grid-points", "1", "-o", str(out)]
+    assert main(argv) == 2
+    assert "need at least two grid points" in capsys.readouterr().err
+    assert not out.exists()

@@ -359,6 +359,19 @@ def test_admissible_full_interval_when_all_nodes_cluster():
     assert lam.intervals == ((100.0 / 6.0, 100.0 / 3.0),)
 
 
+@pytest.mark.parametrize("pad", [0.0, 1e-12])
+def test_admissible_full_interval_when_no_sigma_piece_meets_the_range(pad):
+    # a non-cluster pair, but omega so small that no piece reaches the range
+    nodes = np.array([0.0, 0.001, 0.3])
+    geometry = ClusterGeometry(p=2, d=3, h=0.001, T=0.3, tau=1.0, eta=0.001 / 0.3, kappa=1)
+    for omega in np.linspace(1.0, 5.0, 9):
+        lo, hi = omega / 10, omega / 5
+        starts, _ = _sigma_pieces(np.array([0.299, 0.3]), 1 / 9, lo, hi)
+        assert starts.size == 0
+        got = admissible_lambdas(nodes, geometry, omega, pad=pad)
+        assert got == IntervalSet([(lo, hi)])
+
+
 def test_admissible_set_verifier():
     nodes, geometry = _normalized_cluster(2, 3, 0.001)
     omega = 200.0

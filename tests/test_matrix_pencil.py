@@ -9,7 +9,7 @@ from spikesr.matrix_pencil import (
     default_pencil_param,
     mp_recover,
 )
-from spikesr.signal import SpikeTrain, sample_spectrum
+from spikesr.signal import SpectralSamples, SpikeTrain, sample_spectrum
 
 
 def _circular(a, b):
@@ -136,7 +136,7 @@ def test_eigenvalue_moduli_near_unit_circle_at_small_noise():
     )
     for eps in (1e-8, 1e-6, 1e-4):
         samples = sample_spectrum(train, 32, eps, int(rng.integers(1 << 30)))
-        hankel = build_hankel(samples, default_pencil_param(32))
+        hankel = build_hankel(samples.values, default_pencil_param(32))
         sigma_d = np.linalg.svd(hankel, compute_uv=False)[2]
         delta = samples.actual_noise / sigma_d
         result = mp_recover(samples, 3)
@@ -191,7 +191,7 @@ def test_recover_rejects_non_finite_samples(bad):
     values = sample_spectrum(train, 8, 0.0, 0).values.copy()
     values[3] = bad
     with pytest.raises(ValueError, match="samples must be finite"):
-        mp_recover(values, 2)
+        mp_recover(SpectralSamples(values, 0.0, 0.0), 2)
 
 
 def test_result_json_schema():

@@ -153,7 +153,8 @@ def test_probe_single_row_and_spectators():
 
 def test_probe_propagates_epsilon_too_large():
     with pytest.raises(EpsilonTooLargeError):
-        displacement_scaling_probe(2, 2, [0.1], 1.0, epsilon_rule=lambda h: 1.0)
+        # epsilon = 1e3 (omega tau h)^3 = 1
+        displacement_scaling_probe(2, 2, [0.1], 1.0, epsilon_coeff=1e3)
 
 
 def _reference_report(train, geometry, epsilon, omega=None, grid_points=1001, imag_tol=1e-9):
@@ -252,8 +253,15 @@ def test_lazy_report_matches_eager_reference(p, d):
 
 def test_zero_epsilon_report_diagnostics_are_zero_floats():
     train, geometry = _pair_cluster(0.01)
-    report = worst_case_signal(train, geometry, 0.0, grid_points=1)
+    report = worst_case_signal(train, geometry, 0.0, grid_points=2)
     assert [repr(getattr(report, name)) for name in _DIAGNOSTICS] == ["0.0"] * 5
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-9])
+def test_single_grid_point_rejected_at_every_epsilon(epsilon):
+    train, geometry = _pair_cluster(0.01)
+    with pytest.raises(ValueError, match="at least two grid points"):
+        worst_case_signal(train, geometry, epsilon, grid_points=1)
 
 
 def test_accepted_construction_skips_the_diagnostics(monkeypatch):
