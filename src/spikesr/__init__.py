@@ -70,6 +70,5 @@ from .signal import (
 from .worstcase import (
     WorstCaseReport,
     displacement_scaling_probe,
-    verify_spectral_deviation,
     worst_case_signal,
 )

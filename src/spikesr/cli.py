@@ -270,7 +270,9 @@ def cmd_experiment(args) -> int:
 def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
     """The spike train of --input and the cluster that -p, --kappa and
     --extent pick out of it.  The kappa and extent in use are written back to
-    args."""
+    args.  The extent defaults to the span of the cluster nodes and may fall
+    below it only by the rounding of the node positions, so that the nominal
+    extent of nodes such as 0.3 and 0.301 is accepted."""
     obj = _read_json_file(args.input)
     try:
         train = SpikeTrain.from_json_dict(obj)
@@ -286,8 +288,15 @@ def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
             "cluster indices fall outside the signal (need p >= 2)", EXIT_PARSE
         )
     cluster = train.nodes[lo : lo + p]
-    _set_defaults(args, extent=float(cluster[-1] - cluster[0]))
+    span = float(cluster[-1] - cluster[0])
+    _set_defaults(args, extent=span)
     extent = args.extent
+    if extent < span - 2 * np.spacing(np.abs(cluster).max()):
+        raise CliError(
+            f"bad cluster geometry: extent {extent!r} is below the span {span!r} "
+            "of the cluster nodes",
+            EXIT_PARSE,
+        )
     T = max(float(train.nodes[-1] - train.nodes[0]), extent)
     gaps = np.diff(cluster)
     tau = float(gaps.min() / extent) if extent > 0 else 1.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,7 +43,9 @@ class IntervalSet:
     one stable argsort, and a new component begins wherever a start exceeds
     the running maximum of the ends before it.  Merging only compares and
     copies endpoints, so it is exact.  Degenerate single-point intervals
-    are allowed; reversed intervals and NaN endpoints raise ValueError.
+    are allowed; the constructor raises ValueError for reversed intervals and
+    NaN endpoints.  Sets built inside this module from pieces that are valid
+    by construction skip that check.
     """
 
     __slots__ = ("_starts", "_ends")
@@ -54,11 +56,19 @@ class IntervalSet:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError("intervals must be (start, end) pairs")
-        self._starts, self._ends = _merge(pairs[:, 0], pairs[:, 1])
+        starts, ends = pairs[:, 0], pairs[:, 1]
+        if np.isnan(starts).any() or np.isnan(ends).any():
+            raise ValueError("interval endpoints must not be NaN")
+        reversed_ = np.flatnonzero(ends < starts)
+        if reversed_.size:
+            k = reversed_[0]
+            raise ValueError(f"invalid interval [{starts[k]}, {ends[k]}]")
+        self._starts, self._ends = _merge(starts, ends)
 
     @classmethod
     def _from_endpoints(cls, starts: np.ndarray, ends: np.ndarray) -> "IntervalSet":
-        """Merge of the intervals [starts[i], ends[i]], without a per-pair copy."""
+        """Merge of the intervals [starts[i], ends[i]], which must be ordered
+        and free of NaN, without a per-pair copy."""
         return cls._from_components(*_merge(starts, ends))
 
     @classmethod
@@ -88,15 +98,8 @@ class IntervalSet:
     def __repr__(self) -> str:
         return f"IntervalSet({list(self.intervals)!r})"
 
-    @property
-    def is_empty(self) -> bool:
-        return self._starts.size == 0
-
-    def measure(self) -> float:
-        return float(np.sum(self._ends - self._starts))
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return bool(np.any((self._starts - tol <= x) & (x <= self._ends + tol)))
+    def contains(self, x: float) -> bool:
+        return bool(np.any((self._starts <= x) & (x <= self._ends)))
 
     def __contains__(self, x) -> bool:
         return self.contains(float(x))
@@ -104,20 +107,11 @@ class IntervalSet:
     def to_json_dict(self) -> dict:
         return {"intervals": [[a, b] for a, b in self.intervals]}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "IntervalSet":
-        return cls(obj["intervals"])
-
 
 def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
     """Start and end arrays of the sorted disjoint components of the closed
-    intervals [starts[i], ends[i]]."""
-    if np.isnan(starts).any() or np.isnan(ends).any():
-        raise ValueError("interval endpoints must not be NaN")
-    reversed_ = np.flatnonzero(ends < starts)
-    if reversed_.size:
-        k = reversed_[0]
-        raise ValueError(f"invalid interval [{starts[k]}, {ends[k]}]")
+    intervals [starts[i], ends[i]], which the caller has checked are ordered
+    and free of NaN."""
     if starts.size == 0:
         return starts, ends
     # Intervals with tied starts never split a component: the running maximum
@@ -126,8 +120,40 @@ def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
     starts, reach = starts[order], np.maximum.accumulate(ends[order])
     breaks = np.flatnonzero(starts[1:] > reach[:-1])
     first = np.concatenate(([0], breaks + 1))
-    last = np.append(breaks, starts.size - 1)
+    last = np.concatenate((breaks, [starts.size - 1]))
     return starts[first], reach[last]
+
+
+@lru_cache(maxsize=64)
+def _noncluster_pairs(d: int, kappa: int, p: int) -> np.ndarray:
+    """Read-only d x d mask of the pairs j < k that involve a node outside the
+    cluster of p nodes starting at 1-based index kappa."""
+    in_cluster = np.zeros(d, dtype=bool)
+    in_cluster[kappa - 1 : kappa - 1 + p] = True
+    mask = np.triu(~np.logical_and.outer(in_cluster, in_cluster), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=64)
+def _partner_columns(d: int) -> np.ndarray:
+    """Read-only d x (d-1) index table: row j lists every column but j, in
+    order."""
+    cols = np.broadcast_to(np.arange(d), (d, d))[~np.eye(d, dtype=bool)]
+    cols = cols.reshape(d, d - 1)
+    cols.flags.writeable = False
+    return cols
+
+
+@lru_cache(maxsize=64)
+def _confluent_factors(d: int) -> tuple:
+    """Read-only exponent row 0..2d-1 and derivative factors 1..2d-1 (as a
+    column) of the 2d x 2d confluent Vandermonde."""
+    exponents = np.arange(2 * d)
+    factors = np.arange(1, 2 * d)[:, None]
+    exponents.flags.writeable = False
+    factors.flags.writeable = False
+    return exponents, factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,8 +219,9 @@ def _sigma_pieces(seps: np.ndarray, alpha: float, lo: float, hi: float):
     offsets = np.cumsum(counts) - counts
     ell = first[owner] + (np.arange(owner.size) - offsets[owner])
     center = ell * period[owner]
-    starts = np.maximum(center - half_width[owner], lo)
-    ends = np.minimum(center + half_width[owner], hi)
+    half = half_width[owner]
+    starts = np.maximum(center - half, lo)
+    ends = np.minimum(center + half, hi)
     keep = starts <= ends
     return starts[keep], ends[keep]
 
@@ -274,17 +301,18 @@ def admissible_lambdas(
     gaps = np.abs(np.subtract.outer(x, x))
     if np.count_nonzero(gaps == 0) > d:  # more zeros than the diagonal holds
         raise ValueError("node separation must be positive")
-    in_cluster = np.zeros(d, dtype=bool)
-    in_cluster[geometry.cluster_slice] = True
-    seps = gaps[np.triu(~np.logical_and.outer(in_cluster, in_cluster), 1)]
+    seps = gaps[_noncluster_pairs(d, geometry.kappa, geometry.p)]
     lo = omega / (2.0 * (2 * d - 1))
     hi = omega / (2 * d - 1)
     starts, ends = _sigma_pieces(seps, alpha, lo, hi)
+    # No endpoint check before the merge: _sigma_pieces keeps only pieces with
+    # starts <= ends, which drops NaN and reversed ones, and pad was checked
+    # finite and non-negative above, so the padded pieces stay ordered.
     starts, ends = _merge(starts - pad, ends + pad)
     starts, ends = np.maximum(starts, lo), np.minimum(ends, hi)
     keep = starts < ends
     gap_starts = np.concatenate(([lo], ends[keep]))
-    gap_ends = np.append(starts[keep], hi)
+    gap_ends = np.concatenate((starts[keep], [hi]))
     keep = gap_starts < gap_ends
     if not keep.any():
         raise EmptyAdmissibleSetError(
@@ -302,11 +330,12 @@ def confluent_vandermonde(z) -> np.ndarray:
     """
     w = np.atleast_1d(np.asarray(z, dtype=complex))
     d = len(w)
-    plain = np.power.outer(w, np.arange(2 * d)).T  # 2d x d
+    exponents, factors = _confluent_factors(d)
+    plain = np.power.outer(w, exponents).T  # 2d x d
     out = np.empty((2 * d, 2 * d), dtype=complex)
     out[:, :d] = plain
     out[0, d:] = 0.0
-    out[1:, d:] = np.arange(1, 2 * d)[:, None] * plain[:-1]
+    out[1:, d:] = factors * plain[:-1]
     return out
 
 
@@ -316,23 +345,27 @@ def gautschi_bounds(z) -> JacobianBoundReport:
 
     Delta_j sums the reciprocal gaps from node j, Gamma_j is the squared
     product of (1+|z_l|)/|z_j-z_l| over the other nodes; empty sums and
-    products (d = 1) give 0 and 1.
+    products (d = 1) give 0 and 1.  A scalar z counts as one node.  The
+    partner-column table and the confluent Vandermonde's exponents depend
+    only on d; they are built once per d and shared read-only.
 
-    Raises ValueError for non-finite nodes and NearCoincidentNodesError when
-    two nodes lie closer than 1e-12.
+    Raises ValueError for empty, non-1-D or non-finite nodes and
+    NearCoincidentNodesError when two nodes lie closer than 1e-12.
     """
     w = np.atleast_1d(np.asarray(z, dtype=complex))
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"nodes z must be a non-empty 1-D array, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise ValueError("nodes must be finite")
     d = len(w)
-    off = ~np.eye(d, dtype=bool)
+    cols = _partner_columns(d)
     # Row j lists the gaps from node j to the other nodes, in index order.
-    partner_gaps = np.abs(w[:, None] - w[None, :])[off].reshape(d, d - 1)
+    partner_gaps = np.abs(w[:, None] - w[cols])
     if d > 1 and partner_gaps.min() < _MIN_GAP:
         raise NearCoincidentNodesError("near-coincident nodes: separation below threshold")
 
     modulus = np.abs(w)
-    partner_moduli = np.broadcast_to(modulus, (d, d))[off].reshape(d, d - 1)
+    partner_moduli = modulus[cols]
     delta = np.sum(1.0 / partner_gaps, axis=1)
     gamma = np.prod((1.0 + partner_moduli) / partner_gaps, axis=1) ** 2
     amp_bounds = (1.0 + 2.0 * (1.0 + modulus) * delta) * gamma
@@ -369,9 +402,10 @@ def predicted_condition_numbers(
     srf_gap = omega * geometry.tau * geometry.h
     cluster_node = (1.0 / omega) * srf_gap ** (-2 * p + 2)
     cluster_amp = srf_gap ** (-2 * p + 1)
-    in_cluster = np.zeros(geometry.d, dtype=bool)
-    in_cluster[geometry.cluster_slice] = True
+    cluster = geometry.cluster_slice
     return [
-        (cluster_node, cluster_amp) if in_cluster[j] else (1.0 / omega, 1.0)
+        (cluster_node, cluster_amp)
+        if cluster.start <= j < cluster.stop
+        else (1.0 / omega, 1.0)
         for j in range(geometry.d)
     ]

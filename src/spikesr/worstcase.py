@@ -27,7 +27,6 @@ from .signal import ClusterGeometry, SpikeTrain, fourier_at
 __all__ = [
     "WorstCaseReport",
     "worst_case_signal",
-    "verify_spectral_deviation",
     "displacement_scaling_probe",
 ]
 
@@ -96,7 +95,7 @@ class WorstCaseReport:
     @cached_property
     def spectral_deviation(self) -> float:
         c = self._construction
-        return verify_spectral_deviation(
+        return _spectral_deviation(
             c.source, self.perturbed, c.omega, c.grid_points
         )
 
@@ -111,7 +110,7 @@ class WorstCaseReport:
         }
 
 
-def verify_spectral_deviation(
+def _spectral_deviation(
     original: SpikeTrain,
     perturbed: SpikeTrain,
     omega: float,

@@ -316,6 +316,35 @@ def test_geometry_with_fewer_than_two_cluster_nodes_exits_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["worstcase", "decimation"])
+def test_extent_below_the_cluster_span_exits_2(tmp_path, capsys, subcommand):
+    # Without --extent the measured extent 0.001 fails decimation's cluster
+    # condition at omega 5000; a smaller --extent must not skip that check.
+    train = {"amplitudes": [[1, 0]] * 4, "nodes": [0.0, 0.3, 0.301, 0.6]}
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps(train))
+    out = tmp_path / "r.json"
+    level = {"worstcase": ["--epsilon", "1e-9"], "decimation": []}[subcommand]
+    argv = [subcommand, "-i", str(src), "-p", "2", "--kappa", "2", "--omega", "5000"]
+    assert main([*argv, *level, "--extent", "1e-9", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad cluster geometry") and "below the span" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["worstcase", "decimation"])
+def test_nominal_extent_of_the_cluster_is_accepted(tmp_path, subcommand):
+    # 0.301 - 0.3 rounds to just above 0.001; the nominal extent still passes
+    train = {"amplitudes": [[1, 0]] * 4, "nodes": [0.0, 0.3, 0.301, 0.6]}
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps(train))
+    out = tmp_path / "r.json"
+    level = {"worstcase": ["--epsilon", "1e-9"], "decimation": []}[subcommand]
+    argv = [subcommand, "-i", str(src), "-p", "2", "--kappa", "2", "--omega", "1000"]
+    assert main([*argv, *level, "--extent", "0.001", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["params"]["extent"] == 0.001
+
+
 @pytest.mark.parametrize("epsilon", ["nan", "inf"])
 def test_worstcase_non_finite_epsilon_exits_2(tmp_path, capsys, epsilon):
     train = {"amplitudes": [[1, 0], [-1, 0], [1, 0], [-1, 0]], "nodes": [0.0, 0.01, 0.3, 0.6]}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spikesr import decimation
 from spikesr.decimation import (
     IntervalSet,
     _merge,
@@ -154,7 +155,7 @@ def _reference_gautschi(z):
 def test_interval_set_merges_and_sorts():
     s = IntervalSet([(3, 4), (0, 1), (0.5, 2)])
     assert s.intervals == ((0, 2), (3, 4))
-    assert s.measure() == pytest.approx(3.0)
+    assert sum(b - a for a, b in s) == pytest.approx(3.0)
     assert 1.5 in s and 2.5 not in s
     assert len(s) == 2
 
@@ -190,7 +191,7 @@ def test_merge_by_start_matches_lexsort_with_tied_starts():
 
 def test_interval_set_json_round_trip():
     s = IntervalSet([(0.5, 1.5), (2.0, 2.0)])
-    again = IntervalSet.from_json_dict(s.to_json_dict())
+    again = IntervalSet(s.to_json_dict()["intervals"])
     assert again == s
 
 
@@ -212,7 +213,7 @@ def test_interval_set_constructor_cases(pieces, merged):
     assert len(s) == len(merged)
     assert list(s) == list(merged)
     assert s == IntervalSet(reversed(pieces))
-    assert s.is_empty == (not merged)
+    assert (len(s) == 0) == (not merged)
 
 
 @pytest.mark.parametrize(
@@ -300,9 +301,9 @@ def test_sigma_intervals_membership_matches_direct_evaluation():
                 np.exp(2j * np.pi * lam * delta), 1.0
             )
             if ang < alpha - 1e-9:
-                assert sigma.contains(lam, tol=1e-12)
+                assert any(a - 1e-12 <= lam <= b + 1e-12 for a, b in sigma)
             elif ang > alpha + 1e-9:
-                assert not sigma.contains(lam, tol=-1e-12)
+                assert not any(a + 1e-12 <= lam <= b - 1e-12 for a, b in sigma)
 
 
 def test_sigma_intervals_match_reference_loop():
@@ -376,7 +377,7 @@ def test_admissible_set_verifier():
     nodes, geometry = _normalized_cluster(2, 3, 0.001)
     omega = 200.0
     lam = admissible_lambdas(nodes, geometry, omega)
-    assert not lam.is_empty
+    assert len(lam) > 0
     d = geometry.d
     lo, hi = omega / (2 * (2 * d - 1)), omega / (2 * d - 1)
     rng = np.random.default_rng(3)
@@ -426,7 +427,7 @@ def test_admissible_excluded_measure_bound():
     lam = admissible_lambdas(nodes, geometry, omega)
     lo, hi = omega / (2 * (2 * d - 1)), omega / (2 * d - 1)
     assert hi - lo == pytest.approx(1.0 / eta)
-    excluded = (hi - lo) - lam.measure()
+    excluded = (hi - lo) - sum(b - a for a, b in lam)
     alpha = 1.0 / d**2
     assert excluded <= d**2 * alpha / (2 * eta) + 1e-6
 
@@ -487,6 +488,54 @@ def test_admissible_matches_pair_by_pair_reference(p, d):
         assert empty > 0  # alpha = 0.999 pi excludes every rate
 
 
+def _layout_at(rng, p, d, kappa, h):
+    """Nodes in [0, 1) with a p-node cluster of extent h, evenly spaced, at
+    1-based index kappa; the other nodes are about 1/d apart, jittered."""
+    in_cluster = np.zeros(d, dtype=bool)
+    in_cluster[kappa - 1 : kappa - 1 + p] = True
+    steps = np.where(in_cluster, h / (p - 1), rng.uniform(0.9, 1.1, d) / d)
+    steps[kappa - 1] = rng.uniform(0.9, 1.1) / d  # the step into the cluster
+    nodes = np.cumsum(steps) - steps[0]
+    geometry = ClusterGeometry(
+        p=p, d=d, h=h, T=1.0, tau=1.0 / (p - 1), eta=0.5 / d, kappa=kappa
+    )
+    return nodes, geometry
+
+
+def test_admissible_and_predicted_factors_follow_every_cluster_position():
+    # Layouts that share d but differ in p or kappa run one after another, so a
+    # per-layout table cached under a key missing p or kappa gets reused for
+    # the wrong cluster and the comparison fails.
+    rng = np.random.default_rng(31)
+    layouts = [
+        (d, p, kappa)
+        for d in range(4, 9)
+        for p in (2, 3)
+        for kappa in sorted({1, 2, d - p + 1})
+    ]
+    compared = 0
+    for omega in (60.0, 400.0, 2500.0):
+        for d, p, kappa in layouts:
+            h = rng.uniform(0.3, 0.9) * (2 * d - 1) / 2.0 / omega
+            nodes, geometry = _layout_at(rng, p, d, kappa, h)
+            for alpha in (1.0 / d**2, 1.5):
+                expected = _reference_admissible(nodes, geometry, omega, alpha, 1e-12)
+                if expected is None:
+                    with pytest.raises(EmptyAdmissibleSetError):
+                        admissible_lambdas(nodes, geometry, omega, alpha)
+                else:
+                    got = admissible_lambdas(nodes, geometry, omega, alpha)
+                    assert got.intervals == expected, (d, p, kappa, omega, alpha)
+                    compared += 1
+            srf_gap = omega * geometry.tau * h
+            cluster_factors = ((1.0 / omega) * srf_gap ** (-2 * p + 2), srf_gap ** (-2 * p + 1))
+            assert predicted_condition_numbers(geometry, omega) == [
+                cluster_factors if kappa - 1 <= j < kappa - 1 + p else (1.0 / omega, 1.0)
+                for j in range(d)
+            ]
+    assert compared > len(layouts)
+
+
 def test_admissible_matches_composed_set_operations_on_scan_geometry():
     # The decimation scan's geometry: p=3, d=8, omega geometric in [50, 8000],
     # omega*h in (0.3, 0.9) (2d-1)/2 and alpha log-uniform in [1/d^2, 1.5].
@@ -500,7 +549,7 @@ def test_admissible_matches_composed_set_operations_on_scan_geometry():
         for pad in (0.0, 1e-12):
             expected = _composed_admissible(nodes, geometry, omega, alpha, pad)
             compared += 1
-            if expected.is_empty:
+            if len(expected) == 0:
                 empty += 1
                 with pytest.raises(EmptyAdmissibleSetError):
                     admissible_lambdas(nodes, geometry, omega, alpha, pad)
@@ -751,6 +800,28 @@ def test_gautschi_rejects_non_finite_nodes_before_any_solve(bad, monkeypatch):
     for z in ([1.0, bad], [bad], [bad, 1j, -1.0]):
         with pytest.raises(ValueError, match="nodes must be finite"):
             gautschi_bounds(z)
+
+
+@pytest.mark.parametrize("z", [[], [[1.0, 2.0], [3.0, 4.0]]])
+def test_gautschi_rejects_empty_or_non_1d_nodes_before_any_work(z, monkeypatch):
+    def untouched(*_args):
+        raise AssertionError("per-d table reached")
+
+    monkeypatch.setattr(decimation, "_partner_columns", untouched)
+    monkeypatch.setattr(decimation, "_confluent_factors", untouched)
+    with pytest.raises(ValueError, match="nodes z must be a non-empty 1-D array"):
+        gautschi_bounds(z)
+
+
+def test_per_layout_tables_are_shared_read_only():
+    # one array per layout serves every call, so no caller may write to it
+    tables = (
+        decimation._noncluster_pairs(6, 2, 3),
+        decimation._partner_columns(5),
+        *decimation._confluent_factors(4),
+    )
+    assert all(not table.flags.writeable for table in tables)
+    assert decimation._partner_columns(5) is tables[1]
 
 
 # --------------------------------------------------- predicted scaling shapes

@@ -13,8 +13,8 @@ from spikesr.errors import (
 from spikesr.prony import prony_map, prony_solve
 from spikesr.signal import ClusterGeometry, SpikeTrain, moments
 from spikesr.worstcase import (
+    _spectral_deviation,
     displacement_scaling_probe,
-    verify_spectral_deviation,
     worst_case_signal,
 )
 
@@ -87,9 +87,9 @@ def test_requires_real_cluster_amplitudes():
 
 def test_spectral_deviation_zero_for_identical():
     train, _ = _pair_cluster(0.01)
-    assert verify_spectral_deviation(train, train, 10.0, 100) == 0.0
+    assert _spectral_deviation(train, train, 10.0, 100) == 0.0
     with pytest.raises(ValueError):
-        verify_spectral_deviation(train, train, 10.0, 1)
+        _spectral_deviation(train, train, 10.0, 1)
 
 
 def test_spectral_deviation_modest_at_unit_scale():
@@ -121,7 +121,7 @@ def test_spectral_deviation_of_shift_first_order():
     train = SpikeTrain(amplitudes=[1.5], nodes=[0.2])
     omega, delta = 2.0, 1e-6
     moved = SpikeTrain(amplitudes=train.amplitudes, nodes=train.nodes - delta)
-    deviation = verify_spectral_deviation(train, moved, omega, 2001)
+    deviation = _spectral_deviation(train, moved, omega, 2001)
     assert deviation == pytest.approx(2 * math.pi * omega * delta * 1.5, rel=1e-2)
 
 
@@ -197,7 +197,7 @@ def _reference_report(train, geometry, epsilon, omega=None, grid_points=1001, im
         float(new_moments[2 * p - 1] - g[2 * p - 1]),
         float(np.abs(new_nodes - centered).max()),
         float(np.abs(new_amps - amps_c).max()),
-        verify_spectral_deviation(train, perturbed, omega_eff, grid_points),
+        _spectral_deviation(train, perturbed, omega_eff, grid_points),
     )
 
 
@@ -267,7 +267,7 @@ def test_single_grid_point_rejected_at_every_epsilon(epsilon):
 def test_accepted_construction_skips_the_diagnostics(monkeypatch):
     calls = []
     monkeypatch.setattr(
-        worstcase, "verify_spectral_deviation", lambda *args: calls.append(args) or 0.5
+        worstcase, "_spectral_deviation", lambda *args: calls.append(args) or 0.5
     )
     train, geometry = _pair_cluster(0.01)
     report = worst_case_signal(train, geometry, 1e-9)
