@@ -32,6 +32,8 @@ __all__ = [
 
 # Mapped nodes closer than this are near-coincident for gautschi_bounds.
 _MIN_GAP = 1e-12
+# Floor on the separations whose reciprocals _sigma_pieces takes.
+_TINY_SEP = 2.0**-1020
 
 
 class IntervalSet:
@@ -39,13 +41,13 @@ class IntervalSet:
 
     The components are held as two arrays of start and end points, and every
     operation works on those arrays.  Overlapping or touching inputs are
-    merged on construction in one pass: the intervals are sorted by start with
-    one stable argsort, and a new component begins wherever a start exceeds
-    the running maximum of the ends before it.  Merging only compares and
-    copies endpoints, so it is exact.  Degenerate single-point intervals
-    are allowed; the constructor raises ValueError for reversed intervals and
-    NaN endpoints.  Sets built inside this module from pieces that are valid
-    by construction skip that check.
+    merged on construction in one pass: the intervals are sorted by start,
+    and a new component begins wherever a start exceeds the running maximum
+    of the ends before it.  Merging only compares and copies endpoints, so it
+    is exact.  Degenerate single-point intervals are allowed; the constructor
+    raises ValueError for reversed intervals and NaN endpoints.  Sets built
+    inside this module from pieces that are valid by construction skip that
+    check.
     """
 
     __slots__ = ("_starts", "_ends")
@@ -108,6 +110,12 @@ class IntervalSet:
         return {"intervals": [[a, b] for a, b in self.intervals]}
 
 
+# The kernels below run once per scan point, on arrays of a few dozen
+# entries.  At that size numpy's module-level wrappers (np.sum, np.all,
+# np.argsort, np.repeat, np.flatnonzero, np.atleast_1d, ...) spend about a
+# microsecond each on Python-level dispatch, more than the arithmetic, so the
+# kernels call the ndarray methods and ufuncs those wrappers end in, which run
+# the same C loops and give bit-identical results.
 def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
     """Start and end arrays of the sorted disjoint components of the closed
     intervals [starts[i], ends[i]], which the caller has checked are ordered
@@ -115,10 +123,11 @@ def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
     if starts.size == 0:
         return starts, ends
     # Intervals with tied starts never split a component: the running maximum
-    # of their ends is the same in any order, so sorting by start suffices.
-    order = np.argsort(starts, kind="stable")
+    # of their ends is the same in any order, so sorting by start suffices and
+    # any sort, stable or not, gives the same components.
+    order = starts.argsort()
     starts, reach = starts[order], np.maximum.accumulate(ends[order])
-    breaks = np.flatnonzero(starts[1:] > reach[:-1])
+    breaks = (starts[1:] > reach[:-1]).nonzero()[0]
     first = np.concatenate(([0], breaks + 1))
     last = np.concatenate((breaks, [starts.size - 1]))
     return starts[first], reach[last]
@@ -208,15 +217,19 @@ def _sigma_pieces(seps: np.ndarray, alpha: float, lo: float, hi: float):
 
     Separation delta contributes the closed intervals of half-width
     alpha / (2 pi delta) centered at ell / delta, for every integer ell whose
-    interval meets [lo, hi].
+    interval meets [lo, hi].  A separation below 2**-1020, whose reciprocal
+    may overflow, takes the period 2**1020, and a half-width above about
+    2**1020 is capped there.  On a range within +-2**1018 such a separation
+    has one piece, the one about 0, and the capped values give exactly that
+    piece, with no overflow and no NaN.
     """
-    half_width = alpha / (2.0 * math.pi * seps)
-    period = 1.0 / seps
+    half_width = alpha / np.maximum(2.0 * math.pi * seps, alpha * _TINY_SEP)
+    period = 1.0 / np.maximum(seps, _TINY_SEP)
     first = np.ceil((lo - half_width) / period)
     last = np.floor((hi + half_width) / period)
     counts = np.maximum(last - first + 1.0, 0.0).astype(np.int64)
-    owner = np.repeat(np.arange(seps.size), counts)
-    offsets = np.cumsum(counts) - counts
+    owner = np.arange(seps.size).repeat(counts)
+    offsets = counts.cumsum() - counts
     ell = first[owner] + (np.arange(owner.size) - offsets[owner])
     center = ell * period[owner]
     half = half_width[owner]
@@ -285,7 +298,7 @@ def admissible_lambdas(
     d = geometry.d
     if len(x) != d:
         raise ValueError("node count does not match the geometry")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("nodes must be finite")
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
@@ -321,15 +334,31 @@ def admissible_lambdas(
     return IntervalSet._from_components(gap_starts[keep], gap_ends[keep])
 
 
+def _node_array(z) -> np.ndarray:
+    """Complex 1-D array of the nodes z; a scalar counts as one node.  Raises
+    ValueError for empty or non-1-D input."""
+    w = np.asarray(z, dtype=complex)
+    if w.ndim == 0:
+        w = w.reshape(1)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"nodes z must be a non-empty 1-D array, got shape {w.shape}")
+    return w
+
+
 def confluent_vandermonde(z) -> np.ndarray:
     """2d x 2d confluent Vandermonde of d distinct values: plain power columns
     followed by their derivative columns.
 
     Both blocks come from one table of the powers w_j^k, k < 2d: derivative
-    row k is k times plain row k-1, and derivative row 0 is zero.
+    row k is k times plain row k-1, and derivative row 0 is zero.  Raises
+    ValueError for empty or non-1-D input.
     """
-    w = np.atleast_1d(np.asarray(z, dtype=complex))
-    d = len(w)
+    return _confluent(_node_array(z))
+
+
+def _confluent(w: np.ndarray) -> np.ndarray:
+    """confluent_vandermonde of a complex 1-D array already checked."""
+    d = w.size
     exponents, factors = _confluent_factors(d)
     plain = np.power.outer(w, exponents).T  # 2d x d
     out = np.empty((2 * d, 2 * d), dtype=complex)
@@ -352,26 +381,23 @@ def gautschi_bounds(z) -> JacobianBoundReport:
     Raises ValueError for empty, non-1-D or non-finite nodes and
     NearCoincidentNodesError when two nodes lie closer than 1e-12.
     """
-    w = np.atleast_1d(np.asarray(z, dtype=complex))
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"nodes z must be a non-empty 1-D array, got shape {w.shape}")
+    w = _node_array(z)
     if not np.isfinite(w).all():
         raise ValueError("nodes must be finite")
-    d = len(w)
+    d = w.size
     cols = _partner_columns(d)
     # Row j lists the gaps from node j to the other nodes, in index order.
     partner_gaps = np.abs(w[:, None] - w[cols])
     if d > 1 and partner_gaps.min() < _MIN_GAP:
         raise NearCoincidentNodesError("near-coincident nodes: separation below threshold")
 
-    modulus = np.abs(w)
-    partner_moduli = modulus[cols]
-    delta = np.sum(1.0 / partner_gaps, axis=1)
-    gamma = np.prod((1.0 + partner_moduli) / partner_gaps, axis=1) ** 2
-    amp_bounds = (1.0 + 2.0 * (1.0 + modulus) * delta) * gamma
-    node_bounds = (1.0 + modulus) * gamma
+    one_plus_modulus = 1.0 + np.abs(w)
+    delta = (1.0 / partner_gaps).sum(axis=1)
+    gamma = (one_plus_modulus[cols] / partner_gaps).prod(axis=1) ** 2
+    amp_bounds = (1.0 + 2.0 * one_plus_modulus * delta) * gamma
+    node_bounds = one_plus_modulus * gamma
 
-    matrix = confluent_vandermonde(w)
+    matrix = _confluent(w)
     inverse = np.linalg.inv(matrix)
     row_norms = np.abs(inverse).sum(axis=1)
     matrix.flags.writeable = False

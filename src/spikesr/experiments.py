@@ -217,7 +217,7 @@ def single_experiment(
         errors = dist.min(axis=0)
         nearest = dist.argmin(axis=0)
         gaps = np.abs(x[:, None] - x[None, :])
-        np.fill_diagonal(gaps, np.inf)
+        gaps.flat[:: d + 1] = np.inf
         node_errors = tuple(errors.tolist())
         successes = tuple((errors < gaps.min(axis=1) / 3.0).tolist())
         if eps0 > 0:

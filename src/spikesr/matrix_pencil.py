@@ -115,11 +115,11 @@ def mp_recover(
     except np.linalg.LinAlgError as exc:
         raise EigenFailureError(f"eigen failure: {exc}") from exc
 
-    nodes = np.angle(z) / (2.0 * np.pi)
-    order = np.argsort(nodes, kind="stable")
+    nodes = np.arctan2(z.imag, z.real) / (2.0 * np.pi)
+    order = nodes.argsort(kind="stable")
     nodes = nodes[order]
     z = z[order]
-    if not np.all(np.isfinite(nodes)) or np.any(np.diff(nodes) <= 0):
+    if not np.isfinite(nodes).all() or (nodes[1:] <= nodes[:-1]).any():
         raise EigenFailureError("eigen failure: recovered nodes are not distinct")
 
     vand = np.exp(2j * np.pi * np.multiply.outer(np.arange(n), nodes))

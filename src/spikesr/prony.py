@@ -119,11 +119,11 @@ def prony_solve(
     nodes = _monic_roots(coeffs)
     scale = max(1.0, np.abs(nodes).max())
     gaps = np.abs(np.subtract.outer(nodes, nodes))
-    np.fill_diagonal(gaps, np.inf)
+    gaps.flat[:: d + 1] = np.inf
     if gaps.min() < coincidence_tol * scale:
         raise RepeatedRootsError("repeated roots: recovered nodes coincide")
 
-    order = np.lexsort((np.abs(nodes), np.angle(nodes)))
+    order = np.lexsort((np.abs(nodes), np.arctan2(nodes.imag, nodes.real)))
     nodes = nodes[order]
     vand = np.power.outer(nodes, np.arange(2 * d)).T
     amps, *_ = np.linalg.lstsq(vand, data, rcond=None)

@@ -39,7 +39,7 @@ def _complex_from_json(pairs) -> np.ndarray:
 
 
 def _frozen_1d(values, dtype) -> np.ndarray:
-    out = np.atleast_1d(np.asarray(values, dtype=dtype)).copy()
+    out = np.array(values, dtype=dtype, ndmin=1)
     if out.ndim != 1:
         raise ValueError("expected a one-dimensional sequence")
     out.flags.writeable = False

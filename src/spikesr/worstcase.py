@@ -190,12 +190,12 @@ def worst_case_signal(
         raise EpsilonTooLargeError(
             "epsilon too large: perturbed moment system has complex nodes"
         )
-    new_nodes = np.sort(sol.nodes.real)
+    order = sol.nodes.real.argsort()
+    new_nodes = sol.nodes.real[order]
     if (new_nodes[1:] - new_nodes[:-1]).min() <= _IMAG_TOL * node_scale:
         raise EpsilonTooLargeError(
             "epsilon too large: perturbed nodes coincide after the real snap"
         )
-    order = np.argsort(sol.nodes.real)
     new_amps = sol.amplitudes[order].real
 
     spliced_nodes = train.nodes.copy()

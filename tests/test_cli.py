@@ -243,6 +243,20 @@ def test_decimation_near_coincident_nodes_exit_3(tmp_path, capsys):
     assert "near-coincident" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_decimation_subnormal_noncluster_gap_exits_3_empty(tmp_path, capsys):
+    # nodes 0 and 1e-310 lie outside one cluster and never separate, so no
+    # rate is admissible; 1/1e-310 overflows, which must not hide the pair
+    train = {"amplitudes": [[1, 0], [-1, 0], [1, 0]], "nodes": [0.0, 1e-310, 0.01]}
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps(train))
+    out = tmp_path / "rates.json"
+    flags = ["-p", "2", "--kappa", "2", "--omega", "100", "-o", str(out)]
+    assert main(["decimation", "-i", str(src), *flags]) == 3
+    assert "empty admissible set" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,16 +178,22 @@ def test_complement_within_bridges_a_single_point():
 
 
 def test_merge_by_start_matches_lexsort_with_tied_starts():
+    # _merge sorts by start alone with an unstable sort, so tied starts may
+    # come out in any order; the components must not depend on that order,
+    # which every shuffled and the reversed order of the same pieces checks.
     rng = np.random.default_rng(17)
     for size in (1, 2, 5, 40, 300):
         for _ in range(20):
             # few distinct starts, so most of them are tied; some pieces are points
             starts = rng.integers(0, max(2, size // 4), size).astype(float)
             ends = starts + rng.choice([0.0, 0.5, 1.0, 3.0], size)
-            got = _merge(starts, ends)
             expected = _lexsort_merge(starts, ends)
-            assert np.array_equal(got[0], expected[0])
-            assert np.array_equal(got[1], expected[1])
+            orders = [np.arange(size), np.arange(size)[::-1]]
+            orders += [rng.permutation(size) for _ in range(3)]
+            for order in orders:
+                got = _merge(starts[order], ends[order])
+                assert np.array_equal(got[0], expected[0])
+                assert np.array_equal(got[1], expected[1])
 
 
 def test_interval_set_json_round_trip():
@@ -315,6 +322,27 @@ def test_sigma_intervals_match_reference_loop():
         b = a + float(np.exp(rng.uniform(np.log(1e-3), np.log(20.0))))
         expected = tuple(_reference_merge(_reference_sigma_pieces(delta, alpha, a, b)))
         assert sigma_intervals(delta, alpha, (a, b)).intervals == expected
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("delta", [1e-310, 5e-324, 2.0**-1021, 1e-308])
+@pytest.mark.parametrize("alpha", [0.1, 1.0 / 9, math.pi])
+def test_sigma_intervals_of_a_separation_whose_reciprocal_overflows(delta, alpha):
+    # 1/delta overflows (or nearly does): the only piece meeting a moderate
+    # range is the one about 0, whose half-width exceeds the range
+    assert sigma_intervals(delta, alpha, (10, 20)).intervals == ((10.0, 20.0),)
+    assert sigma_intervals(delta, alpha, (-20, 20)).intervals == ((-20.0, 20.0),)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sigma_intervals_keep_a_finite_half_width_at_a_tiny_separation():
+    # the period 1/delta overflows but the half-width does not: the piece
+    # about 0 keeps its exact half-width, which ends inside the range
+    delta, alpha = 1e-310, 1e-300
+    half_width = alpha / (2.0 * math.pi * delta)
+    assert 0.0 < half_width < 1e12
+    assert sigma_intervals(delta, alpha, (0.0, 1e12)).intervals == ((0.0, half_width),)
+    assert len(sigma_intervals(delta, alpha, (2 * half_width, 1e12))) == 0
 
 
 @pytest.mark.parametrize(
@@ -446,6 +474,17 @@ def test_admissible_empty_set_error():
     nodes, geometry = _normalized_cluster(2, 3, 0.001)
     with pytest.raises(EmptyAdmissibleSetError):
         admissible_lambdas(nodes, geometry, 200.0, alpha=math.pi * 0.999)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tiny", [1e-200, 1e-310, 5e-324])
+def test_admissible_empty_when_a_noncluster_pair_never_separates(tiny):
+    # nodes 0 and tiny map to nearly one point at every rate in [10, 20],
+    # whether or not 1/tiny overflows
+    geometry = ClusterGeometry(p=2, d=3, h=0.01, T=1.0, tau=0.5, eta=0.01, kappa=2)
+    assert len(_sigma_pieces(np.array([tiny]), 1.0 / 9, 10.0, 20.0)[0]) > 0
+    with pytest.raises(EmptyAdmissibleSetError):
+        admissible_lambdas([0.0, tiny, 0.01], geometry, 100.0)
 
 
 def test_admissible_rejects_omega_outside_cluster_condition():
@@ -811,6 +850,13 @@ def test_gautschi_rejects_empty_or_non_1d_nodes_before_any_work(z, monkeypatch):
     monkeypatch.setattr(decimation, "_confluent_factors", untouched)
     with pytest.raises(ValueError, match="nodes z must be a non-empty 1-D array"):
         gautschi_bounds(z)
+
+
+@pytest.mark.parametrize("z", [[], [[1.0, 2.0], [3.0, 4.0]]])
+def test_confluent_vandermonde_rejects_empty_or_non_1d_nodes(z):
+    message = re.escape(f"non-empty 1-D array, got shape {np.shape(z)}")
+    with pytest.raises(ValueError, match=message):
+        confluent_vandermonde(z)
 
 
 def test_per_layout_tables_are_shared_read_only():
