@@ -48,7 +48,6 @@ from .experiments import (
 from .matrix_pencil import (
     RecoveryResult,
     build_hankel,
-    default_pencil_param,
     mp_recover,
 )
 from .prony import (

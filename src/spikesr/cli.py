@@ -13,6 +13,10 @@ the flag would be.  The experiment seed defaults to 0 and the resolved
 configuration is embedded in every output, so runs are reproducible byte for
 byte apart from one timestamp line.  The other subcommands draw no random
 numbers and record a null seed.
+
+Failures map to exit codes in one place, main: a CliError exits with its own
+code, a DegenerateFitError with 4, any other package error or a LinAlgError
+with 3, and a ValueError with 2.
 """
 
 from __future__ import annotations
@@ -124,9 +128,12 @@ def _set_defaults(args, **defaults) -> None:
 
 
 def _require(args, *keys: str) -> None:
+    """Fail unless every option named by its config key is set; the message
+    names the option by its first declared flag."""
+    flags = {action.dest: action.option_strings[0] for action in args.options}
     for key in keys:
         if getattr(args, key) in (None, ""):
-            raise CliError(f"{args.subcommand} needs --{key}", EXIT_PARSE)
+            raise CliError(f"{args.subcommand} needs {flags[key]}", EXIT_PARSE)
 
 
 def _read_json_file(path: str) -> dict:
@@ -186,17 +193,10 @@ def cmd_recover(args) -> int:
     _require(args, "input", "order")
     obj = _read_json_file(args.input)
     try:
-        samples = SpectralSamples.from_json_dict({"noise_bound": 0.0, "actual_noise": 0.0, **obj})
+        samples = SpectralSamples.from_json_dict(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad samples file: {exc}", EXIT_PARSE) from exc
-
-    try:
-        result = mp_recover(samples, args.order, args.pencil)
-    except (SpikesrError, np.linalg.LinAlgError) as exc:
-        raise CliError(f"recovery failed: {exc}", EXIT_ESTIMATOR) from exc
-    except ValueError as exc:
-        raise CliError(f"bad recovery input: {exc}", EXIT_PARSE) from exc
-
+    result = mp_recover(samples, args.order, args.pencil)
     args.pencil = result.pencil_param
     _write_json_report(args, result.to_json_dict())
     return 0
@@ -221,10 +221,7 @@ def _print_amplification_fits(records) -> None:
 
 
 def cmd_experiment(args) -> int:
-    if args.kind is None:
-        raise CliError("experiment needs --kind amplification|phase", EXIT_PARSE)
-    if args.p is None or args.d is None:
-        raise CliError("experiment needs -p and -d", EXIT_PARSE)
+    _require(args, "kind", "p", "d")
     if args.node_index is not None and args.kind == "amplification":
         raise CliError("node_index applies only to --kind phase", EXIT_PARSE)
     ranges = (
@@ -240,17 +237,10 @@ def cmd_experiment(args) -> int:
         args.p, args.d, args.h_range, args.n_range, args.eps_range,
         args.trials, args.scheme, args.seed,
     )
-
-    boundary = None
-    try:
-        if args.kind == "amplification":
-            records = amplification_sweep(*sweep_args)
-        else:
-            records, boundary = phase_transition_sweep(*sweep_args, args.node_index)
-    except DegenerateFitError as exc:
-        raise CliError(str(exc), EXIT_DEGENERATE_FIT) from exc
-    except ValueError as exc:
-        raise CliError(f"bad experiment input: {exc}", EXIT_PARSE) from exc
+    if args.kind == "amplification":
+        records = amplification_sweep(*sweep_args)
+    else:
+        records, boundary = phase_transition_sweep(*sweep_args, args.node_index)
 
     meta = {**_run_config(args), "timestamp": _timestamp()}
     if args.output:
@@ -269,18 +259,17 @@ def cmd_experiment(args) -> int:
 
 def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
     """The spike train of --input and the cluster that -p, --kappa and
-    --extent pick out of it.  The kappa and extent in use are written back to
-    args.  The extent defaults to the span of the cluster nodes and may fall
-    below it only by the rounding of the node positions, so that the nominal
-    extent of nodes such as 0.3 and 0.301 is accepted."""
+    --extent pick out of it; the caller has required --input and -p.  The
+    kappa and extent in use are written back to args.  The extent defaults to
+    the span of the cluster nodes and may fall below it only by the rounding
+    of the node positions, so that the nominal extent of nodes such as 0.3
+    and 0.301 is accepted."""
     obj = _read_json_file(args.input)
     try:
         train = SpikeTrain.from_json_dict(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad spike-train file: {exc}", EXIT_PARSE) from exc
     p = args.p
-    if p is None:
-        raise CliError("need -p (cluster size)", EXIT_PARSE)
     _set_defaults(args, kappa=1)
     lo = args.kappa - 1
     if not (p >= 2 and 0 <= lo and lo + p <= train.d):
@@ -300,57 +289,36 @@ def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
     T = max(float(train.nodes[-1] - train.nodes[0]), extent)
     gaps = np.diff(cluster)
     tau = float(gaps.min() / extent) if extent > 0 else 1.0
-    try:
-        geometry = ClusterGeometry(
-            p=p,
-            d=train.d,
-            h=extent,
-            T=T,
-            tau=min(1.0, tau),
-            eta=min(1.0, extent / T),
-            kappa=args.kappa,
-        )
-    except ValueError as exc:
-        raise CliError(f"bad cluster geometry: {exc}", EXIT_PARSE) from exc
+    geometry = ClusterGeometry(
+        p=p,
+        d=train.d,
+        h=extent,
+        T=T,
+        tau=min(1.0, tau),
+        eta=min(1.0, extent / T),
+        kappa=args.kappa,
+    )
     return train, geometry
 
 
 def cmd_worstcase(args) -> int:
-    _require(args, "input", "epsilon")
+    _require(args, "input", "p", "epsilon")
     train, geometry = _train_and_geometry(args)
     _set_defaults(args, grid_points=1001)
-
-    try:
-        report = worst_case_signal(train, geometry, args.epsilon, args.omega, args.grid_points)
-    except SpikesrError as exc:
-        raise CliError(str(exc), EXIT_ESTIMATOR) from exc
-    except ValueError as exc:
-        raise CliError(f"bad worst-case input: {exc}", EXIT_PARSE) from exc
-
+    report = worst_case_signal(train, geometry, args.epsilon, args.omega, args.grid_points)
     _write_json_report(args, report.to_json_dict())
     return 0
 
 
 def cmd_decimation(args) -> int:
-    _require(args, "input", "omega")
+    _require(args, "input", "p", "omega")
     train, geometry = _train_and_geometry(args)
-
-    try:
-        admissible = admissible_lambdas(train.nodes, geometry, args.omega, args.alpha)
-    except SpikesrError as exc:
-        raise CliError(str(exc), EXIT_ESTIMATOR) from exc
-    except ValueError as exc:
-        raise CliError(f"bad decimation input: {exc}", EXIT_PARSE) from exc
+    admissible = admissible_lambdas(train.nodes, geometry, args.omega, args.alpha)
 
     # Conditioning report at the midpoint of the widest admissible interval.
     widest = max(admissible.intervals, key=lambda ab: ab[1] - ab[0])
     sample_rate = 0.5 * (widest[0] + widest[1])
-    mapped = np.exp(2j * np.pi * sample_rate * train.nodes)
-    try:
-        bounds = gautschi_bounds(mapped)
-    except SpikesrError as exc:
-        raise CliError(str(exc), EXIT_ESTIMATOR) from exc
-
+    bounds = gautschi_bounds(np.exp(2j * np.pi * sample_rate * train.nodes))
     body = {
         "admissible": admissible.to_json_dict(),
         "sample_rate": sample_rate,
@@ -423,9 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand; its failures map to exit codes here and nowhere
+    else."""
     try:
-        args = parser.parse_args(argv)
+        # A malformed range flag raises CliError from inside the parse.
+        args = build_parser().parse_args(argv)
         if args.subcommand == "version":
             print(f"spikesr {__version__}")
             return 0
@@ -433,8 +403,16 @@ def main(argv=None) -> int:
             _fill_from_config(args, _load_config_file(args.config))
         return args.handler(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        message, code = str(exc), exc.code
+    except DegenerateFitError as exc:
+        message, code = str(exc), EXIT_DEGENERATE_FIT
+    # LinAlgError is a ValueError, so it must be caught first.
+    except (SpikesrError, np.linalg.LinAlgError) as exc:
+        message, code = str(exc), EXIT_ESTIMATOR
+    except ValueError as exc:
+        message, code = f"bad {args.subcommand} input: {exc}", EXIT_PARSE
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

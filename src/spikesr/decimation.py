@@ -34,6 +34,10 @@ __all__ = [
 _MIN_GAP = 1e-12
 # Floor on the separations whose reciprocals _sigma_pieces takes.
 _TINY_SEP = 2.0**-1020
+# Most sigma-set pieces _sigma_pieces builds for one range.
+_MAX_PIECES = 2**24
+# admissible_lambdas pads each sigma-set piece outward by this much.
+_PAD = 1e-12
 
 
 class IntervalSet:
@@ -68,12 +72,6 @@ class IntervalSet:
         self._starts, self._ends = _merge(starts, ends)
 
     @classmethod
-    def _from_endpoints(cls, starts: np.ndarray, ends: np.ndarray) -> "IntervalSet":
-        """Merge of the intervals [starts[i], ends[i]], which must be ordered
-        and free of NaN, without a per-pair copy."""
-        return cls._from_components(*_merge(starts, ends))
-
-    @classmethod
     def _from_components(cls, starts: np.ndarray, ends: np.ndarray) -> "IntervalSet":
         """Set whose components are already sorted, disjoint and not touching."""
         out = cls.__new__(cls)
@@ -102,9 +100,6 @@ class IntervalSet:
 
     def contains(self, x: float) -> bool:
         return bool(np.any((self._starts <= x) & (x <= self._ends)))
-
-    def __contains__(self, x) -> bool:
-        return self.contains(float(x))
 
     def to_json_dict(self) -> dict:
         return {"intervals": [[a, b] for a, b in self.intervals]}
@@ -222,14 +217,30 @@ def _sigma_pieces(seps: np.ndarray, alpha: float, lo: float, hi: float):
     2**1020 is capped there.  On a range within +-2**1018 such a separation
     has one piece, the one about 0, and the capped values give exactly that
     piece, with no overflow and no NaN.
+
+    The pieces are counted from the float bounds before any is built: a
+    count that is not finite, or more than _MAX_PIECES in all, raises
+    ValueError naming the separation with the most pieces.
     """
-    half_width = alpha / np.maximum(2.0 * math.pi * seps, alpha * _TINY_SEP)
-    period = 1.0 / np.maximum(seps, _TINY_SEP)
-    first = np.ceil((lo - half_width) / period)
-    last = np.floor((hi + half_width) / period)
-    counts = np.maximum(last - first + 1.0, 0.0).astype(np.int64)
-    owner = np.arange(seps.size).repeat(counts)
-    offsets = counts.cumsum() - counts
+    # A count too large for float64 overflows or turns NaN here; the check
+    # below rejects it, so the warnings on the way say nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_width = alpha / np.maximum(2.0 * math.pi * seps, alpha * _TINY_SEP)
+        period = 1.0 / np.maximum(seps, _TINY_SEP)
+        first = np.ceil((lo - half_width) / period)
+        last = np.floor((hi + half_width) / period)
+        counts = np.maximum(last - first + 1.0, 0.0)
+    # Running totals in float64, exact while they stay below the cap.
+    totals = counts.cumsum()
+    if totals.size and not totals[-1] <= _MAX_PIECES:
+        k = np.nan_to_num(counts, nan=np.inf).argmax()
+        count = f"{counts[k]:.3g}" if np.isfinite(counts[k]) else "too many"
+        raise ValueError(
+            f"separation {float(seps[k])!r} gives {count} sigma-set pieces on "
+            f"[{lo!r}, {hi!r}]; at most {_MAX_PIECES} are built in all"
+        )
+    owner = np.arange(seps.size).repeat(counts.astype(np.int64))
+    offsets = totals - counts
     ell = first[owner] + (np.arange(owner.size) - offsets[owner])
     center = ell * period[owner]
     half = half_width[owner]
@@ -251,7 +262,8 @@ def sigma_intervals(delta: float, alpha: float, interval) -> IntervalSet:
     The result is the intersection of [a, b] with the periodic union of
     closed intervals of half-width alpha / (2 pi delta) centered at the
     integer multiples of 1 / delta.  It is the one-separation case of the
-    piece generator admissible_lambdas uses for all pairs at once.
+    piece generator admissible_lambdas uses for all pairs at once, and raises
+    ValueError when that would build more than _MAX_PIECES = 2**24 pieces.
     """
     if not delta > 0:
         raise ValueError("node separation must be positive")
@@ -264,7 +276,7 @@ def sigma_intervals(delta: float, alpha: float, interval) -> IntervalSet:
     if b < a:
         raise ValueError("empty interval")
     starts, ends = _sigma_pieces(np.array([float(delta)]), alpha, a, b)
-    return IntervalSet._from_endpoints(starts, ends)
+    return IntervalSet._from_components(*_merge(starts, ends))
 
 
 def admissible_lambdas(
@@ -272,7 +284,6 @@ def admissible_lambdas(
     geometry: ClusterGeometry,
     omega: float,
     alpha: float | None = None,
-    pad: float = 1e-12,
 ) -> IntervalSet:
     """Blowup factors in [omega/(2(2d-1)), omega/(2d-1)] keeping mapped nodes apart.
 
@@ -281,7 +292,7 @@ def admissible_lambdas(
     linear separation 2 pi lambda tau h on this range because omega h is capped
     at (2d-1)/2.  The set is built with one merge: the sigma-set pieces of all
     those pairs (see sigma_intervals) are generated together as flat arrays,
-    each piece is padded outward by pad so that the returned set is
+    each piece is padded outward by _PAD = 1e-12 so that the returned set is
     conservative, and the padded pieces are merged once.  The admissible
     components are the gaps of positive length before, between and after the
     merged components clipped to the range.  Rounding is monotone, so padding
@@ -291,8 +302,9 @@ def admissible_lambdas(
     into one.
 
     Raises ValueError for non-finite or non-positive omega, alpha outside
-    (0, pi], negative or non-finite pad, and non-finite or coincident nodes;
-    EmptyAdmissibleSetError when nothing in the range survives.
+    (0, pi], non-finite or coincident nodes, and a range that would need
+    more than _MAX_PIECES sigma-set pieces; EmptyAdmissibleSetError when
+    nothing in the range survives.
     """
     x = np.asarray(nodes, dtype=float)
     d = geometry.d
@@ -309,8 +321,6 @@ def admissible_lambdas(
     if alpha is None:
         alpha = 1.0 / d**2
     _check_alpha(alpha)
-    if not (math.isfinite(pad) and pad >= 0):
-        raise ValueError("pad must be finite and non-negative")
     gaps = np.abs(np.subtract.outer(x, x))
     if np.count_nonzero(gaps == 0) > d:  # more zeros than the diagonal holds
         raise ValueError("node separation must be positive")
@@ -319,9 +329,9 @@ def admissible_lambdas(
     hi = omega / (2 * d - 1)
     starts, ends = _sigma_pieces(seps, alpha, lo, hi)
     # No endpoint check before the merge: _sigma_pieces keeps only pieces with
-    # starts <= ends, which drops NaN and reversed ones, and pad was checked
-    # finite and non-negative above, so the padded pieces stay ordered.
-    starts, ends = _merge(starts - pad, ends + pad)
+    # starts <= ends, which drops NaN and reversed ones, and padding by the
+    # non-negative _PAD keeps them ordered.
+    starts, ends = _merge(starts - _PAD, ends + _PAD)
     starts, ends = np.maximum(starts, lo), np.minimum(ends, hi)
     keep = starts < ends
     gap_starts = np.concatenate(([lo], ends[keep]))

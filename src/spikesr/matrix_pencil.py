@@ -25,7 +25,6 @@ from .signal import SpectralSamples, SpikeTrain, _complex_to_json
 __all__ = [
     "RecoveryResult",
     "build_hankel",
-    "default_pencil_param",
     "mp_recover",
 ]
 
@@ -66,19 +65,14 @@ def build_hankel(values: np.ndarray, pencil_param: int) -> np.ndarray:
     return values[idx]
 
 
-def default_pencil_param(count: int) -> int:
-    """ceil(N / 2), the pencil parameter used throughout the experiments."""
-    if count < 3:
-        raise ValueError("need at least 3 samples")
-    return -(-count // 2)
-
-
 def mp_recover(
     samples: SpectralSamples,
     d: int,
     pencil_param: Optional[int] = None,
 ) -> RecoveryResult:
     """Recover d nodes and amplitudes from N >= 2d unit-rate samples.
+
+    The pencil parameter L defaults to ceil(N / 2) and must lie in [d, N - d].
 
     One SVD of the (L+1) x (N-L) sample Hankel matrix gives the d leading left
     singular vectors U; the least-squares solution Psi of U[:-1] Psi = U[1:]
@@ -98,7 +92,7 @@ def mp_recover(
         raise ValueError("model order d must be at least 1")
     if n < 2 * d:
         raise ValueError(f"need at least 2 d = {2 * d} samples, got {n}")
-    L = default_pencil_param(n) if pencil_param is None else pencil_param
+    L = -(-n // 2) if pencil_param is None else pencil_param
     if not d <= L <= n - d:
         raise ValueError(f"pencil parameter must lie in [{d}, {n - d}]")
 

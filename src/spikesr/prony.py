@@ -14,13 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystemError, RepeatedRootsError
-from .signal import _complex_to_json, _frozen_1d
+from .signal import _frozen_1d
 
 __all__ = [
     "PronySolution",
     "prony_map",
     "prony_solve",
 ]
+
+# The Hankel system counts as degenerate when its smallest singular value
+# falls below this multiple of the largest.
+_NULL_TOL = 1e-10
+# Recovered nodes closer than this multiple of max(1, largest modulus) coincide.
+_COINCIDENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,16 +43,6 @@ class PronySolution:
             raise ValueError("amplitudes and nodes must be nonempty and of equal length")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def d(self) -> int:
-        return len(self.nodes)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "amplitudes": _complex_to_json(self.amplitudes),
-            "nodes": _complex_to_json(self.nodes),
-        }
 
 
 def prony_map(amplitudes, nodes, count: int) -> np.ndarray:
@@ -77,12 +73,7 @@ def _monic_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
-def prony_solve(
-    mu,
-    d: int,
-    null_tol: float = 1e-10,
-    coincidence_tol: float = 1e-9,
-) -> PronySolution:
+def prony_solve(mu, d: int) -> PronySolution:
     """Recover d amplitudes and nodes from the first 2d power sums.
 
     Steps: build the d x (d+1) Hankel matrix [mu_{i+j}], take its null vector
@@ -90,8 +81,10 @@ def prony_solve(
     companion-matrix roots, then fit amplitudes by least squares on the full
     2d x d Vandermonde.  The null vector comes from the smallest right singular
     vector; the system is flagged degenerate when the second-smallest singular
-    value is also negligible (null space dimension above one) or when the
-    leading polynomial coefficient vanishes.
+    value is also negligible, below _NULL_TOL times the largest (null space
+    dimension above one), or when the leading polynomial coefficient vanishes.
+    Two recovered nodes closer than _COINCIDENCE_TOL times max(1, largest
+    node modulus) are repeated roots.
 
     Raises DegenerateSystemError or RepeatedRootsError accordingly.  The output
     is sorted by principal argument of the nodes, ties broken by modulus.
@@ -105,7 +98,7 @@ def prony_solve(
     idx = np.add.outer(np.arange(d), np.arange(d + 1))
     hankel = data[idx]
     _, sigma, vh = np.linalg.svd(hankel)
-    if sigma[0] == 0 or sigma[-1] / sigma[0] < null_tol:
+    if sigma[0] == 0 or sigma[-1] / sigma[0] < _NULL_TOL:
         raise DegenerateSystemError(
             "degenerate system: Hankel null space is not one-dimensional"
         )
@@ -120,7 +113,7 @@ def prony_solve(
     scale = max(1.0, np.abs(nodes).max())
     gaps = np.abs(np.subtract.outer(nodes, nodes))
     gaps.flat[:: d + 1] = np.inf
-    if gaps.min() < coincidence_tol * scale:
+    if gaps.min() < _COINCIDENCE_TOL * scale:
         raise RepeatedRootsError("repeated roots: recovered nodes coincide")
 
     order = np.lexsort((np.abs(nodes), np.arctan2(nodes.imag, nodes.real)))

@@ -77,10 +77,12 @@ class SpikeTrain:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SpikeTrain":
-        return cls(
-            amplitudes=_complex_from_json(obj["amplitudes"]),
-            nodes=np.array(obj["nodes"], dtype=float),
-        )
+        """Train of a JSON object; its amplitudes and nodes must be finite."""
+        amplitudes = _complex_from_json(obj["amplitudes"])
+        nodes = np.array(obj["nodes"], dtype=float)
+        if not (np.isfinite(amplitudes).all() and np.isfinite(nodes).all()):
+            raise ValueError("amplitudes and nodes must be finite")
+        return cls(amplitudes=amplitudes, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -146,10 +148,11 @@ class SpectralSamples:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SpectralSamples":
+        """Samples of a JSON object; noise_bound and actual_noise default to 0."""
         return cls(
             values=_complex_from_json(obj["values"]),
-            noise_bound=float(obj["noise_bound"]),
-            actual_noise=float(obj["actual_noise"]),
+            noise_bound=float(obj.get("noise_bound", 0.0)),
+            actual_noise=float(obj.get("actual_noise", 0.0)),
         )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from spikesr import cli
 from spikesr.cli import build_parser, main
-from spikesr.errors import DegenerateFitError
+from spikesr.errors import DegenerateFitError, RankDeficiencyError
 from spikesr.experiments import PhaseBoundaryFit
 
 
@@ -660,3 +660,75 @@ def test_worstcase_single_grid_point_exits_2(tmp_path, capsys, epsilon):
     assert main(argv) == 2
     assert "need at least two grid points" in capsys.readouterr().err
     assert not out.exists()
+
+
+LIBRARY_CALLS = [
+    ("recover", "mp_recover"),
+    ("experiment", "amplification_sweep"),
+    ("worstcase", "worst_case_signal"),
+    ("decimation", "admissible_lambdas"),
+    ("decimation", "gautschi_bounds"),
+]
+FAILURES = [(ValueError, 2), (RankDeficiencyError, 3), (np.linalg.LinAlgError, 3)]
+
+
+@pytest.mark.parametrize(
+    "subcommand, call, error, code",
+    [
+        (subcommand, call, error, code)
+        for subcommand, call in LIBRARY_CALLS
+        for error, code in FAILURES
+        + ([(DegenerateFitError, 4)] if subcommand == "experiment" else [])
+    ],
+)
+def test_library_failures_map_to_exit_codes(
+    pair_samples_file, tmp_path, capsys, monkeypatch, subcommand, call, error, code
+):
+    def failing(*_args):
+        raise error("library failure")
+
+    monkeypatch.setattr(cli, call, failing)
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps({"amplitudes": [[1, 0], [-1, 0], [1, 0]], "nodes": [0.0, 0.01, 0.3]}))
+    argv = {
+        "recover": ["-i", str(pair_samples_file), "-d", "2"],
+        "experiment": ["--kind", "amplification", "-p", "2", "-d", "3", "--trials", "1"],
+        "worstcase": ["-i", str(train), "-p", "2", "--epsilon", "1e-9"],
+        "decimation": ["-i", str(train), "-p", "2", "--omega", "100"],
+    }[subcommand]
+    out = tmp_path / "out.txt"
+    assert main([subcommand, *argv, "-o", str(out)]) == code
+    prefix = f"bad {subcommand} input: " if error is ValueError else ""
+    assert capsys.readouterr().err == f"error: {prefix}library failure\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, argv, flag",
+    [
+        ("experiment", ["-p", "2", "-d", "3"], "--kind"),
+        ("experiment", ["--kind", "phase", "-d", "3"], "-p"),
+        ("experiment", ["--kind", "phase", "-p", "2"], "-d"),
+        ("recover", ["-d", "2"], "--input"),
+        ("worstcase", ["-i", "train.json", "--epsilon", "1e-9"], "-p"),
+        ("decimation", ["-i", "train.json", "-p", "2"], "--omega"),
+    ],
+)
+def test_missing_required_option_is_named_by_its_flag(capsys, subcommand, argv, flag):
+    assert main([subcommand, *argv]) == 2
+    assert capsys.readouterr().err == f"error: {subcommand} needs {flag}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"amplitudes": [[1, 0], [NaN, 0], [1, 0]], "nodes": [0, 0.3, 0.6]}',
+        '{"amplitudes": [[1, 0], [1, 0], [1, 0]], "nodes": [0, 0.3, Infinity]}',
+    ],
+)
+def test_non_finite_spike_train_exits_2(tmp_path, capsys, text):
+    src = tmp_path / "train.json"
+    src.write_text(text)
+    assert main(["worstcase", "-i", str(src), "-p", "2", "--epsilon", "1e-9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad spike-train file") and "must be finite" in err

@@ -98,10 +98,15 @@ def _endpoints(s):
     return pairs[:, 0], pairs[:, 1]
 
 
+def _merged(starts, ends):
+    """IntervalSet of the ordered, NaN-free intervals [starts[i], ends[i]]."""
+    return IntervalSet._from_components(*_merge(starts, ends))
+
+
 def _padded(s, pad):
     """IntervalSet s grown outward by pad (components may merge)."""
     starts, ends = _endpoints(s)
-    return IntervalSet._from_endpoints(starts - pad, ends + pad)
+    return _merged(starts - pad, ends + pad)
 
 
 def _intersect(s, lo, hi):
@@ -109,7 +114,7 @@ def _intersect(s, lo, hi):
     starts, ends = _endpoints(s)
     starts, ends = np.maximum(starts, lo), np.minimum(ends, hi)
     keep = starts <= ends
-    return IntervalSet._from_endpoints(starts[keep], ends[keep])
+    return _merged(starts[keep], ends[keep])
 
 
 def _complement_within(s, lo, hi):
@@ -120,7 +125,7 @@ def _complement_within(s, lo, hi):
     gap_starts = np.concatenate(([lo], ends))
     gap_ends = np.append(starts, hi)
     keep = gap_starts < gap_ends
-    return IntervalSet._from_endpoints(gap_starts[keep], gap_ends[keep])
+    return _merged(gap_starts[keep], gap_ends[keep])
 
 
 def _composed_admissible(nodes, geometry, omega, alpha, pad):
@@ -132,7 +137,7 @@ def _composed_admissible(nodes, geometry, omega, alpha, pad):
     in_cluster = np.zeros(d, dtype=bool)
     in_cluster[geometry.cluster_slice] = True
     seps = np.abs(nodes[k] - nodes[j])[~(in_cluster[j] & in_cluster[k])]
-    excluded = IntervalSet._from_endpoints(*_sigma_pieces(seps, alpha, lo, hi))
+    excluded = _merged(*_sigma_pieces(seps, alpha, lo, hi))
     return _complement_within(_padded(excluded, pad), lo, hi)
 
 
@@ -157,7 +162,7 @@ def test_interval_set_merges_and_sorts():
     s = IntervalSet([(3, 4), (0, 1), (0.5, 2)])
     assert s.intervals == ((0, 2), (3, 4))
     assert sum(b - a for a, b in s) == pytest.approx(3.0)
-    assert 1.5 in s and 2.5 not in s
+    assert s.contains(1.5) and not s.contains(2.5)
     assert len(s) == 2
 
 
@@ -345,6 +350,14 @@ def test_sigma_intervals_keep_a_finite_half_width_at_a_tiny_separation():
     assert len(sigma_intervals(delta, alpha, (2 * half_width, 1e12))) == 0
 
 
+def test_sigma_intervals_build_up_to_the_piece_cap(monkeypatch):
+    # delta 1 has one piece about each integer
+    monkeypatch.setattr(decimation, "_MAX_PIECES", 10)
+    assert len(sigma_intervals(1.0, 0.1, (0, 9))) == 10
+    with pytest.raises(ValueError, match="gives 11 sigma-set pieces on"):
+        sigma_intervals(1.0, 0.1, (0, 10))
+
+
 @pytest.mark.parametrize(
     "delta, alpha, interval",
     [
@@ -357,8 +370,14 @@ def test_sigma_intervals_keep_a_finite_half_width_at_a_tiny_separation():
         (1.0, 1.0, (1, 0)),
         (1.0, 1.0, (0, math.nan)),
         (1.0, 1.0, (-math.inf, 0)),
+        # about 10 delta pieces meet [10, 20]: more than the cap, more than
+        # int64 holds, more than float64 counts
+        (1e9, 0.1, (10, 20)),
+        (1e300, 0.1, (10, 20)),
+        (1e308, 0.1, (10, 20)),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sigma_intervals_rejects_bad_input(delta, alpha, interval):
     with pytest.raises(ValueError):
         sigma_intervals(delta, alpha, interval)
@@ -389,7 +408,8 @@ def test_admissible_full_interval_when_all_nodes_cluster():
 
 
 @pytest.mark.parametrize("pad", [0.0, 1e-12])
-def test_admissible_full_interval_when_no_sigma_piece_meets_the_range(pad):
+def test_admissible_full_interval_when_no_sigma_piece_meets_the_range(pad, monkeypatch):
+    monkeypatch.setattr(decimation, "_PAD", pad)
     # a non-cluster pair, but omega so small that no piece reaches the range
     nodes = np.array([0.0, 0.001, 0.3])
     geometry = ClusterGeometry(p=2, d=3, h=0.001, T=0.3, tau=1.0, eta=0.001 / 0.3, kappa=1)
@@ -397,7 +417,7 @@ def test_admissible_full_interval_when_no_sigma_piece_meets_the_range(pad):
         lo, hi = omega / 10, omega / 5
         starts, _ = _sigma_pieces(np.array([0.299, 0.3]), 1 / 9, lo, hi)
         assert starts.size == 0
-        got = admissible_lambdas(nodes, geometry, omega, pad=pad)
+        got = admissible_lambdas(nodes, geometry, omega)
         assert got == IntervalSet([(lo, hi)])
 
 
@@ -487,6 +507,14 @@ def test_admissible_empty_when_a_noncluster_pair_never_separates(tiny):
         admissible_lambdas([0.0, tiny, 0.01], geometry, 100.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_admissible_rejects_a_separation_with_too_many_pieces():
+    # about 1e301 pieces of the pair 1e300 apart meet [10, 20]
+    geometry = ClusterGeometry(p=2, d=3, h=0.01, T=1e300, tau=1, eta=1e-302, kappa=2)
+    with pytest.raises(ValueError, match=r"separation 1e\+300 gives 1e\+301 sigma-set pieces"):
+        admissible_lambdas([-1e300, 0, 0.01], geometry, 100)
+
+
 def test_admissible_rejects_omega_outside_cluster_condition():
     nodes, geometry = _normalized_cluster(2, 3, 0.001)
     with pytest.raises(ValueError):
@@ -504,7 +532,7 @@ def _jittered_layout(rng, p, d, h):
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
-def test_admissible_matches_pair_by_pair_reference(p, d):
+def test_admissible_matches_pair_by_pair_reference(p, d, monkeypatch):
     rng = np.random.default_rng(100 * p + d)
     empty = 0
     for omega in np.geomspace(50.0, 8000.0, 5):
@@ -514,13 +542,14 @@ def test_admissible_matches_pair_by_pair_reference(p, d):
                   1.5, 0.999 * math.pi]
         for alpha in alphas:
             for pad in (0.0, 1e-12):
+                monkeypatch.setattr(decimation, "_PAD", pad)
                 expected = _reference_admissible(nodes, geometry, omega, alpha, pad)
                 if expected is None:
                     empty += 1
                     with pytest.raises(EmptyAdmissibleSetError):
-                        admissible_lambdas(nodes, geometry, omega, alpha, pad)
+                        admissible_lambdas(nodes, geometry, omega, alpha)
                 else:
-                    got = admissible_lambdas(nodes, geometry, omega, alpha, pad)
+                    got = admissible_lambdas(nodes, geometry, omega, alpha)
                     assert got.intervals == expected
                     assert got == IntervalSet(expected)
     if d > p:
@@ -575,7 +604,7 @@ def test_admissible_and_predicted_factors_follow_every_cluster_position():
     assert compared > len(layouts)
 
 
-def test_admissible_matches_composed_set_operations_on_scan_geometry():
+def test_admissible_matches_composed_set_operations_on_scan_geometry(monkeypatch):
     # The decimation scan's geometry: p=3, d=8, omega geometric in [50, 8000],
     # omega*h in (0.3, 0.9) (2d-1)/2 and alpha log-uniform in [1/d^2, 1.5].
     p, d = 3, 8
@@ -586,25 +615,27 @@ def test_admissible_matches_composed_set_operations_on_scan_geometry():
         nodes, geometry = _normalized_cluster(p, d, 2 * math.pi * h)
         alpha = math.exp(rng.uniform(math.log(1.0 / d**2), math.log(1.5)))
         for pad in (0.0, 1e-12):
+            monkeypatch.setattr(decimation, "_PAD", pad)
             expected = _composed_admissible(nodes, geometry, omega, alpha, pad)
             compared += 1
             if len(expected) == 0:
                 empty += 1
                 with pytest.raises(EmptyAdmissibleSetError):
-                    admissible_lambdas(nodes, geometry, omega, alpha, pad)
+                    admissible_lambdas(nodes, geometry, omega, alpha)
             else:
-                got = admissible_lambdas(nodes, geometry, omega, alpha, pad)
+                got = admissible_lambdas(nodes, geometry, omega, alpha)
                 assert np.array_equal(got._starts, expected._starts)
                 assert np.array_equal(got._ends, expected._ends)
     assert compared == 300 and 0 < empty < compared
 
 
-def test_admissible_bridges_single_point_exclusions():
+def test_admissible_bridges_single_point_exclusions(monkeypatch):
     # alpha so small that every sigma piece rounds to a single point: with no
     # pad the gaps on either side of each point join into one.
+    monkeypatch.setattr(decimation, "_PAD", 0.0)
     nodes, geometry = _normalized_cluster(2, 3, 0.001)
     omega = 200.0
-    got = admissible_lambdas(nodes, geometry, omega, alpha=1e-300, pad=0.0)
+    got = admissible_lambdas(nodes, geometry, omega, alpha=1e-300)
     assert got.intervals == ((omega / 10, omega / 5),)
     assert got == _composed_admissible(nodes, geometry, omega, 1e-300, 0.0)
 
@@ -620,9 +651,12 @@ def test_admissible_bridges_single_point_exclusions():
         ({"alpha": 0.0}, "angular threshold"),
         ({"alpha": math.nan}, "angular threshold"),
         ({"alpha": math.inf}, "angular threshold"),
-        ({"pad": -1e-12}, "pad must be finite"),
-        ({"pad": math.nan}, "pad must be finite"),
-        ({"pad": math.inf}, "pad must be finite"),
+        # non-cluster separations whose sigma sets have more pieces in the
+        # range than are built: too many, too many for int64, too many for
+        # float64
+        ({"node": (2, 1e7)}, "sigma-set pieces"),
+        ({"node": (2, 1e300)}, "sigma-set pieces"),
+        ({"node": (2, 1e308)}, "sigma-set pieces"),
         ({"node": (2, math.nan)}, "nodes must be finite"),
         ({"node": (2, math.inf)}, "nodes must be finite"),
         ({"node": (2, None)}, "node separation must be positive"),  # non-cluster pair
@@ -631,13 +665,13 @@ def test_admissible_bridges_single_point_exclusions():
 )
 def test_admissible_rejects_bad_input(change, message):
     nodes, geometry = _normalized_cluster(2, 3, 0.001)
-    args = {"omega": 200.0, "alpha": None, "pad": 1e-12}
+    args = {"omega": 200.0, "alpha": None}
     args.update({k: v for k, v in change.items() if k != "node"})
     if "node" in change:
         index, value = change["node"]
         nodes[index] = nodes[index - 1] if value is None else value
     with pytest.raises(ValueError, match=message):
-        admissible_lambdas(nodes, geometry, args["omega"], args["alpha"], args["pad"])
+        admissible_lambdas(nodes, geometry, args["omega"], args["alpha"])
 
 
 # ------------------------------------------------- confluent Vandermonde etc.

@@ -6,7 +6,6 @@ from spikesr.errors import EigenFailureError, RankDeficiencyError
 from spikesr.matrix_pencil import (
     RecoveryResult,
     build_hankel,
-    default_pencil_param,
     mp_recover,
 )
 from spikesr.signal import SpectralSamples, SpikeTrain, sample_spectrum
@@ -26,7 +25,7 @@ def _reference_recover(samples, d, pencil_param=None, rank_tol=1e-13):
     """
     values = samples.values
     n = len(values)
-    L = default_pencil_param(n) if pencil_param is None else pencil_param
+    L = -(-n // 2) if pencil_param is None else pencil_param
     hankel = build_hankel(values, L)
     u1, s1, v1h = np.linalg.svd(hankel[:-1], full_matrices=False)
     u2, s2, v2h = np.linalg.svd(hankel[1:], full_matrices=False)
@@ -73,12 +72,17 @@ def test_build_hankel_rejects_bad_pencil():
         build_hankel(values, 5)
 
 
-def test_default_pencil_param():
-    assert default_pencil_param(7) == 4
-    assert default_pencil_param(8) == 4
-    assert default_pencil_param(3) == 2
-    with pytest.raises(ValueError):
-        default_pencil_param(2)
+@pytest.mark.parametrize(
+    "n, d, expected",
+    [(2, 1, 1), (3, 1, 2), (7, 2, 4), (8, 3, 4), (8, 4, 4)],
+)
+def test_default_pencil_is_ceil_half_n(n, d, expected):
+    # N = 2d is enough samples for d nodes, d = 1 included
+    nodes = np.linspace(-0.3, 0.3, d)
+    train = SpikeTrain(amplitudes=np.arange(1.0, d + 1), nodes=nodes)
+    result = mp_recover(sample_spectrum(train, n, 0.0, 0), d)
+    assert result.pencil_param == expected
+    np.testing.assert_allclose(result.estimate.nodes, nodes, atol=1e-9)
 
 
 def test_recover_single_spike():
@@ -136,7 +140,7 @@ def test_eigenvalue_moduli_near_unit_circle_at_small_noise():
     )
     for eps in (1e-8, 1e-6, 1e-4):
         samples = sample_spectrum(train, 32, eps, int(rng.integers(1 << 30)))
-        hankel = build_hankel(samples.values, default_pencil_param(32))
+        hankel = build_hankel(samples.values, 16)
         sigma_d = np.linalg.svd(hankel, compute_uv=False)[2]
         delta = samples.actual_noise / sigma_d
         result = mp_recover(samples, 3)

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from spikesr import prony
 from spikesr.errors import DegenerateSystemError, RepeatedRootsError
 from spikesr.prony import (
     PronySolution,
@@ -102,20 +103,21 @@ def test_prony_solve_repeated_roots():
 @pytest.mark.parametrize(
     "node, gap, raises",
     [
-        (0.5, 0.5e-3, True),  # coincidence_tol / 2 apart
-        (0.5, 2e-3, False),  # 2 coincidence_tol apart
+        (0.5, 0.5e-3, True),  # half the tolerance apart
+        (0.5, 2e-3, False),  # twice the tolerance apart
         (2.0, 1.5e-3, True),  # under the tolerance scaled by the node modulus 2
         (2.0, 3e-3, False),
     ],
 )
-def test_prony_solve_coincidence_threshold(node, gap, raises):
+def test_prony_solve_coincidence_threshold(node, gap, raises, monkeypatch):
+    monkeypatch.setattr(prony, "_COINCIDENCE_TOL", 1e-3)
     nodes = [node, node + gap]
     mu = prony_map([1.0, -1.0j], nodes, 4)
     if raises:
         with pytest.raises(RepeatedRootsError):
-            prony_solve(mu, 2, coincidence_tol=1e-3)
+            prony_solve(mu, 2)
     else:
-        solution = prony_solve(mu, 2, coincidence_tol=1e-3)
+        solution = prony_solve(mu, 2)
         np.testing.assert_allclose(np.sort(solution.nodes.real), nodes, rtol=1e-9)
 
 

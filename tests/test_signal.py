@@ -217,6 +217,26 @@ def test_json_round_trips():
     assert again.actual_noise == samples.actual_noise
 
 
+@pytest.mark.parametrize(
+    "amplitudes, nodes",
+    [
+        ([[1, 0], [math.nan, 0], [1, 0]], [0.0, 0.01, 0.3]),
+        ([[1, 0], [0, math.inf], [1, 0]], [0.0, 0.01, 0.3]),
+        ([[1, 0], [-1, 0], [1, 0]], [0.0, 0.01, math.inf]),
+        ([[1, 0], [-1, 0], [1, 0]], [-math.inf, 0.01, 0.3]),
+    ],
+)
+def test_spike_train_json_rejects_non_finite_values(amplitudes, nodes):
+    with pytest.raises(ValueError, match="amplitudes and nodes must be finite"):
+        SpikeTrain.from_json_dict({"amplitudes": amplitudes, "nodes": nodes})
+
+
+def test_samples_json_noise_levels_default_to_zero():
+    samples = SpectralSamples.from_json_dict({"values": [[1, 0], [0, 1]]})
+    np.testing.assert_array_equal(samples.values, [1, 1j])
+    assert samples.noise_bound == 0.0 and samples.actual_noise == 0.0
+
+
 def test_cluster_geometry_validation():
     with pytest.raises(ValueError):
         ClusterGeometry(p=1, d=3, h=0.1, T=1.0, tau=0.5, eta=0.1)
