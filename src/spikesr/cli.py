@@ -259,45 +259,17 @@ def cmd_experiment(args) -> int:
 
 def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
     """The spike train of --input and the cluster that -p, --kappa and
-    --extent pick out of it; the caller has required --input and -p.  The
-    kappa and extent in use are written back to args.  The extent defaults to
-    the span of the cluster nodes and may fall below it only by the rounding
-    of the node positions, so that the nominal extent of nodes such as 0.3
-    and 0.301 is accepted."""
+    --extent pick out of it (see ClusterGeometry.from_nodes); the caller has
+    required --input and -p.  The kappa and extent in use are written back
+    to args."""
     obj = _read_json_file(args.input)
     try:
         train = SpikeTrain.from_json_dict(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad spike-train file: {exc}", EXIT_PARSE) from exc
-    p = args.p
     _set_defaults(args, kappa=1)
-    lo = args.kappa - 1
-    if not (p >= 2 and 0 <= lo and lo + p <= train.d):
-        raise CliError(
-            "cluster indices fall outside the signal (need p >= 2)", EXIT_PARSE
-        )
-    cluster = train.nodes[lo : lo + p]
-    span = float(cluster[-1] - cluster[0])
-    _set_defaults(args, extent=span)
-    extent = args.extent
-    if extent < span - 2 * np.spacing(np.abs(cluster).max()):
-        raise CliError(
-            f"bad cluster geometry: extent {extent!r} is below the span {span!r} "
-            "of the cluster nodes",
-            EXIT_PARSE,
-        )
-    T = max(float(train.nodes[-1] - train.nodes[0]), extent)
-    gaps = np.diff(cluster)
-    tau = float(gaps.min() / extent) if extent > 0 else 1.0
-    geometry = ClusterGeometry(
-        p=p,
-        d=train.d,
-        h=extent,
-        T=T,
-        tau=min(1.0, tau),
-        eta=min(1.0, extent / T),
-        kappa=args.kappa,
-    )
+    geometry = ClusterGeometry.from_nodes(train.nodes, args.p, args.kappa, args.extent)
+    args.extent = geometry.h
     return train, geometry
 
 

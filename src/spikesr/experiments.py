@@ -170,8 +170,7 @@ def single_experiment(
     """
     if n_samples < 2 * d:
         raise ValueError("need at least 2 d samples")
-    layout_geometry = standard_cluster_geometry(p, d, h)
-    x = make_clustered_nodes(layout_geometry) / (2.0 * math.pi)
+    x = make_clustered_nodes(standard_cluster_geometry(p, d, h)) / (2.0 * math.pi)
     amps = _scheme_amplitudes(scheme, d)
     train = SpikeTrain(amplitudes=amps, nodes=x)
 
@@ -186,17 +185,8 @@ def single_experiment(
             samples = sample_spectrum(train, n_samples, epsilon, seed)
             eps0 = samples.actual_noise
         else:
-            norm_geometry = ClusterGeometry(
-                p=p,
-                d=d,
-                h=h / (2.0 * math.pi),
-                T=1.0,
-                tau=layout_geometry.tau,
-                eta=layout_geometry.eta / 2.0,
-                kappa=1,
-            )
             perturbed = worst_case_signal(
-                train, norm_geometry, epsilon, omega=1.0, grid_points=3
+                train, ClusterGeometry.from_nodes(x, p), epsilon, omega=1.0, grid_points=3
             ).perturbed
             samples = SpectralSamples(clean_spectrum(perturbed, n_samples), 0.0, 0.0)
             eps0 = float(

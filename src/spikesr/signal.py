@@ -103,21 +103,60 @@ class ClusterGeometry:
     kappa: int = 1
 
     def __post_init__(self):
-        if not (2 <= self.p <= self.d):
-            raise ValueError("cluster size p must satisfy 2 <= p <= d")
+        _check_cluster_indices(self.p, self.d, self.kappa)
         if not (0 < self.h <= self.T):
             raise ValueError("cluster extent h must satisfy 0 < h <= T")
         if not (0 < self.tau <= 1):
             raise ValueError("tau must lie in (0, 1]")
         if not (0 < self.eta <= 1):
             raise ValueError("eta must lie in (0, 1]")
-        if not (1 <= self.kappa <= self.d - self.p + 1):
-            raise ValueError("kappa must index a contiguous cluster inside the node vector")
+
+    @classmethod
+    def from_nodes(
+        cls, nodes, p: int, kappa: int = 1, extent: float | None = None
+    ) -> "ClusterGeometry":
+        """Geometry of the p-node cluster at 1-based index kappa of a node vector.
+
+        d is the node count and h the extent, which defaults to the span of
+        the cluster nodes.  A given extent may fall below that span only by
+        the rounding of the node positions, so that the nominal extent of
+        nodes such as 0.3 and 0.301 is accepted.  T is the larger of h and
+        the span of all nodes, tau the smallest cluster gap over h and eta
+        h over T, both capped at 1.
+        """
+        # Python floats: every S2 trial calls this, and numpy's per-call
+        # overhead on a handful of nodes would outweigh the arithmetic.
+        x = np.asarray(nodes, dtype=float).tolist()
+        _check_cluster_indices(p, len(x), kappa)
+        cluster = x[kappa - 1 : kappa - 1 + p]
+        span = cluster[-1] - cluster[0]
+        if extent is None:
+            h = span
+        else:
+            h = float(extent)
+            if h < span - 2 * np.spacing(max(map(abs, cluster))):
+                raise ValueError(
+                    f"extent {h!r} is below the span {span!r} of the cluster nodes"
+                )
+        T = max(x[-1] - x[0], h)
+        tau = min(b - a for a, b in zip(cluster, cluster[1:])) / h if h > 0 else 1.0
+        return cls(
+            p=p, d=len(x), h=h, T=T, tau=min(1.0, tau), eta=min(1.0, h / T), kappa=kappa
+        )
 
     @property
     def cluster_slice(self) -> slice:
         """0-based slice selecting the cluster nodes."""
         return slice(self.kappa - 1, self.kappa - 1 + self.p)
+
+
+def _check_cluster_indices(p: int, d: int, kappa: int = 1) -> None:
+    """Reject a cluster of p nodes at 1-based index kappa that does not fit
+    in d nodes or has fewer than two nodes."""
+    if not (2 <= p <= d):
+        raise ValueError("cluster size p must satisfy 2 <= p <= d")
+    if not (1 <= kappa <= d - p + 1):
+        raise ValueError("kappa must index a contiguous cluster inside the node vector")
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +253,7 @@ def standard_cluster_geometry(p: int, d: int, h: float) -> ClusterGeometry:
     nodes split the rest of [0, pi] evenly, which gives T = pi,
     tau = 1/(p-1) and eta = (pi - h) / (pi (d - p + 1)).
     """
-    if not 2 <= p <= d:
-        raise ValueError("cluster size p must satisfy 2 <= p <= d")
+    _check_cluster_indices(p, d)
     if h >= math.pi:
         raise ValueError("cluster extent must be below pi")
     return ClusterGeometry(

@@ -22,7 +22,7 @@ from .errors import (
     RepeatedRootsError,
 )
 from .prony import prony_map, prony_solve
-from .signal import ClusterGeometry, SpikeTrain, fourier_at
+from .signal import ClusterGeometry, SpikeTrain, _check_cluster_indices, fourier_at
 
 __all__ = [
     "WorstCaseReport",
@@ -231,8 +231,7 @@ def displacement_scaling_probe(
     row per h, where srf = 1/(omega tau h).  On a log-log scale the node column
     grows with slope 2p-2 and the amplitude column with slope 2p-1.
     """
-    if d < p:
-        raise ValueError("d must be at least p")
+    _check_cluster_indices(p, d)
     tau = 1.0 / (p - 1)
     rows = []
     for h in h_values:
@@ -242,10 +241,7 @@ def displacement_scaling_probe(
         spectators = extent / 2.0 + (1.0 + extent) * np.arange(1, d - p + 1)
         nodes = np.concatenate([cluster, spectators])
         train = SpikeTrain(amplitudes=(-1.0) ** np.arange(d), nodes=nodes)
-        span = max(nodes[-1] - nodes[0], extent)
-        geometry = ClusterGeometry(
-            p=p, d=d, h=extent, T=span, tau=tau, eta=min(1.0, extent / span), kappa=1
-        )
+        geometry = ClusterGeometry.from_nodes(nodes, p, extent=extent)
         eps = epsilon_coeff * (omega * tau * h) ** (2 * p - 1)
         report = worst_case_signal(train, geometry, eps, omega=1.0, grid_points=3)
         srf = 1.0 / (omega * tau * h)

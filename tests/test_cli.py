@@ -342,7 +342,7 @@ def test_extent_below_the_cluster_span_exits_2(tmp_path, capsys, subcommand):
     argv = [subcommand, "-i", str(src), "-p", "2", "--kappa", "2", "--omega", "5000"]
     assert main([*argv, *level, "--extent", "1e-9", "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: bad cluster geometry") and "below the span" in err
+    assert err.startswith(f"error: bad {subcommand} input: extent") and "below the span" in err
     assert not out.exists()
 
 

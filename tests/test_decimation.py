@@ -387,18 +387,8 @@ def test_sigma_intervals_rejects_bad_input(delta, alpha, interval):
 
 
 def _normalized_cluster(p, d, h_layout):
-    geometry = standard_cluster_geometry(p, d, h_layout)
-    nodes = make_clustered_nodes(geometry) / (2 * math.pi)
-    norm = ClusterGeometry(
-        p=p,
-        d=d,
-        h=h_layout / (2 * math.pi),
-        T=1.0,
-        tau=geometry.tau,
-        eta=geometry.eta / 2.0,
-        kappa=1,
-    )
-    return nodes, norm
+    nodes = make_clustered_nodes(standard_cluster_geometry(p, d, h_layout)) / (2 * math.pi)
+    return nodes, ClusterGeometry.from_nodes(nodes, p, extent=h_layout / (2 * math.pi))
 
 
 def test_admissible_full_interval_when_all_nodes_cluster():
@@ -468,9 +458,17 @@ def test_admissible_set_verifier():
             rejected += 1
 
 
+def _torus_eta(p, d, h_layout):
+    """Non-cluster separation bound of the normalized layout with T = 1: the
+    layout's eta (relative to T = pi) halved.  from_nodes derives the far
+    looser eta = h/T, at which omega = 2(2d-1)/eta breaks the cluster
+    condition omega h <= (2d-1)/2."""
+    return standard_cluster_geometry(p, d, h_layout).eta / 2.0
+
+
 def test_admissible_excluded_measure_bound():
     nodes, geometry = _normalized_cluster(2, 3, 0.0001)
-    d, eta = geometry.d, geometry.eta
+    d, eta = geometry.d, _torus_eta(2, 3, 0.0001)
     omega = 2 * (2 * d - 1) / eta  # range length exactly 1/eta
     lam = admissible_lambdas(nodes, geometry, omega)
     lo, hi = omega / (2 * (2 * d - 1)), omega / (2 * d - 1)
@@ -482,7 +480,7 @@ def test_admissible_excluded_measure_bound():
 
 def test_admissible_guaranteed_interval_length():
     nodes, geometry = _normalized_cluster(2, 4, 0.0001)
-    d, eta = geometry.d, geometry.eta
+    d, eta = geometry.d, _torus_eta(2, 4, 0.0001)
     omega = 2 * (2 * d - 1) / eta
     lam = admissible_lambdas(nodes, geometry, omega)
     widest = max(b - a for a, b in lam.intervals)

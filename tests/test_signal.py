@@ -246,6 +246,69 @@ def test_cluster_geometry_validation():
         ClusterGeometry(p=2, d=3, h=0.1, T=1.0, tau=0.5, eta=0.1, kappa=3)
 
 
+def _geometry_reference(nodes, p, kappa, extent):
+    """The CLI's former hand derivation of a cluster geometry, kept as the
+    reference for ClusterGeometry.from_nodes: (p, d, h, T, tau, eta, kappa)."""
+    nodes = np.asarray(nodes, dtype=float)
+    cluster = nodes[kappa - 1 : kappa - 1 + p]
+    span = float(cluster[-1] - cluster[0])
+    extent = span if extent is None else extent
+    assert extent >= span - 2 * np.spacing(np.abs(cluster).max())
+    T = max(float(nodes[-1] - nodes[0]), extent)
+    gaps = np.diff(cluster)
+    tau = float(gaps.min() / extent) if extent > 0 else 1.0
+    return (p, len(nodes), extent, T, min(1.0, tau), min(1.0, extent / T), kappa)
+
+
+def _assert_from_nodes_matches_reference(nodes, p, kappa, extent):
+    geometry = ClusterGeometry.from_nodes(nodes, p, kappa, extent)
+    got = (geometry.p, geometry.d, geometry.h, geometry.T,
+           geometry.tau, geometry.eta, geometry.kappa)
+    want = _geometry_reference(nodes, p, kappa, extent)
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert [v.hex() if isinstance(v, float) else v for v in got] == [
+        v.hex() if isinstance(v, float) else v for v in want
+    ]
+
+
+def test_from_nodes_matches_the_hand_derivation_bit_for_bit():
+    rng = np.random.default_rng(14)
+    compared = 0
+    for _ in range(40):
+        d = int(rng.integers(2, 9))
+        steps = np.exp(rng.uniform(np.log(1e-4), np.log(1.0), d - 1))
+        nodes = rng.uniform(-1.0, 1.0) + np.concatenate([[0.0], np.cumsum(steps)])
+        for p in range(2, d + 1):
+            for kappa in range(1, d - p + 2):
+                span = float(nodes[kappa - 2 + p] - nodes[kappa - 1])
+                for extent in (None, span, 1.5 * span):
+                    _assert_from_nodes_matches_reference(nodes, p, kappa, extent)
+                    compared += 1
+    assert compared > 500
+    # the nominal extent of 0.3 and 0.301, whose difference rounds above 0.001
+    assert 0.301 - 0.3 > 0.001
+    _assert_from_nodes_matches_reference(np.array([0.0, 0.3, 0.301, 0.6]), 2, 2, 0.001)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "p, kappa, extent, message",
+    [
+        (0, 1, None, "2 <= p <= d"),
+        (1, 1, None, "2 <= p <= d"),
+        (5, 1, None, "2 <= p <= d"),
+        (2, 0, None, "kappa must index"),
+        (2, 4, None, "kappa must index"),
+        (3, 3, None, "kappa must index"),
+        (2, 2, 1e-9, "below the span"),
+        (2, 1, 0.29, "below the span"),
+    ],
+)
+def test_from_nodes_rejects_a_cluster_it_cannot_pick_out(p, kappa, extent, message):
+    with pytest.raises(ValueError, match=message):
+        ClusterGeometry.from_nodes([0.0, 0.3, 0.301, 0.6], p, kappa, extent)
+
+
 def test_array_holding_results_compare_by_identity():
     # The dataclasses holding arrays compare by identity: == returns a bool
     # for d >= 2 instead of raising on an ambiguous array truth value.

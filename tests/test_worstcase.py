@@ -155,6 +155,16 @@ def test_probe_propagates_epsilon_too_large():
         displacement_scaling_probe(2, 2, [0.1], 1.0, epsilon_coeff=1e3)
 
 
+@pytest.mark.parametrize("p, d", [(0, 2), (1, 2), (3, 2)])
+def test_probe_rejects_bad_cluster_size_before_any_solve(p, d, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("worst_case_signal must not be called")
+
+    monkeypatch.setattr(worstcase, "worst_case_signal", never)
+    with pytest.raises(ValueError, match="cluster size p must satisfy 2 <= p <= d"):
+        displacement_scaling_probe(p, d, [0.1], 1.0)
+
+
 def _reference_report(train, geometry, epsilon, omega=None, grid_points=1001, imag_tol=1e-9):
     """The former worst_case_signal, which computed every diagnostic eagerly,
     kept as a reference: (perturbed, the five diagnostics in field order)."""
