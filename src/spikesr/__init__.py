@@ -14,7 +14,6 @@ from .decimation import (
     JacobianBoundReport,
     admissible_lambdas,
     angular_distance,
-    confluent_vandermonde,
     gautschi_bounds,
     predicted_condition_numbers,
     sigma_intervals,
@@ -47,7 +46,6 @@ from .experiments import (
 )
 from .matrix_pencil import (
     RecoveryResult,
-    build_hankel,
     mp_recover,
 )
 from .prony import (

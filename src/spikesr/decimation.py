@@ -25,7 +25,6 @@ __all__ = [
     "angular_distance",
     "sigma_intervals",
     "admissible_lambdas",
-    "confluent_vandermonde",
     "gautschi_bounds",
     "predicted_condition_numbers",
 ]
@@ -344,30 +343,13 @@ def admissible_lambdas(
     return IntervalSet._from_components(gap_starts[keep], gap_ends[keep])
 
 
-def _node_array(z) -> np.ndarray:
-    """Complex 1-D array of the nodes z; a scalar counts as one node.  Raises
-    ValueError for empty or non-1-D input."""
-    w = np.asarray(z, dtype=complex)
-    if w.ndim == 0:
-        w = w.reshape(1)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"nodes z must be a non-empty 1-D array, got shape {w.shape}")
-    return w
-
-
-def confluent_vandermonde(z) -> np.ndarray:
-    """2d x 2d confluent Vandermonde of d distinct values: plain power columns
-    followed by their derivative columns.
+def _confluent(w: np.ndarray) -> np.ndarray:
+    """2d x 2d confluent Vandermonde of d distinct values in a complex 1-D
+    array: plain power columns followed by their derivative columns.
 
     Both blocks come from one table of the powers w_j^k, k < 2d: derivative
-    row k is k times plain row k-1, and derivative row 0 is zero.  Raises
-    ValueError for empty or non-1-D input.
+    row k is k times plain row k-1, and derivative row 0 is zero.
     """
-    return _confluent(_node_array(z))
-
-
-def _confluent(w: np.ndarray) -> np.ndarray:
-    """confluent_vandermonde of a complex 1-D array already checked."""
     d = w.size
     exponents, factors = _confluent_factors(d)
     plain = np.power.outer(w, exponents).T  # 2d x d
@@ -391,7 +373,9 @@ def gautschi_bounds(z) -> JacobianBoundReport:
     Raises ValueError for empty, non-1-D or non-finite nodes and
     NearCoincidentNodesError when two nodes lie closer than 1e-12.
     """
-    w = _node_array(z)
+    w = np.atleast_1d(np.asarray(z, dtype=complex))
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError(f"nodes z must be a non-empty 1-D array, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise ValueError("nodes must be finite")
     d = w.size

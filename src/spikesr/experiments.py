@@ -144,7 +144,7 @@ def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
     if scheme == "S1":
         return 1j ** np.arange(d)
     if scheme == "S2":
-        return np.array([(-1.0) ** j for j in range(d)], dtype=complex)
+        return ((-1.0) ** np.arange(d)).astype(complex)
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
@@ -183,15 +183,14 @@ def single_experiment(
     try:
         if scheme == "S1":
             samples = sample_spectrum(train, n_samples, epsilon, seed)
-            eps0 = samples.actual_noise
         else:
-            perturbed = worst_case_signal(
-                train, ClusterGeometry.from_nodes(x, p), epsilon, omega=1.0, grid_points=3
-            ).perturbed
-            samples = SpectralSamples(clean_spectrum(perturbed, n_samples), 0.0, 0.0)
-            eps0 = float(
-                np.abs(clean_spectrum(train, n_samples) - samples.values).max()
+            geometry = ClusterGeometry.from_nodes(x, p)
+            perturbed = worst_case_signal(train, geometry, epsilon).perturbed
+            values = clean_spectrum(perturbed, n_samples)
+            samples = SpectralSamples(
+                values, float(np.abs(clean_spectrum(train, n_samples) - values).max())
             )
+        eps0 = samples.actual_noise
         result = mp_recover(samples, d)
     except SpikesrError as exc:
         # a worst-case failure leaves eps0 NaN; an estimator failure keeps it

@@ -24,7 +24,6 @@ from .signal import SpectralSamples, SpikeTrain, _complex_to_json
 
 __all__ = [
     "RecoveryResult",
-    "build_hankel",
     "mp_recover",
 ]
 
@@ -38,14 +37,12 @@ class RecoveryResult:
 
     Node estimates live in (-1/2, 1/2] (principal angles of the recovered
     eigenvalues divided by 2 pi).  singular_values are the d leading singular
-    values of the full sample Hankel matrix; eigenvalues are the raw
-    shift-matrix eigenvalues before angle extraction, ordered like the nodes.
+    values of the full sample Hankel matrix.
     """
 
     estimate: SpikeTrain
     pencil_param: int
     singular_values: np.ndarray
-    eigenvalues: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -54,15 +51,6 @@ class RecoveryResult:
             "L": int(self.pencil_param),
             "sigma": [float(s) for s in self.singular_values],
         }
-
-
-def build_hankel(values: np.ndarray, pencil_param: int) -> np.ndarray:
-    """(L+1) x (N-L) Hankel matrix H[i, j] = values[i + j]."""
-    n = len(values)
-    if not 1 <= pencil_param <= n - 1:
-        raise ValueError(f"pencil parameter must lie in [1, {n - 1}]")
-    idx = np.add.outer(np.arange(pencil_param + 1), np.arange(n - pencil_param))
-    return values[idx]
 
 
 def mp_recover(
@@ -96,7 +84,8 @@ def mp_recover(
     if not d <= L <= n - d:
         raise ValueError(f"pencil parameter must lie in [{d}, {n - d}]")
 
-    u, sigma, _ = np.linalg.svd(build_hankel(values, L), full_matrices=False)
+    hankel = values[np.add.outer(np.arange(L + 1), np.arange(n - L))]
+    u, sigma, _ = np.linalg.svd(hankel, full_matrices=False)
     u, sigma = u[:, :d], sigma[:d]
     if sigma[-1] < _RANK_TOL * sigma[0]:
         raise RankDeficiencyError(
@@ -112,7 +101,6 @@ def mp_recover(
     nodes = np.arctan2(z.imag, z.real) / (2.0 * np.pi)
     order = nodes.argsort(kind="stable")
     nodes = nodes[order]
-    z = z[order]
     if not np.isfinite(nodes).all() or (nodes[1:] <= nodes[:-1]).any():
         raise EigenFailureError("eigen failure: recovered nodes are not distinct")
 
@@ -123,5 +111,4 @@ def mp_recover(
         estimate=SpikeTrain(amplitudes=amps, nodes=nodes),
         pencil_param=L,
         singular_values=sigma,
-        eigenvalues=z,
     )

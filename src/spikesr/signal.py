@@ -122,7 +122,8 @@ class ClusterGeometry:
         the rounding of the node positions, so that the nominal extent of
         nodes such as 0.3 and 0.301 is accepted.  T is the larger of h and
         the span of all nodes, tau the smallest cluster gap over h and eta
-        h over T, both capped at 1.
+        the smallest separation of a pair holding a non-cluster node over T,
+        both capped at 1; eta is 1 when every node is in the cluster.
         """
         # Python floats: every S2 trial calls this, and numpy's per-call
         # overhead on a handful of nodes would outweigh the arithmetic.
@@ -139,9 +140,15 @@ class ClusterGeometry:
                     f"extent {h!r} is below the span {span!r} of the cluster nodes"
                 )
         T = max(x[-1] - x[0], h)
-        tau = min(b - a for a, b in zip(cluster, cluster[1:])) / h if h > 0 else 1.0
+        gaps = [b - a for a, b in zip(x, x[1:])]
+        inner = slice(kappa - 1, kappa + p - 2)
+        tau = min(gaps[inner]) / h if h > 0 else 1.0
+        # The nodes are sorted, so the closest pair holding a non-cluster node
+        # is a neighbour pair outside the cluster's own p-1 gaps.
+        del gaps[inner]
+        eta = min(gaps) / T if gaps else 1.0
         return cls(
-            p=p, d=len(x), h=h, T=T, tau=min(1.0, tau), eta=min(1.0, h / T), kappa=kappa
+            p=p, d=len(x), h=h, T=T, tau=min(1.0, tau), eta=min(1.0, eta), kappa=kappa
         )
 
     @property
@@ -161,36 +168,27 @@ def _check_cluster_indices(p: int, d: int, kappa: int = 1) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SpectralSamples:
-    """Equispaced unit-rate spectral measurements with a recorded noise level.
+    """Equispaced unit-rate spectral measurements with their measured noise.
 
-    values[k] approximates m_k = F(-k); noise_bound is the requested bound on
-    |values[k] - m_k| and actual_noise the measured maximum deviation (when the
-    clean samples were known at construction).
+    values[k] approximates m_k = F(-k); actual_noise is the measured maximum
+    of |values[k] - m_k|.
     """
 
     values: np.ndarray
-    noise_bound: float
     actual_noise: float
 
     def __post_init__(self):
         vals = _frozen_1d(self.values, complex)
-        if self.noise_bound < 0 or self.actual_noise < 0:
-            raise ValueError("noise magnitudes must be nonnegative")
+        if self.actual_noise < 0:
+            raise ValueError("actual_noise must be nonnegative")
         object.__setattr__(self, "values", vals)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "values": _complex_to_json(self.values),
-            "noise_bound": float(self.noise_bound),
-            "actual_noise": float(self.actual_noise),
-        }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SpectralSamples":
-        """Samples of a JSON object; noise_bound and actual_noise default to 0."""
+        """Samples of a JSON object; actual_noise defaults to 0 and other keys
+        are ignored."""
         return cls(
             values=_complex_from_json(obj["values"]),
-            noise_bound=float(obj.get("noise_bound", 0.0)),
             actual_noise=float(obj.get("actual_noise", 0.0)),
         )
 
@@ -230,11 +228,7 @@ def sample_spectrum(
     radius = rng.uniform(0.0, noise_bound, count)
     theta = rng.uniform(0.0, 2.0 * np.pi, count)
     noise = radius * np.exp(1j * theta)
-    return SpectralSamples(
-        values=clean + noise,
-        noise_bound=float(noise_bound),
-        actual_noise=float(np.abs(noise).max()),
-    )
+    return SpectralSamples(values=clean + noise, actual_noise=float(np.abs(noise).max()))
 
 
 def moments(train: SpikeTrain, count: int) -> np.ndarray:

@@ -33,6 +33,9 @@ __all__ = [
 # Relative imaginary part, and relative gap, at or below which the perturbed
 # cluster nodes count as complex or coincident.
 _IMAG_TOL = 1e-9
+# displacement_scaling_probe bumps by this multiple of (omega tau h)^(2p-1),
+# small enough to stay inside the solvable regime.
+_PROBE_EPS_COEFF = 0.02
 
 
 class _Construction(NamedTuple):
@@ -217,15 +220,13 @@ def displacement_scaling_probe(
     d: int,
     h_values: Sequence[float],
     omega: float,
-    epsilon_coeff: float = 0.02,
 ) -> list[tuple[float, float, float]]:
     """Displacement amplification of the worst-case construction across cluster sizes.
 
     For each h the centered cluster is blown up by omega (p equispaced nodes
     spanning omega*h, alternating unit amplitudes; any extra d-p nodes sit far
     to the right and stay untouched) and perturbed with
-    epsilon = epsilon_coeff (omega tau h)^{2p-1}, whose small default
-    coefficient stays inside the solvable regime.
+    epsilon = 0.02 (omega tau h)^{2p-1}.
 
     Returns one (srf, node_displacement/epsilon, amplitude_displacement/epsilon)
     row per h, where srf = 1/(omega tau h).  On a log-log scale the node column
@@ -242,8 +243,8 @@ def displacement_scaling_probe(
         nodes = np.concatenate([cluster, spectators])
         train = SpikeTrain(amplitudes=(-1.0) ** np.arange(d), nodes=nodes)
         geometry = ClusterGeometry.from_nodes(nodes, p, extent=extent)
-        eps = epsilon_coeff * (omega * tau * h) ** (2 * p - 1)
-        report = worst_case_signal(train, geometry, eps, omega=1.0, grid_points=3)
+        eps = _PROBE_EPS_COEFF * (omega * tau * h) ** (2 * p - 1)
+        report = worst_case_signal(train, geometry, eps)
         srf = 1.0 / (omega * tau * h)
         rows.append(
             (srf, report.node_displacement / eps, report.amplitude_displacement / eps)

@@ -11,7 +11,6 @@ from spikesr.decimation import (
     _sigma_pieces,
     admissible_lambdas,
     angular_distance,
-    confluent_vandermonde,
     gautschi_bounds,
     predicted_condition_numbers,
     sigma_intervals,
@@ -460,15 +459,16 @@ def test_admissible_set_verifier():
 
 def _torus_eta(p, d, h_layout):
     """Non-cluster separation bound of the normalized layout with T = 1: the
-    layout's eta (relative to T = pi) halved.  from_nodes derives the far
-    looser eta = h/T, at which omega = 2(2d-1)/eta breaks the cluster
-    condition omega h <= (2d-1)/2."""
+    layout's closed-form eta (relative to T = pi) halved.  It equals the
+    eta * T that from_nodes derives from the nodes, which the tests below
+    check bit for bit."""
     return standard_cluster_geometry(p, d, h_layout).eta / 2.0
 
 
 def test_admissible_excluded_measure_bound():
     nodes, geometry = _normalized_cluster(2, 3, 0.0001)
     d, eta = geometry.d, _torus_eta(2, 3, 0.0001)
+    assert geometry.eta * geometry.T == eta
     omega = 2 * (2 * d - 1) / eta  # range length exactly 1/eta
     lam = admissible_lambdas(nodes, geometry, omega)
     lo, hi = omega / (2 * (2 * d - 1)), omega / (2 * d - 1)
@@ -481,6 +481,7 @@ def test_admissible_excluded_measure_bound():
 def test_admissible_guaranteed_interval_length():
     nodes, geometry = _normalized_cluster(2, 4, 0.0001)
     d, eta = geometry.d, _torus_eta(2, 4, 0.0001)
+    assert geometry.eta * geometry.T == eta
     omega = 2 * (2 * d - 1) / eta
     lam = admissible_lambdas(nodes, geometry, omega)
     widest = max(b - a for a, b in lam.intervals)
@@ -676,8 +677,8 @@ def test_admissible_rejects_bad_input(change, message):
 
 
 def test_confluent_vandermonde_examples():
-    np.testing.assert_allclose(confluent_vandermonde([1.0]), [[1, 0], [1, 1]])
-    m = confluent_vandermonde([1.0, -1.0])
+    np.testing.assert_allclose(decimation._confluent(np.array([1.0 + 0j])), [[1, 0], [1, 1]])
+    m = decimation._confluent(np.array([1.0, -1.0], dtype=complex))
     np.testing.assert_allclose(
         m,
         [
@@ -729,7 +730,7 @@ def test_gautschi_bounds_match_reference_loop():
 
 
 def _two_table_confluent_vandermonde(z):
-    """The former confluent_vandermonde: a second power table for the
+    """The former confluent Vandermonde: a second power table for the
     derivative block, joined to the plain block with hstack."""
     w = np.atleast_1d(np.asarray(z, dtype=complex))
     d = len(w)
@@ -772,7 +773,8 @@ _REPORT_ARRAYS = (
 
 
 def _assert_matches_eager(z):
-    assert confluent_vandermonde(z).tobytes() == _two_table_confluent_vandermonde(z).tobytes()
+    w = np.atleast_1d(np.asarray(z, dtype=complex))
+    assert decimation._confluent(w).tobytes() == _two_table_confluent_vandermonde(z).tobytes()
     *arrays, cond = _eager_gautschi(z)
     report = gautschi_bounds(z)
     for name, expected in zip(_REPORT_ARRAYS, arrays):
@@ -885,10 +887,16 @@ def test_gautschi_rejects_empty_or_non_1d_nodes_before_any_work(z, monkeypatch):
 
 
 @pytest.mark.parametrize("z", [[], [[1.0, 2.0], [3.0, 4.0]]])
-def test_confluent_vandermonde_rejects_empty_or_non_1d_nodes(z):
+def test_confluent_vandermonde_rejects_empty_or_non_1d_nodes(z, monkeypatch):
+    # gautschi_bounds is the one caller that builds the confluent matrix, and
+    # it names the rejected shape before the matrix is reached
+    def untouched(*_args):
+        raise AssertionError("confluent matrix reached")
+
+    monkeypatch.setattr(decimation, "_confluent", untouched)
     message = re.escape(f"non-empty 1-D array, got shape {np.shape(z)}")
     with pytest.raises(ValueError, match=message):
-        confluent_vandermonde(z)
+        gautschi_bounds(z)
 
 
 def test_per_layout_tables_are_shared_read_only():

@@ -51,6 +51,21 @@ def test_single_experiment_eps0_semantics():
     assert s2.epsilon0 != pytest.approx(1e-9)
 
 
+@pytest.mark.parametrize("scheme, h", [("S1", 0.01), ("S2", 0.05)])
+def test_estimator_samples_carry_the_recorded_eps0(monkeypatch, scheme, h):
+    # both schemes hand the estimator samples whose actual_noise is epsilon0
+    seen = []
+
+    def recording_recover(samples, d):
+        seen.append(samples)
+        return mp_recover(samples, d)
+
+    monkeypatch.setattr(experiments, "mp_recover", recording_recover)
+    record = single_experiment(2, 3, h, 48, 1e-9, scheme, seed=0)
+    assert record.failure is None and len(seen) == 1
+    assert seen[0].actual_noise == record.epsilon0 > 0
+
+
 def test_single_experiment_s2_too_large_epsilon_fails_gracefully():
     record = single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0)
     assert record.failure is not None

@@ -90,7 +90,7 @@ def test_zero_noise_samples_match_adding_a_zero_array(amplitudes, nodes):
         samples = sample_spectrum(train, count, 0.0, 0)
         expected = clean_spectrum(train, count) + np.zeros(count, dtype=complex)
         assert samples.values.tobytes() == expected.tobytes()
-        assert (samples.noise_bound, samples.actual_noise) == (0.0, 0.0)
+        assert samples.actual_noise == 0.0
 
 
 def test_sample_spectrum_noise_bound_and_determinism():
@@ -210,12 +210,6 @@ def test_json_round_trips():
     np.testing.assert_array_equal(again.amplitudes, train.amplitudes)
     np.testing.assert_array_equal(again.nodes, train.nodes)
 
-    samples = sample_spectrum(train, 5, 1e-4, 11)
-    again = SpectralSamples.from_json_dict(samples.to_json_dict())
-    np.testing.assert_array_equal(again.values, samples.values)
-    assert again.noise_bound == samples.noise_bound
-    assert again.actual_noise == samples.actual_noise
-
 
 @pytest.mark.parametrize(
     "amplitudes, nodes",
@@ -234,7 +228,18 @@ def test_spike_train_json_rejects_non_finite_values(amplitudes, nodes):
 def test_samples_json_noise_levels_default_to_zero():
     samples = SpectralSamples.from_json_dict({"values": [[1, 0], [0, 1]]})
     np.testing.assert_array_equal(samples.values, [1, 1j])
-    assert samples.noise_bound == 0.0 and samples.actual_noise == 0.0
+    assert samples.actual_noise == 0.0
+
+
+@pytest.mark.parametrize("noise_bound", [1e-9, -1, "abc"])
+def test_samples_json_ignores_a_stored_noise_bound(noise_bound):
+    # files written before the bound was dropped still load, whatever it holds
+    obj = {"values": [[1, 0], [0, 1]], "noise_bound": noise_bound}
+    samples = SpectralSamples.from_json_dict(obj)
+    np.testing.assert_array_equal(samples.values, [1, 1j])
+    assert samples.actual_noise == 0.0
+    obj["actual_noise"] = 1e-9
+    assert SpectralSamples.from_json_dict(obj).actual_noise == 1e-9
 
 
 def test_cluster_geometry_validation():
@@ -247,8 +252,10 @@ def test_cluster_geometry_validation():
 
 
 def _geometry_reference(nodes, p, kappa, extent):
-    """The CLI's former hand derivation of a cluster geometry, kept as the
-    reference for ClusterGeometry.from_nodes: (p, d, h, T, tau, eta, kappa)."""
+    """The CLI's former hand derivation of a cluster geometry, with eta taken
+    over every pair that holds a non-cluster node as ClusterGeometry's
+    docstring defines it; the reference for ClusterGeometry.from_nodes:
+    (p, d, h, T, tau, eta, kappa)."""
     nodes = np.asarray(nodes, dtype=float)
     cluster = nodes[kappa - 1 : kappa - 1 + p]
     span = float(cluster[-1] - cluster[0])
@@ -257,7 +264,18 @@ def _geometry_reference(nodes, p, kappa, extent):
     T = max(float(nodes[-1] - nodes[0]), extent)
     gaps = np.diff(cluster)
     tau = float(gaps.min() / extent) if extent > 0 else 1.0
-    return (p, len(nodes), extent, T, min(1.0, tau), min(1.0, extent / T), kappa)
+    seps = _noncluster_separations(nodes, p, kappa)
+    eta = float(seps.min() / T) if seps.size else 1.0
+    return (p, len(nodes), extent, T, min(1.0, tau), min(1.0, eta), kappa)
+
+
+def _noncluster_separations(nodes, p, kappa):
+    """|x_j - x_k| over every pair j < k that holds a non-cluster node."""
+    d = len(nodes)
+    in_cluster = np.zeros(d, dtype=bool)
+    in_cluster[kappa - 1 : kappa - 1 + p] = True
+    pairs = ~np.logical_and.outer(in_cluster, in_cluster) & np.triu(np.ones((d, d), bool), 1)
+    return np.abs(np.subtract.outer(nodes, nodes))[pairs]
 
 
 def _assert_from_nodes_matches_reference(nodes, p, kappa, extent):
@@ -288,6 +306,28 @@ def test_from_nodes_matches_the_hand_derivation_bit_for_bit():
     # the nominal extent of 0.3 and 0.301, whose difference rounds above 0.001
     assert 0.301 - 0.3 > 0.001
     _assert_from_nodes_matches_reference(np.array([0.0, 0.3, 0.301, 0.6]), 2, 2, 0.001)
+
+
+def test_from_nodes_eta_is_the_closest_noncluster_pair():
+    # the pair outside the cluster, not the cluster extent, sets eta
+    geometry = ClusterGeometry.from_nodes([0.0, 0.01, 0.0101], 2)
+    assert geometry.eta * geometry.T == pytest.approx(1e-4, rel=1e-12)
+    assert ClusterGeometry.from_nodes([0.0, 0.3], 2).eta == 1.0
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        d = int(rng.integers(2, 9))
+        steps = np.exp(rng.uniform(np.log(1e-6), np.log(1.0), d - 1))
+        nodes = rng.uniform(-1.0, 1.0) + np.concatenate([[0.0], np.cumsum(steps)])
+        for p in range(2, d + 1):
+            for kappa in range(1, d - p + 2):
+                geometry = ClusterGeometry.from_nodes(nodes, p, kappa)
+                seps = _noncluster_separations(nodes, p, kappa)
+                if p == d:
+                    assert seps.size == 0 and geometry.eta == 1.0
+                    continue
+                bound = geometry.eta * geometry.T
+                assert (seps >= bound * (1 - 1e-12)).all()
+                assert seps.min() == pytest.approx(bound, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -149,10 +149,11 @@ def test_probe_single_row_and_spectators():
     assert node_disp > 0 and amp_disp > 0
 
 
-def test_probe_propagates_epsilon_too_large():
+def test_probe_propagates_epsilon_too_large(monkeypatch):
+    monkeypatch.setattr(worstcase, "_PROBE_EPS_COEFF", 1e3)
     with pytest.raises(EpsilonTooLargeError):
         # epsilon = 1e3 (omega tau h)^3 = 1
-        displacement_scaling_probe(2, 2, [0.1], 1.0, epsilon_coeff=1e3)
+        displacement_scaling_probe(2, 2, [0.1], 1.0)
 
 
 @pytest.mark.parametrize("p, d", [(0, 2), (1, 2), (3, 2)])
