@@ -17,6 +17,11 @@ numbers and record a null seed.
 Failures map to exit codes in one place, main: a CliError exits with its own
 code, a DegenerateFitError with 4, any other package error or a LinAlgError
 with 3, and a ValueError with 2.
+
+This module is the one place that reads and writes the JSON files: the spike
+train and samples inputs, and the recover, worstcase and decimation reports.
+The library types know nothing of the format.  A complex array is written as
+[re, im] pairs and a real one as a list of floats.
 """
 
 from __future__ import annotations
@@ -136,12 +141,48 @@ def _require(args, *keys: str) -> None:
             raise CliError(f"{args.subcommand} needs {flags[key]}", EXIT_PARSE)
 
 
-def _read_json_file(path: str) -> dict:
+def _complex_array(pairs) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in pairs])
+
+
+def _spike_train(obj) -> SpikeTrain:
+    """Train of a spike-train file; its amplitudes and nodes must be finite."""
+    amplitudes = _complex_array(obj["amplitudes"])
+    nodes = np.array(obj["nodes"], dtype=float)
+    if not (np.isfinite(amplitudes).all() and np.isfinite(nodes).all()):
+        raise ValueError("amplitudes and nodes must be finite")
+    return SpikeTrain(amplitudes=amplitudes, nodes=nodes)
+
+
+def _spectral_samples(obj) -> SpectralSamples:
+    """Samples of a samples file; actual_noise defaults to 0 and other keys
+    are ignored."""
+    return SpectralSamples(
+        values=_complex_array(obj["values"]),
+        actual_noise=float(obj.get("actual_noise", 0.0)),
+    )
+
+
+def _read_input(path: str, kind: str, parse):
+    """parse applied to the JSON value in the file at path; a file that does
+    not parse, or that parse rejects, exits 2."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot parse input file {path}: {exc}", EXIT_PARSE) from exc
+    try:
+        return parse(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad {kind} file: {exc}", EXIT_PARSE) from exc
+
+
+def _json_default(array: np.ndarray) -> list:
+    """json.dumps hook for the ndarrays in a report, the only values it cannot
+    encode itself: [re, im] pairs for a complex array, floats for a real one."""
+    if np.iscomplexobj(array):
+        return np.stack((array.real, array.imag), axis=-1).tolist()
+    return array.tolist()
 
 
 def _timestamp() -> str:
@@ -182,7 +223,7 @@ def _check_writable(path: str) -> None:
 
 def _write_json_report(args, body: dict) -> None:
     payload = {"timestamp": _timestamp(), "config": _run_config(args), **body}
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
     if args.output:
         _write_output(args.output, lambda fh: fh.write(text))
     else:
@@ -191,14 +232,15 @@ def _write_json_report(args, body: dict) -> None:
 
 def cmd_recover(args) -> int:
     _require(args, "input", "order")
-    obj = _read_json_file(args.input)
-    try:
-        samples = SpectralSamples.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad samples file: {exc}", EXIT_PARSE) from exc
+    samples = _read_input(args.input, "samples", _spectral_samples)
     result = mp_recover(samples, args.order, args.pencil)
     args.pencil = result.pencil_param
-    _write_json_report(args, result.to_json_dict())
+    _write_json_report(args, {
+        "nodes": result.estimate.nodes,
+        "amplitudes": result.estimate.amplitudes,
+        "L": result.pencil_param,
+        "sigma": result.singular_values,
+    })
     return 0
 
 
@@ -262,11 +304,7 @@ def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
     --extent pick out of it (see ClusterGeometry.from_nodes); the caller has
     required --input and -p.  The kappa and extent in use are written back
     to args."""
-    obj = _read_json_file(args.input)
-    try:
-        train = SpikeTrain.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad spike-train file: {exc}", EXIT_PARSE) from exc
+    train = _read_input(args.input, "spike-train", _spike_train)
     _set_defaults(args, kappa=1)
     geometry = ClusterGeometry.from_nodes(train.nodes, args.p, args.kappa, args.extent)
     args.extent = geometry.h
@@ -278,7 +316,17 @@ def cmd_worstcase(args) -> int:
     train, geometry = _train_and_geometry(args)
     _set_defaults(args, grid_points=1001)
     report = worst_case_signal(train, geometry, args.epsilon, args.omega, args.grid_points)
-    _write_json_report(args, report.to_json_dict())
+    _write_json_report(args, {
+        "perturbed": {
+            "amplitudes": report.perturbed.amplitudes,
+            "nodes": report.perturbed.nodes,
+        },
+        "moment_match_error": report.moment_match_error,
+        "last_moment_delta": report.last_moment_delta,
+        "node_displacement": report.node_displacement,
+        "amplitude_displacement": report.amplitude_displacement,
+        "spectral_deviation": report.spectral_deviation,
+    })
     return 0
 
 
@@ -291,12 +339,19 @@ def cmd_decimation(args) -> int:
     widest = max(admissible.intervals, key=lambda ab: ab[1] - ab[0])
     sample_rate = 0.5 * (widest[0] + widest[1])
     bounds = gautschi_bounds(np.exp(2j * np.pi * sample_rate * train.nodes))
-    body = {
-        "admissible": admissible.to_json_dict(),
+    _write_json_report(args, {
+        "admissible": {"intervals": admissible.intervals},
         "sample_rate": sample_rate,
-        "bounds": bounds.to_json_dict(),
-    }
-    _write_json_report(args, body)
+        "bounds": {
+            "delta": bounds.delta,
+            "gamma": bounds.gamma,
+            "amplitude_row_bounds": bounds.amplitude_row_bounds,
+            "node_row_bounds": bounds.node_row_bounds,
+            "empirical_amplitude_row_norms": bounds.empirical_amplitude_row_norms,
+            "empirical_node_row_norms": bounds.empirical_node_row_norms,
+            "condition_number": bounds.condition_number,
+        },
+    })
     return 0
 
 

@@ -39,69 +39,21 @@ _MAX_PIECES = 2**24
 _PAD = 1e-12
 
 
+@dataclass(frozen=True)
 class IntervalSet:
-    """Finite union of disjoint closed intervals, kept sorted.
+    """Finite union of disjoint closed intervals: (start, end) pairs of floats
+    in increasing order, no two touching.  A pair may be a single point."""
 
-    The components are held as two arrays of start and end points, and every
-    operation works on those arrays.  Overlapping or touching inputs are
-    merged on construction in one pass: the intervals are sorted by start,
-    and a new component begins wherever a start exceeds the running maximum
-    of the ends before it.  Merging only compares and copies endpoints, so it
-    is exact.  Degenerate single-point intervals are allowed; the constructor
-    raises ValueError for reversed intervals and NaN endpoints.  Sets built
-    inside this module from pieces that are valid by construction skip that
-    check.
-    """
-
-    __slots__ = ("_starts", "_ends")
-
-    def __init__(self, intervals=()):
-        pairs = np.array(list(intervals), dtype=float)
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError("intervals must be (start, end) pairs")
-        starts, ends = pairs[:, 0], pairs[:, 1]
-        if np.isnan(starts).any() or np.isnan(ends).any():
-            raise ValueError("interval endpoints must not be NaN")
-        reversed_ = np.flatnonzero(ends < starts)
-        if reversed_.size:
-            k = reversed_[0]
-            raise ValueError(f"invalid interval [{starts[k]}, {ends[k]}]")
-        self._starts, self._ends = _merge(starts, ends)
-
-    @classmethod
-    def _from_components(cls, starts: np.ndarray, ends: np.ndarray) -> "IntervalSet":
-        """Set whose components are already sorted, disjoint and not touching."""
-        out = cls.__new__(cls)
-        out._starts, out._ends = starts, ends
-        return out
-
-    @property
-    def intervals(self) -> tuple:
-        return tuple(zip(self._starts.tolist(), self._ends.tolist()))
+    intervals: tuple
 
     def __len__(self) -> int:
-        return self._starts.size
+        return len(self.intervals)
 
     def __iter__(self):
         return iter(self.intervals)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntervalSet)
-            and np.array_equal(self._starts, other._starts)
-            and np.array_equal(self._ends, other._ends)
-        )
-
-    def __repr__(self) -> str:
-        return f"IntervalSet({list(self.intervals)!r})"
-
     def contains(self, x: float) -> bool:
-        return bool(np.any((self._starts <= x) & (x <= self._ends)))
-
-    def to_json_dict(self) -> dict:
-        return {"intervals": [[a, b] for a, b in self.intervals]}
+        return any(a <= x <= b for a, b in self.intervals)
 
 
 # The kernels below run once per scan point, on arrays of a few dozen
@@ -113,7 +65,12 @@ class IntervalSet:
 def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
     """Start and end arrays of the sorted disjoint components of the closed
     intervals [starts[i], ends[i]], which the caller has checked are ordered
-    and free of NaN."""
+    and free of NaN.
+
+    One pass: the intervals are sorted by start, and a new component begins
+    wherever a start exceeds the running maximum of the ends before it.
+    Merging only compares and copies endpoints, so it is exact.
+    """
     if starts.size == 0:
         return starts, ends
     # Intervals with tied starts never split a component: the running maximum
@@ -125,6 +82,12 @@ def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
     first = np.concatenate(([0], breaks + 1))
     last = np.concatenate((breaks, [starts.size - 1]))
     return starts[first], reach[last]
+
+
+def _interval_set(starts: np.ndarray, ends: np.ndarray) -> IntervalSet:
+    """IntervalSet of components that are already sorted, disjoint and not
+    touching, given as start and end arrays."""
+    return IntervalSet(tuple(zip(starts.tolist(), ends.tolist())))
 
 
 @lru_cache(maxsize=64)
@@ -183,19 +146,6 @@ class JacobianBoundReport:
     @cached_property
     def condition_number(self) -> float:
         return float(np.linalg.cond(self._matrix))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta": list(map(float, self.delta)),
-            "gamma": list(map(float, self.gamma)),
-            "amplitude_row_bounds": list(map(float, self.amplitude_row_bounds)),
-            "node_row_bounds": list(map(float, self.node_row_bounds)),
-            "empirical_amplitude_row_norms": list(
-                map(float, self.empirical_amplitude_row_norms)
-            ),
-            "empirical_node_row_norms": list(map(float, self.empirical_node_row_norms)),
-            "condition_number": float(self.condition_number),
-        }
 
 
 def angular_distance(alpha: complex, beta: complex) -> float:
@@ -275,7 +225,7 @@ def sigma_intervals(delta: float, alpha: float, interval) -> IntervalSet:
     if b < a:
         raise ValueError("empty interval")
     starts, ends = _sigma_pieces(np.array([float(delta)]), alpha, a, b)
-    return IntervalSet._from_components(*_merge(starts, ends))
+    return _interval_set(*_merge(starts, ends))
 
 
 def admissible_lambdas(
@@ -340,7 +290,7 @@ def admissible_lambdas(
         raise EmptyAdmissibleSetError(
             "empty admissible set: every rate in the range violates a separation condition"
         )
-    return IntervalSet._from_components(gap_starts[keep], gap_ends[keep])
+    return _interval_set(gap_starts[keep], gap_ends[keep])
 
 
 def _confluent(w: np.ndarray) -> np.ndarray:

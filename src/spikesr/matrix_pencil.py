@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EigenFailureError, RankDeficiencyError
-from .signal import SpectralSamples, SpikeTrain, _complex_to_json
+from .signal import SpectralSamples, SpikeTrain
 
 __all__ = [
     "RecoveryResult",
@@ -43,14 +43,6 @@ class RecoveryResult:
     estimate: SpikeTrain
     pencil_param: int
     singular_values: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": [float(x) for x in self.estimate.nodes],
-            "amplitudes": _complex_to_json(self.estimate.amplitudes),
-            "L": int(self.pencil_param),
-            "sigma": [float(s) for s in self.singular_values],
-        }
 
 
 def mp_recover(

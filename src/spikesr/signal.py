@@ -26,18 +26,6 @@ __all__ = [
 ]
 
 
-def _complex_to_json(values) -> list:
-    """[[re, im], ...] lists of a complex sequence: the JSON form of every
-    complex array the package writes."""
-    values = np.asarray(values, dtype=complex)
-    return np.stack((values.real, values.imag), axis=-1).tolist()
-
-
-def _complex_from_json(pairs) -> np.ndarray:
-    """Complex array of [[re, im], ...] pairs, the inverse of _complex_to_json."""
-    return np.array([complex(re, im) for re, im in pairs])
-
-
 def _frozen_1d(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype, ndmin=1)
     if out.ndim != 1:
@@ -68,21 +56,6 @@ class SpikeTrain:
     @property
     def d(self) -> int:
         return len(self.nodes)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "amplitudes": _complex_to_json(self.amplitudes),
-            "nodes": [float(x) for x in self.nodes],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SpikeTrain":
-        """Train of a JSON object; its amplitudes and nodes must be finite."""
-        amplitudes = _complex_from_json(obj["amplitudes"])
-        nodes = np.array(obj["nodes"], dtype=float)
-        if not (np.isfinite(amplitudes).all() and np.isfinite(nodes).all()):
-            raise ValueError("amplitudes and nodes must be finite")
-        return cls(amplitudes=amplitudes, nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -123,7 +96,9 @@ class ClusterGeometry:
         nodes such as 0.3 and 0.301 is accepted.  T is the larger of h and
         the span of all nodes, tau the smallest cluster gap over h and eta
         the smallest separation of a pair holding a non-cluster node over T,
-        both capped at 1; eta is 1 when every node is in the cluster.
+        both capped at 1; eta is 1 when every node is in the cluster.  A
+        positive separation whose ratio to its scale rounds to 0 raises
+        ValueError naming the separation and the scale.
         """
         # Python floats: every S2 trial calls this, and numpy's per-call
         # overhead on a handful of nodes would outweigh the arithmetic.
@@ -142,19 +117,32 @@ class ClusterGeometry:
         T = max(x[-1] - x[0], h)
         gaps = [b - a for a, b in zip(x, x[1:])]
         inner = slice(kappa - 1, kappa + p - 2)
-        tau = min(gaps[inner]) / h if h > 0 else 1.0
+        tau = (
+            _scaled_gap(min(gaps[inner]), "cluster", h, "the cluster extent h")
+            if h > 0 else 1.0
+        )
         # The nodes are sorted, so the closest pair holding a non-cluster node
         # is a neighbour pair outside the cluster's own p-1 gaps.
         del gaps[inner]
-        eta = min(gaps) / T if gaps else 1.0
-        return cls(
-            p=p, d=len(x), h=h, T=T, tau=min(1.0, tau), eta=min(1.0, eta), kappa=kappa
-        )
+        eta = _scaled_gap(min(gaps), "non-cluster", T, "the node span T") if gaps else 1.0
+        return cls(p=p, d=len(x), h=h, T=T, tau=tau, eta=eta, kappa=kappa)
 
     @property
     def cluster_slice(self) -> slice:
         """0-based slice selecting the cluster nodes."""
         return slice(self.kappa - 1, self.kappa - 1 + self.p)
+
+
+def _scaled_gap(gap: float, kind: str, scale: float, scale_name: str) -> float:
+    """gap / scale capped at 1.  A positive gap too small against its scale
+    for the ratio to be a positive float is an input error, reported in
+    terms of the separation rather than of tau or eta."""
+    ratio = gap / scale
+    if ratio == 0 < gap:
+        raise ValueError(
+            f"smallest {kind} separation {gap!r} over {scale_name} = {scale!r} rounds to 0"
+        )
+    return min(1.0, ratio)
 
 
 def _check_cluster_indices(p: int, d: int, kappa: int = 1) -> None:
@@ -182,15 +170,6 @@ class SpectralSamples:
         if self.actual_noise < 0:
             raise ValueError("actual_noise must be nonnegative")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "SpectralSamples":
-        """Samples of a JSON object; actual_noise defaults to 0 and other keys
-        are ignored."""
-        return cls(
-            values=_complex_from_json(obj["values"]),
-            actual_noise=float(obj.get("actual_noise", 0.0)),
-        )
 
 
 def fourier_at(train: SpikeTrain, s):

@@ -102,16 +102,6 @@ class WorstCaseReport:
             c.source, self.perturbed, c.omega, c.grid_points
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "perturbed": self.perturbed.to_json_dict(),
-            "moment_match_error": float(self.moment_match_error),
-            "last_moment_delta": float(self.last_moment_delta),
-            "node_displacement": float(self.node_displacement),
-            "amplitude_displacement": float(self.amplitude_displacement),
-            "spectral_deviation": float(self.spectral_deviation),
-        }
-
 
 def _spectral_deviation(
     original: SpikeTrain,

@@ -732,3 +732,99 @@ def test_non_finite_spike_train_exits_2(tmp_path, capsys, text):
     assert main(["worstcase", "-i", str(src), "-p", "2", "--epsilon", "1e-9"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad spike-train file") and "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "nodes, flags, message",
+    [
+        # the non-cluster gap over the node span T rounds to 0 (eta)
+        ([0, 5e-324, 10], ["--kappa", "2"],
+         "smallest non-cluster separation 5e-324 over the node span T = 10.0 rounds to 0"),
+        # the cluster gap over the extent h rounds to 0 (tau)
+        ([0, 5e-324, 0.5], ["--extent", "10"],
+         "smallest cluster separation 5e-324 over the cluster extent h = 10.0 rounds to 0"),
+    ],
+    ids=["eta", "tau"],
+)
+@pytest.mark.parametrize(
+    "subcommand, extra",
+    [("worstcase", ["--epsilon", "1e-9"]), ("decimation", ["--omega", "0.1"])],
+    ids=["worstcase", "decimation"],
+)
+def test_unresolvable_separation_is_named_and_exits_2(
+    tmp_path, capsys, nodes, flags, message, subcommand, extra
+):
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps({"amplitudes": [[1, 0], [-1, 0], [1, 0]], "nodes": nodes}))
+    out = tmp_path / "report.json"
+    argv = [subcommand, "-i", str(src), "-p", "2", *flags, *extra, "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: bad {subcommand} input: {message}\n"
+    assert not out.exists()
+
+
+_TRAIN4 = {"amplitudes": [[1, 0], [-1, 0], [1, 0], [-0.5, 0.5]], "nodes": [0, 0.3, 0.301, 0.6]}
+
+
+def _train4_report(tmp_path, argv):
+    src, out = tmp_path / "train.json", tmp_path / "report.json"
+    src.write_text(json.dumps(_TRAIN4))
+    assert main([argv[0], "-i", str(src), "-p", "2", "--kappa", "2", *argv[1:], "-o", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_worstcase_report_body(tmp_path):
+    from spikesr.signal import ClusterGeometry, SpikeTrain
+    from spikesr.worstcase import worst_case_signal
+
+    report = _train4_report(tmp_path, ["worstcase", "--epsilon", "1e-9", "--omega", "50"])
+    diagnostics = [
+        "moment_match_error",
+        "last_moment_delta",
+        "node_displacement",
+        "amplitude_displacement",
+        "spectral_deviation",
+    ]
+    assert list(report) == ["timestamp", "config", "perturbed", *diagnostics]
+    train = SpikeTrain([complex(*pair) for pair in _TRAIN4["amplitudes"]], _TRAIN4["nodes"])
+    geometry = ClusterGeometry.from_nodes(train.nodes, 2, 2)
+    expected = worst_case_signal(train, geometry, 1e-9, 50.0)
+    perturbed = report["perturbed"]
+    assert list(perturbed) == ["amplitudes", "nodes"]
+    assert perturbed["amplitudes"] == [
+        [a.real, a.imag] for a in expected.perturbed.amplitudes.tolist()
+    ]
+    assert perturbed["nodes"] == expected.perturbed.nodes.tolist()
+    assert perturbed["nodes"] != _TRAIN4["nodes"]
+    for name in diagnostics:
+        assert repr(report[name]) == repr(getattr(expected, name))
+
+
+def test_decimation_report_body(tmp_path):
+    from spikesr.decimation import admissible_lambdas, gautschi_bounds
+    from spikesr.signal import ClusterGeometry
+
+    report = _train4_report(tmp_path, ["decimation", "--omega", "1000"])
+    assert list(report) == ["timestamp", "config", "admissible", "sample_rate", "bounds"]
+    nodes = np.array(_TRAIN4["nodes"], dtype=float)
+    admissible = admissible_lambdas(nodes, ClusterGeometry.from_nodes(nodes, 2, 2), 1000.0)
+    intervals = report["admissible"]["intervals"]
+    assert list(report["admissible"]) == ["intervals"]
+    assert intervals == [list(pair) for pair in admissible.intervals]
+    assert len(intervals) > 1 and intervals == sorted(intervals)
+    assert all(lo < hi for lo, hi in intervals)
+    widest = max(intervals, key=lambda ab: ab[1] - ab[0])
+    assert report["sample_rate"] == 0.5 * (widest[0] + widest[1])
+    bounds = gautschi_bounds(np.exp(2j * np.pi * report["sample_rate"] * nodes))
+    arrays = [
+        "delta",
+        "gamma",
+        "amplitude_row_bounds",
+        "node_row_bounds",
+        "empirical_amplitude_row_norms",
+        "empirical_node_row_norms",
+    ]
+    assert list(report["bounds"]) == [*arrays, "condition_number"]
+    for name in arrays:
+        assert report["bounds"][name] == getattr(bounds, name).tolist()
+    assert report["bounds"]["condition_number"] == bounds.condition_number

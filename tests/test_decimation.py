@@ -6,7 +6,6 @@ import pytest
 
 from spikesr import decimation
 from spikesr.decimation import (
-    IntervalSet,
     _merge,
     _sigma_pieces,
     admissible_lambdas,
@@ -92,35 +91,41 @@ def _lexsort_merge(starts, ends):
     return starts[first], reach[last]
 
 
-def _endpoints(s):
-    pairs = np.array(s.intervals, dtype=float).reshape(-1, 2)
+# The set operations below work on interval sets given as tuples of sorted,
+# disjoint (start, end) pairs, the form of IntervalSet.intervals.
+
+
+def _endpoints(pairs):
+    pairs = np.array(pairs, dtype=float).reshape(-1, 2)
     return pairs[:, 0], pairs[:, 1]
 
 
 def _merged(starts, ends):
-    """IntervalSet of the ordered, NaN-free intervals [starts[i], ends[i]]."""
-    return IntervalSet._from_components(*_merge(starts, ends))
+    """Components, as (start, end) pairs, of the ordered, NaN-free intervals
+    [starts[i], ends[i]]."""
+    starts, ends = _merge(np.asarray(starts, dtype=float), np.asarray(ends, dtype=float))
+    return tuple(zip(starts.tolist(), ends.tolist()))
 
 
-def _padded(s, pad):
-    """IntervalSet s grown outward by pad (components may merge)."""
-    starts, ends = _endpoints(s)
+def _padded(pairs, pad):
+    """Interval set pairs grown outward by pad (components may merge)."""
+    starts, ends = _endpoints(pairs)
     return _merged(starts - pad, ends + pad)
 
 
-def _intersect(s, lo, hi):
-    """Intersection of IntervalSet s with the closed interval [lo, hi]."""
-    starts, ends = _endpoints(s)
+def _intersect(pairs, lo, hi):
+    """Intersection of interval set pairs with the closed interval [lo, hi]."""
+    starts, ends = _endpoints(pairs)
     starts, ends = np.maximum(starts, lo), np.minimum(ends, hi)
     keep = starts <= ends
     return _merged(starts[keep], ends[keep])
 
 
-def _complement_within(s, lo, hi):
-    """Closure of [lo, hi] minus IntervalSet s: the gaps of positive length
-    before, between and after the components of s inside [lo, hi].  Touching
-    gaps merge, so a single-point component is bridged."""
-    starts, ends = _endpoints(_intersect(s, lo, hi))
+def _complement_within(pairs, lo, hi):
+    """Closure of [lo, hi] minus interval set pairs: the gaps of positive
+    length before, between and after its components inside [lo, hi].
+    Touching gaps merge, so a single-point component is bridged."""
+    starts, ends = _endpoints(_intersect(pairs, lo, hi))
     gap_starts = np.concatenate(([lo], ends))
     gap_ends = np.append(starts, hi)
     keep = gap_starts < gap_ends
@@ -158,27 +163,26 @@ def _reference_gautschi(z):
 
 
 def test_interval_set_merges_and_sorts():
-    s = IntervalSet([(3, 4), (0, 1), (0.5, 2)])
+    s = decimation._interval_set(*_merge(np.array([3.0, 0.0, 0.5]), np.array([4.0, 1.0, 2.0])))
     assert s.intervals == ((0, 2), (3, 4))
     assert sum(b - a for a, b in s) == pytest.approx(3.0)
     assert s.contains(1.5) and not s.contains(2.5)
+    assert s.contains(0.0) and s.contains(4.0) and not s.contains(math.nan)
     assert len(s) == 2
 
 
 def test_interval_set_complement_and_intersect():
     # the reference operations _composed_admissible is built from
-    s = IntervalSet([(1, 2), (4, 5)])
-    assert _complement_within(s, 0, 6).intervals == ((0, 1), (2, 4), (5, 6))
-    assert _intersect(s, 1.5, 4.5).intervals == ((1.5, 2), (4, 4.5))
-    assert _complement_within(IntervalSet(), 0, 1).intervals == ((0, 1),)
-    assert _padded(s, 1.0).intervals == ((0, 6),)
-    with pytest.raises(ValueError):
-        IntervalSet([(2, 1)])
+    s = ((1, 2), (4, 5))
+    assert _complement_within(s, 0, 6) == ((0, 1), (2, 4), (5, 6))
+    assert _intersect(s, 1.5, 4.5) == ((1.5, 2), (4, 4.5))
+    assert _complement_within((), 0, 1) == ((0, 1),)
+    assert _padded(s, 1.0) == ((0, 6),)
 
 
 def test_complement_within_bridges_a_single_point():
-    assert _complement_within(IntervalSet([(1, 1)]), 0, 2).intervals == ((0, 2),)
-    assert _complement_within(IntervalSet([(0, 0), (2, 2)]), 0, 2).intervals == ((0, 2),)
+    assert _complement_within(((1, 1),), 0, 2) == ((0, 2),)
+    assert _complement_within(((0, 0), (2, 2)), 0, 2) == ((0, 2),)
 
 
 def test_merge_by_start_matches_lexsort_with_tied_starts():
@@ -200,12 +204,6 @@ def test_merge_by_start_matches_lexsort_with_tied_starts():
                 assert np.array_equal(got[1], expected[1])
 
 
-def test_interval_set_json_round_trip():
-    s = IntervalSet([(0.5, 1.5), (2.0, 2.0)])
-    again = IntervalSet(s.to_json_dict()["intervals"])
-    assert again == s
-
-
 @pytest.mark.parametrize(
     "pieces, merged",
     [
@@ -219,27 +217,15 @@ def test_interval_set_json_round_trip():
     ],
 )
 def test_interval_set_constructor_cases(pieces, merged):
-    s = IntervalSet(pieces)
+    # the merge every interval set of the module is built by
+    starts, ends = _endpoints(pieces)
+    assert _merged(starts, ends) == merged
+    assert _merged(starts[::-1], ends[::-1]) == merged
+    s = decimation._interval_set(*_merge(starts, ends))
     assert s.intervals == merged
     assert len(s) == len(merged)
     assert list(s) == list(merged)
-    assert s == IntervalSet(reversed(pieces))
     assert (len(s) == 0) == (not merged)
-
-
-@pytest.mark.parametrize(
-    "pieces",
-    [
-        [(0, 1), (3, 2)],  # reversed
-        [(0, 1), (math.nan, 2)],
-        [(0, math.nan)],
-        [(0, 1, 2)],
-        [0, 1],
-    ],
-)
-def test_interval_set_rejects_bad_input(pieces):
-    with pytest.raises(ValueError):
-        IntervalSet(pieces)
 
 
 # ----------------------------------------------------------- angular distance
@@ -407,7 +393,7 @@ def test_admissible_full_interval_when_no_sigma_piece_meets_the_range(pad, monke
         starts, _ = _sigma_pieces(np.array([0.299, 0.3]), 1 / 9, lo, hi)
         assert starts.size == 0
         got = admissible_lambdas(nodes, geometry, omega)
-        assert got == IntervalSet([(lo, hi)])
+        assert got.intervals == ((lo, hi),)
 
 
 def test_admissible_set_verifier():
@@ -550,7 +536,6 @@ def test_admissible_matches_pair_by_pair_reference(p, d, monkeypatch):
                 else:
                     got = admissible_lambdas(nodes, geometry, omega, alpha)
                     assert got.intervals == expected
-                    assert got == IntervalSet(expected)
     if d > p:
         assert empty > 0  # alpha = 0.999 pi excludes every rate
 
@@ -623,8 +608,7 @@ def test_admissible_matches_composed_set_operations_on_scan_geometry(monkeypatch
                     admissible_lambdas(nodes, geometry, omega, alpha)
             else:
                 got = admissible_lambdas(nodes, geometry, omega, alpha)
-                assert np.array_equal(got._starts, expected._starts)
-                assert np.array_equal(got._ends, expected._ends)
+                assert got.intervals == expected
     assert compared == 300 and 0 < empty < compared
 
 
@@ -636,7 +620,7 @@ def test_admissible_bridges_single_point_exclusions(monkeypatch):
     omega = 200.0
     got = admissible_lambdas(nodes, geometry, omega, alpha=1e-300)
     assert got.intervals == ((omega / 10, omega / 5),)
-    assert got == _composed_admissible(nodes, geometry, omega, 1e-300, 0.0)
+    assert got.intervals == _composed_admissible(nodes, geometry, omega, 1e-300, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -826,7 +810,6 @@ def test_gautschi_condition_number_computed_on_first_read(monkeypatch):
     assert calls == []
     first = report.condition_number
     assert report.condition_number == first and len(calls) == 1
-    assert report.to_json_dict()["condition_number"] == first and len(calls) == 1
     assert first == _eager_gautschi(z)[-1]
     assert not report._matrix.flags.writeable
 

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from spikesr import experiments
+from spikesr import cli, experiments
 from spikesr.errors import EigenFailureError, RankDeficiencyError
 from spikesr.matrix_pencil import RecoveryResult, mp_recover
 from spikesr.signal import SpectralSamples, SpikeTrain, sample_spectrum
@@ -160,11 +162,18 @@ def test_recover_rejects_non_finite_samples(bad):
         mp_recover(SpectralSamples(values, 0.0), 2)
 
 
-def test_result_json_schema():
+def test_result_json_schema(tmp_path):
+    # the recover report, which the CLI writes
     train = SpikeTrain(amplitudes=[1.0], nodes=[0.25])
-    result = mp_recover(sample_spectrum(train, 8, 0.0, 0), 1)
-    obj = result.to_json_dict()
-    assert set(obj) == {"nodes", "amplitudes", "L", "sigma"}
+    samples = sample_spectrum(train, 8, 0.0, 0)
+    src, out = tmp_path / "samples.json", tmp_path / "report.json"
+    src.write_text(json.dumps({"values": [[v.real, v.imag] for v in samples.values.tolist()]}))
+    assert cli.main(["recover", "-i", str(src), "-d", "1", "-o", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert list(obj) == ["timestamp", "config", "nodes", "amplitudes", "L", "sigma"]
+    result = mp_recover(samples, 1)
+    assert obj["nodes"] == result.estimate.nodes.tolist()
+    assert obj["amplitudes"] == [[a.real, a.imag] for a in result.estimate.amplitudes.tolist()]
     assert obj["L"] == 4
     assert obj["nodes"][0] == pytest.approx(0.25, abs=1e-10)
     # one spike of unit amplitude: the Hankel matrix is the rank-one outer

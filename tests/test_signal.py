@@ -1,11 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from spikesr import cli
+from spikesr.matrix_pencil import mp_recover
 from spikesr.signal import (
     ClusterGeometry,
-    SpectralSamples,
     SpikeTrain,
     clean_spectrum,
     fourier_at,
@@ -204,11 +206,29 @@ def test_shift_preserves_transform_magnitude():
         )
 
 
-def test_json_round_trips():
-    train = SpikeTrain(amplitudes=[1.0 + 2j, -0.5], nodes=[-0.1, 0.8])
-    again = SpikeTrain.from_json_dict(train.to_json_dict())
-    np.testing.assert_array_equal(again.amplitudes, train.amplitudes)
-    np.testing.assert_array_equal(again.nodes, train.nodes)
+# The file forms of spike trains and samples belong to the CLI, which reads
+# and writes them; the tests below drive it through cli.main.
+
+
+def _run_cli(tmp_path, argv, text):
+    """Exit code and parsed report of `spikesr` argv, with an input file
+    holding text; the report is None when none was written."""
+    src, out = tmp_path / "input.json", tmp_path / "report.json"
+    src.write_text(text)
+    code = cli.main([argv[0], "-i", str(src), *argv[1:], "-o", str(out)])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+def test_json_round_trips(tmp_path):
+    # worstcase at epsilon 0 writes back the train it read, bit for bit
+    train = SpikeTrain(amplitudes=[1.0, -0.5, 2.0 - 0.1j], nodes=[-0.1, 0.8, 0.9])
+    obj = {
+        "amplitudes": [[a.real, a.imag] for a in train.amplitudes.tolist()],
+        "nodes": train.nodes.tolist(),
+    }
+    code, report = _run_cli(tmp_path, ["worstcase", "-p", "2", "--epsilon", "0"], json.dumps(obj))
+    assert code == 0
+    assert report["perturbed"] == obj
 
 
 @pytest.mark.parametrize(
@@ -220,26 +240,45 @@ def test_json_round_trips():
         ([[1, 0], [-1, 0], [1, 0]], [-math.inf, 0.01, 0.3]),
     ],
 )
-def test_spike_train_json_rejects_non_finite_values(amplitudes, nodes):
-    with pytest.raises(ValueError, match="amplitudes and nodes must be finite"):
-        SpikeTrain.from_json_dict({"amplitudes": amplitudes, "nodes": nodes})
+def test_spike_train_json_rejects_non_finite_values(tmp_path, capsys, amplitudes, nodes):
+    text = json.dumps({"amplitudes": amplitudes, "nodes": nodes})
+    code, report = _run_cli(tmp_path, ["worstcase", "-p", "2", "--epsilon", "1e-9"], text)
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == (
+        "error: bad spike-train file: amplitudes and nodes must be finite\n"
+    )
 
 
-def test_samples_json_noise_levels_default_to_zero():
-    samples = SpectralSamples.from_json_dict({"values": [[1, 0], [0, 1]]})
+def _samples_read(tmp_path, monkeypatch, obj):
+    """The samples `spikesr recover -d 1` hands to mp_recover for a samples
+    file holding obj."""
+    seen = []
+
+    def recording_recover(samples, *args):
+        seen.append(samples)
+        return mp_recover(samples, *args)
+
+    monkeypatch.setattr(cli, "mp_recover", recording_recover)
+    code, _ = _run_cli(tmp_path, ["recover", "-d", "1"], json.dumps(obj))
+    assert code == 0 and len(seen) == 1
+    return seen[0]
+
+
+def test_samples_json_noise_levels_default_to_zero(tmp_path, monkeypatch):
+    samples = _samples_read(tmp_path, monkeypatch, {"values": [[1, 0], [0, 1]]})
     np.testing.assert_array_equal(samples.values, [1, 1j])
     assert samples.actual_noise == 0.0
 
 
 @pytest.mark.parametrize("noise_bound", [1e-9, -1, "abc"])
-def test_samples_json_ignores_a_stored_noise_bound(noise_bound):
+def test_samples_json_ignores_a_stored_noise_bound(tmp_path, monkeypatch, noise_bound):
     # files written before the bound was dropped still load, whatever it holds
     obj = {"values": [[1, 0], [0, 1]], "noise_bound": noise_bound}
-    samples = SpectralSamples.from_json_dict(obj)
+    samples = _samples_read(tmp_path, monkeypatch, obj)
     np.testing.assert_array_equal(samples.values, [1, 1j])
     assert samples.actual_noise == 0.0
     obj["actual_noise"] = 1e-9
-    assert SpectralSamples.from_json_dict(obj).actual_noise == 1e-9
+    assert _samples_read(tmp_path, monkeypatch, obj).actual_noise == 1e-9
 
 
 def test_cluster_geometry_validation():

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -250,12 +249,6 @@ def test_lazy_report_matches_eager_reference(p, d):
         assert all(type(v) is float for v in got)
         assert np.array_equal(report.perturbed.nodes, expected[0].nodes)
         assert np.array_equal(report.perturbed.amplitudes, expected[0].amplitudes)
-        assert json.dumps(report.to_json_dict()) == json.dumps(
-            {
-                "perturbed": expected[0].to_json_dict(),
-                **dict(zip(_DIAGNOSTICS, expected[1:])),
-            }
-        )
         compared += 1
     assert compared > 20 and failed > 5
 
