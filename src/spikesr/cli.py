@@ -18,10 +18,12 @@ Failures map to exit codes in one place, main: a CliError exits with its own
 code, a DegenerateFitError with 4, any other package error or a LinAlgError
 with 3, and a ValueError with 2.
 
-This module is the one place that reads and writes the JSON files: the spike
-train and samples inputs, and the recover, worstcase and decimation reports.
-The library types know nothing of the format.  A complex array is written as
-[re, im] pairs and a real one as a list of floats.
+This module is the one place that reads and writes the JSON files (the spike
+train and samples inputs, and the recover, worstcase and decimation reports)
+and frames the sweep files: it writes their timestamp and config around the
+records that the experiments writers emit.  The library types know nothing
+of either format.  A complex array is written as [re, im] pairs and a real
+one as a list of floats.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .errors import DegenerateFitError, InsufficientDataError, SpikesrError
 from .experiments import (
     DEFAULT_AMPLIFICATION_RANGES,
     DEFAULT_PHASE_RANGES,
+    SCHEMES,
     amplification_sweep,
     fit_loglog_slope,
     phase_transition_sweep,
@@ -230,6 +233,21 @@ def _write_json_report(args, body: dict) -> None:
         sys.stdout.write(text)
 
 
+def _write_sweep(args, records, stream) -> None:
+    """A sweep file: the run's timestamp and config, then the records.  CSV
+    frames them in two comment lines; JSONL in a first line holding the
+    config with the timestamp inside it."""
+    config, stamp = _run_config(args), _timestamp()
+    if args.format == "jsonl":
+        framing = {"config": {**config, "timestamp": stamp}}
+        stream.write(json.dumps(framing, sort_keys=True) + "\n")
+        write_records_jsonl(records, stream)
+    else:
+        stream.write(f"# timestamp: {stamp}\n")
+        stream.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+        write_records_csv(records, stream)
+
+
 def cmd_recover(args) -> int:
     _require(args, "input", "order")
     samples = _read_input(args.input, "samples", _spectral_samples)
@@ -284,10 +302,8 @@ def cmd_experiment(args) -> int:
     else:
         records, boundary = phase_transition_sweep(*sweep_args, args.node_index)
 
-    meta = {**_run_config(args), "timestamp": _timestamp()}
     if args.output:
-        write = write_records_jsonl if args.format == "jsonl" else write_records_csv
-        _write_output(args.output, lambda fh: write(records, fh, meta))
+        _write_output(args.output, lambda fh: _write_sweep(args, records, fh))
 
     if args.kind == "amplification":
         _print_amplification_fits(records)
@@ -394,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     option("-p", type=int, help="cluster size")
     option("-d", type=int, help="total node count")
     option("--trials", type=int, help="number of trials (default 500)")
-    option("--scheme", choices=["S1", "S2"], help="perturbation scheme (default S1)")
+    option("--scheme", choices=SCHEMES, help="perturbation scheme (default S1)")
     option("--h-range", dest="h_range", type=_parse_range, help="lo,hi cluster extents")
     option("--n-range", dest="n_range", type=_parse_range, help="lo,hi sample counts")
     option("--eps-range", dest="eps_range", type=_parse_range, help="lo,hi noise levels")

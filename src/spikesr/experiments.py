@@ -444,28 +444,16 @@ def _rows(record: ExperimentRecord, cell):
         ]
 
 
-def write_records_csv(records, stream, config: Optional[dict] = None) -> None:
-    """Write one CSV row per (record, node); metadata goes in comment lines.
-
-    The timestamp, when present in config under key "timestamp", is confined
-    to its own comment line so outputs stay byte-comparable without it.
-    """
-    if config:
-        meta = dict(config)
-        stamp = meta.pop("timestamp", None)
-        if stamp is not None:
-            stream.write(f"# timestamp: {stamp}\n")
-        stream.write(f"# config: {json.dumps(meta, sort_keys=True)}\n")
+def write_records_csv(records, stream) -> None:
+    """Write one CSV row per (record, node) under CSV_HEADER."""
     stream.write(CSV_HEADER + "\n")
     writer = csv.writer(stream, lineterminator="\n")
     for record in records:
         writer.writerows(_rows(record, _format_cell))
 
 
-def write_records_jsonl(records, stream, config: Optional[dict] = None) -> None:
+def write_records_jsonl(records, stream) -> None:
     """JSON-lines alternative to the CSV output with the same fields."""
-    if config:
-        stream.write(json.dumps({"config": config}, sort_keys=True) + "\n")
     fields = CSV_HEADER.split(",")
     for record in records:
         for row in _rows(record, _json_cell):

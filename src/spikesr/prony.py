@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSystemError, RepeatedRootsError
-from .signal import _frozen_1d
 
 __all__ = [
     "PronySolution",
@@ -35,14 +34,6 @@ class PronySolution:
 
     amplitudes: np.ndarray
     nodes: np.ndarray
-
-    def __post_init__(self):
-        amps = _frozen_1d(self.amplitudes, complex)
-        nodes = _frozen_1d(self.nodes, complex)
-        if len(amps) != len(nodes) or len(nodes) == 0:
-            raise ValueError("amplitudes and nodes must be nonempty and of equal length")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "nodes", nodes)
 
 
 def prony_map(amplitudes, nodes, count: int) -> np.ndarray:

@@ -167,8 +167,8 @@ class SpectralSamples:
 
     def __post_init__(self):
         vals = _frozen_1d(self.values, complex)
-        if self.actual_noise < 0:
-            raise ValueError("actual_noise must be nonnegative")
+        if not 0 <= self.actual_noise < math.inf:
+            raise ValueError("actual_noise must be finite and nonnegative")
         object.__setattr__(self, "values", vals)
 
 
@@ -184,8 +184,7 @@ def clean_spectrum(train: SpikeTrain, count: int) -> np.ndarray:
     """Noiseless unit-rate samples m_k = F(-k), k = 0..count-1."""
     if count < 1:
         raise ValueError("need at least one sample")
-    k = np.arange(count)
-    return np.exp(2j * np.pi * np.multiply.outer(k, train.nodes)) @ train.amplitudes
+    return fourier_at(train, -np.arange(count))
 
 
 def sample_spectrum(

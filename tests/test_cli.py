@@ -7,7 +7,7 @@ import pytest
 from spikesr import cli
 from spikesr.cli import build_parser, main
 from spikesr.errors import DegenerateFitError, RankDeficiencyError
-from spikesr.experiments import PhaseBoundaryFit
+from spikesr.experiments import CSV_HEADER, PhaseBoundaryFit
 
 
 @pytest.fixture
@@ -69,6 +69,18 @@ def test_recover_non_finite_samples_exit_2(tmp_path, capsys):
     src.write_text('{"values": [[2, 0], [-1, 0], [NaN, 0], [2, 0], [-1, 0], [-1, 0]]}')
     assert main(["recover", "-i", str(src), "-d", "2"]) == 2
     assert "samples must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("actual_noise", ["NaN", "Infinity", "-1"])
+def test_recover_bad_actual_noise_exits_2(tmp_path, capsys, actual_noise):
+    src = tmp_path / "noise.json"
+    src.write_text(
+        '{"values": [[2, 0], [-1, 0], [-1, 0], [2, 0]], "actual_noise": %s}' % actual_noise
+    )
+    out = tmp_path / "out.json"
+    assert main(["recover", "-i", str(src), "-d", "2", "-o", str(out)]) == 2
+    assert "actual_noise must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version(capsys):
@@ -169,6 +181,38 @@ def test_experiment_jsonl_format(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 4 * 3
     assert "config" in json.loads(lines[0])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_experiment_frames_the_sweep_file(tmp_path, capsys, monkeypatch, fmt):
+    # The framing rule: CSV opens with a timestamp and a config comment line,
+    # JSONL with a config line that holds the timestamp; JSON keys sorted.
+    stamp = "2000-01-01T00:00:00+00:00"
+    monkeypatch.setattr(cli, "_timestamp", lambda: stamp)
+    out = tmp_path / f"run.{fmt}"
+    ranges = ["--h-range", "5e-3,6e-2", "--n-range", "48,96", "--eps-range", "1e-8,1e-4"]
+    assert main(["experiment", "--kind", "amplification", "-p", "2", "-d", "3",
+                 "--trials", "2", "--seed", "4", *ranges, "--format", fmt,
+                 "-o", str(out)]) == 0
+    config = {
+        "subcommand": "experiment",
+        "params": {
+            "kind": "amplification", "p": 2, "d": 3, "trials": 2, "scheme": "S1",
+            "h_range": [5e-3, 6e-2], "n_range": [48.0, 96.0],
+            "eps_range": [1e-8, 1e-4], "node_index": None,
+        },
+        "seed": 4,
+        "output": str(out),
+        "format": fmt,
+    }
+    if fmt == "csv":
+        head = f"# timestamp: {stamp}\n# config: {json.dumps(config, sort_keys=True)}\n"
+        head += CSV_HEADER + "\n"
+    else:
+        head = json.dumps({"config": {**config, "timestamp": stamp}}, sort_keys=True) + "\n"
+    text = out.read_text()
+    assert text.startswith(head)
+    assert len(text[len(head):].splitlines()) == 2 * 3
 
 
 def test_worstcase_identity_at_zero_epsilon(tmp_path):

@@ -286,18 +286,14 @@ def test_phase_transition_rejects_node_index_before_any_trial(monkeypatch, node_
 def test_csv_writer_schema_and_determinism():
     records = amplification_sweep(2, 3, (5e-3, 6e-2), (48, 96), (1e-8, 1e-4), 3, "S1", 5)
     buf = io.StringIO()
-    write_records_csv(records, buf, {"trials": 3, "timestamp": "T0"})
+    write_records_csv(records, buf)
     text = buf.getvalue()
     lines = text.splitlines()
-    assert lines[0] == "# timestamp: T0"
-    assert lines[1].startswith("# config: ")
-    assert lines[2] == CSV_HEADER
-    assert len(lines) == 3 + 3 * 3  # one row per node per record
-    # byte-identical modulo the timestamp line
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 1 + 3 * 3  # one row per node per record
     buf2 = io.StringIO()
-    write_records_csv(records, buf2, {"trials": 3, "timestamp": "T1"})
-    strip = lambda s: "\n".join(l for l in s.splitlines() if not l.startswith("# timestamp"))
-    assert strip(text) == strip(buf2.getvalue())
+    write_records_csv(records, buf2)
+    assert text == buf2.getvalue()
 
 
 def test_csv_failure_rows_have_empty_factors():
@@ -317,10 +313,10 @@ def test_jsonl_writer_round_trips_fields():
 
     records = amplification_sweep(2, 3, (5e-3, 6e-2), (48, 96), (1e-8, 1e-4), 2, "S1", 5)
     buf = io.StringIO()
-    write_records_jsonl(records, buf, {"trials": 2})
+    write_records_jsonl(records, buf)
     lines = buf.getvalue().splitlines()
-    assert json.loads(lines[0]) == {"config": {"trials": 2}}
-    payload = json.loads(lines[1])
+    assert len(lines) == 2 * 3
+    payload = json.loads(lines[0])
     assert set(payload) == set(CSV_HEADER.split(","))
     assert payload["node_index"] == 1
 
@@ -359,17 +355,11 @@ def _reference_cell(value):
     return str(value)
 
 
-def _reference_csv(records, config):
+def _reference_csv(records):
     """The former dict-based write_records_csv, kept as a reference."""
     import csv
-    import json
 
     stream = io.StringIO()
-    meta = dict(config)
-    stamp = meta.pop("timestamp", None)
-    if stamp is not None:
-        stream.write(f"# timestamp: {stamp}\n")
-    stream.write(f"# config: {json.dumps(meta, sort_keys=True)}\n")
     stream.write(CSV_HEADER + "\n")
     writer = csv.writer(stream, lineterminator="\n")
     for record in records:
@@ -378,10 +368,10 @@ def _reference_csv(records, config):
     return stream.getvalue()
 
 
-def _reference_jsonl(records, config):
+def _reference_jsonl(records):
     import json
 
-    lines = [json.dumps({"config": config}, sort_keys=True) + "\n"]
+    lines = []
     for record in records:
         for row in _reference_rows(record):
             clean = {
@@ -408,13 +398,12 @@ def test_writers_match_dict_based_reference(scheme, p):
     records.append(single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0))
     assert any(rec.failure is not None for rec in records)
     assert any(rec.failure is None for rec in records)
-    config = {"trials": 60, "timestamp": "T0"}
     buf = io.StringIO()
-    write_records_csv(records, buf, config)
-    assert buf.getvalue() == _reference_csv(records, config)
+    write_records_csv(records, buf)
+    assert buf.getvalue() == _reference_csv(records)
     buf = io.StringIO()
-    write_records_jsonl(records, buf, config)
-    assert buf.getvalue() == _reference_jsonl(records, config)
+    write_records_jsonl(records, buf)
+    assert buf.getvalue() == _reference_jsonl(records)
 
 
 def _reference_sweep(p, d, h_range, n_range, eps_range, trials, scheme, base_seed):

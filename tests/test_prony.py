@@ -6,7 +6,6 @@ import pytest
 from spikesr import prony
 from spikesr.errors import DegenerateSystemError, RepeatedRootsError
 from spikesr.prony import (
-    PronySolution,
     prony_map,
     prony_solve,
 )
@@ -141,11 +140,6 @@ def test_recurrence_residual_random_instances():
         nu = prony_map(a, w, 8)
         coeffs = np.poly(w)[::-1]  # monic node polynomial, ascending
         assert _recurrence_residual(nu, coeffs) < 1e-10 * max(1.0, np.abs(nu).max())
-
-
-def test_solution_type_validation():
-    with pytest.raises(ValueError):
-        PronySolution(amplitudes=[1.0], nodes=[0.1, 0.2])
 
 
 def _reference_prony_solve(mu, d, null_tol=1e-10, coincidence_tol=1e-9):

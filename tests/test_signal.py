@@ -8,6 +8,7 @@ from spikesr import cli
 from spikesr.matrix_pencil import mp_recover
 from spikesr.signal import (
     ClusterGeometry,
+    SpectralSamples,
     SpikeTrain,
     clean_spectrum,
     fourier_at,
@@ -262,6 +263,12 @@ def _samples_read(tmp_path, monkeypatch, obj):
     code, _ = _run_cli(tmp_path, ["recover", "-d", "1"], json.dumps(obj))
     assert code == 0 and len(seen) == 1
     return seen[0]
+
+
+@pytest.mark.parametrize("actual_noise", [float("nan"), math.inf, -1.0])
+def test_spectral_samples_reject_a_non_finite_or_negative_noise(actual_noise):
+    with pytest.raises(ValueError, match="actual_noise must be finite and nonnegative"):
+        SpectralSamples([1, 2], actual_noise)
 
 
 def test_samples_json_noise_levels_default_to_zero(tmp_path, monkeypatch):
