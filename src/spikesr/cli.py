@@ -149,12 +149,8 @@ def _complex_array(pairs) -> np.ndarray:
 
 
 def _spike_train(obj) -> SpikeTrain:
-    """Train of a spike-train file; its amplitudes and nodes must be finite."""
-    amplitudes = _complex_array(obj["amplitudes"])
-    nodes = np.array(obj["nodes"], dtype=float)
-    if not (np.isfinite(amplitudes).all() and np.isfinite(nodes).all()):
-        raise ValueError("amplitudes and nodes must be finite")
-    return SpikeTrain(amplitudes=amplitudes, nodes=nodes)
+    """Train of a spike-train file; SpikeTrain rejects non-finite values."""
+    return SpikeTrain(amplitudes=_complex_array(obj["amplitudes"]), nodes=obj["nodes"])
 
 
 def _spectral_samples(obj) -> SpectralSamples:

@@ -36,8 +36,10 @@ class EmptyAdmissibleSetError(SpikesrError):
 
 
 class DegenerateFitError(SpikesrError):
-    """All trials share one outcome; the phase boundary cannot be fitted."""
+    """All trials share one outcome, or one srf; the phase boundary cannot be
+    fitted."""
 
 
 class InsufficientDataError(SpikesrError):
-    """Too few successful records in the selected class to fit a slope."""
+    """Too few successful records in the selected class to fit a slope, or
+    all of them share one srf."""

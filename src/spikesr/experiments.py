@@ -321,7 +321,7 @@ def phase_transition_sweep(
     a logistic fit in (log10 srf, log10 eps); its slope is the exponent of the
     critical noise level as a power of srf.
 
-    Raises DegenerateFitError when every trial shares one outcome.
+    Raises DegenerateFitError when every trial shares one outcome or one srf.
     """
     if node_index is not None and not 1 <= node_index <= d:
         raise ValueError("node_index must lie in 1..d")
@@ -343,6 +343,8 @@ def phase_transition_sweep(
     outcome_arr = np.array(outcomes, dtype=float)
     if outcome_arr.min() == outcome_arr.max():
         raise DegenerateFitError("degenerate fit: all trials share one outcome")
+    if len({row[1] for row in rows}) == 1:
+        raise DegenerateFitError("degenerate fit: all trials share one srf")
     fit = _logistic_boundary(np.array(rows), outcome_arr)
     return records, fit
 
@@ -376,7 +378,8 @@ def fit_loglog_slope(
 
     quantity selects the node ("kx") or amplitude ("ka") factors; node_class
     selects "cluster" or "noncluster" nodes.  Only successful nodes carry
-    factors; fewer than 10 of them raises InsufficientDataError.
+    factors; fewer than 10 of them, or points that all share one srf, raise
+    InsufficientDataError.
     """
     if quantity not in ("kx", "ka"):
         raise ValueError("quantity must be 'kx' or 'ka'")
@@ -394,6 +397,11 @@ def fit_loglog_slope(
     if len(xs) < 10:
         raise InsufficientDataError(
             f"insufficient data: {len(xs)} usable points in class {node_class!r}"
+        )
+    if min(xs) == max(xs):
+        raise InsufficientDataError(
+            f"insufficient data: all {len(xs)} usable points in class {node_class!r} "
+            "share one srf"
         )
     return _ols_loglog(xs, ys)
 

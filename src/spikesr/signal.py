@@ -8,6 +8,7 @@ unit-rate measurement sequence is m_k = F(-k) = sum_j a_j exp(2 pi i x_j k).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,11 @@ def _frozen_1d(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpikeTrain:
-    """Weighted point masses at strictly increasing real positions."""
+    """Weighted point masses at strictly increasing real positions.
+
+    The amplitudes and nodes must be finite; a NaN or infinite one raises
+    ValueError("amplitudes and nodes must be finite").
+    """
 
     amplitudes: np.ndarray
     nodes: np.ndarray
@@ -48,6 +53,13 @@ class SpikeTrain:
             raise ValueError("amplitudes and nodes must have equal length")
         if len(nodes) == 0:
             raise ValueError("a spike train needs at least one node")
+        # Python scalars: every S2 trial builds three trains of a handful of
+        # values, where numpy's per-call overhead would outweigh the check.
+        if not (
+            all(map(cmath.isfinite, amps.tolist()))
+            and all(map(math.isfinite, nodes.tolist()))
+        ):
+            raise ValueError("amplitudes and nodes must be finite")
         if not (nodes[1:] > nodes[:-1]).all():
             raise ValueError("nodes must be strictly increasing")
         object.__setattr__(self, "amplitudes", amps)
@@ -197,10 +209,10 @@ def sample_spectrum(
 
     The noise is bounded disk noise: n_k = r exp(i theta) with r uniform on
     [0, noise_bound] and theta uniform on [0, 2 pi).  Deterministic given
-    rng_seed.
+    rng_seed.  noise_bound must be finite and nonnegative.
     """
-    if noise_bound < 0:
-        raise ValueError("noise_bound must be nonnegative")
+    if not 0 <= noise_bound < math.inf:
+        raise ValueError("noise_bound must be finite and nonnegative")
     clean = clean_spectrum(train, count)
     rng = np.random.default_rng(rng_seed)
     radius = rng.uniform(0.0, noise_bound, count)

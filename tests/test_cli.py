@@ -101,8 +101,8 @@ def test_experiment_amplification_csv(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "cluster node slope" in stdout
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("# timestamp:")
-    assert lines[1].startswith("# config:")
+    assert lines[0].startswith("# timestamp: ")
+    assert lines[1].startswith("# config: ")
     assert lines[2].startswith("scheme,p,d,h,N")
     assert len(lines) == 3 + 30 * 3
 
@@ -155,6 +155,31 @@ def test_experiment_phase_degenerate_exits_4(capsys):
     assert rc == 4
 
 
+@pytest.mark.parametrize("kind", ["amplification", "phase"])
+def test_experiment_at_one_srf_fits_no_slope(tmp_path, capsys, kind):
+    # one extent and one sample count give every trial the same srf
+    out = tmp_path / "run.csv"
+    trials = {"amplification": "60", "phase": "200"}[kind]
+    argv = ["experiment", "--kind", kind, "-p", "2", "-d", "3", "--trials", trials,
+            "--h-range", "0.02,0.02", "--n-range", "64,64", "--seed", "1", "-o", str(out)]
+    if kind == "phase":
+        assert main(argv) == 4
+        assert capsys.readouterr().err == "error: degenerate fit: all trials share one srf\n"
+        assert not out.exists()
+        return
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "".join(
+        f"{label}: insufficient data: all {n} usable points in class {cls!r} share one srf\n"
+        for label, n, cls in (
+            ("cluster node slope", 120, "cluster"),
+            ("cluster amplitude slope", 120, "cluster"),
+            ("non-cluster node slope", 60, "noncluster"),
+            ("non-cluster amplitude slope", 60, "noncluster"),
+        )
+    )
+    assert len(out.read_text().splitlines()) == 3 + 60 * 3
+
+
 def test_experiment_single_trial(tmp_path, capsys):
     out = tmp_path / "one.csv"
     rc = main(
@@ -180,7 +205,7 @@ def test_experiment_jsonl_format(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 4 * 3
-    assert "config" in json.loads(lines[0])
+    assert "timestamp" in json.loads(lines[0])["config"]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -298,6 +323,27 @@ def test_decimation_subnormal_noncluster_gap_exits_3_empty(tmp_path, capsys):
     flags = ["-p", "2", "--kappa", "2", "--omega", "100", "-o", str(out)]
     assert main(["decimation", "-i", str(src), *flags]) == 3
     assert "empty admissible set" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "nodes, flags, message",
+    [
+        ([0, 0.3, 0.301, 0.6], ["--kappa", "4"], "kappa must index"),
+        # about 1e301 sigma-set pieces of the pair 1e300 apart meet the rates
+        ([-1e300, 0, 0.01], ["--kappa", "2"], "separation 1e+300"),
+    ],
+    ids=["kappa", "huge-gap"],
+)
+def test_decimation_input_error_writes_no_report(tmp_path, capsys, nodes, flags, message):
+    amplitudes = [[(-1) ** j, 0] for j in range(len(nodes))]
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps({"amplitudes": amplitudes, "nodes": nodes}))
+    out = tmp_path / "rates.json"
+    argv = ["decimation", "-i", str(src), "-p", "2", *flags, "--omega", "100", "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad decimation input: ") and message in err
     assert not out.exists()
 
 

@@ -236,6 +236,14 @@ def test_fit_loglog_slope_insufficient_data():
         fit_loglog_slope(records, "kz", "cluster")
 
 
+def test_fit_loglog_slope_rejects_points_sharing_one_srf():
+    # twelve points at one srf fix no slope, however many there are
+    records = [_planted_record(5.0, 25.0, 125.0) for _ in range(12)]
+    for quantity in ("kx", "ka"):
+        with pytest.raises(InsufficientDataError, match="all 24 usable points .* share one srf"):
+            fit_loglog_slope(records, quantity, "cluster")
+
+
 def test_success_rate_monotone_in_noise():
     h, n = 0.01, 48
     rates = []
@@ -254,6 +262,12 @@ def test_phase_transition_requires_mixed_outcomes():
         phase_transition_sweep(
             2, 3, (5e-2, 6e-2), (48, 96), (1e-12, 1e-11), 40, "S1", 0
         )
+
+
+def test_phase_transition_rejects_trials_sharing_one_srf():
+    # one extent and one sample count give every trial the same srf
+    with pytest.raises(DegenerateFitError, match="all trials share one srf"):
+        phase_transition_sweep(2, 3, (0.02, 0.02), (64, 64), (1e-12, 1.0), 200, "S1", 1)
 
 
 def test_phase_transition_boundary_sanity():

@@ -48,6 +48,21 @@ def test_spike_train_invariants():
     assert train.d == 2
 
 
+@pytest.mark.parametrize(
+    "amplitudes, nodes",
+    [
+        ([math.nan, 1.0, 1.0], [0.0, 0.1, 0.5]),
+        ([1.0, 1.0, 1.0], [0.0, 0.1, math.inf]),
+        ([1.0, 1.0, 1.0], [-math.inf, 0.1, 0.5]),
+        ([1.0, 1.0, 1.0], [0.0, math.nan, 0.5]),
+    ],
+    ids=["nan-amplitude", "inf-node", "minus-inf-node", "nan-node"],
+)
+def test_spike_train_rejects_non_finite_values(amplitudes, nodes):
+    with pytest.raises(ValueError, match="^amplitudes and nodes must be finite$"):
+        SpikeTrain(amplitudes=amplitudes, nodes=nodes)
+
+
 def test_fourier_single_spike_at_origin():
     train = SpikeTrain(amplitudes=[1.0], nodes=[0.0])
     for s in (0.0, 0.37, -12.5):
@@ -106,6 +121,13 @@ def test_sample_spectrum_noise_bound_and_determinism():
     assert np.abs(a.values - clean).max() == pytest.approx(a.actual_noise)
     c = sample_spectrum(train, 8, 1e-3, 43)
     assert np.any(c.values != a.values)
+
+
+@pytest.mark.parametrize("noise_bound", [math.nan, math.inf, -1.0])
+def test_sample_spectrum_rejects_a_non_finite_or_negative_bound(noise_bound):
+    train = SpikeTrain(amplitudes=[1.0, 1j], nodes=[0.1, 0.3])
+    with pytest.raises(ValueError, match="noise_bound must be finite and nonnegative"):
+        sample_spectrum(train, 8, noise_bound, 0)
 
 
 def test_sample_spectrum_draws_disk_noise():
@@ -252,7 +274,7 @@ def test_spike_train_json_rejects_non_finite_values(tmp_path, capsys, amplitudes
 
 def _samples_read(tmp_path, monkeypatch, obj):
     """The samples `spikesr recover -d 1` hands to mp_recover for a samples
-    file holding obj."""
+    file holding obj; the run must exit 0 with a report that has its L."""
     seen = []
 
     def recording_recover(samples, *args):
@@ -260,8 +282,8 @@ def _samples_read(tmp_path, monkeypatch, obj):
         return mp_recover(samples, *args)
 
     monkeypatch.setattr(cli, "mp_recover", recording_recover)
-    code, _ = _run_cli(tmp_path, ["recover", "-d", "1"], json.dumps(obj))
-    assert code == 0 and len(seen) == 1
+    code, report = _run_cli(tmp_path, ["recover", "-d", "1"], json.dumps(obj))
+    assert code == 0 and "L" in report and len(seen) == 1
     return seen[0]
 
 
