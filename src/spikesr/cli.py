@@ -312,15 +312,12 @@ def cmd_experiment(args) -> int:
 
 
 def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
-    """The spike train of --input and the cluster that -p, --kappa and
-    --extent pick out of it (see ClusterGeometry.from_nodes); the caller has
-    required --input and -p.  The kappa and extent in use are written back
-    to args."""
+    """The spike train of --input and the cluster that -p and --kappa pick
+    out of it (see ClusterGeometry.from_nodes); the caller has required
+    --input and -p.  The kappa in use is written back to args."""
     train = _read_input(args.input, "spike-train", _spike_train)
     _set_defaults(args, kappa=1)
-    geometry = ClusterGeometry.from_nodes(train.nodes, args.p, args.kappa, args.extent)
-    args.extent = geometry.h
-    return train, geometry
+    return train, ClusterGeometry.from_nodes(train.nodes, args.p, args.kappa)
 
 
 def cmd_worstcase(args) -> int:
@@ -393,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
         option("--input", "-i", help="SpikeTrain JSON file")
         option("-p", type=int, help="cluster size")
         option("--kappa", type=int, help="1-based index of the first cluster node")
-        option("--extent", type=float, help="cluster extent (default: measured)")
 
     option = command("recover", cmd_recover, "Matrix Pencil recovery from a samples file")
     option("--input", "-i", help="SpectralSamples JSON file")

@@ -15,7 +15,8 @@ class RepeatedRootsError(SpikesrError):
 
 
 class RankDeficiencyError(SpikesrError):
-    """A truncated singular value is too small for the pencil inversion to be safe."""
+    """The d-th singular value of the Hankel matrix is below 1e-13 times its
+    first; the samples do not fix d nodes."""
 
 
 class EigenFailureError(SpikesrError):
@@ -36,10 +37,10 @@ class EmptyAdmissibleSetError(SpikesrError):
 
 
 class DegenerateFitError(SpikesrError):
-    """All trials share one outcome, or one srf; the phase boundary cannot be
-    fitted."""
+    """All trials share one outcome, or span less than 0.1 decade of srf; the
+    phase boundary cannot be fitted."""
 
 
 class InsufficientDataError(SpikesrError):
     """Too few successful records in the selected class to fit a slope, or
-    all of them share one srf."""
+    they span less than 0.1 decade of srf."""

@@ -97,42 +97,28 @@ class ClusterGeometry:
             raise ValueError("eta must lie in (0, 1]")
 
     @classmethod
-    def from_nodes(
-        cls, nodes, p: int, kappa: int = 1, extent: float | None = None
-    ) -> "ClusterGeometry":
+    def from_nodes(cls, nodes, p: int, kappa: int = 1) -> "ClusterGeometry":
         """Geometry of the p-node cluster at 1-based index kappa of a node vector.
 
-        d is the node count and h the extent, which defaults to the span of
-        the cluster nodes.  A given extent may fall below that span only by
-        the rounding of the node positions, so that the nominal extent of
-        nodes such as 0.3 and 0.301 is accepted.  T is the larger of h and
-        the span of all nodes, tau the smallest cluster gap over h and eta
-        the smallest separation of a pair holding a non-cluster node over T,
-        both capped at 1; eta is 1 when every node is in the cluster.  A
-        positive separation whose ratio to its scale rounds to 0 raises
-        ValueError naming the separation and the scale.
+        d is the node count, h the span of the cluster nodes and T the span
+        of all nodes; tau is the smallest cluster gap over h and eta the
+        smallest separation of a pair holding a non-cluster node over T,
+        both capped at 1; eta is 1 when every node is in the cluster.  The
+        nodes must be strictly increasing.  A positive separation whose
+        ratio to its scale rounds to 0 raises ValueError naming the
+        separation and the scale.
         """
         # Python floats: every S2 trial calls this, and numpy's per-call
         # overhead on a handful of nodes would outweigh the arithmetic.
         x = np.asarray(nodes, dtype=float).tolist()
         _check_cluster_indices(p, len(x), kappa)
-        cluster = x[kappa - 1 : kappa - 1 + p]
-        span = cluster[-1] - cluster[0]
-        if extent is None:
-            h = span
-        else:
-            h = float(extent)
-            if h < span - 2 * np.spacing(max(map(abs, cluster))):
-                raise ValueError(
-                    f"extent {h!r} is below the span {span!r} of the cluster nodes"
-                )
-        T = max(x[-1] - x[0], h)
         gaps = [b - a for a, b in zip(x, x[1:])]
+        if not all(gap > 0 for gap in gaps):
+            raise ValueError("nodes must be strictly increasing")
+        h = x[kappa - 2 + p] - x[kappa - 1]
+        T = x[-1] - x[0]
         inner = slice(kappa - 1, kappa + p - 2)
-        tau = (
-            _scaled_gap(min(gaps[inner]), "cluster", h, "the cluster extent h")
-            if h > 0 else 1.0
-        )
+        tau = _scaled_gap(min(gaps[inner]), "cluster", h, "the cluster extent h")
         # The nodes are sorted, so the closest pair holding a non-cluster node
         # is a neighbour pair outside the cluster's own p-1 gaps.
         del gaps[inner]

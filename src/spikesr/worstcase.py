@@ -232,7 +232,7 @@ def displacement_scaling_probe(
         spectators = extent / 2.0 + (1.0 + extent) * np.arange(1, d - p + 1)
         nodes = np.concatenate([cluster, spectators])
         train = SpikeTrain(amplitudes=(-1.0) ** np.arange(d), nodes=nodes)
-        geometry = ClusterGeometry.from_nodes(nodes, p, extent=extent)
+        geometry = ClusterGeometry.from_nodes(nodes, p)
         eps = _PROBE_EPS_COEFF * (omega * tau * h) ** (2 * p - 1)
         report = worst_case_signal(train, geometry, eps)
         srf = 1.0 / (omega * tau * h)

@@ -155,21 +155,25 @@ def test_experiment_phase_degenerate_exits_4(capsys):
     assert rc == 4
 
 
-@pytest.mark.parametrize("kind", ["amplification", "phase"])
-def test_experiment_at_one_srf_fits_no_slope(tmp_path, capsys, kind):
-    # one extent and one sample count give every trial the same srf
+def _assert_fits_no_slope(tmp_path, capsys, kind, h_range):
+    """An experiment whose trials all sit at N = 64 and an extent in h_range
+    spans less than 0.1 decade of srf: phase exits 4 and writes no file,
+    amplification prints no slope and writes every record."""
     out = tmp_path / "run.csv"
     trials = {"amplification": "60", "phase": "200"}[kind]
     argv = ["experiment", "--kind", kind, "-p", "2", "-d", "3", "--trials", trials,
-            "--h-range", "0.02,0.02", "--n-range", "64,64", "--seed", "1", "-o", str(out)]
+            "--h-range", h_range, "--n-range", "64,64", "--seed", "1", "-o", str(out)]
     if kind == "phase":
         assert main(argv) == 4
-        assert capsys.readouterr().err == "error: degenerate fit: all trials share one srf\n"
+        assert capsys.readouterr().err == (
+            "error: degenerate fit: the trials span less than 0.1 decade of srf\n"
+        )
         assert not out.exists()
         return
     assert main(argv) == 0
     assert capsys.readouterr().out == "".join(
-        f"{label}: insufficient data: all {n} usable points in class {cls!r} share one srf\n"
+        f"{label}: insufficient data: the {n} usable points in class {cls!r} "
+        "span less than 0.1 decade of srf\n"
         for label, n, cls in (
             ("cluster node slope", 120, "cluster"),
             ("cluster amplitude slope", 120, "cluster"),
@@ -178,6 +182,18 @@ def test_experiment_at_one_srf_fits_no_slope(tmp_path, capsys, kind):
         )
     )
     assert len(out.read_text().splitlines()) == 3 + 60 * 3
+
+
+@pytest.mark.parametrize("kind", ["amplification", "phase"])
+def test_experiment_at_one_srf_fits_no_slope(tmp_path, capsys, kind):
+    # one extent and one sample count give every trial the same srf
+    _assert_fits_no_slope(tmp_path, capsys, kind, "0.02,0.02")
+
+
+@pytest.mark.parametrize("kind", ["amplification", "phase"])
+def test_experiment_at_a_nearly_constant_srf_fits_no_slope(tmp_path, capsys, kind):
+    # extents a factor 1 + 5e-9 apart once fitted a cluster node slope of +1.3e8
+    _assert_fits_no_slope(tmp_path, capsys, kind, "0.02,0.0200000001")
 
 
 def test_experiment_single_trial(tmp_path, capsys):
@@ -406,7 +422,7 @@ def test_experiment_malformed_range_exits_2(tmp_path, capsys, flags, config):
 
 
 @pytest.mark.parametrize("subcommand", ["worstcase", "decimation"])
-@pytest.mark.parametrize("flags", [["-p", "0"], ["-p", "1", "--extent", "0.1"]])
+@pytest.mark.parametrize("flags", [["-p", "0"], ["-p", "1"]])
 def test_geometry_with_fewer_than_two_cluster_nodes_exits_2(
     tmp_path, capsys, subcommand, flags
 ):
@@ -420,33 +436,22 @@ def test_geometry_with_fewer_than_two_cluster_nodes_exits_2(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("subcommand", ["worstcase", "decimation"])
-def test_extent_below_the_cluster_span_exits_2(tmp_path, capsys, subcommand):
-    # Without --extent the measured extent 0.001 fails decimation's cluster
-    # condition at omega 5000; a smaller --extent must not skip that check.
-    train = {"amplitudes": [[1, 0]] * 4, "nodes": [0.0, 0.3, 0.301, 0.6]}
+@pytest.mark.parametrize(
+    "subcommand, level",
+    [("worstcase", ["--epsilon", "1e-9"]), ("decimation", ["--omega", "200"])],
+    ids=["worstcase", "decimation"],
+)
+def test_extent_flag_is_a_usage_error(tmp_path, capsys, subcommand, level):
+    # a cluster's extent is the span of its nodes; no option sets it
     src = tmp_path / "train.json"
-    src.write_text(json.dumps(train))
+    src.write_text(json.dumps({"amplitudes": [[1, 0]] * 4, "nodes": [0.0, 0.3, 0.301, 0.6]}))
     out = tmp_path / "r.json"
-    level = {"worstcase": ["--epsilon", "1e-9"], "decimation": []}[subcommand]
-    argv = [subcommand, "-i", str(src), "-p", "2", "--kappa", "2", "--omega", "5000"]
-    assert main([*argv, *level, "--extent", "1e-9", "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: bad {subcommand} input: extent") and "below the span" in err
+    argv = [subcommand, "-i", str(src), "-p", "2", "--kappa", "2", *level]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--extent", "0.001", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --extent 0.001" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("subcommand", ["worstcase", "decimation"])
-def test_nominal_extent_of_the_cluster_is_accepted(tmp_path, subcommand):
-    # 0.301 - 0.3 rounds to just above 0.001; the nominal extent still passes
-    train = {"amplitudes": [[1, 0]] * 4, "nodes": [0.0, 0.3, 0.301, 0.6]}
-    src = tmp_path / "train.json"
-    src.write_text(json.dumps(train))
-    out = tmp_path / "r.json"
-    level = {"worstcase": ["--epsilon", "1e-9"], "decimation": []}[subcommand]
-    argv = [subcommand, "-i", str(src), "-p", "2", "--kappa", "2", "--omega", "1000"]
-    assert main([*argv, *level, "--extent", "0.001", "-o", str(out)]) == 0
-    assert json.loads(out.read_text())["config"]["params"]["extent"] == 0.001
 
 
 @pytest.mark.parametrize("epsilon", ["nan", "inf"])
@@ -597,7 +602,6 @@ def _one_value_per_option(tmp_path, samples_file):
         "input": ("-i", str(train)),
         "p": ("-p", 2),
         "kappa": ("--kappa", 1),
-        "extent": ("--extent", 0.02),
     }
     return {
         "recover": {"input": ("-i", str(samples_file)), "order": ("-d", 2), "pencil": ("-L", 2)},
@@ -692,6 +696,8 @@ def test_recorded_params_are_the_declared_options(
     [
         ("experiment", '{"kind": "amplification", "p": 2, "d": 3, "trails": 3, "seed": 1}', "trails"),
         ("worstcase", '{"seed": 1}', "seed"),
+        ("worstcase", '{"extent": 0.01}', "extent"),
+        ("decimation", "extent=0.01\n", "extent"),
         ("experiment", "kind=amplification\np=2\nd=3\nh-range=1e-3,1e-2\n", "h-range"),
     ],
 )
@@ -708,6 +714,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, monkeypatch, subcommand, c
     argv = {
         "experiment": [],
         "worstcase": ["-i", str(train), "-p", "2", "--epsilon", "1e-9"],
+        "decimation": ["-i", str(train), "-p", "2", "--omega", "100"],
     }[subcommand]
     assert main([subcommand, *argv, "--config", str(cfg), "-o", str(out)]) == 2
     assert f"unknown config key for {subcommand}: {key}" in capsys.readouterr().err
@@ -810,28 +817,13 @@ def test_missing_required_option_is_named_by_its_flag(capsys, subcommand, argv, 
 
 
 @pytest.mark.parametrize(
-    "text",
-    [
-        '{"amplitudes": [[1, 0], [NaN, 0], [1, 0]], "nodes": [0, 0.3, 0.6]}',
-        '{"amplitudes": [[1, 0], [1, 0], [1, 0]], "nodes": [0, 0.3, Infinity]}',
-    ],
-)
-def test_non_finite_spike_train_exits_2(tmp_path, capsys, text):
-    src = tmp_path / "train.json"
-    src.write_text(text)
-    assert main(["worstcase", "-i", str(src), "-p", "2", "--epsilon", "1e-9"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad spike-train file") and "must be finite" in err
-
-
-@pytest.mark.parametrize(
     "nodes, flags, message",
     [
         # the non-cluster gap over the node span T rounds to 0 (eta)
-        ([0, 5e-324, 10], ["--kappa", "2"],
+        ([0, 5e-324, 10], ["-p", "2", "--kappa", "2"],
          "smallest non-cluster separation 5e-324 over the node span T = 10.0 rounds to 0"),
-        # the cluster gap over the extent h rounds to 0 (tau)
-        ([0, 5e-324, 0.5], ["--extent", "10"],
+        # the cluster gap over the cluster extent h rounds to 0 (tau)
+        ([0, 5e-324, 10], ["-p", "3"],
          "smallest cluster separation 5e-324 over the cluster extent h = 10.0 rounds to 0"),
     ],
     ids=["eta", "tau"],
@@ -847,7 +839,7 @@ def test_unresolvable_separation_is_named_and_exits_2(
     src = tmp_path / "train.json"
     src.write_text(json.dumps({"amplitudes": [[1, 0], [-1, 0], [1, 0]], "nodes": nodes}))
     out = tmp_path / "report.json"
-    argv = [subcommand, "-i", str(src), "-p", "2", *flags, *extra, "-o", str(out)]
+    argv = [subcommand, "-i", str(src), *flags, *extra, "-o", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: bad {subcommand} input: {message}\n"
     assert not out.exists()

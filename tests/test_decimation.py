@@ -373,7 +373,7 @@ def test_sigma_intervals_rejects_bad_input(delta, alpha, interval):
 
 def _normalized_cluster(p, d, h_layout):
     nodes = make_clustered_nodes(standard_cluster_geometry(p, d, h_layout)) / (2 * math.pi)
-    return nodes, ClusterGeometry.from_nodes(nodes, p, extent=h_layout / (2 * math.pi))
+    return nodes, ClusterGeometry.from_nodes(nodes, p)
 
 
 def test_admissible_full_interval_when_all_nodes_cluster():

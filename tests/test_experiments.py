@@ -240,8 +240,24 @@ def test_fit_loglog_slope_rejects_points_sharing_one_srf():
     # twelve points at one srf fix no slope, however many there are
     records = [_planted_record(5.0, 25.0, 125.0) for _ in range(12)]
     for quantity in ("kx", "ka"):
-        with pytest.raises(InsufficientDataError, match="all 24 usable points .* share one srf"):
+        with pytest.raises(
+            InsufficientDataError,
+            match=r"the 24 usable points .* span less than 0\.1 decade of srf",
+        ):
             fit_loglog_slope(records, quantity, "cluster")
+
+
+def test_fit_loglog_slope_needs_a_tenth_of_a_decade_of_srf():
+    # a planted slope of 2 over just under 0.1 decade is refused; just over
+    # it is fitted
+    for span, fits in ((0.0999, False), (0.1001, True)):
+        srfs = 10 ** np.linspace(0.5, 0.5 + span, 12)
+        records = [_planted_record(srf, srf**2, srf**3) for srf in srfs]
+        if fits:
+            assert fit_loglog_slope(records, "kx", "cluster").slope == pytest.approx(2.0)
+        else:
+            with pytest.raises(InsufficientDataError, match="0.1 decade"):
+                fit_loglog_slope(records, "kx", "cluster")
 
 
 def test_success_rate_monotone_in_noise():
@@ -266,7 +282,7 @@ def test_phase_transition_requires_mixed_outcomes():
 
 def test_phase_transition_rejects_trials_sharing_one_srf():
     # one extent and one sample count give every trial the same srf
-    with pytest.raises(DegenerateFitError, match="all trials share one srf"):
+    with pytest.raises(DegenerateFitError, match="span less than 0.1 decade of srf"):
         phase_transition_sweep(2, 3, (0.02, 0.02), (64, 64), (1e-12, 1.0), 200, "S1", 1)
 
 

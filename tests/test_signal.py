@@ -319,22 +319,19 @@ def test_cluster_geometry_validation():
         ClusterGeometry(p=2, d=3, h=0.1, T=1.0, tau=0.5, eta=0.1, kappa=3)
 
 
-def _geometry_reference(nodes, p, kappa, extent):
+def _geometry_reference(nodes, p, kappa):
     """The CLI's former hand derivation of a cluster geometry, with eta taken
     over every pair that holds a non-cluster node as ClusterGeometry's
     docstring defines it; the reference for ClusterGeometry.from_nodes:
     (p, d, h, T, tau, eta, kappa)."""
     nodes = np.asarray(nodes, dtype=float)
     cluster = nodes[kappa - 1 : kappa - 1 + p]
-    span = float(cluster[-1] - cluster[0])
-    extent = span if extent is None else extent
-    assert extent >= span - 2 * np.spacing(np.abs(cluster).max())
-    T = max(float(nodes[-1] - nodes[0]), extent)
-    gaps = np.diff(cluster)
-    tau = float(gaps.min() / extent) if extent > 0 else 1.0
+    h = float(cluster[-1] - cluster[0])
+    T = float(nodes[-1] - nodes[0])
+    tau = float(np.diff(cluster).min() / h)
     seps = _noncluster_separations(nodes, p, kappa)
     eta = float(seps.min() / T) if seps.size else 1.0
-    return (p, len(nodes), extent, T, min(1.0, tau), min(1.0, eta), kappa)
+    return (p, len(nodes), h, T, min(1.0, tau), min(1.0, eta), kappa)
 
 
 def _noncluster_separations(nodes, p, kappa):
@@ -346,11 +343,11 @@ def _noncluster_separations(nodes, p, kappa):
     return np.abs(np.subtract.outer(nodes, nodes))[pairs]
 
 
-def _assert_from_nodes_matches_reference(nodes, p, kappa, extent):
-    geometry = ClusterGeometry.from_nodes(nodes, p, kappa, extent)
+def _assert_from_nodes_matches_reference(nodes, p, kappa):
+    geometry = ClusterGeometry.from_nodes(nodes, p, kappa)
     got = (geometry.p, geometry.d, geometry.h, geometry.T,
            geometry.tau, geometry.eta, geometry.kappa)
-    want = _geometry_reference(nodes, p, kappa, extent)
+    want = _geometry_reference(nodes, p, kappa)
     assert [type(v) for v in got] == [type(v) for v in want]
     assert [v.hex() if isinstance(v, float) else v for v in got] == [
         v.hex() if isinstance(v, float) else v for v in want
@@ -366,14 +363,9 @@ def test_from_nodes_matches_the_hand_derivation_bit_for_bit():
         nodes = rng.uniform(-1.0, 1.0) + np.concatenate([[0.0], np.cumsum(steps)])
         for p in range(2, d + 1):
             for kappa in range(1, d - p + 2):
-                span = float(nodes[kappa - 2 + p] - nodes[kappa - 1])
-                for extent in (None, span, 1.5 * span):
-                    _assert_from_nodes_matches_reference(nodes, p, kappa, extent)
-                    compared += 1
-    assert compared > 500
-    # the nominal extent of 0.3 and 0.301, whose difference rounds above 0.001
-    assert 0.301 - 0.3 > 0.001
-    _assert_from_nodes_matches_reference(np.array([0.0, 0.3, 0.301, 0.6]), 2, 2, 0.001)
+                _assert_from_nodes_matches_reference(nodes, p, kappa)
+                compared += 1
+    assert compared > 400
 
 
 def test_from_nodes_eta_is_the_closest_noncluster_pair():
@@ -400,7 +392,7 @@ def test_from_nodes_eta_is_the_closest_noncluster_pair():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "p, kappa, extent, message",
+    "p, kappa, nodes, message",
     [
         (0, 1, None, "2 <= p <= d"),
         (1, 1, None, "2 <= p <= d"),
@@ -408,13 +400,18 @@ def test_from_nodes_eta_is_the_closest_noncluster_pair():
         (2, 0, None, "kappa must index"),
         (2, 4, None, "kappa must index"),
         (3, 3, None, "kappa must index"),
-        (2, 2, 1e-9, "below the span"),
-        (2, 1, 0.29, "below the span"),
+        # coincident, decreasing or NaN nodes: a ValueError, not a division by 0
+        (2, 1, [0.0, 0.0, 0.0], "nodes must be strictly increasing"),
+        (2, 1, [1.0, 1.0, 0.0], "nodes must be strictly increasing"),
+        (2, 1, [1.0, 0.0, 1.0], "nodes must be strictly increasing"),
+        (3, 1, [0.0, 1.0, 0.0], "nodes must be strictly increasing"),
+        (2, 1, [2.0, 1.0, 0.0], "nodes must be strictly increasing"),
+        (2, 1, [0.0, math.nan, 1.0], "nodes must be strictly increasing"),
     ],
 )
-def test_from_nodes_rejects_a_cluster_it_cannot_pick_out(p, kappa, extent, message):
+def test_from_nodes_rejects_a_cluster_it_cannot_pick_out(p, kappa, nodes, message):
     with pytest.raises(ValueError, match=message):
-        ClusterGeometry.from_nodes([0.0, 0.3, 0.301, 0.6], p, kappa, extent)
+        ClusterGeometry.from_nodes(nodes or [0.0, 0.3, 0.301, 0.6], p, kappa)
 
 
 def test_array_holding_results_compare_by_identity():
