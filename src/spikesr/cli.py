@@ -51,7 +51,7 @@ from .experiments import (
 )
 from .matrix_pencil import mp_recover
 from .signal import ClusterGeometry, SpectralSamples, SpikeTrain
-from .worstcase import worst_case_signal
+from .worstcase import spectral_deviation, worst_case_signal
 
 EXIT_PARSE = 2
 EXIT_ESTIMATOR = 3
@@ -324,7 +324,8 @@ def cmd_worstcase(args) -> int:
     _require(args, "input", "p", "epsilon")
     train, geometry = _train_and_geometry(args)
     _set_defaults(args, grid_points=1001)
-    report = worst_case_signal(train, geometry, args.epsilon, args.omega, args.grid_points)
+    report = worst_case_signal(train, args.p, args.epsilon, args.kappa)
+    omega = 1.0 / geometry.h if args.omega is None else args.omega
     _write_json_report(args, {
         "perturbed": {
             "amplitudes": report.perturbed.amplitudes,
@@ -334,7 +335,9 @@ def cmd_worstcase(args) -> int:
         "last_moment_delta": report.last_moment_delta,
         "node_displacement": report.node_displacement,
         "amplitude_displacement": report.amplitude_displacement,
-        "spectral_deviation": report.spectral_deviation,
+        "spectral_deviation": spectral_deviation(
+            train, report.perturbed, omega, args.grid_points
+        ),
     })
     return 0
 

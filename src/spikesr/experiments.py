@@ -25,7 +25,6 @@ from .errors import (
 )
 from .matrix_pencil import mp_recover
 from .signal import (
-    ClusterGeometry,
     SpectralSamples,
     SpikeTrain,
     clean_spectrum,
@@ -166,7 +165,8 @@ def single_experiment(
 
     The layout of standard_cluster_geometry is divided by 2 pi so the nodes
     live in [0, 1/2); scheme S1 samples the spectrum with bounded random noise,
-    scheme S2 samples the exact spectrum of the worst-case perturbed signal at
+    scheme S2 samples the exact spectrum of worst_case_signal(train, p,
+    epsilon).perturbed, which perturbs the cluster of the first p nodes at
     level epsilon.  The measured perturbation epsilon0 is the largest deviation
     of the samples from the clean spectrum of the unperturbed signal.  Node j
     succeeds when the nearest estimate lands within a third of its separation
@@ -189,8 +189,7 @@ def single_experiment(
         if scheme == "S1":
             samples = sample_spectrum(train, n_samples, epsilon, seed)
         else:
-            geometry = ClusterGeometry.from_nodes(x, p)
-            perturbed = worst_case_signal(train, geometry, epsilon).perturbed
+            perturbed = worst_case_signal(train, p, epsilon).perturbed
             values = clean_spectrum(perturbed, n_samples)
             samples = SpectralSamples(
                 values, float(np.abs(clean_spectrum(train, n_samples) - values).max())

@@ -33,7 +33,11 @@ from spikesr.signal import (
     sample_spectrum,
     standard_cluster_geometry,
 )
-from spikesr.worstcase import displacement_scaling_probe, worst_case_signal
+from spikesr.worstcase import (
+    displacement_scaling_probe,
+    spectral_deviation,
+    worst_case_signal,
+)
 
 SEED = 1
 
@@ -197,9 +201,8 @@ def test_criterion_6_worst_case_witness():
     # moment matching at machine precision relative to the moment scale
     h = 0.01
     train = SpikeTrain(amplitudes=[1.0, -1.0], nodes=[-h / 2, h / 2])
-    geometry = ClusterGeometry(p=2, d=2, h=h, T=1.0, tau=1.0, eta=h, kappa=1)
     eps = 1e-9
-    report = worst_case_signal(train, geometry, eps)
+    report = worst_case_signal(train, 2, eps)
     g_scale = max(1.0, float(np.abs(moments(train, 4)).max()))
     moments_ok = (
         report.moment_match_error < 1e-8 * g_scale
@@ -223,12 +226,11 @@ def test_criterion_6_worst_case_witness():
 
     # spectral deviation linear in epsilon over three decades
     lin_train = SpikeTrain(amplitudes=[1.0, -1.0], nodes=[-0.025, 0.025])
-    lin_geometry = ClusterGeometry(p=2, d=2, h=0.05, T=1.0, tau=1.0, eta=0.05, kappa=1)
     eps_values = np.geomspace(1e-9, 1e-6, 7)
     devs = [
-        worst_case_signal(
-            lin_train, lin_geometry, e, omega=5.0, grid_points=500
-        ).spectral_deviation
+        spectral_deviation(
+            lin_train, worst_case_signal(lin_train, 2, e).perturbed, 5.0, 500
+        )
         for e in eps_values
     ]
     lin_slope = np.polyfit(np.log10(eps_values), np.log10(devs), 1)[0]

@@ -278,6 +278,30 @@ def test_worstcase_epsilon_too_large_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_worstcase_construction_fails_before_omega_is_checked(tmp_path, capsys):
+    # the deviation grid is checked only once the construction has succeeded
+    train = {"amplitudes": [[1, 0], [-1, 0]], "nodes": [-0.005, 0.005]}
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps(train))
+    argv = ["worstcase", "-i", str(src), "-p", "2", "--epsilon", "0.1", "--omega", "nan"]
+    assert main(argv) == 3
+    assert "epsilon too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["0", "1e-30", "1e-9"])
+def test_worstcase_zero_cluster_amplitude_exits_2(tmp_path, capsys, epsilon):
+    train = {"amplitudes": [[1, 0], [0, 0], [1, 0], [-1, 0]], "nodes": [0, 0.3, 0.301, 0.6]}
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps(train))
+    out = tmp_path / "report.json"
+    argv = ["worstcase", "-i", str(src), "-p", "2", "--kappa", "2", "--epsilon", epsilon]
+    assert main([*argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad worstcase input: cluster amplitudes must be nonzero\n"
+    )
+    assert not out.exists()
+
+
 def test_decimation_full_interval_for_pure_cluster(tmp_path):
     train = {"amplitudes": [[1, 0], [-1, 0]], "nodes": [0.0, 0.01]}
     src = tmp_path / "train.json"
@@ -763,6 +787,7 @@ LIBRARY_CALLS = [
     ("recover", "mp_recover"),
     ("experiment", "amplification_sweep"),
     ("worstcase", "worst_case_signal"),
+    ("worstcase", "spectral_deviation"),
     ("decimation", "admissible_lambdas"),
     ("decimation", "gautschi_bounds"),
 ]
@@ -855,11 +880,12 @@ def _train4_report(tmp_path, argv):
     return json.loads(out.read_text())
 
 
-def test_worstcase_report_body(tmp_path):
-    from spikesr.signal import ClusterGeometry, SpikeTrain
-    from spikesr.worstcase import worst_case_signal
+@pytest.mark.parametrize("omega_flags", [["--omega", "50"], []], ids=["omega", "no-omega"])
+def test_worstcase_report_body(tmp_path, omega_flags):
+    from spikesr.signal import SpikeTrain
+    from spikesr.worstcase import spectral_deviation, worst_case_signal
 
-    report = _train4_report(tmp_path, ["worstcase", "--epsilon", "1e-9", "--omega", "50"])
+    report = _train4_report(tmp_path, ["worstcase", "--epsilon", "1e-9", *omega_flags])
     diagnostics = [
         "moment_match_error",
         "last_moment_delta",
@@ -869,8 +895,11 @@ def test_worstcase_report_body(tmp_path):
     ]
     assert list(report) == ["timestamp", "config", "perturbed", *diagnostics]
     train = SpikeTrain([complex(*pair) for pair in _TRAIN4["amplitudes"]], _TRAIN4["nodes"])
-    geometry = ClusterGeometry.from_nodes(train.nodes, 2, 2)
-    expected = worst_case_signal(train, geometry, 1e-9, 50.0)
+    expected = worst_case_signal(train, 2, 1e-9, 2)
+    # without --omega the grid spans 1/h, h the cluster span 0.301 - 0.3
+    omega = 50.0 if omega_flags else 1.0 / (train.nodes[2] - train.nodes[1])
+    deviation = spectral_deviation(train, expected.perturbed, omega, 1001)
+    assert report["config"]["params"]["omega"] == (50.0 if omega_flags else None)
     perturbed = report["perturbed"]
     assert list(perturbed) == ["amplitudes", "nodes"]
     assert perturbed["amplitudes"] == [
@@ -878,8 +907,9 @@ def test_worstcase_report_body(tmp_path):
     ]
     assert perturbed["nodes"] == expected.perturbed.nodes.tolist()
     assert perturbed["nodes"] != _TRAIN4["nodes"]
-    for name in diagnostics:
+    for name in diagnostics[:-1]:
         assert repr(report[name]) == repr(getattr(expected, name))
+    assert repr(report["spectral_deviation"]) == repr(deviation)
 
 
 def test_decimation_report_body(tmp_path):

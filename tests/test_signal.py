@@ -424,14 +424,13 @@ def test_array_holding_results_compare_by_identity():
     def train():
         return SpikeTrain(amplitudes=[1.0, -1.0, 1.0], nodes=[0.0, 0.01, 0.3])
 
-    geometry = ClusterGeometry(p=2, d=3, h=0.01, T=0.3, tau=1.0, eta=0.1, kappa=1)
     samples = sample_spectrum(train(), 16, 0.0, 0)
     makers = [
         train,
         lambda: sample_spectrum(train(), 16, 0.0, 0),
         lambda: prony_solve(moments(train(), 6), 3),
         lambda: mp_recover(samples, 3),
-        lambda: worst_case_signal(train(), geometry, 1e-9),
+        lambda: worst_case_signal(train(), 2, 1e-9),
     ]
     for make in makers:
         first, second = make(), make()

@@ -10,35 +10,38 @@ from spikesr.errors import (
     RepeatedRootsError,
 )
 from spikesr.prony import prony_map, prony_solve
-from spikesr.signal import ClusterGeometry, SpikeTrain, moments
+from spikesr.signal import ClusterGeometry, SpikeTrain, fourier_at, moments
 from spikesr.worstcase import (
-    _spectral_deviation,
     displacement_scaling_probe,
+    spectral_deviation,
     worst_case_signal,
 )
 
 
 def _pair_cluster(h):
-    train = SpikeTrain(amplitudes=[1.0, -1.0], nodes=[-h / 2, h / 2])
-    geometry = ClusterGeometry(
-        p=2, d=2, h=h, T=max(h, 1.0), tau=1.0, eta=min(1.0, h), kappa=1
-    )
-    return train, geometry
+    return SpikeTrain(amplitudes=[1.0, -1.0], nodes=[-h / 2, h / 2])
+
+
+def _no_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("prony_solve called")
+
+    monkeypatch.setattr(worstcase, "prony_solve", no_solve)
 
 
 def test_zero_epsilon_is_identity():
-    train, geometry = _pair_cluster(0.01)
-    report = worst_case_signal(train, geometry, 0.0)
+    train = _pair_cluster(0.01)
+    report = worst_case_signal(train, 2, 0.0)
     assert report.perturbed is train
     assert report.moment_match_error == 0.0
     assert report.last_moment_delta == 0.0
-    assert report.spectral_deviation == 0.0
+    assert spectral_deviation(train, report.perturbed, 100.0, 1001) == 0.0
 
 
 def test_moment_matching_pair():
-    train, geometry = _pair_cluster(0.01)
+    train = _pair_cluster(0.01)
     eps = 1e-9
-    report = worst_case_signal(train, geometry, eps)
+    report = worst_case_signal(train, 2, eps)
     # whole-signal moments: orders 0..2 match, order 3 moves by exactly eps
     before = moments(train, 4)
     after = moments(report.perturbed, 4)
@@ -50,9 +53,9 @@ def test_moment_matching_pair():
 
 def test_node_displacement_linear_in_epsilon():
     # solvable regime: the threshold for h = 0.05 sits near gap^3/4 ~ 3e-5
-    train, geometry = _pair_cluster(0.05)
+    train = _pair_cluster(0.05)
     eps_values = np.geomspace(1e-8, 1e-5, 7)
-    disp = [worst_case_signal(train, geometry, e).node_displacement for e in eps_values]
+    disp = [worst_case_signal(train, 2, e).node_displacement for e in eps_values]
     slope = np.polyfit(np.log10(eps_values), np.log10(disp), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.05)
 
@@ -61,8 +64,7 @@ def test_real_nodes_and_untouched_tail():
     # cluster of two plus one distant node: the tail must be bit-identical
     h = 0.002
     train = SpikeTrain(amplitudes=[1.0, -1.0, 0.5 + 0.25j], nodes=[0.0, h, 0.4])
-    geometry = ClusterGeometry(p=2, d=3, h=h, T=1.0, tau=1.0, eta=0.3, kappa=1)
-    report = worst_case_signal(train, geometry, 1e-10)
+    report = worst_case_signal(train, 2, 1e-10)
     perturbed = report.perturbed
     assert perturbed.nodes[2] == train.nodes[2]
     assert perturbed.amplitudes[2] == train.amplitudes[2]
@@ -71,43 +73,68 @@ def test_real_nodes_and_untouched_tail():
 
 
 def test_epsilon_too_large_signals():
-    train, geometry = _pair_cluster(0.01)
+    train = _pair_cluster(0.01)
     # beyond gap^3/4 the perturbed quadratic has complex roots
     with pytest.raises(EpsilonTooLargeError):
-        worst_case_signal(train, geometry, 0.01**3)
+        worst_case_signal(train, 2, 0.01**3)
 
 
 def test_requires_real_cluster_amplitudes():
     train = SpikeTrain(amplitudes=[1.0j, -1.0], nodes=[0.0, 0.01])
-    geometry = ClusterGeometry(p=2, d=2, h=0.01, T=1.0, tau=1.0, eta=0.01, kappa=1)
-    with pytest.raises(ValueError):
-        worst_case_signal(train, geometry, 1e-9)
+    with pytest.raises(ValueError, match="cluster amplitudes must be real"):
+        worst_case_signal(train, 2, 1e-9)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-30, 1e-9])
+def test_zero_cluster_amplitude_rejected_at_every_epsilon(monkeypatch, epsilon):
+    # a zero amplitude leaves the order-p moment system singular at every
+    # epsilon, so it is an input error rather than an epsilon that is too large
+    _no_solve(monkeypatch)
+    train = SpikeTrain(amplitudes=[1.0, 0.0, 1.0, -1.0], nodes=[0.0, 0.3, 0.301, 0.6])
+    with pytest.raises(ValueError, match="cluster amplitudes must be nonzero"):
+        worst_case_signal(train, 2, epsilon, kappa=2)
+
+
+@pytest.mark.parametrize(
+    "p, kappa, message",
+    [
+        (1, 1, "cluster size p must satisfy 2 <= p <= d"),
+        (4, 1, "cluster size p must satisfy 2 <= p <= d"),
+        (2, 0, "kappa must index a contiguous cluster inside the node vector"),
+        (2, 3, "kappa must index a contiguous cluster inside the node vector"),
+    ],
+)
+def test_bad_cluster_indices_rejected_before_any_solve(monkeypatch, p, kappa, message):
+    _no_solve(monkeypatch)
+    train = SpikeTrain(amplitudes=[1.0, -1.0, 1.0], nodes=[0.0, 0.01, 0.3])
+    with pytest.raises(ValueError, match=message):
+        worst_case_signal(train, p, 1e-9, kappa)
 
 
 def test_spectral_deviation_zero_for_identical():
-    train, _ = _pair_cluster(0.01)
-    assert _spectral_deviation(train, train, 10.0, 100) == 0.0
+    train = _pair_cluster(0.01)
+    assert spectral_deviation(train, train, 10.0, 100) == 0.0
 
 
 def test_spectral_deviation_modest_at_unit_scale():
     # order-one cluster extent with omega * h <= 2: the deviation stays within
     # a small multiple of epsilon and scales linearly with it
-    train, geometry = _pair_cluster(2.0)
+    train = _pair_cluster(2.0)
     eps = 1e-6
-    report = worst_case_signal(train, geometry, eps, omega=1.0, grid_points=1000)
-    assert report.spectral_deviation <= 10 * eps
+    perturbed = worst_case_signal(train, 2, eps).perturbed
+    assert spectral_deviation(train, perturbed, 1.0, 1000) <= 10 * eps
     ratios = []
     for e in (1e-8, 1e-7, 1e-6, 1e-5):
-        r = worst_case_signal(train, geometry, e, omega=1.0, grid_points=500)
-        ratios.append(r.spectral_deviation / e)
+        perturbed = worst_case_signal(train, 2, e).perturbed
+        ratios.append(spectral_deviation(train, perturbed, 1.0, 500) / e)
     assert max(ratios) / min(ratios) < 1.1
 
 
 def test_spectral_deviation_linear_slope():
-    train, geometry = _pair_cluster(0.02)
+    train = _pair_cluster(0.02)
     eps_values = np.geomspace(1e-9, 1e-6, 7)
     devs = [
-        worst_case_signal(train, geometry, e, omega=5.0, grid_points=400).spectral_deviation
+        spectral_deviation(train, worst_case_signal(train, 2, e).perturbed, 5.0, 400)
         for e in eps_values
     ]
     slope = np.polyfit(np.log10(eps_values), np.log10(devs), 1)[0]
@@ -118,7 +145,7 @@ def test_spectral_deviation_of_shift_first_order():
     train = SpikeTrain(amplitudes=[1.5], nodes=[0.2])
     omega, delta = 2.0, 1e-6
     moved = SpikeTrain(amplitudes=train.amplitudes, nodes=train.nodes - delta)
-    deviation = _spectral_deviation(train, moved, omega, 2001)
+    deviation = spectral_deviation(train, moved, omega, 2001)
     assert deviation == pytest.approx(2 * math.pi * omega * delta * 1.5, rel=1e-2)
 
 
@@ -166,8 +193,9 @@ def test_probe_rejects_bad_cluster_size_before_any_solve(p, d, monkeypatch):
 
 
 def _reference_report(train, geometry, epsilon, omega=None, grid_points=1001, imag_tol=1e-9):
-    """The former worst_case_signal, which computed every diagnostic eagerly,
-    kept as a reference: (perturbed, the five diagnostics in field order)."""
+    """An earlier worst_case_signal, which read the cluster from a geometry and
+    measured the spectral deviation itself, kept as a reference: (perturbed,
+    the four report fields in order, the spectral deviation)."""
     p = geometry.p
     sl = geometry.cluster_slice
     omega_eff = (1.0 / geometry.h) if omega is None else float(omega)
@@ -199,27 +227,27 @@ def _reference_report(train, geometry, epsilon, omega=None, grid_points=1001, im
         raise EpsilonTooLargeError("ordering")
     perturbed = SpikeTrain(amplitudes=spliced_amps, nodes=spliced_nodes)
     new_moments = prony_map(new_amps, new_nodes, 2 * p).real
+    grid = np.linspace(-omega_eff, omega_eff, grid_points)
     return (
         perturbed,
         float(np.abs(new_moments[: 2 * p - 1] - g[: 2 * p - 1]).max()),
         float(new_moments[2 * p - 1] - g[2 * p - 1]),
         float(np.abs(new_nodes - centered).max()),
         float(np.abs(new_amps - amps_c).max()),
-        _spectral_deviation(train, perturbed, omega_eff, grid_points),
+        float(np.abs(fourier_at(perturbed, grid) - fourier_at(train, grid)).max()),
     )
 
 
-_DIAGNOSTICS = (
+_FIELDS = (
     "moment_match_error",
     "last_moment_delta",
     "node_displacement",
     "amplitude_displacement",
-    "spectral_deviation",
 )
 
 
 @pytest.mark.parametrize("p, d", [(2, 2), (2, 4), (3, 3), (3, 5)])
-def test_lazy_report_matches_eager_reference(p, d):
+def test_report_matches_reference(p, d):
     rng = np.random.default_rng(p * 10 + d)
     compared = failed = 0
     for trial in range(60):
@@ -240,11 +268,12 @@ def test_lazy_report_matches_eager_reference(p, d):
         except EpsilonTooLargeError:
             failed += 1
             with pytest.raises(EpsilonTooLargeError):
-                worst_case_signal(train, geometry, eps, omega, grid)
+                worst_case_signal(train, p, eps)
             continue
-        report = worst_case_signal(train, geometry, eps, omega, grid)
-        # read the diagnostics in reverse order: each is computed on first read
-        got = [getattr(report, name) for name in reversed(_DIAGNOSTICS)][::-1]
+        report = worst_case_signal(train, p, eps)
+        got = [getattr(report, name) for name in _FIELDS]
+        omega_eff = 1.0 / h if omega is None else omega
+        got.append(spectral_deviation(train, report.perturbed, omega_eff, grid))
         assert [repr(v) for v in got] == [repr(v) for v in expected[1:]]
         assert all(type(v) is float for v in got)
         assert np.array_equal(report.perturbed.nodes, expected[0].nodes)
@@ -254,55 +283,32 @@ def test_lazy_report_matches_eager_reference(p, d):
 
 
 def test_zero_epsilon_report_diagnostics_are_zero_floats():
-    train, geometry = _pair_cluster(0.01)
-    report = worst_case_signal(train, geometry, 0.0, grid_points=2)
-    assert [repr(getattr(report, name)) for name in _DIAGNOSTICS] == ["0.0"] * 5
+    train = _pair_cluster(0.01)
+    report = worst_case_signal(train, 2, 0.0)
+    got = [getattr(report, name) for name in _FIELDS]
+    got.append(spectral_deviation(train, report.perturbed, 100.0, 2))
+    assert [repr(v) for v in got] == ["0.0"] * 5
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 1e-9])
 def test_single_grid_point_rejected_at_every_epsilon(epsilon):
-    train, geometry = _pair_cluster(0.01)
+    train = _pair_cluster(0.01)
+    perturbed = worst_case_signal(train, 2, epsilon).perturbed
     with pytest.raises(ValueError, match="at least two grid points"):
-        worst_case_signal(train, geometry, epsilon, grid_points=1)
-
-
-def test_accepted_construction_skips_the_diagnostics(monkeypatch):
-    calls = []
-    monkeypatch.setattr(
-        worstcase, "_spectral_deviation", lambda *args: calls.append(args) or 0.5
-    )
-    train, geometry = _pair_cluster(0.01)
-    report = worst_case_signal(train, geometry, 1e-9)
-    assert calls == []
-    assert report.spectral_deviation == 0.5
-    assert report.spectral_deviation == 0.5
-    assert len(calls) == 1
+        spectral_deviation(train, perturbed, 100.0, 1)
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
 def test_non_finite_epsilon_rejected_before_any_solve(monkeypatch, epsilon):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("prony_solve called")
-
-    monkeypatch.setattr(worstcase, "prony_solve", no_solve)
-    train, geometry = _pair_cluster(0.01)
+    _no_solve(monkeypatch)
     with pytest.raises(ValueError, match="epsilon must be finite"):
-        worst_case_signal(train, geometry, epsilon)
+        worst_case_signal(_pair_cluster(0.01), 2, epsilon)
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, 0.0, -1.0])
 @pytest.mark.parametrize("epsilon", [0.0, 1e-9])
-def test_bad_omega_rejected_before_any_solve(monkeypatch, omega, epsilon):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("prony_solve called")
-
-    monkeypatch.setattr(worstcase, "prony_solve", no_solve)
-    train, geometry = _pair_cluster(0.01)
+def test_spectral_deviation_rejects_bad_omega(omega, epsilon):
+    train = _pair_cluster(0.01)
+    perturbed = worst_case_signal(train, 2, epsilon).perturbed
     with pytest.raises(ValueError, match="omega must be finite and positive"):
-        worst_case_signal(train, geometry, epsilon, omega=omega)
-
-
-def test_grid_points_checked_before_the_report_is_read():
-    train, geometry = _pair_cluster(0.01)
-    with pytest.raises(ValueError, match="two grid points"):
-        worst_case_signal(train, geometry, 1e-9, grid_points=1)
+        spectral_deviation(train, perturbed, omega, 1001)
