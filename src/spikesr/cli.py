@@ -16,7 +16,7 @@ numbers and record a null seed.
 
 Failures map to exit codes in one place, main: a CliError exits with its own
 code, a DegenerateFitError with 4, any other package error or a LinAlgError
-with 3, and a ValueError with 2.
+with 3, and a ValueError or a MemoryError with 2.
 
 This module is the one place that reads and writes the JSON files (the spike
 train and samples inputs, and the recover, worstcase and decimation reports)
@@ -447,7 +447,9 @@ def main(argv=None) -> int:
     # LinAlgError is a ValueError, so it must be caught first.
     except (SpikesrError, np.linalg.LinAlgError) as exc:
         message, code = str(exc), EXIT_ESTIMATOR
-    except ValueError as exc:
+    # An input too large to allocate for, such as a huge --n-range, is an
+    # input error too.
+    except (ValueError, MemoryError) as exc:
         message, code = f"bad {args.subcommand} input: {exc}", EXIT_PARSE
     print(f"error: {message}", file=sys.stderr)
     return code

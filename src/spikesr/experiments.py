@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -78,16 +79,23 @@ DEFAULT_PHASE_RANGES = {
 _MIN_LOG_SRF_SPAN = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentRecord:
     """Outcome of one recovery experiment.
 
     h is the cluster extent of the [0, pi] layout before rescaling to the
     torus; srf = 1/(N * gap) with gap the rescaled cluster spacing.  Per-node
     tuples are indexed like the true nodes (the first p are the cluster);
-    amplification factors are present exactly where the node succeeded and the
-    measured noise was nonzero.  failure tags records where the estimator or
-    the worst-case construction raised instead of returning an estimate.
+    amplification factors are present exactly where the node succeeded, the
+    measured noise was nonzero and the factor is finite.  failure tags records
+    where the estimator or the worst-case construction raised instead of
+    returning an estimate.
+
+    A sweep holds thousands of records, so the class is slotted (no
+    __dict__), and the per-node tuples of a failed trial (and the factors of
+    a trial whose measured noise is zero) are constants shared by every such
+    record with the same d; a failed record's kx is its ka.  Compare them by
+    value and do not rely on their identity.
     """
 
     scheme: str
@@ -152,6 +160,22 @@ def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
+@lru_cache(maxsize=64)
+def _missing_node_tuples(d: int) -> tuple:
+    """Per-node errors, success flags and factors of a trial with d nodes
+    that measured none of them, built once per d and shared by every record
+    that keeps them."""
+    return (math.nan,) * d, (False,) * d, (None,) * d
+
+
+def _factors(values: np.ndarray, successes: tuple) -> tuple:
+    """Each factor where its node succeeded and the factor is finite, else None."""
+    return tuple(
+        v if ok and math.isfinite(v) else None
+        for v, ok in zip(values.tolist(), successes)
+    )
+
+
 def single_experiment(
     p: int,
     d: int,
@@ -181,10 +205,13 @@ def single_experiment(
 
     gap = (h / (2.0 * math.pi)) / (p - 1)
     srf = 1.0 / (n_samples * gap)
+    if not math.isfinite(srf):
+        raise ValueError(f"cluster extent h={h!r} is too small for a finite srf")
 
     eps0 = math.nan
     failure = None
-    kx = ka = (None,) * d
+    node_errors, successes, kx = _missing_node_tuples(d)
+    ka = kx
     try:
         if scheme == "S1":
             samples = sample_spectrum(train, n_samples, epsilon, seed)
@@ -199,8 +226,6 @@ def single_experiment(
     except SpikesrError as exc:
         # a worst-case failure leaves eps0 NaN; an estimator failure keeps it
         failure = str(exc)
-        node_errors = (math.nan,) * d
-        successes = (False,) * d
     else:
         est_nodes = result.estimate.nodes
         est_amps = result.estimate.amplitudes
@@ -215,12 +240,14 @@ def single_experiment(
         successes = tuple((errors < gaps.min(axis=1) / 3.0).tolist())
         if eps0 > 0:
             amp_err = amps - est_amps[nearest]
-            kx_all = _circular_distance(x, est_nodes[nearest]) * n_samples / eps0
-            # hypot, not np.abs: complex np.abs may differ from the scalar abs
-            # in the last ulp, and hypot matches it bit for bit
-            ka_all = np.hypot(amp_err.real, amp_err.imag) / eps0
-            kx = tuple(v if ok else None for v, ok in zip(kx_all.tolist(), successes))
-            ka = tuple(v if ok else None for v, ok in zip(ka_all.tolist(), successes))
+            # a subnormal eps0 can overflow a factor; it is kept as missing
+            with np.errstate(over="ignore"):
+                kx_all = _circular_distance(x, est_nodes[nearest]) * n_samples / eps0
+                # hypot, not np.abs: complex np.abs may differ from the scalar
+                # abs in the last ulp, and hypot matches it bit for bit
+                ka_all = np.hypot(amp_err.real, amp_err.imag) / eps0
+            kx = _factors(kx_all, successes)
+            ka = _factors(ka_all, successes)
 
     return ExperimentRecord(
         scheme=scheme,

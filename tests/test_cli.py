@@ -224,6 +224,26 @@ def test_experiment_jsonl_format(tmp_path):
     assert "timestamp" in json.loads(lines[0])["config"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_experiment_overflowing_factors_are_null_in_jsonl(tmp_path, capsys):
+    # A subnormal measured noise overflows some factors; they are written as
+    # null, never as Infinity, and no overflow warning is raised.
+    out = tmp_path / "amp.jsonl"
+    argv = ["experiment", "--kind", "amplification", "-p", "2", "-d", "3", "--trials", "30",
+            "--scheme", "S1", "--eps-range", "1e-323,1e-320", "--format", "jsonl",
+            "-o", str(out)]
+    assert main(argv) == 0
+    rows = [json.loads(line, parse_constant=_reject_constant)
+            for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 30 * 3
+    assert any(row["succ"] and row["Kx"] is None for row in rows)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_experiment_frames_the_sweep_file(tmp_path, capsys, monkeypatch, fmt):
     # The framing rule: CSV opens with a timestamp and a config comment line,
@@ -413,6 +433,7 @@ def test_decimation_bad_parameters_exit_2(tmp_path, capsys, flags, message):
         (["-p", "1"], "cluster size p must satisfy 2 <= p <= d"),
         (["-d", "1"], "cluster size p must satisfy 2 <= p <= d"),
         (["--h-range", "1e-3,3.2"], "cluster extent must be below pi"),
+        (["--h-range", "1e-320,1e-320"], "h=1e-320 is too small for a finite srf"),
     ],
 )
 @pytest.mark.parametrize("kind", ["amplification", "phase"])
@@ -791,7 +812,12 @@ LIBRARY_CALLS = [
     ("decimation", "admissible_lambdas"),
     ("decimation", "gautschi_bounds"),
 ]
-FAILURES = [(ValueError, 2), (RankDeficiencyError, 3), (np.linalg.LinAlgError, 3)]
+FAILURES = [
+    (ValueError, 2),
+    (MemoryError, 2),
+    (RankDeficiencyError, 3),
+    (np.linalg.LinAlgError, 3),
+]
 
 
 @pytest.mark.parametrize(
@@ -820,7 +846,7 @@ def test_library_failures_map_to_exit_codes(
     }[subcommand]
     out = tmp_path / "out.txt"
     assert main([subcommand, *argv, "-o", str(out)]) == code
-    prefix = f"bad {subcommand} input: " if error is ValueError else ""
+    prefix = f"bad {subcommand} input: " if code == 2 else ""
     assert capsys.readouterr().err == f"error: {prefix}library failure\n"
     assert not out.exists()
 

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import io
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,6 +74,89 @@ def test_single_experiment_s2_too_large_epsilon_fails_gracefully():
     assert record.failure is not None
     assert not any(record.successes)
     assert all(k is None for k in record.kx)
+
+
+def test_single_experiment_rejects_an_extent_too_small_for_a_finite_srf():
+    with pytest.raises(ValueError, match=r"h=1e-320 is too small for a finite srf"):
+        single_experiment(2, 3, 1e-320, 48, 1e-9, "S1", seed=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_factors_are_missing():
+    # a subnormal measured noise overflows some factors of successful nodes
+    records = amplification_sweep(
+        2, 3, (5e-3, 6e-2), (48, 96), (1e-323, 1e-320), 30, "S1", 0
+    )
+    factors = [v for rec in records for v in rec.kx + rec.ka]
+    assert all(v is None or math.isfinite(v) for v in factors)
+    assert any(
+        ok and kx is None
+        for rec in records
+        for ok, kx in zip(rec.successes, rec.kx)
+    )
+
+
+def _failed_sweep():
+    """An S2 sweep (p=3, d=5) holding both construction and estimator
+    failures."""
+    return amplification_sweep(
+        3, 5, **DEFAULT_AMPLIFICATION_RANGES, trials=60, scheme="S2", base_seed=1
+    )
+
+
+def test_failed_trials_share_their_per_node_tuples():
+    failed = [rec for rec in _failed_sweep() if rec.failure is not None]
+    # a failed construction leaves eps0 NaN; a failed estimate measured it
+    construction = [rec for rec in failed if math.isnan(rec.epsilon0)]
+    assert 0 < len(construction) < len(failed)
+    first = failed[0]
+    assert len(first.node_errors) == 5 and all(map(math.isnan, first.node_errors))
+    assert first.successes == (False,) * 5
+    assert first.kx == (None,) * 5
+    for rec in failed:
+        assert rec.node_errors is first.node_errors
+        assert rec.successes is first.successes
+        assert rec.kx is first.kx
+        assert rec.ka is rec.kx
+
+
+def test_records_are_slotted_and_frozen():
+    for rec in _failed_sweep()[:10]:
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.seed = 1
+        # A name that is no field cannot be set either.  The frozen
+        # __setattr__ of a slotted dataclass raises TypeError for it, not
+        # FrozenInstanceError, on CPython 3.11 at least.
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            rec.extra = 1
+
+
+def test_records_copy_replace_and_pickle():
+    records = _failed_sweep()
+    assert {rec.failure is None for rec in records} == {True, False}
+    for rec in records:
+        for clone in (copy.copy(rec), copy.deepcopy(rec)):
+            assert clone == rec and not hasattr(clone, "__dict__")
+        # unpickling builds new NaN objects, which compare unequal
+        assert repr(pickle.loads(pickle.dumps(rec))) == repr(rec)
+        moved = dataclasses.replace(rec, seed=rec.seed + 1)
+        assert moved != rec and not hasattr(moved, "__dict__")
+        assert dataclasses.replace(moved, seed=rec.seed) == rec
+
+
+def test_records_equal_a_rebuild_with_fresh_tuples():
+    # equality never rests on the shared tuples being the same objects
+    for rec in _failed_sweep():
+        fresh = dataclasses.replace(
+            rec,
+            **{
+                name: tuple(list(getattr(rec, name)))
+                for name in ("node_errors", "successes", "kx", "ka")
+            },
+        )
+        assert fresh.node_errors is not rec.node_errors
+        assert fresh == rec
 
 
 def test_single_experiment_node_classes():
