@@ -22,7 +22,6 @@ from .signal import ClusterGeometry
 __all__ = [
     "IntervalSet",
     "JacobianBoundReport",
-    "angular_distance",
     "sigma_intervals",
     "admissible_lambdas",
     "gautschi_bounds",
@@ -146,13 +145,6 @@ class JacobianBoundReport:
     @cached_property
     def condition_number(self) -> float:
         return float(np.linalg.cond(self._matrix))
-
-
-def angular_distance(alpha: complex, beta: complex) -> float:
-    """|Arg(alpha / beta)| with the principal branch, a value in [0, pi]."""
-    if alpha == 0 or beta == 0:
-        raise ValueError("angular distance is undefined for zero")
-    return float(abs(np.angle(complex(alpha) / complex(beta))))
 
 
 def _sigma_pieces(seps: np.ndarray, alpha: float, lo: float, hi: float):

@@ -28,6 +28,7 @@ from .matrix_pencil import mp_recover
 from .signal import (
     SpectralSamples,
     SpikeTrain,
+    _check_cluster_indices,
     clean_spectrum,
     make_clustered_nodes,
     sample_spectrum,
@@ -146,10 +147,12 @@ def _circular_distance(a, b) -> np.ndarray:
     """Distance on the unit torus, min over integer shifts of |a - b - n|.
 
     Elementwise with broadcasting, so an outer pair of arguments gives the
-    matrix of distances between two node sets.
+    matrix of distances between two node sets.  Symmetric, and exact given
+    the difference a - b: subtracting its nearest integer rounds nothing,
+    where reducing it mod 1 would round a small negative difference.
     """
-    frac = (a - b) % 1.0
-    return np.minimum(frac, 1.0 - frac)
+    diff = a - b
+    return np.abs(diff - np.rint(diff))
 
 
 def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
@@ -174,6 +177,17 @@ def _factors(values: np.ndarray, successes: tuple) -> tuple:
         v if ok and math.isfinite(v) else None
         for v, ok in zip(values.tolist(), successes)
     )
+
+
+def _srf(p: int, h: float, n_samples: int) -> float:
+    """1/(N * gap) with gap the cluster spacing of the layout rescaled to the
+    torus.  An h too small for a finite srf raises ValueError."""
+    gap = (h / (2.0 * math.pi)) / (p - 1)
+    # a gap that underflows to 0 has no finite srf either
+    srf = 1.0 / (n_samples * gap) if gap else math.inf
+    if not math.isfinite(srf):
+        raise ValueError(f"cluster extent h={h!r} is too small for a finite srf")
+    return srf
 
 
 def single_experiment(
@@ -203,10 +217,7 @@ def single_experiment(
     amps = _scheme_amplitudes(scheme, d)
     train = SpikeTrain(amplitudes=amps, nodes=x)
 
-    gap = (h / (2.0 * math.pi)) / (p - 1)
-    srf = 1.0 / (n_samples * gap)
-    if not math.isfinite(srf):
-        raise ValueError(f"cluster extent h={h!r} is too small for a finite srf")
+    srf = _srf(p, h, n_samples)
 
     eps0 = math.nan
     failure = None
@@ -230,7 +241,7 @@ def single_experiment(
         est_nodes = result.estimate.nodes
         est_amps = result.estimate.amplitudes
         # dist[j, l]: estimate j to true node l.  True node l is scored by its
-        # nearest estimate, and Kx/Ka compare true node l with that estimate.
+        # nearest estimate, and Ka compares true node l with that estimate.
         dist = _circular_distance(est_nodes[:, None], x[None, :])
         errors = dist.min(axis=0)
         nearest = dist.argmin(axis=0)
@@ -242,7 +253,7 @@ def single_experiment(
             amp_err = amps - est_amps[nearest]
             # a subnormal eps0 can overflow a factor; it is kept as missing
             with np.errstate(over="ignore"):
-                kx_all = _circular_distance(x, est_nodes[nearest]) * n_samples / eps0
+                kx_all = errors * n_samples / eps0
                 # hypot, not np.abs: complex np.abs may differ from the scalar
                 # abs in the last ulp, and hypot matches it bit for bit
                 ka_all = np.hypot(amp_err.real, amp_err.imag) / eps0
@@ -298,6 +309,10 @@ def amplification_sweep(
     log_h, log_n, log_eps = map(_log_bounds, (h_range, n_range, eps_range))
     if h_range[1] >= math.pi:
         raise ValueError("cluster extent must be below pi")
+    _check_cluster_indices(p, d)
+    # The largest srf a trial can draw, from the least h and N; each trial
+    # checks its own drawn h again, against rounding in the draw.
+    _srf(p, h_range[0], max(round(n_range[0]), 2 * d + 2))
     records = []
     for t in range(trials):
         rng = np.random.default_rng([base_seed, t])

@@ -21,7 +21,6 @@ __all__ = [
     "fourier_at",
     "clean_spectrum",
     "sample_spectrum",
-    "moments",
     "standard_cluster_geometry",
     "make_clustered_nodes",
 ]
@@ -108,8 +107,6 @@ class ClusterGeometry:
         ratio to its scale rounds to 0 raises ValueError naming the
         separation and the scale.
         """
-        # Python floats: every S2 trial calls this, and numpy's per-call
-        # overhead on a handful of nodes would outweigh the arithmetic.
         x = np.asarray(nodes, dtype=float).tolist()
         _check_cluster_indices(p, len(x), kappa)
         gaps = [b - a for a, b in zip(x, x[1:])]
@@ -205,15 +202,6 @@ def sample_spectrum(
     theta = rng.uniform(0.0, 2.0 * np.pi, count)
     noise = radius * np.exp(1j * theta)
     return SpectralSamples(values=clean + noise, actual_noise=float(np.abs(noise).max()))
-
-
-def moments(train: SpikeTrain, count: int) -> np.ndarray:
-    """Algebraic moments m_k = sum_j a_j x_j^k for k = 0..count-1."""
-    if count < 1:
-        raise ValueError("need at least one moment")
-    k = np.arange(count)
-    powers = np.power.outer(train.nodes, k).T  # count x d
-    return powers @ train.amplitudes
 
 
 def standard_cluster_geometry(p: int, d: int, h: float) -> ClusterGeometry:

@@ -34,8 +34,8 @@ __all__ = [
 # Relative imaginary part, and relative gap, at or below which the perturbed
 # cluster nodes count as complex or coincident.
 _IMAG_TOL = 1e-9
-# displacement_scaling_probe bumps by this multiple of (omega tau h)^(2p-1),
-# small enough to stay inside the solvable regime.
+# displacement_scaling_probe bumps by this multiple of (tau h)^(2p-1), small
+# enough to stay inside the solvable regime.
 _PROBE_EPS_COEFF = 0.02
 
 
@@ -156,35 +156,28 @@ def worst_case_signal(
 
 def displacement_scaling_probe(
     p: int,
-    d: int,
     h_values: Sequence[float],
-    omega: float,
 ) -> list[tuple[float, float, float]]:
     """Displacement amplification of the worst-case construction across cluster sizes.
 
-    For each h the centered cluster is blown up by omega (p equispaced nodes
-    spanning omega*h, alternating unit amplitudes; any extra d-p nodes sit far
-    to the right and stay untouched) and perturbed with
-    epsilon = 0.02 (omega tau h)^{2p-1}.
+    For each h the centered cluster (p equispaced nodes spanning h,
+    alternating unit amplitudes) is perturbed with
+    epsilon = 0.02 (tau h)^{2p-1}, where tau = 1/(p-1).
 
     Returns one (srf, node_displacement/epsilon, amplitude_displacement/epsilon)
-    row per h, where srf = 1/(omega tau h).  On a log-log scale the node column
+    row per h, where srf = 1/(tau h).  On a log-log scale the node column
     grows with slope 2p-2 and the amplitude column with slope 2p-1.
     """
-    _check_cluster_indices(p, d)
+    _check_cluster_indices(p, p)
     tau = 1.0 / (p - 1)
     rows = []
     for h in h_values:
-        extent = omega * h
-        gap = tau * extent
-        cluster = -extent / 2.0 + gap * np.arange(p)
-        spectators = extent / 2.0 + (1.0 + extent) * np.arange(1, d - p + 1)
-        nodes = np.concatenate([cluster, spectators])
-        train = SpikeTrain(amplitudes=(-1.0) ** np.arange(d), nodes=nodes)
-        eps = _PROBE_EPS_COEFF * (omega * tau * h) ** (2 * p - 1)
+        gap = tau * h
+        nodes = -h / 2.0 + gap * np.arange(p)
+        train = SpikeTrain(amplitudes=(-1.0) ** np.arange(p), nodes=nodes)
+        eps = _PROBE_EPS_COEFF * gap ** (2 * p - 1)
         report = worst_case_signal(train, p, eps)
-        srf = 1.0 / (omega * tau * h)
         rows.append(
-            (srf, report.node_displacement / eps, report.amplitude_displacement / eps)
+            (1.0 / gap, report.node_displacement / eps, report.amplitude_displacement / eps)
         )
     return rows

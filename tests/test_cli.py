@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spikesr import cli
+from spikesr import cli, experiments
 from spikesr.cli import build_parser, main
 from spikesr.errors import DegenerateFitError, RankDeficiencyError
 from spikesr.experiments import CSV_HEADER, PhaseBoundaryFit
@@ -322,6 +322,14 @@ def test_worstcase_zero_cluster_amplitude_exits_2(tmp_path, capsys, epsilon):
     assert not out.exists()
 
 
+def test_worstcase_displaced_cluster_breaking_the_node_order_exits_3(tmp_path, capsys):
+    train = {"amplitudes": [[1, 0]] * 3, "nodes": [0, 0.01, 0.0100001]}
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps(train))
+    assert main(["worstcase", "-i", str(src), "-p", "2", "--epsilon", "1e-11"]) == 3
+    assert "breaks the node ordering" in capsys.readouterr().err
+
+
 def test_decimation_full_interval_for_pure_cluster(tmp_path):
     train = {"amplitudes": [[1, 0], [-1, 0]], "nodes": [0.0, 0.01]}
     src = tmp_path / "train.json"
@@ -353,15 +361,11 @@ def test_decimation_clustered_signal_report(tmp_path):
     lo, hi = 200 / 10, 200 / 5
     rate = report["sample_rate"]
     assert lo <= rate <= hi
-    # post-hoc check of the sampled rate
+    # post-hoc check of the sampled rate: the non-cluster node 3 keeps
+    # angular distance 1/d^2 from both cluster nodes
     z = np.exp(2j * np.pi * rate * nodes)
-    from spikesr.decimation import angular_distance
-
-    for j in range(3):
-        for k in range(j + 1, 3):
-            if j < 2 and k < 2:
-                continue
-            assert angular_distance(z[j], z[k]) >= 1.0 / 9.0
+    angles = np.abs(np.angle(np.divide.outer(z, z)))
+    assert angles[2, :2].min() >= 1.0 / 9.0
 
 
 def test_decimation_near_coincident_nodes_exit_3(tmp_path, capsys):
@@ -434,6 +438,8 @@ def test_decimation_bad_parameters_exit_2(tmp_path, capsys, flags, message):
         (["-d", "1"], "cluster size p must satisfy 2 <= p <= d"),
         (["--h-range", "1e-3,3.2"], "cluster extent must be below pi"),
         (["--h-range", "1e-320,1e-320"], "h=1e-320 is too small for a finite srf"),
+        # the cluster gap underflows to 0
+        (["--h-range", "5e-324,1e-3"], "h=5e-324 is too small for a finite srf"),
     ],
 )
 @pytest.mark.parametrize("kind", ["amplification", "phase"])
@@ -766,6 +772,23 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, monkeypatch, subcommand, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_experiment_h_range_below_the_finite_srf_limit_exits_2_before_any_trial(
+    tmp_path, capsys, monkeypatch, seed
+):
+    # only some draws from this range fall below the limit, so checking each
+    # trial alone made the outcome hang on the seed
+    calls = []
+    monkeypatch.setattr(experiments, "single_experiment", lambda *args: calls.append(args))
+    out = tmp_path / "x.csv"
+    argv = ["experiment", "--kind", "amplification", "-p", "2", "-d", "3", "--trials", "5",
+            "--h-range", "1e-322,1e-3", "--seed", str(seed), "-o", str(out)]
+    assert main(argv) == 2
+    assert "h=1e-322 is too small for a finite srf" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
+
+
 def test_experiment_output_checked_before_the_sweep(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "amplification_sweep", lambda *args: calls.append(args) or [])
@@ -966,3 +989,26 @@ def test_decimation_report_body(tmp_path):
     for name in arrays:
         assert report["bounds"][name] == getattr(bounds, name).tolist()
     assert report["bounds"]["condition_number"] == bounds.condition_number
+
+
+@pytest.mark.parametrize("subcommand", ["recover", "worstcase", "decimation"])
+def test_report_without_output_goes_to_stdout(pair_samples_file, tmp_path, capsys, subcommand):
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps(_TRAIN4))
+    argv = {
+        "recover": ["recover", "-i", str(pair_samples_file), "-d", "2"],
+        "worstcase": ["worstcase", "-i", str(train), "-p", "2", "--kappa", "2",
+                      "--epsilon", "1e-9"],
+        "decimation": ["decimation", "-i", str(train), "-p", "2", "--kappa", "2",
+                       "--omega", "1000"],
+    }[subcommand]
+    out = tmp_path / "report.json"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    written = json.loads(out.read_text())
+    del printed["timestamp"], written["timestamp"]
+    assert printed["config"].pop("output") is None
+    assert written["config"].pop("output") == str(out)
+    assert printed == written

@@ -9,7 +9,6 @@ from spikesr.decimation import (
     _merge,
     _sigma_pieces,
     admissible_lambdas,
-    angular_distance,
     gautschi_bounds,
     predicted_condition_numbers,
     sigma_intervals,
@@ -228,26 +227,6 @@ def test_interval_set_constructor_cases(pieces, merged):
     assert (len(s) == 0) == (not merged)
 
 
-# ----------------------------------------------------------- angular distance
-
-
-def test_angular_distance_examples():
-    assert angular_distance(1, 1) == pytest.approx(0.0)
-    assert angular_distance(1, -1) == pytest.approx(math.pi)
-    assert angular_distance(np.exp(1j * math.pi / 3), 1) == pytest.approx(math.pi / 3)
-    with pytest.raises(ValueError):
-        angular_distance(0, 1)
-
-
-def test_angular_euclidean_sandwich():
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        x, y = np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
-        ang = angular_distance(x, y)
-        assert (2 / math.pi) * ang <= abs(x - y) + 1e-12
-        assert abs(x - y) <= ang + 1e-12
-
-
 # ------------------------------------------------------------ sigma intervals
 
 
@@ -294,9 +273,7 @@ def test_sigma_intervals_membership_matches_direct_evaluation():
         interval = (0.0, rng.uniform(1.0, 8.0))
         sigma = sigma_intervals(delta, alpha, interval)
         for lam in rng.uniform(*interval, 20):
-            ang = angular_distance(
-                np.exp(2j * np.pi * lam * delta), 1.0
-            )
+            ang = abs(np.angle(np.exp(2j * np.pi * lam * delta)))
             if ang < alpha - 1e-9:
                 assert any(a - 1e-12 <= lam <= b + 1e-12 for a, b in sigma)
             elif ang > alpha + 1e-9:
@@ -405,41 +382,34 @@ def test_admissible_set_verifier():
     lo, hi = omega / (2 * (2 * d - 1)), omega / (2 * d - 1)
     rng = np.random.default_rng(3)
 
-    cluster = set(range(geometry.kappa - 1, geometry.kappa - 1 + geometry.p))
-    pairs = [
-        (j, k)
-        for j in range(d)
-        for k in range(j + 1, d)
-        if not (j in cluster and k in cluster)
-    ]
+    # pairs j < k: both in the cluster, or at least one outside it
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    in_cluster = np.zeros(d, dtype=bool)
+    in_cluster[geometry.cluster_slice] = True
+    both = np.logical_and.outer(in_cluster, in_cluster)
+    cluster_pairs, noncluster_pairs = upper & both, upper & ~both
 
-    def conditions_hold(rate):
+    def angles(rate):
         z = np.exp(2j * np.pi * rate * nodes)
-        ok_non = all(
-            angular_distance(z[j], z[k]) >= 1.0 / d**2 for j, k in pairs
-        )
-        ok_cluster = all(
-            angular_distance(z[j], z[k]) >= 2 * np.pi * rate * geometry.tau * geometry.h - 1e-9
-            for j in cluster
-            for k in cluster
-            if j < k
-        )
-        return ok_non and ok_cluster
+        return np.abs(np.angle(np.divide.outer(z, z)))
 
     accepted = 0
     while accepted < 200:
         rate = rng.uniform(lo, hi)
         if lam.contains(rate):
-            assert conditions_hold(rate)
+            ang = angles(rate)
+            assert ang[noncluster_pairs].min() >= 1.0 / d**2
+            assert (
+                ang[cluster_pairs].min()
+                >= 2 * np.pi * rate * geometry.tau * geometry.h - 1e-9
+            )
             accepted += 1
 
     rejected = 0
     while rejected < 200:
         rate = rng.uniform(lo, hi)
         if not lam.contains(rate):
-            z = np.exp(2j * np.pi * rate * nodes)
-            min_non = min(angular_distance(z[j], z[k]) for j, k in pairs)
-            assert min_non <= 1.0 / d**2 + 1e-6
+            assert angles(rate)[noncluster_pairs].min() <= 1.0 / d**2 + 1e-6
             rejected += 1
 
 
@@ -655,6 +625,14 @@ def test_admissible_rejects_bad_input(change, message):
         nodes[index] = nodes[index - 1] if value is None else value
     with pytest.raises(ValueError, match=message):
         admissible_lambdas(nodes, geometry, args["omega"], args["alpha"])
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_admissible_rejects_node_count_other_than_d(count):
+    nodes, geometry = _normalized_cluster(2, 3, 0.001)
+    nodes = np.append(nodes, nodes[-1] + 0.1)[:count]
+    with pytest.raises(ValueError, match="node count does not match the geometry"):
+        admissible_lambdas(nodes, geometry, 200.0)
 
 
 # ------------------------------------------------- confluent Vandermonde etc.

@@ -184,8 +184,8 @@ def _reference_scores(x, amps, est_nodes, est_amps, n_samples, eps0):
     estimate, and Kx/Ka compare true node l with that estimate."""
 
     def circular(a, b):
-        frac = (a - b) % 1.0
-        return min(frac, 1.0 - frac)
+        diff = a - b
+        return abs(diff - round(diff))
 
     d = len(x)
     errors, successes, kx, ka = [], [], [], []
@@ -234,6 +234,39 @@ def test_scoring_matches_reference_loop(monkeypatch, ranges, scheme, p):
         assert all(type(e) is float for e in rec.node_errors)
         assert all(type(ok) is bool for ok in rec.successes)
         assert all(v is None or type(v) is float for v in rec.kx + rec.ka)
+
+
+def test_circular_distance_is_symmetric_and_exact():
+    dist = experiments._circular_distance
+    x = 0.3
+    a = x + 1e-9
+    assert dist(a, x) == dist(x, a) == abs(a - x)
+    # one ulp either side of x is one ulp away, not 0 below and rounded above
+    below, above = np.nextafter(x, 0.0), np.nextafter(x, 1.0)
+    assert dist(below, x) == dist(x, below) == x - below > 0
+    assert dist(above, x) == dist(x, above) == above - x
+    # the torus wraps
+    assert dist(0.01, 0.99) == dist(0.99, 0.01) == pytest.approx(0.02, rel=1e-12)
+    rng = np.random.default_rng(0)
+    u = rng.uniform(0.0, 1.0, 1000)
+    v = u + rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-15, -3, 1000)
+    assert np.array_equal(dist(u, v), dist(v, u))
+    assert np.array_equal(dist(u, v), np.abs(u - v))
+
+
+@pytest.mark.parametrize("scheme", ["S1", "S2"])
+def test_node_factor_is_the_node_error_scaled_by_n_over_eps0(scheme):
+    records = amplification_sweep(
+        2, 4, **DEFAULT_AMPLIFICATION_RANGES, trials=60, scheme=scheme, base_seed=7
+    )
+    scored = [
+        (kx, e * rec.n_samples / rec.epsilon0)
+        for rec in records
+        for e, ok, kx in zip(rec.node_errors, rec.successes, rec.kx)
+        if ok
+    ]
+    assert len(scored) > 50
+    assert all(kx == expected for kx, expected in scored)
 
 
 _BUILT = dict(p=2, d=3, h=0.05, n_samples=64)
@@ -386,6 +419,28 @@ def test_phase_transition_single_node_selector():
         2, 8, (2e-3, 1e-1), (32, 128), (1e-2, 10.0), 300, "S1", 1, node_index=6
     )
     assert -1.5 < fit.slope < 1.5
+
+
+def test_phase_fit_takes_the_requested_eps_where_no_eps0_was_measured(monkeypatch):
+    fitted = []
+
+    def recording_boundary(features, outcomes):
+        fitted.append(features)
+        return real_boundary(features, outcomes)
+
+    real_boundary = experiments._logistic_boundary
+    monkeypatch.setattr(experiments, "_logistic_boundary", recording_boundary)
+    # a failed S2 construction measures no eps0
+    records, _ = phase_transition_sweep(
+        2, 3, **DEFAULT_PHASE_RANGES, trials=60, scheme="S2", base_seed=1
+    )
+    unmeasured = [math.isnan(rec.epsilon0) for rec in records]
+    assert any(unmeasured) and not all(unmeasured)
+    (features,) = fitted
+    assert features[:, 2].tolist() == [
+        math.log10(rec.epsilon_requested if nan else rec.epsilon0)
+        for rec, nan in zip(records, unmeasured)
+    ]
 
 
 @pytest.mark.parametrize("node_index", [0, 9])

@@ -229,3 +229,21 @@ def test_matches_reference_on_clustered_trials(monkeypatch, scheme, eps_values, 
                     np.testing.assert_allclose(
                         new.node_errors, ref.node_errors, rtol=rtol, atol=1e-14
                     )
+
+
+def test_coincident_recovered_nodes_raise_eigen_failure():
+    # two damped exponentials on one ray: distinct eigenvalues, one angle
+    k = np.arange(16)
+    values = 0.9**k * np.exp(2j * np.pi * 0.1 * k) + 0.5**k * np.exp(2j * np.pi * 0.1 * k)
+    with pytest.raises(EigenFailureError, match="recovered nodes are not distinct"):
+        mp_recover(SpectralSamples(values, 0.0), 2)
+
+
+def test_eigen_solver_failure_raises_eigen_failure(monkeypatch):
+    def no_convergence(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    samples = sample_spectrum(SpikeTrain([1.0, -1.0], [0.1, 0.3]), 16, 0.0, 0)
+    with pytest.raises(EigenFailureError, match="eigen failure: Eigenvalues did not converge"):
+        mp_recover(samples, 2)

@@ -6,6 +6,7 @@ import pytest
 
 from spikesr import cli
 from spikesr.matrix_pencil import mp_recover
+from spikesr.prony import prony_map
 from spikesr.signal import (
     ClusterGeometry,
     SpectralSamples,
@@ -13,7 +14,6 @@ from spikesr.signal import (
     clean_spectrum,
     fourier_at,
     make_clustered_nodes,
-    moments,
     sample_spectrum,
     standard_cluster_geometry,
 )
@@ -151,21 +151,21 @@ def test_sample_sign_convention_matches_fourier():
 
 
 def test_moments_examples():
-    np.testing.assert_allclose(
-        moments(SpikeTrain(amplitudes=[1.0], nodes=[0.0]), 3), [1, 0, 0]
-    )
-    np.testing.assert_allclose(
-        moments(SpikeTrain(amplitudes=[1.0, -1.0], nodes=[-1.0, 1.0]), 4),
-        [0, -2, 0, -2],
-    )
-    np.testing.assert_allclose(
-        moments(SpikeTrain(amplitudes=[2.0], nodes=[0.5]), 3), [2, 1, 0.5]
-    )
+    # algebraic moments m_k = sum_j a_j x_j^k of a spike train
+    for amplitudes, nodes, expected in (
+        ([1.0], [0.0], [1, 0, 0]),
+        ([1.0, -1.0], [-1.0, 1.0], [0, -2, 0, -2]),
+        ([2.0], [0.5], [2, 1, 0.5]),
+    ):
+        train = SpikeTrain(amplitudes=amplitudes, nodes=nodes)
+        np.testing.assert_allclose(
+            prony_map(train.amplitudes, train.nodes, len(expected)), expected
+        )
 
 
 def test_moments_are_taylor_coefficients_of_transform():
     train = SpikeTrain(amplitudes=[1.0, 2.0, -0.5], nodes=[-0.4, 0.1, 0.3])
-    m = moments(train, 25)
+    m = prony_map(train.amplitudes, train.nodes, 25)
     for omega in (1e-3, 1e-2, 0.05):
         partial = sum(
             m[k] * (-2j * np.pi * omega) ** k / math.factorial(k) for k in range(25)
@@ -428,7 +428,7 @@ def test_array_holding_results_compare_by_identity():
     makers = [
         train,
         lambda: sample_spectrum(train(), 16, 0.0, 0),
-        lambda: prony_solve(moments(train(), 6), 3),
+        lambda: prony_solve(prony_map(train().amplitudes, train().nodes, 6), 3),
         lambda: mp_recover(samples, 3),
         lambda: worst_case_signal(train(), 2, 1e-9),
     ]

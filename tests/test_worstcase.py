@@ -10,7 +10,7 @@ from spikesr.errors import (
     RepeatedRootsError,
 )
 from spikesr.prony import prony_map, prony_solve
-from spikesr.signal import ClusterGeometry, SpikeTrain, fourier_at, moments
+from spikesr.signal import ClusterGeometry, SpikeTrain, fourier_at
 from spikesr.worstcase import (
     displacement_scaling_probe,
     spectral_deviation,
@@ -43,8 +43,8 @@ def test_moment_matching_pair():
     eps = 1e-9
     report = worst_case_signal(train, 2, eps)
     # whole-signal moments: orders 0..2 match, order 3 moves by exactly eps
-    before = moments(train, 4)
-    after = moments(report.perturbed, 4)
+    before = prony_map(train.amplitudes, train.nodes, 4)
+    after = prony_map(report.perturbed.amplitudes, report.perturbed.nodes, 4)
     np.testing.assert_allclose(after[:3], before[:3], atol=1e-8 * max(1, abs(before).max()))
     assert (after[3] - before[3]).real == pytest.approx(eps, rel=1e-8)
     assert report.moment_match_error < 1e-8 * max(1.0, np.abs(before).max())
@@ -77,6 +77,16 @@ def test_epsilon_too_large_signals():
     # beyond gap^3/4 the perturbed quadratic has complex roots
     with pytest.raises(EpsilonTooLargeError):
         worst_case_signal(train, 2, 0.01**3)
+
+
+def test_displaced_cluster_breaking_the_node_order_is_too_large():
+    # the upper cluster node sits 1e-7 below the third node: a bump of 1e-11
+    # pushes it past that node, one of 1e-12 does not
+    train = SpikeTrain(amplitudes=[1.0, 1.0, 1.0], nodes=[0.0, 0.01, 0.0100001])
+    with pytest.raises(EpsilonTooLargeError, match="breaks the node ordering"):
+        worst_case_signal(train, 2, 1e-11)
+    perturbed = worst_case_signal(train, 2, 1e-12).perturbed
+    assert train.nodes[1] < perturbed.nodes[1] < train.nodes[2]
 
 
 def test_requires_real_cluster_amplitudes():
@@ -150,7 +160,7 @@ def test_spectral_deviation_of_shift_first_order():
 
 
 def test_probe_slopes_pair():
-    rows = displacement_scaling_probe(2, 2, np.geomspace(0.02, 0.4, 8), 1.0)
+    rows = displacement_scaling_probe(2, np.geomspace(0.02, 0.4, 8))
     srf = np.log10([r[0] for r in rows])
     node_slope = np.polyfit(srf, np.log10([r[1] for r in rows]), 1)[0]
     amp_slope = np.polyfit(srf, np.log10([r[2] for r in rows]), 1)[0]
@@ -159,7 +169,7 @@ def test_probe_slopes_pair():
 
 
 def test_probe_slopes_triple():
-    rows = displacement_scaling_probe(3, 3, np.geomspace(0.05, 0.4, 8), 1.0)
+    rows = displacement_scaling_probe(3, np.geomspace(0.05, 0.4, 8))
     srf = np.log10([r[0] for r in rows])
     node_slope = np.polyfit(srf, np.log10([r[1] for r in rows]), 1)[0]
     amp_slope = np.polyfit(srf, np.log10([r[2] for r in rows]), 1)[0]
@@ -167,8 +177,8 @@ def test_probe_slopes_triple():
     assert amp_slope == pytest.approx(5.0, abs=0.3)
 
 
-def test_probe_single_row_and_spectators():
-    rows = displacement_scaling_probe(2, 4, [0.1], 1.0)
+def test_probe_single_row():
+    rows = displacement_scaling_probe(2, [0.1])
     assert len(rows) == 1
     srf, node_disp, amp_disp = rows[0]
     assert srf == pytest.approx(10.0)
@@ -178,18 +188,18 @@ def test_probe_single_row_and_spectators():
 def test_probe_propagates_epsilon_too_large(monkeypatch):
     monkeypatch.setattr(worstcase, "_PROBE_EPS_COEFF", 1e3)
     with pytest.raises(EpsilonTooLargeError):
-        # epsilon = 1e3 (omega tau h)^3 = 1
-        displacement_scaling_probe(2, 2, [0.1], 1.0)
+        # epsilon = 1e3 (tau h)^3 = 1
+        displacement_scaling_probe(2, [0.1])
 
 
-@pytest.mark.parametrize("p, d", [(0, 2), (1, 2), (3, 2)])
-def test_probe_rejects_bad_cluster_size_before_any_solve(p, d, monkeypatch):
+@pytest.mark.parametrize("p", [0, 1])
+def test_probe_rejects_bad_cluster_size_before_any_solve(p, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("worst_case_signal must not be called")
 
     monkeypatch.setattr(worstcase, "worst_case_signal", never)
     with pytest.raises(ValueError, match="cluster size p must satisfy 2 <= p <= d"):
-        displacement_scaling_probe(p, d, [0.1], 1.0)
+        displacement_scaling_probe(p, [0.1])
 
 
 def _reference_report(train, geometry, epsilon, omega=None, grid_points=1001, imag_tol=1e-9):
