@@ -1012,3 +1012,64 @@ def test_report_without_output_goes_to_stdout(pair_samples_file, tmp_path, capsy
     assert printed["config"].pop("output") is None
     assert written["config"].pop("output") == str(out)
     assert printed == written
+
+
+def _config_error(tmp_path, capsys, text):
+    """Exit code and stderr of an experiment run whose config file holds text
+    (or that names a missing config file when text is None)."""
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    code = main(["experiment", "--config", str(cfg), "-o", str(tmp_path / "out.csv")])
+    return code, capsys.readouterr().err, cfg
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    code, err, cfg = _config_error(tmp_path, capsys, None)
+    assert code == 2
+    assert err == (
+        f"error: cannot read config file: [Errno 2] No such file or directory: {str(cfg)!r}\n"
+    )
+
+
+def test_malformed_json_config_exits_2(tmp_path, capsys):
+    text = '{"p": 2,}'
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads(text)
+    code, err, _ = _config_error(tmp_path, capsys, text)
+    assert code == 2
+    assert err == f"error: bad JSON config: {decode.value}\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # only text opening with "{" is read as JSON; an array is read as lines
+        ("[1, 2]\n", "[1, 2]"),
+        ("kind=amplification\np 2\n", "p 2"),
+    ],
+    ids=["json-array", "line-without-equals"],
+)
+def test_config_line_without_key_value_exits_2(tmp_path, capsys, text, line):
+    code, err, _ = _config_error(tmp_path, capsys, text)
+    assert code == 2
+    assert err == f"error: bad config line (expected key=value): {line!r}\n"
+
+
+def test_config_skips_blank_and_comment_lines(tmp_path):
+    plain = "kind=amplification\np=2\nd=3\ntrials=2\nseed=3\n"
+    commented = "# sweep\n\nkind=amplification\n   # indented comment\np=2\n\n  \nd=3\ntrials=2\nseed=3\n"
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    texts = []
+    for text in (plain, commented):
+        cfg.write_text(text)
+        assert main(["experiment", "--config", str(cfg), "-o", str(out)]) == 0
+        texts.append(
+            [l for l in out.read_text().splitlines() if not l.startswith("# timestamp")]
+        )
+    assert texts[0] == texts[1]
+    config = json.loads(texts[0][0].removeprefix("# config: "))
+    params = config["params"]
+    assert (params["kind"], params["p"], params["d"], params["trials"], config["seed"]) == (
+        "amplification", 2, 3, 2, 3,
+    )

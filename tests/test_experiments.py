@@ -651,3 +651,18 @@ def test_sweep_rejects_h_range_at_or_above_pi_before_any_trial(monkeypatch, h_hi
     with pytest.raises(ValueError, match="cluster extent must be below pi"):
         amplification_sweep(2, 3, **args, trials=trials, scheme="S1", base_seed=0)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "d, n_samples, scheme, message",
+    [
+        (4, 7, "S2", "need at least 2 d samples"),
+        (3, 5, "S1", "need at least 2 d samples"),
+        (3, 64, "S3", "unknown scheme 'S3'; expected one of ('S1', 'S2')"),
+        (3, 64, "s1", "unknown scheme 's1'; expected one of ('S1', 'S2')"),
+    ],
+)
+def test_single_experiment_rejects_few_samples_and_unknown_schemes(d, n_samples, scheme, message):
+    with pytest.raises(ValueError) as excinfo:
+        single_experiment(2, d, 0.05, n_samples, 1e-9, scheme, 1)
+    assert str(excinfo.value) == message

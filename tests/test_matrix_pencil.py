@@ -247,3 +247,121 @@ def test_eigen_solver_failure_raises_eigen_failure(monkeypatch):
     samples = sample_spectrum(SpikeTrain([1.0, -1.0], [0.1, 0.3]), 16, 0.0, 0)
     with pytest.raises(EigenFailureError, match="eigen failure: Eigenvalues did not converge"):
         mp_recover(samples, 2)
+
+
+@pytest.mark.parametrize("d", [0, -2])
+def test_recover_rejects_order_below_one(d):
+    samples = sample_spectrum(SpikeTrain([1.0, -1.0], [0.1, 0.3]), 8, 0.0, 0)
+    with pytest.raises(ValueError) as excinfo:
+        mp_recover(samples, d)
+    assert str(excinfo.value) == "model order d must be at least 1"
+
+
+def _numpy_checks_recover(samples, d, pencil_param=None):
+    """An earlier mp_recover, which tested its arrays with numpy reductions,
+    kept as a reference for the scalar checks: (nodes, amplitudes, L, leading
+    singular values), or the same exception with the same message."""
+    values = samples.values
+    if not np.isfinite(values).all():
+        raise ValueError("samples must be finite")
+    n = len(values)
+    if d < 1:
+        raise ValueError("model order d must be at least 1")
+    if n < 2 * d:
+        raise ValueError(f"need at least 2 d = {2 * d} samples, got {n}")
+    L = -(-n // 2) if pencil_param is None else pencil_param
+    if not d <= L <= n - d:
+        raise ValueError(f"pencil parameter must lie in [{d}, {n - d}]")
+    hankel = values[np.add.outer(np.arange(L + 1), np.arange(n - L))]
+    u, sigma, _ = np.linalg.svd(hankel, full_matrices=False)
+    u, sigma = u[:, :d], sigma[:d]
+    if sigma[-1] < 1e-13 * sigma[0]:
+        raise RankDeficiencyError(
+            "rank deficiency: the Hankel matrix has fewer than d significant singular values"
+        )
+    try:
+        psi, *_ = np.linalg.lstsq(u[:-1], u[1:], rcond=None)
+        z = np.linalg.eigvals(psi)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFailureError(f"eigen failure: {exc}") from exc
+    nodes = np.arctan2(z.imag, z.real) / (2.0 * np.pi)
+    order = nodes.argsort(kind="stable")
+    nodes = nodes[order]
+    if not np.isfinite(nodes).all() or (nodes[1:] <= nodes[:-1]).any():
+        raise EigenFailureError("eigen failure: recovered nodes are not distinct")
+    vand = np.exp(2j * np.pi * np.multiply.outer(np.arange(n), nodes))
+    amps, *_ = np.linalg.lstsq(vand, values, rcond=None)
+    return nodes, amps, L, sigma
+
+
+def _reference_inputs():
+    """(samples, d, pencil_param) triples that reach every branch of mp_recover."""
+    pair = sample_spectrum(SpikeTrain([1.0, -1.0], [0.1, 0.3]), 8, 0.0, 0)
+    bad = pair.values.copy()
+    bad[2] = complex(np.inf, 0.0)
+    k = np.arange(16)
+    one_ray = 0.9**k * np.exp(2j * np.pi * 0.1 * k) + 0.5**k * np.exp(2j * np.pi * 0.1 * k)
+    yield SpectralSamples(bad, 0.0), 2, None  # non-finite samples
+    yield pair, 0, None  # order below one
+    yield pair, 5, None  # too few samples
+    yield pair, 2, 1  # pencil below d
+    yield pair, 2, 7  # pencil above N - d
+    yield sample_spectrum(SpikeTrain([1.0], [0.2]), 16, 0.0, 0), 3, None  # rank deficient
+    yield SpectralSamples(one_ray, 0.0), 2, None  # coincident angles
+    rng = np.random.default_rng(24)
+    for _ in range(60):
+        d = int(rng.integers(1, 6))
+        n = int(rng.integers(2 * d, 64))
+        nodes = np.sort(rng.uniform(-0.5, 0.5, d))
+        if (nodes[1:] <= nodes[:-1]).any():
+            continue
+        amps = rng.uniform(0.1, 3.0, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+        noise = 10.0 ** rng.uniform(-12, 0)
+        samples = sample_spectrum(SpikeTrain(amps, nodes), n, noise, int(rng.integers(99)))
+        pencil = None if rng.uniform() < 0.5 else int(rng.integers(d, n - d + 1))
+        yield samples, d, pencil
+    # clustered S2 trials, where some nodes are missed
+    for _ in range(60):
+        h = 10.0 ** rng.uniform(-3, -1)
+        n = int(rng.integers(48, 97))
+        x = np.array([0.0, h, 0.3, 0.45])
+        amps = (-1.0) ** np.arange(4)
+        train = SpikeTrain(amps + 10.0 ** rng.uniform(-14, -2) * rng.normal(size=4), x)
+        yield sample_spectrum(train, n, 0.0, 0), 4, None
+
+
+def _assert_recover_matches_reference(samples, d, pencil):
+    try:
+        nodes, amps, L, sigma = _numpy_checks_recover(samples, d, pencil)
+    except (ValueError, RankDeficiencyError, EigenFailureError) as exc:
+        with pytest.raises(type(exc)) as excinfo:
+            mp_recover(samples, d, pencil)
+        assert str(excinfo.value) == str(exc)
+        return str(exc)
+    result = mp_recover(samples, d, pencil)
+    assert np.array_equal(result.estimate.nodes, nodes)
+    assert np.array_equal(result.estimate.amplitudes, amps)
+    assert np.array_equal(result.singular_values, sigma)
+    assert result.pencil_param == L
+    return "recovered"
+
+
+def test_recover_matches_numpy_checks_reference_on_every_branch(monkeypatch):
+    outcomes = {_assert_recover_matches_reference(*case) for case in _reference_inputs()}
+
+    def no_convergence(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    pair = sample_spectrum(SpikeTrain([1.0, -1.0], [0.1, 0.3]), 16, 0.0, 0)
+    outcomes.add(_assert_recover_matches_reference(pair, 2, None))
+    assert outcomes == {
+        "samples must be finite",
+        "model order d must be at least 1",
+        "need at least 2 d = 10 samples, got 8",
+        "pencil parameter must lie in [2, 6]",
+        "rank deficiency: the Hankel matrix has fewer than d significant singular values",
+        "eigen failure: recovered nodes are not distinct",
+        "eigen failure: Eigenvalues did not converge",
+        "recovered",
+    }

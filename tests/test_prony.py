@@ -213,3 +213,124 @@ def test_monic_roots_match_np_roots(coeffs):
 
     c = np.asarray(coeffs, dtype=complex)
     assert np.array_equal(_monic_roots(c), np.roots(c[::-1]))
+
+
+@pytest.mark.parametrize(
+    "amplitudes, nodes, count, message",
+    [
+        ([1.0], [0.5], 0, "need at least one output value"),
+        ([1.0], [0.5], -3, "need at least one output value"),
+        ([1.0, 2.0], [0.5], 4, "amplitudes and nodes must have equal length"),
+        (1.0, [0.1, 0.2], 4, "amplitudes and nodes must have equal length"),
+    ],
+)
+def test_prony_map_rejects_bad_count_and_unequal_lengths(amplitudes, nodes, count, message):
+    with pytest.raises(ValueError) as excinfo:
+        prony_map(amplitudes, nodes, count)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_prony_solve_rejects_order_below_one(d):
+    with pytest.raises(ValueError) as excinfo:
+        prony_solve([1.0, 2.0], d)
+    assert str(excinfo.value) == "order d must be at least 1"
+
+
+def _loop_free_prony_solve(mu, d):
+    """An earlier prony_solve, which tested its arrays with numpy reductions,
+    kept as a reference for the scalar checks: (amplitudes, nodes), or the
+    same exception with the same message."""
+    data = np.atleast_1d(np.asarray(mu, dtype=complex))
+    if d < 1:
+        raise ValueError("order d must be at least 1")
+    if len(data) != 2 * d:
+        raise ValueError(f"need exactly 2 d = {2 * d} values, got {len(data)}")
+    idx = np.add.outer(np.arange(d), np.arange(d + 1))
+    _, sigma, vh = np.linalg.svd(data[idx])
+    if sigma[0] == 0 or sigma[-1] / sigma[0] < 1e-10:
+        raise DegenerateSystemError(
+            "degenerate system: Hankel null space is not one-dimensional"
+        )
+    coeffs = vh[-1].conj()
+    if abs(coeffs[-1]) < 1e-12 * np.abs(coeffs).max():
+        raise DegenerateSystemError(
+            "degenerate system: leading polynomial coefficient vanishes"
+        )
+    coeffs = coeffs / coeffs[-1]
+    if coeffs[0] == 0:
+        nodes = np.roots(coeffs[::-1])
+    else:
+        desc = coeffs[::-1]
+        companion = np.eye(len(coeffs) - 1, k=-1, dtype=complex)
+        companion[0] = -desc[1:] / desc[0]
+        nodes = np.linalg.eigvals(companion)
+    scale = max(1.0, np.abs(nodes).max())
+    gaps = np.abs(np.subtract.outer(nodes, nodes))
+    gaps.flat[:: d + 1] = np.inf
+    if gaps.min() < 1e-9 * scale:
+        raise RepeatedRootsError("repeated roots: recovered nodes coincide")
+    order = np.lexsort((np.abs(nodes), np.arctan2(nodes.imag, nodes.real)))
+    nodes = nodes[order]
+    vand = np.power.outer(nodes, np.arange(2 * d)).T
+    amps, *_ = np.linalg.lstsq(vand, data, rcond=None)
+    return amps, nodes
+
+
+def _reference_systems():
+    """(mu, d) pairs that reach every branch of prony_solve."""
+    k = np.arange(4)
+    confluent = 1.0 * 0.5**k + 0.3 * k * 0.5 ** np.maximum(k - 1, 0) * (k > 0)
+    yield [1.0, 2.0], 0  # order below one
+    yield [1.0, 2.0, 3.0], 2  # wrong length
+    yield 2.0, 1  # a scalar is one value
+    yield np.zeros(4), 2  # zero Hankel matrix
+    yield prony_map([1.0], [0.5], 4), 2  # null space of dimension two
+    yield [1.0, 1.0, 1.0, 0.0], 2  # null vector (1, -1, 0)
+    yield confluent, 2  # repeated roots
+    yield [2.0, 0.0], 1  # exactly zero constant coefficient
+    yield [2, -1, -1, 2], 2  # integer input
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        d = int(rng.integers(1, 6))
+        w = rng.uniform(0.5, 1.5, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+        a = rng.uniform(0.1, 10, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+        yield prony_map(a, w, 2 * d), d
+        # real clustered systems as the worst-case construction solves them,
+        # bumped from far inside to far beyond the solvable regime
+        x = np.sort(rng.uniform(-1e-2, 1e-2, d))
+        mu = prony_map((-1.0) ** np.arange(d), x, 2 * d).real
+        mu[-1] += 10.0 ** rng.uniform(-16, -2)
+        yield mu.astype(complex), d
+        # two nodes closer than the coincidence tolerance
+        node = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        gap = 10.0 ** rng.uniform(-11, -7)
+        yield prony_map([1.0, -1.0j], [node, node + gap], 4), 2
+
+
+def test_prony_solve_matches_loop_free_reference_on_every_branch():
+    outcomes = set()
+    for mu, d in _reference_systems():
+        try:
+            expected = _loop_free_prony_solve(mu, d)
+        except (ValueError, DegenerateSystemError, RepeatedRootsError) as exc:
+            with pytest.raises(type(exc)) as excinfo:
+                prony_solve(mu, d)
+            assert str(excinfo.value) == str(exc)
+            outcomes.add(str(exc))
+            continue
+        sol = prony_solve(mu, d)
+        assert sol.amplitudes.dtype == expected[0].dtype
+        assert sol.nodes.dtype == expected[1].dtype
+        assert np.array_equal(sol.amplitudes, expected[0])
+        assert np.array_equal(sol.nodes, expected[1])
+        outcomes.add("solved")
+    assert outcomes == {
+        "order d must be at least 1",
+        "need exactly 2 d = 4 values, got 3",
+        "need exactly 2 d = 2 values, got 1",
+        "degenerate system: Hankel null space is not one-dimensional",
+        "degenerate system: leading polynomial coefficient vanishes",
+        "repeated roots: recovered nodes coincide",
+        "solved",
+    }

@@ -437,3 +437,18 @@ def test_array_holding_results_compare_by_identity():
         assert (first == first) is True
         assert (first == second) is False
         assert (first != second) is True
+
+
+@pytest.mark.parametrize(
+    "amplitudes, nodes",
+    [
+        ([1.0, 2.0], [[0.1, 0.2]]),
+        ([[1.0, 2.0]], [0.1, 0.2]),
+        ([[1.0], [2.0]], [[0.1], [0.2]]),
+    ],
+    ids=["2d-nodes", "2d-amplitudes", "both-2d"],
+)
+def test_spike_train_rejects_two_dimensional_values(amplitudes, nodes):
+    with pytest.raises(ValueError) as excinfo:
+        SpikeTrain(amplitudes=amplitudes, nodes=nodes)
+    assert str(excinfo.value) == "expected a one-dimensional sequence"

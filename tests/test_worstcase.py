@@ -9,7 +9,7 @@ from spikesr.errors import (
     EpsilonTooLargeError,
     RepeatedRootsError,
 )
-from spikesr.prony import prony_map, prony_solve
+from spikesr.prony import PronySolution, prony_map, prony_solve
 from spikesr.signal import ClusterGeometry, SpikeTrain, fourier_at
 from spikesr.worstcase import (
     displacement_scaling_probe,
@@ -322,3 +322,28 @@ def test_spectral_deviation_rejects_bad_omega(omega, epsilon):
     perturbed = worst_case_signal(train, 2, epsilon).perturbed
     with pytest.raises(ValueError, match="omega must be finite and positive"):
         spectral_deviation(train, perturbed, omega, 1001)
+
+
+@pytest.mark.parametrize("epsilon", [-1e-9, -5e-324])
+def test_negative_epsilon_rejected_before_any_solve(monkeypatch, epsilon):
+    _no_solve(monkeypatch)
+    with pytest.raises(ValueError) as excinfo:
+        worst_case_signal(_pair_cluster(0.01), 2, epsilon)
+    assert str(excinfo.value) == "epsilon must be nonnegative"
+
+
+def test_nodes_coinciding_after_the_real_snap_are_too_large(monkeypatch):
+    # a conjugate pair whose imaginary parts pass the complex-node test but
+    # whose real parts are equal
+    def conjugate_pair(mu, d):
+        return PronySolution(
+            amplitudes=np.array([1.0, -1.0], dtype=complex),
+            nodes=np.array([1e-3 + 1e-12j, 1e-3 - 1e-12j]),
+        )
+
+    monkeypatch.setattr(worstcase, "prony_solve", conjugate_pair)
+    with pytest.raises(EpsilonTooLargeError) as excinfo:
+        worst_case_signal(_pair_cluster(0.01), 2, 1e-9)
+    assert str(excinfo.value) == (
+        "epsilon too large: perturbed nodes coincide after the real snap"
+    )
