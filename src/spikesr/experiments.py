@@ -155,12 +155,17 @@ def _circular_distance(a, b) -> np.ndarray:
     return np.abs(diff - np.rint(diff))
 
 
+@lru_cache(maxsize=64)
 def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
+    """Read-only amplitudes of a scheme's d nodes, built once per (scheme, d)."""
     if scheme == "S1":
-        return 1j ** np.arange(d)
-    if scheme == "S2":
-        return ((-1.0) ** np.arange(d)).astype(complex)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        amps = 1j ** np.arange(d)
+    elif scheme == "S2":
+        amps = ((-1.0) ** np.arange(d)).astype(complex)
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    amps.flags.writeable = False
+    return amps
 
 
 @lru_cache(maxsize=64)
@@ -171,12 +176,20 @@ def _missing_node_tuples(d: int) -> tuple:
     return (math.nan,) * d, (False,) * d, (None,) * d
 
 
-def _factors(values: np.ndarray, successes: tuple) -> tuple:
+def _factors(values: list, successes: tuple) -> tuple:
     """Each factor where its node succeeded and the factor is finite, else None."""
     return tuple(
-        v if ok and math.isfinite(v) else None
-        for v, ok in zip(values.tolist(), successes)
+        v if ok and math.isfinite(v) else None for v, ok in zip(values, successes)
     )
+
+
+def _nearest_gaps(nodes: list) -> list:
+    """Distance from each of a strictly increasing list of nodes to its
+    nearest other node, inf for a lone node.  Float subtraction rounds
+    monotonically, so a farther node is never computed as closer than a
+    neighbour, and the neighbour gaps give the minimum over all pairs."""
+    gaps = [b - a for a, b in zip(nodes, nodes[1:])]
+    return list(map(min, [math.inf, *gaps], [*gaps, math.inf]))
 
 
 def _srf(p: int, h: float, n_samples: int) -> float:
@@ -243,22 +256,23 @@ def single_experiment(
         # dist[j, l]: estimate j to true node l.  True node l is scored by its
         # nearest estimate, and Ka compares true node l with that estimate.
         dist = _circular_distance(est_nodes[:, None], x[None, :])
-        errors = dist.min(axis=0)
+        errors = dist.min(axis=0).tolist()
         nearest = dist.argmin(axis=0)
-        gaps = np.abs(x[:, None] - x[None, :])
-        gaps.flat[:: d + 1] = np.inf
-        node_errors = tuple(errors.tolist())
-        successes = tuple((errors < gaps.min(axis=1) / 3.0).tolist())
+        # Python scalars on the d per-node values, for the reason prony.py
+        # gives; they round as float64 does.
+        node_errors = tuple(errors)
+        successes = tuple(
+            e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x.tolist()))
+        )
         if eps0 > 0:
             amp_err = amps - est_amps[nearest]
-            # a subnormal eps0 can overflow a factor; it is kept as missing
-            with np.errstate(over="ignore"):
-                kx_all = errors * n_samples / eps0
-                # hypot, not np.abs: complex np.abs may differ from the scalar
-                # abs in the last ulp, and hypot matches it bit for bit
-                ka_all = np.hypot(amp_err.real, amp_err.imag) / eps0
-            kx = _factors(kx_all, successes)
-            ka = _factors(ka_all, successes)
+            # hypot, not np.abs: complex np.abs may differ from the scalar
+            # abs in the last ulp, and hypot matches it bit for bit
+            amp_errors = np.hypot(amp_err.real, amp_err.imag).tolist()
+            # a subnormal eps0 can overflow a factor to inf, which Python
+            # float division returns without a warning; it is kept as missing
+            kx = _factors([e * n_samples / eps0 for e in errors], successes)
+            ka = _factors([a / eps0 for a in amp_errors], successes)
 
     return ExperimentRecord(
         scheme=scheme,

@@ -14,6 +14,7 @@ are the z_j.  This is the shift-invariance form of the Matrix Pencil method
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,7 +80,8 @@ def mp_recover(
     hankel = values[np.add.outer(np.arange(L + 1), np.arange(n - L))]
     u, sigma, _ = np.linalg.svd(hankel, full_matrices=False)
     u, sigma = u[:, :d], sigma[:d]
-    if sigma[-1] < _RANK_TOL * sigma[0]:
+    # Scalar tests on the d-sized results, for the reason prony.py gives.
+    if sigma.item(-1) < _RANK_TOL * sigma.item(0):
         raise RankDeficiencyError(
             "rank deficiency: the Hankel matrix has fewer than d significant singular values"
         )
@@ -93,7 +95,10 @@ def mp_recover(
     nodes = np.arctan2(z.imag, z.real) / (2.0 * np.pi)
     order = nodes.argsort(kind="stable")
     nodes = nodes[order]
-    if not np.isfinite(nodes).all() or (nodes[1:] <= nodes[:-1]).any():
+    sorted_nodes = nodes.tolist()
+    if not all(map(math.isfinite, sorted_nodes)) or any(
+        b <= a for a, b in zip(sorted_nodes, sorted_nodes[1:])
+    ):
         raise EigenFailureError("eigen failure: recovered nodes are not distinct")
 
     vand = np.exp(2j * np.pi * np.multiply.outer(np.arange(n), nodes))

@@ -10,6 +10,7 @@ vector of a Hankel matrix, companion-matrix roots, Vandermonde least squares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +49,31 @@ def prony_map(amplitudes, nodes, count: int) -> np.ndarray:
     return np.power.outer(w, k).T @ a
 
 
+# The S2 kernels (prony_solve here; worst_case_signal, mp_recover,
+# single_experiment and SpikeTrain's checks) run once per trial on arrays of
+# p or d entries.  At that size numpy's module-level helpers (np.eye,
+# np.add.outer on fresh aranges) and its reductions (ndarray.max, .min and
+# .all, which pass through Python wrappers) cost more in dispatch than the
+# arithmetic, so an order's tables are built once and the tests read their
+# few values as Python scalars (tolist, item).  Python floats round and
+# compare exactly as float64 does, moduli still come from numpy's abs where
+# they did, and every LAPACK call keeps its inputs, so results are
+# bit-identical.
+@lru_cache(maxsize=64)
+def _order_tables(d: int) -> tuple:
+    """Read-only tables of an order-d system: the d x (d+1) Hankel index
+    [i + j], the d x d down-shift that _monic_roots turns into a companion
+    matrix, and the Vandermonde exponent row 0..2d-1."""
+    tables = (
+        np.add.outer(np.arange(d), np.arange(d + 1)),
+        np.eye(d, k=-1, dtype=complex),
+        np.arange(2 * d),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _monic_roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of a monic polynomial given by its ascending coefficients.
 
@@ -56,10 +82,10 @@ def _monic_roots(coeffs: np.ndarray) -> np.ndarray:
     An exactly zero constant coefficient goes through np.roots, which strips
     it and appends an exact zero root.
     """
-    if coeffs[0] == 0:
+    if coeffs.item(0) == 0:
         return np.roots(coeffs[::-1])
     desc = coeffs[::-1]
-    companion = np.eye(len(coeffs) - 1, k=-1, dtype=complex)
+    companion = _order_tables(len(coeffs) - 1)[1].copy()
     companion[0] = -desc[1:] / desc[0]
     return np.linalg.eigvals(companion)
 
@@ -86,29 +112,30 @@ def prony_solve(mu, d: int) -> PronySolution:
     if len(data) != 2 * d:
         raise ValueError(f"need exactly 2 d = {2 * d} values, got {len(data)}")
 
-    idx = np.add.outer(np.arange(d), np.arange(d + 1))
-    hankel = data[idx]
-    _, sigma, vh = np.linalg.svd(hankel)
-    if sigma[0] == 0 or sigma[-1] / sigma[0] < _NULL_TOL:
+    hankel_index, _, exponents = _order_tables(d)
+    _, sigma, vh = np.linalg.svd(data[hankel_index])
+    largest, smallest = sigma.item(0), sigma.item(-1)
+    if largest == 0 or smallest / largest < _NULL_TOL:
         raise DegenerateSystemError(
             "degenerate system: Hankel null space is not one-dimensional"
         )
     coeffs = vh[-1].conj()  # ascending: c_0 .. c_d
-    if abs(coeffs[-1]) < 1e-12 * np.abs(coeffs).max():
+    if abs(coeffs.item(-1)) < 1e-12 * max(abs(coeffs).tolist()):
         raise DegenerateSystemError(
             "degenerate system: leading polynomial coefficient vanishes"
         )
     coeffs = coeffs / coeffs[-1]
 
     nodes = _monic_roots(coeffs)
-    scale = max(1.0, np.abs(nodes).max())
-    gaps = np.abs(np.subtract.outer(nodes, nodes))
+    moduli = abs(nodes)
+    scale = max(1.0, *moduli.tolist())
+    gaps = abs(nodes[:, None] - nodes)
     gaps.flat[:: d + 1] = np.inf
-    if gaps.min() < _COINCIDENCE_TOL * scale:
+    if min(gaps.ravel().tolist()) < _COINCIDENCE_TOL * scale:
         raise RepeatedRootsError("repeated roots: recovered nodes coincide")
 
-    order = np.lexsort((np.abs(nodes), np.arctan2(nodes.imag, nodes.real)))
+    order = np.lexsort((moduli, np.arctan2(nodes.imag, nodes.real)))
     nodes = nodes[order]
-    vand = np.power.outer(nodes, np.arange(2 * d)).T
+    vand = np.power.outer(nodes, exponents).T
     amps, *_ = np.linalg.lstsq(vand, data, rcond=None)
     return PronySolution(amplitudes=amps, nodes=nodes)

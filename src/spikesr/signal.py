@@ -54,12 +54,13 @@ class SpikeTrain:
             raise ValueError("a spike train needs at least one node")
         # Python scalars: every S2 trial builds three trains of a handful of
         # values, where numpy's per-call overhead would outweigh the check.
+        positions = nodes.tolist()
         if not (
             all(map(cmath.isfinite, amps.tolist()))
-            and all(map(math.isfinite, nodes.tolist()))
+            and all(map(math.isfinite, positions))
         ):
             raise ValueError("amplitudes and nodes must be finite")
-        if not (nodes[1:] > nodes[:-1]).all():
+        if not all(a < b for a, b in zip(positions, positions[1:])):
             raise ValueError("nodes must be strictly increasing")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "nodes", nodes)

@@ -100,16 +100,23 @@ def worst_case_signal(
     _check_cluster_indices(p, train.d, kappa)
     sl = slice(kappa - 1, kappa - 1 + p)
 
+    # The checks read their p or d values as Python scalars, for the reason
+    # prony.py gives: every S2 trial runs them on a handful of values.  The
+    # moduli come from numpy's abs as before, and Python floats round as
+    # float64 does, so every test and value is bit-identical.
     cluster_amps = train.amplitudes[sl]
-    if np.abs(cluster_amps.imag).max() > 1e-12 * max(1.0, np.abs(cluster_amps).max()):
+    if max(map(abs, cluster_amps.imag.tolist())) > 1e-12 * max(
+        1.0, *abs(cluster_amps).tolist()
+    ):
         raise ValueError("cluster amplitudes must be real")
     amps_c = cluster_amps.real.astype(float)
-    if not amps_c.all():
+    if not all(amps_c.tolist()):
         raise ValueError("cluster amplitudes must be nonzero")
-    nodes_c = train.nodes[sl]
+    nodes = train.nodes.tolist()
+    nodes_c = nodes[sl]
 
     center = 0.5 * (nodes_c[0] + nodes_c[-1])
-    centered = nodes_c - center
+    centered = train.nodes[sl] - center
     g = prony_map(amps_c, centered, 2 * p).real
     if epsilon == 0:
         perturbed, new_nodes, new_amps = train, centered, amps_c
@@ -121,28 +128,28 @@ def worst_case_signal(
         except (DegenerateSystemError, RepeatedRootsError) as exc:
             raise EpsilonTooLargeError(f"epsilon too large: {exc}") from exc
 
-        node_scale = max(1.0, np.abs(sol.nodes).max())
-        if np.abs(sol.nodes.imag).max() > _IMAG_TOL * node_scale:
+        node_scale = max(1.0, *abs(sol.nodes).tolist())
+        if max(map(abs, sol.nodes.imag.tolist())) > _IMAG_TOL * node_scale:
             raise EpsilonTooLargeError(
                 "epsilon too large: perturbed moment system has complex nodes"
             )
         order = sol.nodes.real.argsort()
         new_nodes = sol.nodes.real[order]
-        if (new_nodes[1:] - new_nodes[:-1]).min() <= _IMAG_TOL * node_scale:
+        snapped = new_nodes.tolist()
+        if min(b - a for a, b in zip(snapped, snapped[1:])) <= _IMAG_TOL * node_scale:
             raise EpsilonTooLargeError(
                 "epsilon too large: perturbed nodes coincide after the real snap"
             )
         new_amps = sol.amplitudes[order].real
 
-        spliced_nodes = train.nodes.copy()
-        spliced_amps = train.amplitudes.copy()
-        spliced_nodes[sl] = new_nodes + center
-        spliced_amps[sl] = new_amps
-        if not (spliced_nodes[1:] > spliced_nodes[:-1]).all():
+        nodes[sl] = [x + center for x in snapped]
+        if not all(a < b for a, b in zip(nodes, nodes[1:])):
             raise EpsilonTooLargeError(
                 "epsilon too large: displaced cluster breaks the node ordering"
             )
-        perturbed = SpikeTrain(amplitudes=spliced_amps, nodes=spliced_nodes)
+        spliced_amps = train.amplitudes.copy()
+        spliced_amps[sl] = new_amps
+        perturbed = SpikeTrain(amplitudes=spliced_amps, nodes=nodes)
 
     new_g = prony_map(new_amps, new_nodes, 2 * p).real
     return WorstCaseReport(
