@@ -237,7 +237,7 @@ def test_prony_solve_rejects_order_below_one(d):
     assert str(excinfo.value) == "order d must be at least 1"
 
 
-def _loop_free_prony_solve(mu, d):
+def _numpy_checks_prony_solve(mu, d):
     """An earlier prony_solve, which tested its arrays with numpy reductions,
     kept as a reference for the scalar checks: (amplitudes, nodes), or the
     same exception with the same message."""
@@ -308,11 +308,11 @@ def _reference_systems():
         yield prony_map([1.0, -1.0j], [node, node + gap], 4), 2
 
 
-def test_prony_solve_matches_loop_free_reference_on_every_branch():
+def test_prony_solve_matches_numpy_checks_reference_on_every_branch():
     outcomes = set()
     for mu, d in _reference_systems():
         try:
-            expected = _loop_free_prony_solve(mu, d)
+            expected = _numpy_checks_prony_solve(mu, d)
         except (ValueError, DegenerateSystemError, RepeatedRootsError) as exc:
             with pytest.raises(type(exc)) as excinfo:
                 prony_solve(mu, d)
