@@ -6,17 +6,19 @@ cluster perturbation report), decimation (admissible blowup factors and
 conditioning bounds), version.
 
 Every option can come from a config file (flat key=value lines or a JSON
-object) whose keys must name options of the subcommand; explicit flags win
-over the config file, which wins over defaults.  A config value goes through
-its flag's own type and choices, so it is converted and checked exactly as
-the flag would be.  The experiment seed defaults to 0 and the resolved
-configuration is embedded in every output, so runs are reproducible byte for
-byte apart from one timestamp line.  The other subcommands draw no random
-numbers and record a null seed.
+object) whose keys must name options of the subcommand.  Each entry reaches
+argparse as a `flag=value` token placed between the subcommand and the
+command line's own flags, so argparse alone converts and checks it, and
+explicit flags win over the config file, which wins over the options'
+defaults.  The experiment seed defaults to 0 and the resolved configuration
+is embedded in every output, so runs are reproducible byte for byte apart
+from one timestamp line.  The other subcommands draw no random numbers and
+record a null seed.
 
 Failures map to exit codes in one place, main: a CliError exits with its own
 code, a DegenerateFitError with 4, any other package error or a LinAlgError
-with 3, and a ValueError or a MemoryError with 2.
+with 3, and a ValueError or a MemoryError with 2.  A value that argparse
+rejects, from a flag or a config file, exits 2 through argparse itself.
 
 This module is the one place that reads and writes the JSON files (the spike
 train and samples inputs, and the recover, worstcase and decimation reports)
@@ -70,8 +72,7 @@ def _load_config_file(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}", EXIT_PARSE) from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -91,48 +92,33 @@ def _load_config_file(path: str) -> dict:
     return config
 
 
-def _parse_range(value) -> tuple:
-    parts = value if isinstance(value, (list, tuple)) else str(value).split(",")
+def _parse_range(text: str) -> tuple:
     try:
-        lo, hi = parts
+        lo, hi = text.split(",")
         return (float(lo), float(hi))
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad range {value!r}: expected lo,hi", EXIT_PARSE) from exc
+    except ValueError as exc:
+        raise CliError(f"bad range {text!r}: expected lo,hi", EXIT_PARSE) from exc
 
 
-def _fill_from_config(args, config: dict) -> None:
-    """Set each option the command line left unset from the config file.
-
-    The value goes through the option's own type and choices: a scalar as its
-    text, so a JSON 2.7 or true fails an int option exactly as `-p 2.7` does,
-    and a JSON list only into a range option.  A JSON null counts as unset.
-    A key that names no option of the subcommand is an error.
-    """
+def _config_tokens(args, config: dict) -> list:
+    """The config entries as `flag=value` tokens for argparse to parse ahead
+    of the command line.  A JSON null counts as unset, and a JSON list fills
+    only a range option, as lo,hi.  A key that names no option of the
+    subcommand is an error."""
     declared = {action.dest: action for action in args.options}
+    tokens = []
     for key, value in config.items():
         action = declared.get(key)
         if action is None:
             raise CliError(f"unknown config key for {args.subcommand}: {key}", EXIT_PARSE)
-        if value is None or getattr(args, key) is not None:
+        if value is None:
             continue
-        is_list = isinstance(value, list)
-        try:
-            if is_list and action.type is not _parse_range:
-                raise TypeError("only a range option takes a list")
-            converted = (action.type or str)(value if is_list else str(value))
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"bad value for {key}: {value!r}", EXIT_PARSE) from exc
-        if action.choices is not None and converted not in action.choices:
-            expected = " or ".join(action.choices)
-            raise CliError(f"bad value for {key}: {value!r} (expected {expected})", EXIT_PARSE)
-        setattr(args, key, converted)
-
-
-def _set_defaults(args, **defaults) -> None:
-    """Give every option still unset after flags and config its default."""
-    for key, value in defaults.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+        if isinstance(value, list):
+            if action.type is not _parse_range:
+                raise CliError(f"bad value for {key}: {value!r}", EXIT_PARSE)
+            value = ",".join(map(str, value))
+        tokens.append(f"{action.option_strings[0]}={value}")
+    return tokens
 
 
 def _require(args, *keys: str) -> None:
@@ -283,10 +269,9 @@ def cmd_experiment(args) -> int:
     ranges = (
         DEFAULT_AMPLIFICATION_RANGES if args.kind == "amplification" else DEFAULT_PHASE_RANGES
     )
-    _set_defaults(
-        args, trials=500, scheme="S1", seed=0, format="csv",
-        **{key: _parse_range(bounds) for key, bounds in ranges.items()},
-    )
+    for key, (lo, hi) in ranges.items():
+        if getattr(args, key) is None:
+            setattr(args, key, (float(lo), float(hi)))
     if args.output:
         _check_writable(args.output)
     sweep_args = (
@@ -314,16 +299,14 @@ def cmd_experiment(args) -> int:
 def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
     """The spike train of --input and the cluster that -p and --kappa pick
     out of it (see ClusterGeometry.from_nodes); the caller has required
-    --input and -p.  The kappa in use is written back to args."""
+    --input and -p."""
     train = _read_input(args.input, "spike-train", _spike_train)
-    _set_defaults(args, kappa=1)
     return train, ClusterGeometry.from_nodes(train.nodes, args.p, args.kappa)
 
 
 def cmd_worstcase(args) -> int:
     _require(args, "input", "p", "epsilon")
     train, geometry = _train_and_geometry(args)
-    _set_defaults(args, grid_points=1001)
     report = worst_case_signal(train, args.p, args.epsilon, args.kappa)
     omega = 1.0 / geometry.h if args.omega is None else args.omega
     _write_json_report(args, {
@@ -392,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     def cluster_options(option):
         option("--input", "-i", help="SpikeTrain JSON file")
         option("-p", type=int, help="cluster size")
-        option("--kappa", type=int, help="1-based index of the first cluster node")
+        option("--kappa", type=int, default=1,
+               help="1-based index of the first cluster node (default %(default)s)")
 
     option = command("recover", cmd_recover, "Matrix Pencil recovery from a samples file")
     option("--input", "-i", help="SpectralSamples JSON file")
@@ -400,24 +384,27 @@ def build_parser() -> argparse.ArgumentParser:
     option("--pencil", "-L", type=int, help="pencil parameter (default ceil(N/2))")
 
     option = command("experiment", cmd_experiment, "amplification or phase-transition sweep")
-    option("--seed", type=int, help="base random seed (default 0)")
+    option("--seed", type=int, default=0, help="base random seed (default %(default)s)")
     option("--kind", choices=["amplification", "phase"])
     option("-p", type=int, help="cluster size")
     option("-d", type=int, help="total node count")
-    option("--trials", type=int, help="number of trials (default 500)")
-    option("--scheme", choices=SCHEMES, help="perturbation scheme (default S1)")
+    option("--trials", type=int, default=500, help="number of trials (default %(default)s)")
+    option("--scheme", choices=SCHEMES, default="S1",
+           help="perturbation scheme (default %(default)s)")
     option("--h-range", dest="h_range", type=_parse_range, help="lo,hi cluster extents")
     option("--n-range", dest="n_range", type=_parse_range, help="lo,hi sample counts")
     option("--eps-range", dest="eps_range", type=_parse_range, help="lo,hi noise levels")
     option("--node-index", dest="node_index", type=int,
            help="track a single node's success (1-based, phase only)")
-    option("--format", choices=["csv", "jsonl"], help="output format (default csv)")
+    option("--format", choices=["csv", "jsonl"], default="csv",
+           help="output format (default %(default)s)")
 
     option = command("worstcase", cmd_worstcase, "worst-case cluster perturbation report")
     cluster_options(option)
     option("--epsilon", type=float, help="perturbation level")
     option("--omega", type=float, help="bandwidth for the deviation check")
-    option("--grid-points", dest="grid_points", type=int)
+    option("--grid-points", dest="grid_points", type=int, default=1001,
+           help="deviation grid size (default %(default)s)")
 
     option = command("decimation", cmd_decimation, "admissible blowup factors and bounds")
     cluster_options(option)
@@ -431,14 +418,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; its failures map to exit codes here and nowhere
     else."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        parser = build_parser()
         # A malformed range flag raises CliError from inside the parse.
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         if args.subcommand == "version":
             print(f"spikesr {__version__}")
             return 0
         if args.config:
-            _fill_from_config(args, _load_config_file(args.config))
+            # The config tokens go between the subcommand and its flags, so
+            # the flags, parsed later, win.
+            tokens = _config_tokens(args, _load_config_file(args.config))
+            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
         return args.handler(args)
     except CliError as exc:
         message, code = str(exc), exc.code

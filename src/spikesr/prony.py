@@ -9,6 +9,7 @@ vector of a Hankel matrix, companion-matrix roots, Vandermonde least squares.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,6 +112,8 @@ def prony_solve(mu, d: int) -> PronySolution:
         raise ValueError("order d must be at least 1")
     if len(data) != 2 * d:
         raise ValueError(f"need exactly 2 d = {2 * d} values, got {len(data)}")
+    if not all(map(cmath.isfinite, data.tolist())):
+        raise ValueError("power sums must be finite")
 
     hankel_index, _, exponents = _order_tables(d)
     _, sigma, vh = np.linalg.svd(data[hankel_index])

@@ -554,8 +554,10 @@ def test_experiment_config_format_checked(tmp_path, capsys, config_text):
     out = tmp_path / "x.csv"
     argv = ["experiment", "--config", str(cfg), "--kind", "amplification",
             "-p", "2", "-d", "3", "--trials", "2", "-o", str(out)]
-    assert main(argv) == 2
-    assert "bad value for format: 'xml'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -604,26 +606,62 @@ def test_experiment_node_index_reaches_phase_sweep(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "key, value",
+    "key, value, flag",
     [
-        ("p", 2.7),
-        ("p", True),
-        ("trials", 2.5),
-        ("seed", 1.5),
-        ("node_index", 2.5),
-        ("scheme", ["S2"]),  # only a range option takes a list
+        pytest.param("p", 2.7, "-p", id="p-2.7"),
+        pytest.param("p", True, "-p", id="p-True"),
+        pytest.param("trials", 2.5, "--trials", id="trials-2.5"),
+        pytest.param("seed", 1.5, "--seed", id="seed-1.5"),
+        pytest.param("node_index", 2.5, "--node-index", id="node_index-2.5"),
     ],
 )
-def test_experiment_config_value_its_flag_rejects_exits_2(tmp_path, capsys, key, value):
-    config = {"kind": "amplification", "p": 2, "d": 3, "trials": 2, key: value}
-    if key == "node_index":
-        # two phase trials end in a degenerate fit (exit 4), 200 do not
-        config.update(kind="phase", trials=200)
+def test_experiment_config_value_its_flag_rejects_exits_2(tmp_path, capsys, key, value, flag):
+    # argparse rejects the value as it rejects the flag: usage, message, exit 2
+    config = {"kind": "phase", "p": 2, "d": 3, "trials": 2, key: value}
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main(["experiment", "--config", str(cfg), "-o", str(out)])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: spikesr experiment")
+    assert f"argument {flag}: invalid int value: {str(value)!r}" in err
+    assert not out.exists()
+
+
+def test_experiment_config_value_is_checked_under_an_overriding_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind=amplification\np=2.7\nd=3\ntrials=2\n")
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main(["experiment", "--config", str(cfg), "-p", "2", "-o", str(out)])
+    assert exit_.value.code == 2
+    assert "argument -p: invalid int value: '2.7'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_config_list_for_a_scalar_option_exits_2(tmp_path, capsys):
+    # only a range option takes a list
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"kind": "amplification", "p": 2, "d": 3, "scheme": ["S2"]}))
+    out = tmp_path / "x.csv"
     assert main(["experiment", "--config", str(cfg), "-o", str(out)]) == 2
-    assert f"bad value for {key}" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: bad value for scheme: ['S2']\n"
+    assert not out.exists()
+
+
+def test_experiment_config_range_with_a_negative_bound_reaches_the_sweep_check(
+    tmp_path, capsys
+):
+    # "--eps-range -1,1" would read "-1,1" as an option; the config's token
+    # carries its value after "=", so the sweep's own check rejects it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kind=amplification\np=2\nd=3\neps_range=-1,1\n")
+    out = tmp_path / "x.csv"
+    assert main(["experiment", "--config", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad experiment input: range bounds must be positive and ordered\n"
     assert not out.exists()
 
 
@@ -1042,18 +1080,18 @@ def test_malformed_json_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, line",
+    "text, message",
     [
-        # only text opening with "{" is read as JSON; an array is read as lines
-        ("[1, 2]\n", "[1, 2]"),
-        ("kind=amplification\np 2\n", "p 2"),
+        # text opening with "{" or "[" is read as JSON
+        ("[1, 2]\n", "JSON config must be an object"),
+        ("kind=amplification\np 2\n", "bad config line (expected key=value): 'p 2'"),
     ],
     ids=["json-array", "line-without-equals"],
 )
-def test_config_line_without_key_value_exits_2(tmp_path, capsys, text, line):
+def test_config_line_without_key_value_exits_2(tmp_path, capsys, text, message):
     code, err, _ = _config_error(tmp_path, capsys, text)
     assert code == 2
-    assert err == f"error: bad config line (expected key=value): {line!r}\n"
+    assert err == f"error: {message}\n"
 
 
 def test_config_skips_blank_and_comment_lines(tmp_path):

@@ -353,6 +353,8 @@ def test_fit_loglog_slope_insufficient_data():
         fit_loglog_slope(records, "kx", "cluster")
     with pytest.raises(ValueError):
         fit_loglog_slope(records, "kz", "cluster")
+    with pytest.raises(ValueError, match="^node_class must be 'cluster' or 'noncluster'$"):
+        fit_loglog_slope(records, "kx", "both")
 
 
 def test_fit_loglog_slope_rejects_points_sharing_one_srf():
@@ -377,6 +379,17 @@ def test_fit_loglog_slope_needs_a_tenth_of_a_decade_of_srf():
         else:
             with pytest.raises(InsufficientDataError, match="0.1 decade"):
                 fit_loglog_slope(records, "kx", "cluster")
+
+
+def test_logistic_boundary_without_a_noise_column_is_degenerate():
+    # an all-zero log-eps column leaves its weight at exactly 0
+    srf_column = np.linspace(0.0, 2.0, 20)
+    features = np.column_stack([np.ones(20), srf_column, np.zeros(20)])
+    outcomes = np.tile([1.0, 0.0], 10)
+    with pytest.raises(
+        DegenerateFitError, match="^degenerate fit: no dependence on the noise level$"
+    ):
+        experiments._logistic_boundary(features, outcomes)
 
 
 def test_success_rate_monotone_in_noise():

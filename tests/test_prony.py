@@ -237,6 +237,19 @@ def test_prony_solve_rejects_order_below_one(d):
     assert str(excinfo.value) == "order d must be at least 1"
 
 
+# pyproject turns RuntimeWarnings into errors, so these also pin that the
+# check comes before any arithmetic on the data.
+@pytest.mark.parametrize(
+    "mu",
+    [[np.inf, 1, 2, 3], [1, 2, np.nan, 3], [1, complex(0, -np.inf), 2, 3]],
+    ids=["inf", "nan", "imaginary-inf"],
+)
+def test_prony_solve_rejects_non_finite_power_sums(mu):
+    with pytest.raises(ValueError) as excinfo:
+        prony_solve(mu, 2)
+    assert str(excinfo.value) == "power sums must be finite"
+
+
 def _numpy_checks_prony_solve(mu, d):
     """An earlier prony_solve, which tested its arrays with numpy reductions,
     kept as a reference for the scalar checks: (amplitudes, nodes), or the

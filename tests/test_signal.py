@@ -130,6 +130,12 @@ def test_sample_spectrum_rejects_a_non_finite_or_negative_bound(noise_bound):
         sample_spectrum(train, 8, noise_bound, 0)
 
 
+def test_clean_spectrum_needs_a_sample():
+    train = SpikeTrain(amplitudes=[1.0], nodes=[0.0])
+    with pytest.raises(ValueError, match="^need at least one sample$"):
+        clean_spectrum(train, 0)
+
+
 def test_sample_spectrum_draws_disk_noise():
     # radius uniform on [0, bound], then angle uniform on [0, 2 pi), one stream
     train = SpikeTrain(amplitudes=[1.0, -0.5j], nodes=[0.2, 0.45])
@@ -195,6 +201,19 @@ def test_make_clustered_nodes_rejects_wide_cluster():
     geometry = ClusterGeometry(p=2, d=3, h=1.0, T=4.0, tau=1.0, eta=0.25, kappa=2)
     with pytest.raises(ValueError):
         make_clustered_nodes(geometry)  # layout requires kappa == 1
+    # a geometry built directly, not through standard_cluster_geometry
+    wide = ClusterGeometry(p=3, d=3, h=4.0, T=5.0, tau=0.5, eta=1.0)
+    with pytest.raises(ValueError, match="^cluster extent must be below pi$"):
+        make_clustered_nodes(wide)
+
+
+def test_make_clustered_nodes_rejects_a_step_that_rounds_to_zero():
+    # h / (p - 1) = 5e-324 / 2 rounds to 0, so the cluster nodes coincide
+    geometry = standard_cluster_geometry(3, 3, 5e-324)
+    with pytest.raises(
+        ValueError, match="^layout parameters do not give strictly increasing nodes$"
+    ):
+        make_clustered_nodes(geometry)
 
 
 def test_validate_cluster_examples():
@@ -317,6 +336,10 @@ def test_cluster_geometry_validation():
         ClusterGeometry(p=2, d=3, h=2.0, T=1.0, tau=0.5, eta=0.1)
     with pytest.raises(ValueError):
         ClusterGeometry(p=2, d=3, h=0.1, T=1.0, tau=0.5, eta=0.1, kappa=3)
+    with pytest.raises(ValueError, match=r"^tau must lie in \(0, 1\]$"):
+        ClusterGeometry(p=2, d=3, h=0.1, T=1.0, tau=0.0, eta=0.1)
+    with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\]$"):
+        ClusterGeometry(p=2, d=3, h=0.1, T=1.0, tau=0.5, eta=1.5)
 
 
 def _geometry_reference(nodes, p, kappa):
