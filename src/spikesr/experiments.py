@@ -11,8 +11,10 @@ parameter draws and the fitting helpers extract the power-law scalings.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -29,10 +31,9 @@ from .signal import (
     SpectralSamples,
     SpikeTrain,
     _check_cluster_indices,
+    _standard_nodes,
     clean_spectrum,
-    make_clustered_nodes,
     sample_spectrum,
-    standard_cluster_geometry,
 )
 from .worstcase import worst_case_signal
 
@@ -214,19 +215,28 @@ def single_experiment(
 ) -> ExperimentRecord:
     """Run one clustered-recovery experiment and measure its amplification factors.
 
-    The layout of standard_cluster_geometry is divided by 2 pi so the nodes
-    live in [0, 1/2); scheme S1 samples the spectrum with bounded random noise,
-    scheme S2 samples the exact spectrum of worst_case_signal(train, p,
-    epsilon).perturbed, which perturbs the cluster of the first p nodes at
-    level epsilon.  The measured perturbation epsilon0 is the largest deviation
-    of the samples from the clean spectrum of the unperturbed signal.  Node j
-    succeeds when the nearest estimate lands within a third of its separation
-    from the other true nodes; on success the node and amplitude errors are
-    normalized by epsilon0/N and epsilon0 respectively.
+    The nodes are the layout of make_clustered_nodes(standard_cluster_geometry(
+    p, d, h)), built as Python floats by signal._standard_nodes with the same
+    checks and bits, divided by 2 pi so they live in [0, 1/2).  Scheme S1
+    samples the spectrum with bounded random noise, scheme S2 samples the
+    exact spectrum of worst_case_signal(train, p, epsilon).perturbed, which
+    perturbs the cluster of the first p nodes at level epsilon.  The measured
+    perturbation epsilon0 is the largest deviation of the samples from the
+    clean spectrum of the unperturbed signal.  Node j succeeds when the
+    nearest estimate lands within a third of its separation from the other
+    true nodes; on success the node and amplitude errors are normalized by
+    epsilon0/N and epsilon0 respectively.
+
+    h and epsilon are taken as Python floats and p, d, n_samples and seed
+    as Python ints, so numpy scalars give the record a Python call gives; a
+    count that is not an integer, such as 64.0, raises TypeError.
     """
+    p, d, n_samples, seed = map(operator.index, (p, d, n_samples, seed))
+    h, epsilon = float(h), float(epsilon)
     if n_samples < 2 * d:
         raise ValueError("need at least 2 d samples")
-    x = make_clustered_nodes(standard_cluster_geometry(p, d, h)) / (2.0 * math.pi)
+    _check_cluster_indices(p, d)
+    x = [node / (2.0 * math.pi) for node in _standard_nodes(p, d, h)]
     amps = _scheme_amplitudes(scheme, d)
     train = SpikeTrain(amplitudes=amps, nodes=x)
 
@@ -255,14 +265,14 @@ def single_experiment(
         est_amps = result.estimate.amplitudes
         # dist[j, l]: estimate j to true node l.  True node l is scored by its
         # nearest estimate, and Ka compares true node l with that estimate.
-        dist = _circular_distance(est_nodes[:, None], x[None, :])
+        dist = _circular_distance(est_nodes[:, None], train.nodes[None, :])
         errors = dist.min(axis=0).tolist()
         nearest = dist.argmin(axis=0)
         # Python scalars on the d per-node values, for the reason prony.py
         # gives; they round as float64 does.
         node_errors = tuple(errors)
         successes = tuple(
-            e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x.tolist()))
+            e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x))
         )
         if eps0 > 0:
             amp_err = amps - est_amps[nearest]
@@ -471,13 +481,30 @@ def fit_loglog_slope(
 
 
 def _format_cell(value) -> str:
+    """A CSV cell as csv.writer writes it.  Numbers and flags never need
+    quoting; any other text goes through _csv_text."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    if isinstance(value, int):
+        return str(value)
+    return _csv_text(str(value))
+
+
+@lru_cache(maxsize=256)
+def _csv_text(text: str) -> str:
+    """text quoted as the running Python's csv.writer quotes a field of a
+    row of several, with a line-feed line terminator.  The rule differs
+    across Python versions (3.13 quotes a carriage return, 3.10-3.12 do
+    not), so it is asked of the csv module rather than restated, once per
+    distinct text."""
+    buf = io.StringIO()
+    # a second, empty field: a row of one empty field is written as ""
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[: -len(",\n")]
 
 
 def _json_cell(value):
@@ -517,11 +544,13 @@ def _rows(record: ExperimentRecord, cell):
 
 
 def write_records_csv(records, stream) -> None:
-    """Write one CSV row per (record, node) under CSV_HEADER."""
+    """Write one CSV row per (record, node) under CSV_HEADER, byte for byte
+    what csv.writer with a line-feed line terminator writes, one write per
+    record."""
     stream.write(CSV_HEADER + "\n")
-    writer = csv.writer(stream, lineterminator="\n")
     for record in records:
-        writer.writerows(_rows(record, _format_cell))
+        rows = _rows(record, _format_cell)
+        stream.write("".join([",".join(row) + "\n" for row in rows]))
 
 
 def write_records_jsonl(records, stream) -> None:

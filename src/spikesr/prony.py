@@ -51,14 +51,15 @@ def prony_map(amplitudes, nodes, count: int) -> np.ndarray:
 
 
 # The S2 kernels (prony_solve here; worst_case_signal, mp_recover,
-# single_experiment and SpikeTrain's checks) run once per trial on arrays of
-# p or d entries.  At that size numpy's module-level helpers (np.eye,
-# np.add.outer on fresh aranges) and its reductions (ndarray.max, .min and
-# .all, which pass through Python wrappers) cost more in dispatch than the
-# arithmetic, so an order's tables are built once and the tests read their
-# few values as Python scalars (tolist, item).  Python floats round and
-# compare exactly as float64 does, moduli still come from numpy's abs where
-# they did, and every LAPACK call keeps its inputs, so results are
+# single_experiment, its node layout signal._standard_nodes and SpikeTrain's
+# checks) run once per trial on arrays of p or d entries.  At that size
+# numpy's module-level helpers (np.eye, np.add.outer on fresh aranges) and
+# its reductions (ndarray.max, .min and .all, which pass through Python
+# wrappers) cost more in dispatch than the arithmetic, so an order's tables
+# are built once and the tests read their few values as Python scalars
+# (tolist, item), and the layout is built on Python floats.  Python floats
+# round and compare exactly as float64 does, moduli still come from numpy's
+# abs where they did, and every LAPACK call keeps its inputs, so results are
 # bit-identical.
 @lru_cache(maxsize=64)
 def _order_tables(d: int) -> tuple:

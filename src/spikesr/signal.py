@@ -235,14 +235,27 @@ def make_clustered_nodes(geometry: ClusterGeometry) -> np.ndarray:
     """
     if geometry.kappa != 1:
         raise ValueError("the standard layout places the cluster at the start (kappa == 1)")
-    p, d, h = geometry.p, geometry.d, geometry.h
+    return np.array(_standard_nodes(geometry.p, geometry.d, geometry.h), dtype=float)
+
+
+def _standard_nodes(p: int, d: int, h: float) -> list:
+    """The standard layout of make_clustered_nodes as a list of floats, for
+    a valid cluster size p <= d.  An extent h outside (0, pi) raises the
+    ValueError standard_cluster_geometry would.
+
+    Python floats, for the reason prony._order_tables gives: each node is
+    the same product and sum numpy forms elementwise, so the nodes are
+    bit-identical to the array arithmetic's.
+    """
     if h >= math.pi:
         raise ValueError("cluster extent must be below pi")
+    if not 0 < h:
+        raise ValueError("cluster extent h must satisfy 0 < h <= T")
     step = h / (p - 1)
-    cluster = step * np.arange(p)
-    rest_gap = (math.pi - (p - 1) * step) / (d - p + 1)
-    rest = (p - 1) * step + rest_gap * np.arange(1, d - p + 1)
-    nodes = np.concatenate([cluster, rest])
-    if not (nodes[1:] > nodes[:-1]).all():
+    edge = (p - 1) * step
+    rest_gap = (math.pi - edge) / (d - p + 1)
+    nodes = [step * j for j in range(p)]
+    nodes += [edge + rest_gap * j for j in range(1, d - p + 1)]
+    if not all(a < b for a, b in zip(nodes, nodes[1:])):
         raise ValueError("layout parameters do not give strictly increasing nodes")
     return nodes

@@ -572,13 +572,15 @@ def test_writers_match_dict_based_reference(scheme, p):
     records = amplification_sweep(
         p, p + 2, **DEFAULT_PHASE_RANGES, trials=60, scheme=scheme, base_seed=p
     )
-    records.append(
-        ExperimentRecord(
-            scheme="S,1", p=2, d=2, h=1e-3, n_samples=8, epsilon_requested=1e-9,
-            epsilon0=math.inf, srf=-0.0, seed=3, node_errors=(0.5, math.nan),
-            successes=(True, False), kx=(1.0, None), ka=(2.0, None),
+    # text the csv module quotes, or on some Python versions does not ("\r")
+    for text in ("S,1", 'S"1', "S\n1", "S\r1", "S\r\n1", "", " S1 "):
+        records.append(
+            ExperimentRecord(
+                scheme=text, p=2, d=2, h=1e-3, n_samples=8, epsilon_requested=1e-9,
+                epsilon0=math.inf, srf=-0.0, seed=3, node_errors=(0.5, math.nan),
+                successes=(True, False), kx=(1.0, None), ka=(2.0, None),
+            )
         )
-    )
     records.append(single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0))
     assert any(rec.failure is not None for rec in records)
     assert any(rec.failure is None for rec in records)
@@ -664,6 +666,77 @@ def test_sweep_rejects_h_range_at_or_above_pi_before_any_trial(monkeypatch, h_hi
     with pytest.raises(ValueError, match="cluster extent must be below pi"):
         amplification_sweep(2, 3, **args, trials=trials, scheme="S1", base_seed=0)
     assert calls == []
+
+
+_BELOW_PI = "cluster extent must be below pi"
+_NOT_POSITIVE = "cluster extent h must satisfy 0 < h <= T"
+_BAD_SIZE = "cluster size p must satisfy 2 <= p <= d"
+
+
+@pytest.mark.parametrize(
+    "p, d, h, message",
+    [
+        (2, 3, 0.0, _NOT_POSITIVE),
+        (2, 3, -0.1, _NOT_POSITIVE),
+        (2, 3, math.nan, _NOT_POSITIVE),
+        (2, 3, math.pi, _BELOW_PI),
+        (3, 5, 4.0, _BELOW_PI),
+        (2, 3, math.inf, _BELOW_PI),
+        (1, 3, 0.1, _BAD_SIZE),
+        (4, 3, 0.1, _BAD_SIZE),
+        # h / (p - 1) rounds to 0, so the cluster nodes coincide
+        (3, 3, 5e-324, "layout parameters do not give strictly increasing nodes"),
+    ],
+)
+def test_bad_layouts_raise_the_same_error_in_a_trial_and_in_the_layout(p, d, h, message):
+    for build in (
+        lambda: single_experiment(p, d, h, 64, 1e-9, "S1", 1),
+        lambda: make_clustered_nodes(standard_cluster_geometry(p, d, h)),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == message
+
+
+def test_a_layout_whose_cluster_rounds_together_on_the_torus_fails_the_trial():
+    # the layout holds, but dividing by 2 pi rounds the second node to 0
+    nodes = make_clustered_nodes(standard_cluster_geometry(2, 3, 5e-324))
+    assert nodes.tolist()[:2] == [0.0, 5e-324]
+    with pytest.raises(ValueError) as excinfo:
+        single_experiment(2, 3, 5e-324, 64, 1e-9, "S1", 1)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == "nodes must be strictly increasing"
+
+
+@pytest.mark.parametrize(
+    "numpy_args",
+    [
+        (2, 4, np.float64(0.03), np.int64(64), np.float64(1e-6), "S1", np.int64(5)),
+        (np.int64(2), np.int32(4), np.float32(0.03), 64, 1e-6, "S2", np.uint64(5)),
+    ],
+)
+def test_numpy_scalar_inputs_give_the_python_scalar_record(numpy_args):
+    python_args = tuple(a.item() if isinstance(a, np.generic) else a for a in numpy_args)
+    record = single_experiment(*numpy_args)
+    expected = single_experiment(*python_args)
+    assert repr(record) == repr(expected)
+    for field in dataclasses.fields(record):
+        value, want = getattr(record, field.name), getattr(expected, field.name)
+        assert type(value) is type(want), field.name
+        if isinstance(want, tuple):
+            assert list(map(type, value)) == list(map(type, want)), field.name
+    for writer in (write_records_csv, write_records_jsonl):
+        got, want = io.StringIO(), io.StringIO()
+        writer([record], got)
+        writer([expected], want)
+        assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("scheme", ["S1", "S2"])
+def test_single_experiment_rejects_a_float_count(scheme):
+    with pytest.raises(TypeError):
+        single_experiment(2, 4, 0.03, 64.0, 1e-6, scheme, 5)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from spikesr.signal import (
     ClusterGeometry,
     SpectralSamples,
     SpikeTrain,
+    _standard_nodes,
     clean_spectrum,
     fourier_at,
     make_clustered_nodes,
@@ -214,6 +215,69 @@ def test_make_clustered_nodes_rejects_a_step_that_rounds_to_zero():
         ValueError, match="^layout parameters do not give strictly increasing nodes$"
     ):
         make_clustered_nodes(geometry)
+
+
+def _reference_layout(geometry):
+    """The former numpy body of make_clustered_nodes, kept as a reference."""
+    if geometry.kappa != 1:
+        raise ValueError("the standard layout places the cluster at the start (kappa == 1)")
+    p, d, h = geometry.p, geometry.d, geometry.h
+    if h >= math.pi:
+        raise ValueError("cluster extent must be below pi")
+    step = h / (p - 1)
+    cluster = step * np.arange(p)
+    rest_gap = (math.pi - (p - 1) * step) / (d - p + 1)
+    rest = (p - 1) * step + rest_gap * np.arange(1, d - p + 1)
+    nodes = np.concatenate([cluster, rest])
+    if not (nodes[1:] > nodes[:-1]).all():
+        raise ValueError("layout parameters do not give strictly increasing nodes")
+    return nodes
+
+
+def _layout_extents():
+    """(p, d, h) of a grid and of the layouts the benchmark workloads draw:
+    decimation-scan's p=3, d=8 at h = 2 pi factor (2 d - 1) / (2 omega) with
+    omega in [50, 8000] and factor in [0.3, 0.9]; amp-s2-small's p=2, d=4
+    with h in DEFAULT_AMPLIFICATION_RANGES."""
+    from spikesr.experiments import DEFAULT_AMPLIFICATION_RANGES
+
+    grid = np.geomspace(1e-6, np.nextafter(math.pi, 0.0), 60).tolist()
+    for p in range(2, 5):
+        for d in range(p, 10):
+            for h in grid:
+                yield p, d, h
+    rng = np.random.default_rng(28)
+    omegas = np.exp(rng.uniform(math.log(50.0), math.log(8000.0), 2000))
+    factors = rng.uniform(0.3, 0.9, 2000)
+    for omega, factor in zip(omegas.tolist(), factors.tolist()):
+        yield 3, 8, 2.0 * math.pi * (factor * (2 * 8 - 1) / 2.0 / omega)
+    lo, hi = np.log(DEFAULT_AMPLIFICATION_RANGES["h_range"])
+    for h in [*np.exp(rng.uniform(lo, hi, 2000)).tolist(), math.exp(lo), math.exp(hi)]:
+        yield 2, 4, h
+
+
+def _bits_or_error(build):
+    """The float.hex of each node build() returns, or its error's class and
+    message."""
+    try:
+        nodes = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [x.hex() for x in nodes]
+
+
+def test_layout_matches_the_numpy_reference_bit_for_bit():
+    cases = rejected = 0
+    for p, d, h in _layout_extents():
+        geometry = standard_cluster_geometry(p, d, h)
+        expected = _bits_or_error(lambda: _reference_layout(geometry).tolist())
+        assert _bits_or_error(lambda: _standard_nodes(p, d, h)) == expected, (p, d, h)
+        assert _bits_or_error(lambda: make_clustered_nodes(geometry).tolist()) == expected
+        cases += 1
+        rejected += type(expected) is tuple
+    assert cases == 1260 + 2000 + 2002
+    # the grid's widest clusters leave the other nodes no room
+    assert 0 < rejected < 20
 
 
 def test_validate_cluster_examples():
