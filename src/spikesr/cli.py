@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: recover (Matrix Pencil on a samples file), experiment
-(amplification or phase-transition sweeps to CSV/JSONL), worstcase (worst-case
+(amplification or phase-transition sweeps to CSV), worstcase (worst-case
 cluster perturbation report), decimation (admissible blowup factors and
 conditioning bounds), version.
 
@@ -49,7 +49,6 @@ from .experiments import (
     fit_loglog_slope,
     phase_transition_sweep,
     write_records_csv,
-    write_records_jsonl,
 )
 from .matrix_pencil import mp_recover
 from .signal import ClusterGeometry, SpectralSamples, SpikeTrain
@@ -176,17 +175,11 @@ def _timestamp() -> str:
 
 def _run_config(args) -> dict:
     """Resolved configuration of one CLI run, embedded in every output: the
-    params hold each declared option in declaration order, except output,
-    seed and format, which sit beside them."""
+    params hold each declared option in declaration order, except output
+    and seed, which sit beside them."""
     params = {action.dest: getattr(args, action.dest) for action in args.options}
-    seed, output, fmt = (params.pop(key, None) for key in ("seed", "output", "format"))
-    return {
-        "subcommand": args.subcommand,
-        "params": params,
-        "seed": seed,
-        "output": output,
-        "format": fmt or "json",
-    }
+    seed, output = (params.pop(key, None) for key in ("seed", "output"))
+    return {"subcommand": args.subcommand, "params": params, "seed": seed, "output": output}
 
 
 def _write_output(path: str, write, mode: str = "w") -> None:
@@ -216,18 +209,11 @@ def _write_json_report(args, body: dict) -> None:
 
 
 def _write_sweep(args, records, stream) -> None:
-    """A sweep file: the run's timestamp and config, then the records.  CSV
-    frames them in two comment lines; JSONL in a first line holding the
-    config with the timestamp inside it."""
-    config, stamp = _run_config(args), _timestamp()
-    if args.format == "jsonl":
-        framing = {"config": {**config, "timestamp": stamp}}
-        stream.write(json.dumps(framing, sort_keys=True) + "\n")
-        write_records_jsonl(records, stream)
-    else:
-        stream.write(f"# timestamp: {stamp}\n")
-        stream.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-        write_records_csv(records, stream)
+    """A sweep file: the run's timestamp and config in two comment lines,
+    then the records' CSV."""
+    stream.write(f"# timestamp: {_timestamp()}\n")
+    stream.write(f"# config: {json.dumps(_run_config(args), sort_keys=True)}\n")
+    write_records_csv(records, stream)
 
 
 def cmd_recover(args) -> int:
@@ -396,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     option("--eps-range", dest="eps_range", type=_parse_range, help="lo,hi noise levels")
     option("--node-index", dest="node_index", type=int,
            help="track a single node's success (1-based, phase only)")
-    option("--format", choices=["csv", "jsonl"], default="csv",
-           help="output format (default %(default)s)")
 
     option = command("worstcase", cmd_worstcase, "worst-case cluster perturbation report")
     cluster_options(option)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from .signal import (
     SpectralSamples,
     SpikeTrain,
     _check_cluster_indices,
+    _check_standard_extent,
     _standard_nodes,
     clean_spectrum,
     sample_spectrum,
@@ -48,7 +48,6 @@ __all__ = [
     "phase_transition_sweep",
     "fit_loglog_slope",
     "write_records_csv",
-    "write_records_jsonl",
     "CSV_HEADER",
 ]
 
@@ -331,8 +330,7 @@ def amplification_sweep(
     if trials < 1:
         raise ValueError("need at least one trial")
     log_h, log_n, log_eps = map(_log_bounds, (h_range, n_range, eps_range))
-    if h_range[1] >= math.pi:
-        raise ValueError("cluster extent must be below pi")
+    _check_standard_extent(h_range[1])
     _check_cluster_indices(p, d)
     # The largest srf a trial can draw, from the least h and N; each trial
     # checks its own drawn h again, against rounding in the draw.
@@ -507,17 +505,13 @@ def _csv_text(text: str) -> str:
     return buf.getvalue()[: -len(",\n")]
 
 
-def _json_cell(value):
-    return None if isinstance(value, float) and math.isnan(value) else value
+def _rows(record: ExperimentRecord):
+    """Each node's CSV cells of a record in CSV_HEADER order.
 
-
-def _rows(record: ExperimentRecord, cell):
-    """Each node's values of a record in CSV_HEADER order, mapped by cell.
-
-    The per-trial values are mapped once per record, not once per node.
+    The per-trial cells are formatted once per record, not once per node.
     """
     trial = [
-        cell(value)
+        _format_cell(value)
         for value in (
             record.scheme,
             record.p,
@@ -529,16 +523,16 @@ def _rows(record: ExperimentRecord, cell):
             record.srf,
         )
     ]
-    seed = cell(record.seed)
+    seed = _format_cell(record.seed)
     for j in range(record.d):
         yield [
             *trial,
-            cell(j + 1),
-            cell(record.node_class(j)),
-            cell(record.node_errors[j]),
-            cell(record.successes[j]),
-            cell(record.kx[j]),
-            cell(record.ka[j]),
+            _format_cell(j + 1),
+            _format_cell(record.node_class(j)),
+            _format_cell(record.node_errors[j]),
+            _format_cell(record.successes[j]),
+            _format_cell(record.kx[j]),
+            _format_cell(record.ka[j]),
             seed,
         ]
 
@@ -549,13 +543,4 @@ def write_records_csv(records, stream) -> None:
     record."""
     stream.write(CSV_HEADER + "\n")
     for record in records:
-        rows = _rows(record, _format_cell)
-        stream.write("".join([",".join(row) + "\n" for row in rows]))
-
-
-def write_records_jsonl(records, stream) -> None:
-    """JSON-lines alternative to the CSV output with the same fields."""
-    fields = CSV_HEADER.split(",")
-    for record in records:
-        for row in _rows(record, _json_cell):
-            stream.write(json.dumps(dict(zip(fields, row)), sort_keys=True) + "\n")
+        stream.write("".join([",".join(row) + "\n" for row in _rows(record)]))

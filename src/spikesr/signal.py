@@ -213,8 +213,7 @@ def standard_cluster_geometry(p: int, d: int, h: float) -> ClusterGeometry:
     tau = 1/(p-1) and eta = (pi - h) / (pi (d - p + 1)).
     """
     _check_cluster_indices(p, d)
-    if h >= math.pi:
-        raise ValueError("cluster extent must be below pi")
+    _check_standard_extent(h)
     return ClusterGeometry(
         p=p,
         d=d,
@@ -238,6 +237,16 @@ def make_clustered_nodes(geometry: ClusterGeometry) -> np.ndarray:
     return np.array(_standard_nodes(geometry.p, geometry.d, geometry.h), dtype=float)
 
 
+def _check_standard_extent(h: float) -> None:
+    """Reject a cluster extent of the standard layout outside (0, pi): h
+    must lie below pi for the layout's nodes to increase, and be positive
+    for its ClusterGeometry, whose T is pi."""
+    if h >= math.pi:
+        raise ValueError("cluster extent must be below pi")
+    if not 0 < h:
+        raise ValueError("cluster extent h must satisfy 0 < h <= T")
+
+
 def _standard_nodes(p: int, d: int, h: float) -> list:
     """The standard layout of make_clustered_nodes as a list of floats, for
     a valid cluster size p <= d.  An extent h outside (0, pi) raises the
@@ -247,10 +256,7 @@ def _standard_nodes(p: int, d: int, h: float) -> list:
     the same product and sum numpy forms elementwise, so the nodes are
     bit-identical to the array arithmetic's.
     """
-    if h >= math.pi:
-        raise ValueError("cluster extent must be below pi")
-    if not 0 < h:
-        raise ValueError("cluster extent h must satisfy 0 < h <= T")
+    _check_standard_extent(h)
     step = h / (p - 1)
     edge = (p - 1) * step
     rest_gap = (math.pi - edge) / (d - p + 1)

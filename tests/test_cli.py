@@ -210,51 +210,39 @@ def test_experiment_single_trial(tmp_path, capsys):
     assert "insufficient data" in capsys.readouterr().out
 
 
-def test_experiment_jsonl_format(tmp_path):
-    out = tmp_path / "amp.jsonl"
-    rc = main(
-        [
-            "experiment", "--kind", "amplification", "-p", "2", "-d", "3",
-            "--trials", "4", "--seed", "2", "-o", str(out), "--format", "jsonl",
-        ]
-    )
-    assert rc == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 1 + 4 * 3
-    assert "timestamp" in json.loads(lines[0])["config"]
-
-
-def _reject_constant(name):
-    raise ValueError(f"not JSON: {name}")
+def _sweep_config(text):
+    """The config held by a sweep file's "# config:" line."""
+    line = text.splitlines()[1]
+    assert line.startswith("# config: ")
+    return json.loads(line.removeprefix("# config: "))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_experiment_overflowing_factors_are_null_in_jsonl(tmp_path, capsys):
-    # A subnormal measured noise overflows some factors; they are written as
-    # null, never as Infinity, and no overflow warning is raised.
-    out = tmp_path / "amp.jsonl"
+def test_experiment_overflowing_factors_are_empty_in_csv(tmp_path, capsys):
+    # A subnormal measured noise overflows some factors; their cells are
+    # left empty, never written as inf, and no overflow warning is raised.
+    out = tmp_path / "amp.csv"
     argv = ["experiment", "--kind", "amplification", "-p", "2", "-d", "3", "--trials", "30",
-            "--scheme", "S1", "--eps-range", "1e-323,1e-320", "--format", "jsonl",
-            "-o", str(out)]
+            "--scheme", "S1", "--eps-range", "1e-323,1e-320", "-o", str(out)]
     assert main(argv) == 0
-    rows = [json.loads(line, parse_constant=_reject_constant)
-            for line in out.read_text().splitlines()[1:]]
+    header = CSV_HEADER.split(",")
+    rows = [dict(zip(header, line.split(",")))
+            for line in out.read_text().splitlines()[3:]]
     assert len(rows) == 30 * 3
-    assert any(row["succ"] and row["Kx"] is None for row in rows)
+    assert any(row["succ"] == "true" and row["Kx"] == "" for row in rows)
+    assert not any("inf" in row.values() for row in rows)
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_experiment_frames_the_sweep_file(tmp_path, capsys, monkeypatch, fmt):
-    # The framing rule: CSV opens with a timestamp and a config comment line,
-    # JSONL with a config line that holds the timestamp; JSON keys sorted.
+def test_experiment_frames_the_sweep_file(tmp_path, capsys, monkeypatch):
+    # The framing rule: a timestamp and a config comment line, JSON keys
+    # sorted, then the CSV.
     stamp = "2000-01-01T00:00:00+00:00"
     monkeypatch.setattr(cli, "_timestamp", lambda: stamp)
-    out = tmp_path / f"run.{fmt}"
+    out = tmp_path / "run.csv"
     ranges = ["--h-range", "5e-3,6e-2", "--n-range", "48,96", "--eps-range", "1e-8,1e-4"]
     assert main(["experiment", "--kind", "amplification", "-p", "2", "-d", "3",
-                 "--trials", "2", "--seed", "4", *ranges, "--format", fmt,
-                 "-o", str(out)]) == 0
+                 "--trials", "2", "--seed", "4", *ranges, "-o", str(out)]) == 0
     config = {
         "subcommand": "experiment",
         "params": {
@@ -264,13 +252,9 @@ def test_experiment_frames_the_sweep_file(tmp_path, capsys, monkeypatch, fmt):
         },
         "seed": 4,
         "output": str(out),
-        "format": fmt,
     }
-    if fmt == "csv":
-        head = f"# timestamp: {stamp}\n# config: {json.dumps(config, sort_keys=True)}\n"
-        head += CSV_HEADER + "\n"
-    else:
-        head = json.dumps({"config": {**config, "timestamp": stamp}}, sort_keys=True) + "\n"
+    head = f"# timestamp: {stamp}\n# config: {json.dumps(config, sort_keys=True)}\n"
+    head += CSV_HEADER + "\n"
     text = out.read_text()
     assert text.startswith(head)
     assert len(text[len(head):].splitlines()) == 2 * 3
@@ -549,16 +533,39 @@ def test_worstcase_bad_omega_exits_2(tmp_path, capsys, omega):
 
 @pytest.mark.parametrize("config_text", ["format=xml\n", '{"format": "xml"}'])
 def test_experiment_config_format_checked(tmp_path, capsys, config_text):
+    # sweep files have one format, and no option picks it
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config_text)
     out = tmp_path / "x.csv"
     argv = ["experiment", "--config", str(cfg), "--kind", "amplification",
             "-p", "2", "-d", "3", "--trials", "2", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: unknown config key for experiment: format\n"
+    assert not out.exists()
+
+
+def test_experiment_format_flag_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["experiment", "--kind", "amplification", "-p", "2", "-d", "3",
+            "--trials", "2", "--format", "csv", "-o", str(out)]
     with pytest.raises(SystemExit) as exit_:
         main(argv)
     assert exit_.value.code == 2
-    assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_experiment_json_null_config_values_count_as_unset(tmp_path):
+    base = {"kind": "amplification", "p": 2, "d": 3, "trials": 2}
+    cfg, out = tmp_path / "run.json", tmp_path / "out.csv"
+    texts = []
+    for config in (base, {**base, "seed": None, "h_range": None}):
+        cfg.write_text(json.dumps(config))
+        assert main(["experiment", "--config", str(cfg), "-o", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0].splitlines()[1:] == texts[1].splitlines()[1:]
+    config = _sweep_config(texts[1])
+    assert (config["seed"], config["params"]["h_range"]) == (0, [5e-3, 6e-2])
 
 
 @pytest.mark.parametrize(
@@ -597,12 +604,12 @@ def test_experiment_node_index_reaches_phase_sweep(tmp_path, capsys, monkeypatch
         return [], PhaseBoundaryFit(-3.0, 0.0, 1, 1)
 
     monkeypatch.setattr(cli, "phase_transition_sweep", fake_sweep)
-    out = tmp_path / "node.jsonl"
+    out = tmp_path / "node.csv"
     argv = ["experiment", "--kind", "phase", "-p", "2", "-d", "3", "--node-index", "3",
-            "--format", "jsonl", "-o", str(out)]
+            "-o", str(out)]
     assert main(argv) == 0
     assert seen == [3]
-    assert json.loads(out.read_text())["config"]["params"]["node_index"] == 3
+    assert _sweep_config(out.read_text())["params"]["node_index"] == 3
 
 
 @pytest.mark.parametrize(
@@ -705,7 +712,6 @@ def _one_value_per_option(tmp_path, samples_file):
             "n_range": ("--n-range", [40, 60]),
             "eps_range": ("--eps-range", [1e-9, 1e-5]),
             "node_index": ("--node-index", 2),
-            "format": ("--format", "jsonl"),
         },
         "worstcase": {
             **cluster,
@@ -739,9 +745,10 @@ def test_flag_and_config_values_embed_the_same_config(
     def embedded_config(argv):
         assert main([subcommand, *argv]) == 0
         text = out.read_text()
-        config = json.loads(text.splitlines()[0] if subcommand == "experiment" else text)
         out.unlink()
-        return {k: v for k, v in config["config"].items() if k != "timestamp"}
+        if subcommand == "experiment":
+            return _sweep_config(text)
+        return json.loads(text)["config"]
 
     key_value = tmp_path / "run.cfg"
     json_config = tmp_path / "run.json"
@@ -774,7 +781,7 @@ def test_recorded_params_are_the_declared_options(
     argv = [tok for flag, value in values.values() for tok in (flag, _flag_text(value))]
     assert main([subcommand, *argv, "-o", str(out)]) == 0
     declared = [a.dest for a in build_parser().parse_args([subcommand]).options]
-    expected = [key for key in declared if key not in ("output", "seed", "format")]
+    expected = [key for key in declared if key not in ("output", "seed")]
     assert [list(config["params"]) for config in recorded] == [expected]
     if subcommand != "experiment":
         assert list(json.loads(out.read_text())["config"]["params"]) == expected

@@ -20,7 +20,6 @@ from spikesr.experiments import (
     phase_transition_sweep,
     single_experiment,
     write_records_csv,
-    write_records_jsonl,
 )
 from spikesr.matrix_pencil import mp_recover
 from spikesr.signal import make_clustered_nodes, standard_cluster_geometry
@@ -492,21 +491,8 @@ def test_csv_failure_rows_have_empty_factors():
     assert row[header.index("Ka")] == ""
 
 
-def test_jsonl_writer_round_trips_fields():
-    import json
-
-    records = amplification_sweep(2, 3, (5e-3, 6e-2), (48, 96), (1e-8, 1e-4), 2, "S1", 5)
-    buf = io.StringIO()
-    write_records_jsonl(records, buf)
-    lines = buf.getvalue().splitlines()
-    assert len(lines) == 2 * 3
-    payload = json.loads(lines[0])
-    assert set(payload) == set(CSV_HEADER.split(","))
-    assert payload["node_index"] == 1
-
-
 def _reference_rows(record):
-    """The former per-row dicts of the CSV and JSONL writers."""
+    """The former per-row dicts of the CSV writer."""
     return [
         {
             "scheme": record.scheme,
@@ -552,20 +538,6 @@ def _reference_csv(records):
     return stream.getvalue()
 
 
-def _reference_jsonl(records):
-    import json
-
-    lines = []
-    for record in records:
-        for row in _reference_rows(record):
-            clean = {
-                k: (None if isinstance(v, float) and math.isnan(v) else v)
-                for k, v in row.items()
-            }
-            lines.append(json.dumps(clean, sort_keys=True) + "\n")
-    return "".join(lines)
-
-
 @pytest.mark.parametrize("scheme", ["S1", "S2"])
 @pytest.mark.parametrize("p", [2, 3])
 def test_writers_match_dict_based_reference(scheme, p):
@@ -587,9 +559,6 @@ def test_writers_match_dict_based_reference(scheme, p):
     buf = io.StringIO()
     write_records_csv(records, buf)
     assert buf.getvalue() == _reference_csv(records)
-    buf = io.StringIO()
-    write_records_jsonl(records, buf)
-    assert buf.getvalue() == _reference_jsonl(records)
 
 
 def _reference_sweep(p, d, h_range, n_range, eps_range, trials, scheme, base_seed):
@@ -726,11 +695,10 @@ def test_numpy_scalar_inputs_give_the_python_scalar_record(numpy_args):
         assert type(value) is type(want), field.name
         if isinstance(want, tuple):
             assert list(map(type, value)) == list(map(type, want)), field.name
-    for writer in (write_records_csv, write_records_jsonl):
-        got, want = io.StringIO(), io.StringIO()
-        writer([record], got)
-        writer([expected], want)
-        assert got.getvalue() == want.getvalue()
+    got, want = io.StringIO(), io.StringIO()
+    write_records_csv([record], got)
+    write_records_csv([expected], want)
+    assert got.getvalue() == want.getvalue()
 
 
 @pytest.mark.parametrize("scheme", ["S1", "S2"])

@@ -5,10 +5,9 @@ Run from the repository root:
     python tools/sweep_hashes.py
 
 Each line names a sweep and gives the first 16 hex digits of the sha256 of
-its CSV and of its JSONL, as written by write_records_csv and
-write_records_jsonl: schemes S1 and S2, (p, d) in {(2, 3), (2, 4), (3, 5)},
-DEFAULT_AMPLIFICATION_RANGES ("amp") and DEFAULT_PHASE_RANGES ("phase"),
-300 trials from base seed 7.  A change that should leave the sweep output
+its CSV, as written by write_records_csv: schemes S1 and S2, (p, d) in
+{(2, 3), (2, 4), (3, 5)}, DEFAULT_AMPLIFICATION_RANGES ("amp") and
+DEFAULT_PHASE_RANGES ("phase"), 300 trials from base seed 7.  A change that should leave the sweep output
 alone prints the same lines as its parent on the same machine; the digits
 may differ between machines whose BLAS kernels round differently.
 """
@@ -25,7 +24,6 @@ from spikesr.experiments import (  # noqa: E402
     DEFAULT_PHASE_RANGES,
     amplification_sweep,
     write_records_csv,
-    write_records_jsonl,
 )
 
 SCHEMES = ("S1", "S2")
@@ -35,9 +33,9 @@ TRIALS = 300
 BASE_SEED = 7
 
 
-def digest(records, writer) -> str:
+def digest(records) -> str:
     stream = io.StringIO()
-    writer(records, stream)
+    write_records_csv(records, stream)
     return hashlib.sha256(stream.getvalue().encode()).hexdigest()[:16]
 
 
@@ -48,9 +46,7 @@ def main() -> None:
                 records = amplification_sweep(
                     p, d, **ranges, trials=TRIALS, scheme=scheme, base_seed=BASE_SEED
                 )
-                csv_hash = digest(records, write_records_csv)
-                jsonl_hash = digest(records, write_records_jsonl)
-                print(f"{scheme} ({p}, {d}) {name}: {csv_hash}/{jsonl_hash}")
+                print(f"{scheme} ({p}, {d}) {name}: {digest(records)}")
 
 
 if __name__ == "__main__":
