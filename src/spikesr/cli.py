@@ -5,20 +5,21 @@ Subcommands: recover (Matrix Pencil on a samples file), experiment
 cluster perturbation report), decimation (admissible blowup factors and
 conditioning bounds), version.
 
-Every option can come from a config file (flat key=value lines or a JSON
-object) whose keys must name options of the subcommand.  Each entry reaches
-argparse as a `flag=value` token placed between the subcommand and the
-command line's own flags, so argparse alone converts and checks it, and
-explicit flags win over the config file, which wins over the options'
-defaults.  The experiment seed defaults to 0 and the resolved configuration
-is embedded in every output, so runs are reproducible byte for byte apart
-from one timestamp line.  The other subcommands draw no random numbers and
-record a null seed.
+Every option can also come from a config file of flag tokens, one per line,
+written as they would be typed after the subcommand (`--kind=phase`, `-p=2`);
+blank lines and lines starting with `#` are skipped.  main places the tokens
+between the subcommand and the command line's own flags, so argparse alone
+reads and checks every value, and explicit flags win over the config file,
+which wins over the options' defaults.  The experiment seed defaults to 0
+and the resolved configuration is embedded in every output, so runs are
+reproducible byte for byte apart from one timestamp line.  The other
+subcommands draw no random numbers and record a null seed.
 
 Failures map to exit codes in one place, main: a CliError exits with its own
 code, a DegenerateFitError with 4, any other package error or a LinAlgError
 with 3, and a ValueError or a MemoryError with 2.  A value that argparse
-rejects, from a flag or a config file, exits 2 through argparse itself.
+rejects, from a flag or a config file, and a missing required option exit 2
+through argparse itself.
 
 This module is the one place that reads and writes the JSON files (the spike
 train and samples inputs, and the recover, worstcase and decimation reports)
@@ -65,30 +66,19 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str) -> list:
+    """The flag tokens of a config file: one per line, blank lines and `#`
+    comments skipped.  A line that is not a flag exits 2, naming the line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            lines = [line.strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file: {exc}", EXIT_PARSE) from exc
-    if text.lstrip().startswith(("{", "[")):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"bad JSON config: {exc}", EXIT_PARSE) from exc
-        if not isinstance(obj, dict):
-            raise CliError("JSON config must be an object", EXIT_PARSE)
-        return {str(k): v for k, v in obj.items()}
-    config = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"bad config line (expected key=value): {line!r}", EXIT_PARSE)
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
-    return config
+    tokens = [line for line in lines if line and not line.startswith("#")]
+    for token in tokens:
+        if not token.startswith("-"):
+            raise CliError(f"bad config line (expected a flag token): {token!r}", EXIT_PARSE)
+    return tokens
 
 
 def _parse_range(text: str) -> tuple:
@@ -96,37 +86,7 @@ def _parse_range(text: str) -> tuple:
         lo, hi = text.split(",")
         return (float(lo), float(hi))
     except ValueError as exc:
-        raise CliError(f"bad range {text!r}: expected lo,hi", EXIT_PARSE) from exc
-
-
-def _config_tokens(args, config: dict) -> list:
-    """The config entries as `flag=value` tokens for argparse to parse ahead
-    of the command line.  A JSON null counts as unset, and a JSON list fills
-    only a range option, as lo,hi.  A key that names no option of the
-    subcommand is an error."""
-    declared = {action.dest: action for action in args.options}
-    tokens = []
-    for key, value in config.items():
-        action = declared.get(key)
-        if action is None:
-            raise CliError(f"unknown config key for {args.subcommand}: {key}", EXIT_PARSE)
-        if value is None:
-            continue
-        if isinstance(value, list):
-            if action.type is not _parse_range:
-                raise CliError(f"bad value for {key}: {value!r}", EXIT_PARSE)
-            value = ",".join(map(str, value))
-        tokens.append(f"{action.option_strings[0]}={value}")
-    return tokens
-
-
-def _require(args, *keys: str) -> None:
-    """Fail unless every option named by its config key is set; the message
-    names the option by its first declared flag."""
-    flags = {action.dest: action.option_strings[0] for action in args.options}
-    for key in keys:
-        if getattr(args, key) in (None, ""):
-            raise CliError(f"{args.subcommand} needs {flags[key]}", EXIT_PARSE)
+        raise argparse.ArgumentTypeError(f"bad range {text!r}: expected lo,hi") from exc
 
 
 def _complex_array(pairs) -> np.ndarray:
@@ -217,7 +177,6 @@ def _write_sweep(args, records, stream) -> None:
 
 
 def cmd_recover(args) -> int:
-    _require(args, "input", "order")
     samples = _read_input(args.input, "samples", _spectral_samples)
     result = mp_recover(samples, args.order, args.pencil)
     args.pencil = result.pencil_param
@@ -249,7 +208,6 @@ def _print_amplification_fits(records) -> None:
 
 
 def cmd_experiment(args) -> int:
-    _require(args, "kind", "p", "d")
     if args.node_index is not None and args.kind == "amplification":
         raise CliError("node_index applies only to --kind phase", EXIT_PARSE)
     ranges = (
@@ -284,17 +242,18 @@ def cmd_experiment(args) -> int:
 
 def _train_and_geometry(args) -> tuple[SpikeTrain, ClusterGeometry]:
     """The spike train of --input and the cluster that -p and --kappa pick
-    out of it (see ClusterGeometry.from_nodes); the caller has required
-    --input and -p."""
+    out of it (see ClusterGeometry.from_nodes)."""
     train = _read_input(args.input, "spike-train", _spike_train)
     return train, ClusterGeometry.from_nodes(train.nodes, args.p, args.kappa)
 
 
 def cmd_worstcase(args) -> int:
-    _require(args, "input", "p", "epsilon")
     train, geometry = _train_and_geometry(args)
     report = worst_case_signal(train, args.p, args.epsilon, args.kappa)
     omega = 1.0 / geometry.h if args.omega is None else args.omega
+    if args.omega is None and np.isinf(omega):
+        message = f"the default omega 1/h is not finite at cluster extent h = {geometry.h!r}"
+        raise ValueError(f"{message}; set --omega")
     _write_json_report(args, {
         "perturbed": {
             "amplitudes": report.perturbed.amplitudes,
@@ -312,7 +271,6 @@ def cmd_worstcase(args) -> int:
 
 
 def cmd_decimation(args) -> int:
-    _require(args, "input", "p", "omega")
     train, geometry = _train_and_geometry(args)
     admissible = admissible_lambdas(train.nodes, geometry, args.omega, args.alpha)
 
@@ -337,8 +295,9 @@ def cmd_decimation(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser.  Each subcommand records the Action of every option a
-    config file may set in its `options` default, next to its `handler`."""
+    """The CLI parser.  Each subcommand records the Action of every option
+    that an output's config embeds in its `options` default, next to its
+    `handler`; the options a run cannot do without are declared required."""
     parser = argparse.ArgumentParser(
         prog="spikesr",
         description="Super-resolution of clustered spike trains",
@@ -348,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, handler, help_text):
         """Add a subcommand; returns the function that declares its options."""
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", help="config file (key=value lines or JSON object)")
+        sp.add_argument("--config", help="config file of flag tokens, one per line")
         options = []
         sp.set_defaults(handler=handler, options=options)
 
@@ -359,21 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
         return option
 
     def cluster_options(option):
-        option("--input", "-i", help="SpikeTrain JSON file")
-        option("-p", type=int, help="cluster size")
+        option("--input", "-i", required=True, help="SpikeTrain JSON file")
+        option("-p", type=int, required=True, help="cluster size")
         option("--kappa", type=int, default=1,
                help="1-based index of the first cluster node (default %(default)s)")
 
     option = command("recover", cmd_recover, "Matrix Pencil recovery from a samples file")
-    option("--input", "-i", help="SpectralSamples JSON file")
-    option("--order", "-d", type=int, help="model order d")
+    option("--input", "-i", required=True, help="SpectralSamples JSON file")
+    option("--order", "-d", type=int, required=True, help="model order d")
     option("--pencil", "-L", type=int, help="pencil parameter (default ceil(N/2))")
 
     option = command("experiment", cmd_experiment, "amplification or phase-transition sweep")
     option("--seed", type=int, default=0, help="base random seed (default %(default)s)")
-    option("--kind", choices=["amplification", "phase"])
-    option("-p", type=int, help="cluster size")
-    option("-d", type=int, help="total node count")
+    option("--kind", choices=["amplification", "phase"], required=True)
+    option("-p", type=int, required=True, help="cluster size")
+    option("-d", type=int, required=True, help="total node count")
     option("--trials", type=int, default=500, help="number of trials (default %(default)s)")
     option("--scheme", choices=SCHEMES, default="S1",
            help="perturbation scheme (default %(default)s)")
@@ -385,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     option = command("worstcase", cmd_worstcase, "worst-case cluster perturbation report")
     cluster_options(option)
-    option("--epsilon", type=float, help="perturbation level")
+    option("--epsilon", type=float, required=True, help="perturbation level")
     option("--omega", type=float, help="bandwidth for the deviation check")
     option("--grid-points", dest="grid_points", type=int, default=1001,
            help="deviation grid size (default %(default)s)")
 
     option = command("decimation", cmd_decimation, "admissible blowup factors and bounds")
     cluster_options(option)
-    option("--omega", type=float, help="bandwidth")
+    option("--omega", type=float, required=True, help="bandwidth")
     option("--alpha", type=float, help="angular threshold (default 1/d^2)")
 
     sub.add_parser("version", help="print the package version")
@@ -404,17 +363,18 @@ def main(argv=None) -> int:
     else."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        parser = build_parser()
-        # A malformed range flag raises CliError from inside the parse.
-        args = parser.parse_args(argv)
+        # The config tokens go between the subcommand and the command line's
+        # own flags, so those flags, parsed later, win.
+        config_parser = argparse.ArgumentParser(prog="spikesr", add_help=False)
+        config_parser.add_argument("--config")
+        known, rest = config_parser.parse_known_args(argv)
+        tokens = _load_config_file(known.config) if known.config else []
+        args = build_parser().parse_args([*rest[:1], *tokens, *rest[1:]])
         if args.subcommand == "version":
             print(f"spikesr {__version__}")
             return 0
-        if args.config:
-            # The config tokens go between the subcommand and its flags, so
-            # the flags, parsed later, win.
-            tokens = _config_tokens(args, _load_config_file(args.config))
-            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+        if args.config:  # the command line's --config never reaches this parse
+            raise CliError("a config file cannot set --config", EXIT_PARSE)
         return args.handler(args)
     except CliError as exc:
         message, code = str(exc), exc.code

@@ -170,10 +170,8 @@ class SpectralSamples:
 
 def fourier_at(train: SpikeTrain, s):
     """Evaluate F(s) = sum_j a_j exp(-2 pi i s x_j) at scalar or array s."""
-    s_arr = np.asarray(s, dtype=float)
-    phases = np.exp(-2j * np.pi * np.multiply.outer(s_arr, train.nodes))
-    out = phases @ train.amplitudes
-    return complex(out) if s_arr.ndim == 0 else out
+    phases = np.exp(-2j * np.pi * np.multiply.outer(np.asarray(s, dtype=float), train.nodes))
+    return phases @ train.amplitudes
 
 
 def clean_spectrum(train: SpikeTrain, count: int) -> np.ndarray:

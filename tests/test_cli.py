@@ -127,7 +127,9 @@ def test_experiment_output_reproducible_modulo_timestamp(tmp_path):
 
 def test_experiment_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("kind=amplification\np=2\nd=3\ntrials=10\nseed=3\neps_range=1e-8,1e-4\n")
+    cfg.write_text(
+        "--kind=amplification\n-p=2\n-d=3\n--trials=10\n--seed=3\n--eps-range=1e-8,1e-4\n"
+    )
     out1 = tmp_path / "c1.csv"
     assert main(["experiment", "--config", str(cfg), "-o", str(out1)]) == 0
     # flag overrides the config file's trial count
@@ -135,13 +137,6 @@ def test_experiment_config_file_and_flag_precedence(tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg), "--trials", "5", "-o", str(out2)]) == 0
     assert len(out2.read_text().splitlines()) == 3 + 5 * 3
     assert len(out1.read_text().splitlines()) == 3 + 10 * 3
-
-
-def test_experiment_json_config(tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"kind": "phase", "p": 2, "d": 4, "trials": 200, "seed": 1}))
-    out = tmp_path / "phase.csv"
-    assert main(["experiment", "--config", str(cfg), "-o", str(out)]) == 0
 
 
 def test_experiment_phase_degenerate_exits_4(capsys):
@@ -440,19 +435,24 @@ def test_experiment_bad_sweep_input_exits_2(tmp_path, capsys, kind, flags, messa
     "flags, config",
     [
         (["--h-range", "a,b"], None),
-        ([], {"h_range": [1e-3, 1e-2, 1e-1]}),
+        ([], ["--h-range=1e-3,1e-2,1e-1"]),
     ],
 )
 def test_experiment_malformed_range_exits_2(tmp_path, capsys, flags, config):
+    # a range is rejected the way any other bad flag value is
     argv = ["experiment", "--kind", "amplification", "-p", "2", "-d", "3", *flags]
     if config is not None:
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(config))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(config))
         argv += ["--config", str(cfg)]
     out = tmp_path / "x.csv"
-    assert main([*argv, "-o", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad range") and "expected lo,hi" in err
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "-o", str(out)])
+    assert exit_.value.code == 2
+    range_text = "a,b" if config is None else "1e-3,1e-2,1e-1"
+    assert f"argument --h-range: bad range {range_text!r}: expected lo,hi" in (
+        capsys.readouterr().err
+    )
     assert not out.exists()
 
 
@@ -500,10 +500,15 @@ def test_worstcase_non_finite_epsilon_exits_2(tmp_path, capsys, epsilon):
 
 @pytest.mark.parametrize("subcommand", ["recover", "worstcase", "decimation"])
 def test_seed_only_on_experiment(pair_samples_file, capsys, subcommand):
+    required = {
+        "recover": ["-d", "2"],
+        "worstcase": ["-p", "2", "--epsilon", "1e-9"],
+        "decimation": ["-p", "2", "--omega", "100"],
+    }[subcommand]
     with pytest.raises(SystemExit) as exc:
-        main([subcommand, "-i", str(pair_samples_file), "--seed", "1"])
+        main([subcommand, "-i", str(pair_samples_file), *required, "--seed", "1"])
     assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_reports_without_randomness_write_null_seed(tmp_path):
@@ -531,16 +536,34 @@ def test_worstcase_bad_omega_exits_2(tmp_path, capsys, omega):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config_text", ["format=xml\n", '{"format": "xml"}'])
-def test_experiment_config_format_checked(tmp_path, capsys, config_text):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_worstcase_default_omega_that_overflows_exits_2(tmp_path, capsys):
+    # 1/h overflows for h below about 5.6e-309: the message names h, not an
+    # --omega that nobody set
+    src = tmp_path / "train.json"
+    src.write_text(json.dumps({"amplitudes": [[1, 0], [-1, 0], [1, 0]], "nodes": [0, 1e-310, 10]}))
+    out = tmp_path / "report.json"
+    argv = ["worstcase", "-i", str(src), "-p", "2", "--epsilon", "0", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: bad worstcase input: the default omega 1/h is not finite at cluster "
+        "extent h = 1e-310; set --omega\n"
+    )
+    assert not out.exists()
+    assert main([*argv, "--omega", "50"]) == 0
+
+
+def test_experiment_config_format_checked(tmp_path, capsys):
     # sweep files have one format, and no option picks it
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(config_text)
+    cfg.write_text("--format=xml\n")
     out = tmp_path / "x.csv"
     argv = ["experiment", "--config", str(cfg), "--kind", "amplification",
             "-p", "2", "-d", "3", "--trials", "2", "-o", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "error: unknown config key for experiment: format\n"
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --format=xml" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -555,26 +578,12 @@ def test_experiment_format_flag_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_experiment_json_null_config_values_count_as_unset(tmp_path):
-    base = {"kind": "amplification", "p": 2, "d": 3, "trials": 2}
-    cfg, out = tmp_path / "run.json", tmp_path / "out.csv"
-    texts = []
-    for config in (base, {**base, "seed": None, "h_range": None}):
-        cfg.write_text(json.dumps(config))
-        assert main(["experiment", "--config", str(cfg), "-o", str(out)]) == 0
-        texts.append(out.read_text())
-    assert texts[0].splitlines()[1:] == texts[1].splitlines()[1:]
-    config = _sweep_config(texts[1])
-    assert (config["seed"], config["params"]["h_range"]) == (0, [5e-3, 6e-2])
-
-
 @pytest.mark.parametrize(
     "flags, config_text",
     [
         (["--node-index", "2"], None),
-        ([], "node_index=7\n"),
-        ([], '{"node_index": 7}'),
-        (["--node-index", "1"], "kind=phase\n"),  # the flag's kind wins
+        ([], "--node-index=7\n"),
+        (["--node-index", "1"], "--kind=phase\n"),  # the flag's kind wins
     ],
 )
 def test_experiment_node_index_rejected_for_amplification(
@@ -613,48 +622,38 @@ def test_experiment_node_index_reaches_phase_sweep(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "key, value, flag",
+    "flag, value",
     [
-        pytest.param("p", 2.7, "-p", id="p-2.7"),
-        pytest.param("p", True, "-p", id="p-True"),
-        pytest.param("trials", 2.5, "--trials", id="trials-2.5"),
-        pytest.param("seed", 1.5, "--seed", id="seed-1.5"),
-        pytest.param("node_index", 2.5, "--node-index", id="node_index-2.5"),
+        pytest.param("-p", "2.7", id="p-2.7"),
+        pytest.param("-p", "True", id="p-True"),
+        pytest.param("--trials", "2.5", id="trials-2.5"),
+        pytest.param("--seed", "1.5", id="seed-1.5"),
+        pytest.param("--node-index", "2.5", id="node_index-2.5"),
     ],
 )
-def test_experiment_config_value_its_flag_rejects_exits_2(tmp_path, capsys, key, value, flag):
+def test_experiment_config_value_its_flag_rejects_exits_2(tmp_path, capsys, flag, value):
     # argparse rejects the value as it rejects the flag: usage, message, exit 2
-    config = {"kind": "phase", "p": 2, "d": 3, "trials": 2, key: value}
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(config))
+    config = {"--kind": "phase", "-p": "2", "-d": "3", "--trials": "2", flag: value}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{f}={v}\n" for f, v in config.items()))
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exit_:
         main(["experiment", "--config", str(cfg), "-o", str(out)])
     assert exit_.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: spikesr experiment")
-    assert f"argument {flag}: invalid int value: {str(value)!r}" in err
+    assert f"argument {flag}: invalid int value: {value!r}" in err
     assert not out.exists()
 
 
 def test_experiment_config_value_is_checked_under_an_overriding_flag(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("kind=amplification\np=2.7\nd=3\ntrials=2\n")
+    cfg.write_text("--kind=amplification\n-p=2.7\n-d=3\n--trials=2\n")
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as exit_:
         main(["experiment", "--config", str(cfg), "-p", "2", "-o", str(out)])
     assert exit_.value.code == 2
     assert "argument -p: invalid int value: '2.7'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_experiment_config_list_for_a_scalar_option_exits_2(tmp_path, capsys):
-    # only a range option takes a list
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"kind": "amplification", "p": 2, "d": 3, "scheme": ["S2"]}))
-    out = tmp_path / "x.csv"
-    assert main(["experiment", "--config", str(cfg), "-o", str(out)]) == 2
-    assert capsys.readouterr().err == "error: bad value for scheme: ['S2']\n"
     assert not out.exists()
 
 
@@ -664,7 +663,7 @@ def test_experiment_config_range_with_a_negative_bound_reaches_the_sweep_check(
     # "--eps-range -1,1" would read "-1,1" as an option; the config's token
     # carries its value after "=", so the sweep's own check rejects it
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("kind=amplification\np=2\nd=3\neps_range=-1,1\n")
+    cfg.write_text("--kind=amplification\n-p=2\n-d=3\n--eps-range=-1,1\n")
     out = tmp_path / "x.csv"
     assert main(["experiment", "--config", str(cfg), "-o", str(out)]) == 2
     err = capsys.readouterr().err
@@ -688,8 +687,8 @@ def test_unwritable_output_exits_2(pair_samples_file, tmp_path, capsys, subcomma
 
 
 def _one_value_per_option(tmp_path, samples_file):
-    """One valid value for every option of every subcommand, keyed by config
-    key, as (flag, value); a range value is a [lo, hi] list."""
+    """One valid value for every option of every subcommand, keyed by the
+    option's dest, as (flag, value); a range value is a [lo, hi] list."""
     train = tmp_path / "train.json"
     train.write_text(
         json.dumps({"amplitudes": [[1, 0], [-1, 0], [1, 0], [-1, 0]], "nodes": [0.0, 0.01, 0.3, 0.6]})
@@ -727,6 +726,11 @@ def _flag_text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
+def _declared_options(subcommand, argv):
+    """The dests of the options that subcommand records in its config."""
+    return [action.dest for action in build_parser().parse_args([subcommand, *argv]).options]
+
+
 @pytest.mark.parametrize("subcommand", ["recover", "experiment", "worstcase", "decimation"])
 def test_flag_and_config_values_embed_the_same_config(
     pair_samples_file, tmp_path, monkeypatch, subcommand
@@ -739,8 +743,8 @@ def test_flag_and_config_values_embed_the_same_config(
         "output": ("-o", str(out)),
         **_one_value_per_option(tmp_path, pair_samples_file)[subcommand],
     }
-    declared = [a.dest for a in build_parser().parse_args([subcommand]).options]
-    assert sorted(declared) == sorted(values)
+    argv = [tok for flag, value in values.values() for tok in (flag, _flag_text(value))]
+    assert sorted(_declared_options(subcommand, argv)) == sorted(values)
 
     def embedded_config(argv):
         assert main([subcommand, *argv]) == 0
@@ -750,15 +754,12 @@ def test_flag_and_config_values_embed_the_same_config(
             return _sweep_config(text)
         return json.loads(text)["config"]
 
-    key_value = tmp_path / "run.cfg"
-    json_config = tmp_path / "run.json"
+    cfg = tmp_path / "run.cfg"
     for key, (flag, value) in values.items():
         others = [tok for k, (f, v) in values.items() if k != key for tok in (f, _flag_text(v))]
-        key_value.write_text(f"{key}={_flag_text(value)}\n")
-        json_config.write_text(json.dumps({key: value}))
+        cfg.write_text(f"{flag}={_flag_text(value)}\n")
         by_flag = embedded_config([*others, flag, _flag_text(value)])
-        assert embedded_config([*others, "--config", str(key_value)]) == by_flag, key
-        assert embedded_config([*others, "--config", str(json_config)]) == by_flag, key
+        assert embedded_config([*others, "--config", str(cfg)]) == by_flag, key
 
 
 @pytest.mark.parametrize("subcommand", ["recover", "experiment", "worstcase", "decimation"])
@@ -780,7 +781,7 @@ def test_recorded_params_are_the_declared_options(
     values = _one_value_per_option(tmp_path, pair_samples_file)[subcommand]
     argv = [tok for flag, value in values.values() for tok in (flag, _flag_text(value))]
     assert main([subcommand, *argv, "-o", str(out)]) == 0
-    declared = [a.dest for a in build_parser().parse_args([subcommand]).options]
+    declared = _declared_options(subcommand, argv)
     expected = [key for key in declared if key not in ("output", "seed")]
     assert [list(config["params"]) for config in recorded] == [expected]
     if subcommand != "experiment":
@@ -788,16 +789,20 @@ def test_recorded_params_are_the_declared_options(
 
 
 @pytest.mark.parametrize(
-    "subcommand, config_text, key",
+    "subcommand, config_text, token",
     [
-        ("experiment", '{"kind": "amplification", "p": 2, "d": 3, "trails": 3, "seed": 1}', "trails"),
-        ("worstcase", '{"seed": 1}', "seed"),
-        ("worstcase", '{"extent": 0.01}', "extent"),
-        ("decimation", "extent=0.01\n", "extent"),
-        ("experiment", "kind=amplification\np=2\nd=3\nh-range=1e-3,1e-2\n", "h-range"),
+        ("experiment", "--kind=amplification\n-p=2\n-d=3\n--trails=3\n--seed=1\n",
+         "--trails=3"),
+        ("worstcase", "--seed=1\n", "--seed=1"),
+        ("worstcase", "--extent=0.01\n", "--extent=0.01"),
+        ("decimation", "--extent=0.01\n", "--extent=0.01"),
     ],
+    ids=["experiment-trails", "worstcase-seed", "worstcase-extent", "decimation-extent"],
 )
-def test_unknown_config_key_exits_2(tmp_path, capsys, monkeypatch, subcommand, config_text, key):
+def test_unknown_config_key_exits_2(
+    tmp_path, capsys, monkeypatch, subcommand, config_text, token
+):
+    # a config token that names no option is an unrecognized argument
     def no_sweep(*_args):
         raise AssertionError("sweep ran")
 
@@ -812,8 +817,10 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, monkeypatch, subcommand, c
         "worstcase": ["-i", str(train), "-p", "2", "--epsilon", "1e-9"],
         "decimation": ["-i", str(train), "-p", "2", "--omega", "100"],
     }[subcommand]
-    assert main([subcommand, *argv, "--config", str(cfg), "-o", str(out)]) == 2
-    assert f"unknown config key for {subcommand}: {key}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main([subcommand, *argv, "--config", str(cfg), "-o", str(out)])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {token}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -931,8 +938,10 @@ def test_library_failures_map_to_exit_codes(
     ],
 )
 def test_missing_required_option_is_named_by_its_flag(capsys, subcommand, argv, flag):
-    assert main([subcommand, *argv]) == 2
-    assert capsys.readouterr().err == f"error: {subcommand} needs {flag}\n"
+    with pytest.raises(SystemExit) as exit_:
+        main([subcommand, *argv])
+    assert exit_.value.code == 2
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -1077,33 +1086,45 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys):
     )
 
 
-def test_malformed_json_config_exits_2(tmp_path, capsys):
-    text = '{"p": 2,}'
-    with pytest.raises(json.JSONDecodeError) as decode:
-        json.loads(text)
-    code, err, _ = _config_error(tmp_path, capsys, text)
-    assert code == 2
-    assert err == f"error: bad JSON config: {decode.value}\n"
+def test_config_file_cannot_set_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "amplification_sweep", lambda *args: pytest.fail("sweep ran"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"--kind=amplification\n-p=2\n-d=3\n--config={cfg}\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: a config file cannot set --config\n"
+
+
+def test_config_file_that_is_not_text_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff--trials=2\n")
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config file: 'utf-8' codec can't decode byte 0xff")
+
+
+_JSON_CONFIG = '{"kind": "amplification", "p": 2, "d": 3}'
 
 
 @pytest.mark.parametrize(
-    "text, message",
-    [
-        # text opening with "{" or "[" is read as JSON
-        ("[1, 2]\n", "JSON config must be an object"),
-        ("kind=amplification\np 2\n", "bad config line (expected key=value): 'p 2'"),
-    ],
-    ids=["json-array", "line-without-equals"],
+    "text, line",
+    [("--kind=amplification\np=2\n-d=3\n", "p=2"), (_JSON_CONFIG + "\n", _JSON_CONFIG)],
+    ids=["key-value", "json"],
 )
-def test_config_line_without_key_value_exits_2(tmp_path, capsys, text, message):
+def test_config_line_that_is_not_a_flag_exits_2(tmp_path, capsys, monkeypatch, text, line):
+    # a file in an older syntax is named by its line, not by a missing option
+    monkeypatch.setattr(cli, "amplification_sweep", lambda *args: pytest.fail("sweep ran"))
     code, err, _ = _config_error(tmp_path, capsys, text)
     assert code == 2
-    assert err == f"error: {message}\n"
+    assert err == f"error: bad config line (expected a flag token): {line!r}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_config_skips_blank_and_comment_lines(tmp_path):
-    plain = "kind=amplification\np=2\nd=3\ntrials=2\nseed=3\n"
-    commented = "# sweep\n\nkind=amplification\n   # indented comment\np=2\n\n  \nd=3\ntrials=2\nseed=3\n"
+    plain = "--kind=amplification\n-p=2\n-d=3\n--trials=2\n--seed=3\n"
+    commented = (
+        "# sweep\n\n--kind=amplification\n   # indented comment\n-p=2\n\n  \n-d=3\n"
+        "--trials=2\n--seed=3\n"
+    )
     cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
     texts = []
     for text in (plain, commented):
@@ -1118,3 +1139,47 @@ def test_config_skips_blank_and_comment_lines(tmp_path):
     assert (params["kind"], params["p"], params["d"], params["trials"], config["seed"]) == (
         "amplification", 2, 3, 2, 3,
     )
+
+
+
+@pytest.mark.parametrize("subcommand", ["recover", "experiment", "worstcase", "decimation"])
+def test_required_options_may_come_from_the_config_file(
+    pair_samples_file, tmp_path, monkeypatch, subcommand
+):
+    monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00+00:00")
+    train = tmp_path / "train.json"
+    amplitudes = [[1, 0], [-1, 0], [1, 0], [-1, 0]]
+    train.write_text(json.dumps({"amplitudes": amplitudes, "nodes": [0.0, 0.01, 0.3, 0.6]}))
+    required = {
+        "recover": [("-i", pair_samples_file), ("-d", 2)],
+        "experiment": [("--kind", "amplification"), ("-p", 2), ("-d", 3)],
+        "worstcase": [("-i", train), ("-p", 2), ("--epsilon", 1e-9)],
+        "decimation": [("-i", train), ("-p", 2), ("--omega", 100)],
+    }[subcommand]
+    extra = ["--trials", "2"] if subcommand == "experiment" else []
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.txt"
+    cfg.write_text("".join(f"{flag}={value}\n" for flag, value in required))
+    texts = []
+    for argv in ([str(tok) for pair in required for tok in pair], ["--config", str(cfg)]):
+        assert main([subcommand, *argv, *extra, "-o", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+
+
+def test_config_option_without_a_path_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["experiment", "--kind", "amplification", "-p", "2", "-d", "3", "--config"])
+    assert exit_.value.code == 2
+    assert "argument --config: expected one argument" in capsys.readouterr().err
+
+
+def test_config_path_may_follow_an_equals_sign(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_timestamp", lambda: "2000-01-01T00:00:00+00:00")
+    cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+    cfg.write_text("--kind=amplification\n-p=2\n-d=3\n--trials=2\n")
+    texts = []
+    for argv in (["--config", str(cfg)], [f"--config={cfg}"]):
+        assert main(["experiment", *argv, "-o", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert _sweep_config(texts[0])["params"]["trials"] == 2

@@ -81,6 +81,13 @@ def test_fourier_blown_up_pair_sample():
     np.testing.assert_allclose(samples.values, [2, -1, -1, 2], atol=1e-12)
 
 
+def test_fourier_at_a_scalar_is_a_complex_equal_to_its_array_entry():
+    train = SpikeTrain(amplitudes=[2.0, -1.0 + 0.5j], nodes=[-0.3, 0.4])
+    value = fourier_at(train, 0.7)
+    assert isinstance(value, complex)
+    assert value == fourier_at(train, np.array([0.7]))[0]
+
+
 def test_fourier_zero_frequency_sums_amplitudes():
     train = SpikeTrain(amplitudes=[2.0, -1.0], nodes=[-0.3, 0.4])
     assert fourier_at(train, 0.0) == pytest.approx(1.0 + 0.0j)
