@@ -337,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     option("--scheme", choices=SCHEMES, default="S1",
            help="perturbation scheme (default %(default)s)")
     option("--h-range", dest="h_range", type=_parse_range, help="lo,hi cluster extents")
-    option("--n-range", dest="n_range", type=_parse_range, help="lo,hi sample counts")
+    option("--n-range", dest="n_range", type=_parse_range,
+           help="lo,hi sample counts; hi must reach 2d+2, and smaller draws "
+                "are raised to 2d+2")
     option("--eps-range", dest="eps_range", type=_parse_range, help="lo,hi noise levels")
     option("--node-index", dest="node_index", type=int,
            help="track a single node's success (1-based, phase only)")

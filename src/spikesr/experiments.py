@@ -95,8 +95,10 @@ class ExperimentRecord:
     A sweep holds thousands of records, so the class is slotted (no
     __dict__), and the per-node tuples of a failed trial (and the factors of
     a trial whose measured noise is zero) are constants shared by every such
-    record with the same d; a failed record's kx is its ka.  Compare them by
-    value and do not rely on their identity.
+    record with the same d; a failed record's kx is its ka.  Success flags
+    come from a bounded cache keyed by the flags, so records with equal
+    flags mostly share one tuple.  Compare them by value and do not rely on
+    their identity.
     """
 
     scheme: str
@@ -168,12 +170,19 @@ def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
     return amps
 
 
+@lru_cache(maxsize=256)
+def _shared_flags(successes: tuple) -> tuple:
+    """The first tuple seen of a pattern of success flags, so the records
+    of a sweep hold one tuple per pattern rather than one per trial."""
+    return successes
+
+
 @lru_cache(maxsize=64)
 def _missing_node_tuples(d: int) -> tuple:
     """Per-node errors, success flags and factors of a trial with d nodes
     that measured none of them, built once per d and shared by every record
     that keeps them."""
-    return (math.nan,) * d, (False,) * d, (None,) * d
+    return (math.nan,) * d, _shared_flags((False,) * d), (None,) * d
 
 
 def _factors(values: list, successes: tuple) -> tuple:
@@ -270,8 +279,8 @@ def single_experiment(
         # Python scalars on the d per-node values, for the reason prony.py
         # gives; they round as float64 does.
         node_errors = tuple(errors)
-        successes = tuple(
-            e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x))
+        successes = _shared_flags(
+            tuple(e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x)))
         )
         if eps0 > 0:
             amp_err = amps - est_amps[nearest]
@@ -325,13 +334,20 @@ def amplification_sweep(
 
     Each trial derives its own random stream from (base_seed, trial index), so
     the full sweep is reproducible and individual trials can be re-run from the
-    seed stored on their record.
+    seed stored on their record.  A sample count drawn below 2d+2 is raised
+    to 2d+2; an n_range whose upper bound rounds below 2d+2 raises ValueError
+    before any trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     log_h, log_n, log_eps = map(_log_bounds, (h_range, n_range, eps_range))
     _check_standard_extent(h_range[1])
     _check_cluster_indices(p, d)
+    if round(n_range[1]) < 2 * d + 2:
+        raise ValueError(
+            f"n_range must reach 2 d + 2 = {2 * d + 2} samples; "
+            f"its upper bound rounds to {round(n_range[1])}"
+        )
     # The largest srf a trial can draw, from the least h and N; each trial
     # checks its own drawn h again, against rounding in the draw.
     _srf(p, h_range[0], max(round(n_range[0]), 2 * d + 2))
@@ -422,19 +438,27 @@ def phase_transition_sweep(
 
 
 def _ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
-    lx = np.log10(np.asarray(xs, dtype=float))
-    ly = np.log10(np.asarray(ys, dtype=float))
+    """Least-squares line through (log10 x, log10 y) from centred sums:
+    slope = sum(dx dy) / sum(dx^2), with the residuals formed in place.
+    The x values must not all be equal."""
+    lx = np.array(xs, dtype=float)
+    ly = np.array(ys, dtype=float)
+    np.log10(lx, out=lx)
+    np.log10(ly, out=ly)
     n = len(lx)
-    design = np.column_stack([lx, np.ones(n)])
-    (slope, intercept), res, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    predicted = design @ np.array([slope, intercept])
-    ss_res = float(np.sum((ly - predicted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    x_mean, y_mean = float(lx.mean()), float(ly.mean())
+    lx -= x_mean
+    ly -= y_mean
+    ss_tot = float(ly @ ly)
+    slope = float(lx @ ly) / float(lx @ lx)
+    lx *= slope
+    ly -= lx
+    ss_res = float(ly @ ly)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     resid_std = math.sqrt(ss_res / (n - 2)) if n > 2 else 0.0
     return SlopeFit(
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=y_mean - slope * x_mean,
         r_squared=r2,
         residual_std=resid_std,
         count=n,

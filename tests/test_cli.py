@@ -419,6 +419,9 @@ def test_decimation_bad_parameters_exit_2(tmp_path, capsys, flags, message):
         (["--h-range", "1e-320,1e-320"], "h=1e-320 is too small for a finite srf"),
         # the cluster gap underflows to 0
         (["--h-range", "5e-324,1e-3"], "h=5e-324 is too small for a finite srf"),
+        # every draw would be raised to 2d+2 = 8, so the range is refused
+        (["--trials", "3", "--scheme", "S2", "--n-range", "5,5"],
+         "n_range must reach 2 d + 2 = 8 samples; its upper bound rounds to 5"),
     ],
 )
 @pytest.mark.parametrize("kind", ["amplification", "phase"])

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import pickle
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,6 +118,17 @@ def test_failed_trials_share_their_per_node_tuples():
         assert rec.successes is first.successes
         assert rec.kx is first.kx
         assert rec.ka is rec.kx
+    # in an S2 sweep, records with equal success flags, failed or not, hold
+    # one tuple
+    records = amplification_sweep(
+        2, 4, **DEFAULT_AMPLIFICATION_RANGES, trials=200, scheme="S2", base_seed=1
+    )
+    shared = {}
+    for rec in records:
+        assert shared.setdefault(rec.successes, rec.successes) is rec.successes
+    estimated = [rec for rec in records if rec.failure is None]
+    assert sum(rec.all_success() for rec in estimated) > 1
+    assert any(rec.successes == (False,) * 4 for rec in records if rec.failure)
 
 
 def test_records_are_slotted_and_frozen():
@@ -380,6 +392,98 @@ def test_fit_loglog_slope_needs_a_tenth_of_a_decade_of_srf():
                 fit_loglog_slope(records, "kx", "cluster")
 
 
+def _reference_ols_loglog(xs, ys):
+    """The former _ols_loglog, an lstsq solve on an n x 2 design matrix,
+    kept as a reference."""
+    lx = np.log10(np.asarray(xs, dtype=float))
+    ly = np.log10(np.asarray(ys, dtype=float))
+    n = len(lx)
+    design = np.column_stack([lx, np.ones(n)])
+    (slope, intercept), res, *_ = np.linalg.lstsq(design, ly, rcond=None)
+    predicted = design @ np.array([slope, intercept])
+    ss_res = float(np.sum((ly - predicted) ** 2))
+    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    resid_std = math.sqrt(ss_res / (n - 2)) if n > 2 else 0.0
+    return experiments.SlopeFit(
+        slope=float(slope),
+        intercept=float(intercept),
+        r_squared=r2,
+        residual_std=resid_std,
+        count=n,
+    )
+
+
+def _fit_points(records, quantity, node_class):
+    """The (srf, factor) points fit_loglog_slope fits."""
+    xs, ys = [], []
+    for rec in records:
+        for j, value in enumerate(getattr(rec, quantity)):
+            if rec.node_class(j) == node_class and value is not None and value > 0:
+                xs.append(rec.srf)
+                ys.append(value)
+    return xs, ys
+
+
+def _synthetic_points(count=15_000):
+    """count (srf, factor) points about a slope-2 power law with
+    log-normal scatter, over 1.5 decades of srf."""
+    rng = np.random.default_rng(31)
+    srf = 10 ** rng.uniform(0.0, 1.5, count)
+    factor = 3.0 * srf**2 * 10 ** rng.normal(0.0, 0.4, count)
+    return srf.tolist(), factor.tolist()
+
+
+def _assert_fits_agree(fit, ref):
+    assert fit.count == ref.count
+    for name in ("slope", "intercept", "r_squared", "residual_std"):
+        got, want = getattr(fit, name), getattr(ref, name)
+        assert math.isclose(got, want, rel_tol=1e-12), (name, got, want)
+
+
+@pytest.mark.parametrize("scheme", ["S1", "S2"])
+def test_fit_loglog_slope_matches_the_lstsq_reference_on_a_sweep(scheme):
+    records = amplification_sweep(
+        2, 4, **DEFAULT_AMPLIFICATION_RANGES, trials=300, scheme=scheme, base_seed=5
+    )
+    fitted = 0
+    for quantity in ("kx", "ka"):
+        for node_class in ("cluster", "noncluster"):
+            try:
+                fit = fit_loglog_slope(records, quantity, node_class)
+            except InsufficientDataError:
+                continue
+            ref = _reference_ols_loglog(*_fit_points(records, quantity, node_class))
+            _assert_fits_agree(fit, ref)
+            fitted += 1
+    assert fitted >= 2
+
+
+def test_fit_loglog_slope_matches_the_lstsq_reference_on_15000_points():
+    xs, ys = _synthetic_points()
+    records = [_planted_record(x, y, y) for x, y in zip(xs, ys)]
+    fit = fit_loglog_slope(records, "kx", "cluster")
+    _assert_fits_agree(fit, _reference_ols_loglog(xs + xs, ys + ys))
+    assert fit.count == 30_000 and fit.slope == pytest.approx(2.0, abs=0.02)
+
+
+def test_slope_fit_allocates_at_most_60_percent_of_the_lstsq_reference():
+    xs, ys = _synthetic_points()
+    peaks = {}
+    for name, fit in (
+        ("fit", experiments._ols_loglog),
+        ("reference", _reference_ols_loglog),
+    ):
+        fit(xs, ys)
+        tracemalloc.start()
+        try:
+            fit(xs, ys)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["fit"] <= 0.6 * peaks["reference"], peaks
+
+
 def test_logistic_boundary_without_a_noise_column_is_degenerate():
     # an all-zero log-eps column leaves its weight at exactly 0
     srf_column = np.linspace(0.0, 2.0, 20)
@@ -623,6 +727,25 @@ def test_sweep_rejects_infinite_ranges_before_any_trial(monkeypatch, ranges):
     with pytest.raises(ValueError, match="range bounds must be finite"):
         amplification_sweep(2, 4, **args, trials=3, scheme="S1", base_seed=0)
     assert calls == []
+
+
+def test_sweep_rejects_an_n_range_below_2d_plus_2_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "single_experiment", lambda *args: calls.append(args))
+    args = {**DEFAULT_AMPLIFICATION_RANGES, "n_range": (5, 7.4)}
+    with pytest.raises(ValueError) as excinfo:
+        amplification_sweep(2, 3, **args, trials=3, scheme="S2", base_seed=0)
+    assert str(excinfo.value) == (
+        "n_range must reach 2 d + 2 = 8 samples; its upper bound rounds to 7"
+    )
+    assert calls == []
+
+
+def test_sweep_raises_smaller_draws_of_a_wider_n_range_to_2d_plus_2():
+    args = {**DEFAULT_AMPLIFICATION_RANGES, "n_range": (5, 9)}
+    records = amplification_sweep(2, 3, **args, trials=40, scheme="S1", base_seed=0)
+    counts = {rec.n_samples for rec in records}
+    assert min(counts) == 8 and counts <= {8, 9}
 
 
 @pytest.mark.parametrize("h_hi", [math.pi, 3.2])
