@@ -14,6 +14,7 @@ import csv
 import io
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -93,12 +94,14 @@ class ExperimentRecord:
     returning an estimate.
 
     A sweep holds thousands of records, so the class is slotted (no
-    __dict__), and the per-node tuples of a failed trial (and the factors of
-    a trial whose measured noise is zero) are constants shared by every such
-    record with the same d; a failed record's kx is its ka.  Success flags
-    come from a bounded cache keyed by the flags, so records with equal
-    flags mostly share one tuple.  Compare them by value and do not rely on
-    their identity.
+    __dict__) and keeps only what the trial measured: srf and the node
+    factors kx = e N / epsilon0 are computed from the other fields on each
+    read.  The per-node tuples of a failed trial (and the factors of a trial
+    whose measured noise is zero) are constants shared by every such record
+    with the same d; a failed record's kx is its ka.  Success flags come
+    from a bounded cache keyed by the flags, so records with equal flags
+    mostly share one tuple.  Compare them by value and do not rely on their
+    identity.
     """
 
     scheme: str
@@ -108,13 +111,28 @@ class ExperimentRecord:
     n_samples: int
     epsilon_requested: float
     epsilon0: float
-    srf: float
     seed: int
     node_errors: tuple
     successes: tuple
-    kx: tuple
     ka: tuple
     failure: Optional[str] = None
+
+    @property
+    def srf(self) -> float:
+        """1/(N * gap), as _srf computes it from p, h and N."""
+        return _srf(self.p, self.h, self.n_samples)
+
+    @property
+    def kx(self) -> tuple:
+        """Node factors e N / epsilon0 where the node succeeded and the factor
+        is finite, else None; a fresh tuple on each read unless shared."""
+        eps0 = self.epsilon0
+        if not (eps0 > 0 and any(self.successes)):
+            return _missing_node_tuples(self.d)[2]
+        # a subnormal eps0 can overflow a factor to inf, which Python float
+        # division returns without a warning; it is kept as missing
+        n_samples = self.n_samples
+        return _factors([e * n_samples / eps0 for e in self.node_errors], self.successes)
 
     def node_class(self, index: int) -> str:
         """'cluster' or 'noncluster' for a 0-based node index."""
@@ -248,12 +266,12 @@ def single_experiment(
     amps = _scheme_amplitudes(scheme, d)
     train = SpikeTrain(amplitudes=amps, nodes=x)
 
-    srf = _srf(p, h, n_samples)
+    # the record computes its srf on read; a draw that gives none fails here
+    _srf(p, h, n_samples)
 
     eps0 = math.nan
     failure = None
-    node_errors, successes, kx = _missing_node_tuples(d)
-    ka = kx
+    node_errors, successes, ka = _missing_node_tuples(d)
     try:
         if scheme == "S1":
             samples = sample_spectrum(train, n_samples, epsilon, seed)
@@ -287,9 +305,6 @@ def single_experiment(
             # hypot, not np.abs: complex np.abs may differ from the scalar
             # abs in the last ulp, and hypot matches it bit for bit
             amp_errors = np.hypot(amp_err.real, amp_err.imag).tolist()
-            # a subnormal eps0 can overflow a factor to inf, which Python
-            # float division returns without a warning; it is kept as missing
-            kx = _factors([e * n_samples / eps0 for e in errors], successes)
             ka = _factors([a / eps0 for a in amp_errors], successes)
 
     return ExperimentRecord(
@@ -300,11 +315,9 @@ def single_experiment(
         n_samples=n_samples,
         epsilon_requested=epsilon,
         epsilon0=eps0,
-        srf=srf,
         seed=seed,
         node_errors=node_errors,
         successes=successes,
-        kx=kx,
         ka=ka,
         failure=failure,
     )
@@ -481,14 +494,19 @@ def fit_loglog_slope(
         raise ValueError("quantity must be 'kx' or 'ka'")
     if node_class not in ("cluster", "noncluster"):
         raise ValueError("node_class must be 'cluster' or 'noncluster'")
-    xs, ys = [], []
+    # float buffers hold no float object per point, and srf is computed
+    # once per record that has a point
+    xs, ys = array("d"), array("d")
     for rec in records:
         factors = rec.kx if quantity == "kx" else rec.ka
+        srf = None
         for j, value in enumerate(factors):
             if rec.node_class(j) != node_class or value is None:
                 continue
             if value > 0 and math.isfinite(value):
-                xs.append(rec.srf)
+                if srf is None:
+                    srf = rec.srf
+                xs.append(srf)
                 ys.append(value)
     if len(xs) < 10:
         raise InsufficientDataError(
@@ -532,7 +550,8 @@ def _csv_text(text: str) -> str:
 def _rows(record: ExperimentRecord):
     """Each node's CSV cells of a record in CSV_HEADER order.
 
-    The per-trial cells are formatted once per record, not once per node.
+    The per-trial cells are formatted, and srf and kx computed, once per
+    record, not once per node.
     """
     trial = [
         _format_cell(value)
@@ -548,6 +567,7 @@ def _rows(record: ExperimentRecord):
         )
     ]
     seed = _format_cell(record.seed)
+    kx = record.kx
     for j in range(record.d):
         yield [
             *trial,
@@ -555,7 +575,7 @@ def _rows(record: ExperimentRecord):
             _format_cell(record.node_class(j)),
             _format_cell(record.node_errors[j]),
             _format_cell(record.successes[j]),
-            _format_cell(record.kx[j]),
+            _format_cell(kx[j]),
             _format_cell(record.ka[j]),
             seed,
         ]

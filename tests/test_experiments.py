@@ -163,11 +163,70 @@ def test_records_equal_a_rebuild_with_fresh_tuples():
             rec,
             **{
                 name: tuple(list(getattr(rec, name)))
-                for name in ("node_errors", "successes", "kx", "ka")
+                for name in ("node_errors", "successes", "ka")
             },
         )
         assert fresh.node_errors is not rec.node_errors
         assert fresh == rec
+
+
+def _stored_srf(p, h, n_samples):
+    """srf as single_experiment formerly computed and stored it."""
+    gap = (h / (2.0 * math.pi)) / (p - 1)
+    return 1.0 / (n_samples * gap)
+
+
+def _stored_kx(rec):
+    """kx as single_experiment formerly computed and stored it: the node
+    factors of a scored trial whose measured noise is positive, else all
+    None."""
+    if rec.failure is not None or not rec.epsilon0 > 0:
+        return (None,) * rec.d
+    values = [e * rec.n_samples / rec.epsilon0 for e in rec.node_errors]
+    return tuple(v if ok and math.isfinite(v) else None for v, ok in zip(values, rec.successes))
+
+
+def _hex_cells(values):
+    return [None if v is None else float.hex(v) for v in values]
+
+
+def test_derived_srf_and_kx_are_the_formerly_stored_bits():
+    records = [
+        rec
+        for p in (2, 3)
+        for scheme in ("S1", "S2")
+        for rec in amplification_sweep(
+            p, p + 2, **DEFAULT_AMPLIFICATION_RANGES, trials=100, scheme=scheme, base_seed=1
+        )
+    ]
+    # a noiseless trial measures eps0 == 0, and a subnormal eps0 overflows
+    # some factors of successful nodes
+    noiseless = single_experiment(2, 4, 0.05, 64, 0.0, "S1", seed=4)
+    subnormal = amplification_sweep(
+        3, 5, (5e-3, 6e-2), (48, 96), (1e-323, 1e-320), 30, "S1", 0
+    )
+    records += [noiseless, *subnormal]
+    assert noiseless.epsilon0 == 0 and noiseless.all_success()
+    assert any(rec.failure is not None and rec.epsilon0 > 0 for rec in records)
+    assert any(rec.failure is not None and math.isnan(rec.epsilon0) for rec in records)
+    assert any(
+        ok and e * rec.n_samples / rec.epsilon0 == math.inf
+        for rec in subnormal
+        for e, ok in zip(rec.node_errors, rec.successes)
+    )
+    for rec in records:
+        assert float.hex(rec.srf) == float.hex(_stored_srf(rec.p, rec.h, rec.n_samples))
+        assert _hex_cells(rec.kx) == _hex_cells(_stored_kx(rec))
+
+
+def test_records_take_no_srf_or_kx_argument():
+    rec = single_experiment(2, 4, 0.03, 64, 1e-6, "S1", seed=5)
+    fields = dataclasses.asdict(rec)
+    assert [f.name for f in dataclasses.fields(rec)] == list(fields)
+    for name in ("srf", "kx"):
+        assert name not in fields and f"{name}=" not in repr(rec)
+        with pytest.raises(TypeError):
+            ExperimentRecord(**fields, **{name: getattr(rec, name)})
 
 
 def test_single_experiment_node_classes():
@@ -326,19 +385,21 @@ def test_scoring_fails_a_true_node_left_without_an_estimate(monkeypatch):
 
 
 def _planted_record(srf, kx, ka):
+    """A p=2, d=3 record whose srf and two cluster node factors come within
+    a few ulps of srf and kx: the record computes both from the planted
+    extent and node errors."""
+    n_samples, eps0 = 64, 1e-6
     return ExperimentRecord(
         scheme="S1",
         p=2,
         d=3,
-        h=0.01,
-        n_samples=64,
+        h=2 * math.pi / (n_samples * srf),
+        n_samples=n_samples,
         epsilon_requested=1e-6,
-        epsilon0=1e-6,
-        srf=srf,
+        epsilon0=eps0,
         seed=0,
-        node_errors=(0.0, 0.0, 0.0),
+        node_errors=tuple(k * eps0 / n_samples for k in (kx, kx, 1.0)),
         successes=(True, True, True),
-        kx=(kx, kx, 1.0),
         ka=(ka, ka, 1.0),
     )
 
@@ -652,10 +713,11 @@ def test_writers_match_dict_based_reference(scheme, p):
     # text the csv module quotes, or on some Python versions does not ("\r")
     for text in ("S,1", 'S"1', "S\n1", "S\r1", "S\r\n1", "", " S1 "):
         records.append(
+            # an infinite eps0 turns the node error -0.0 into the factor -0.0
             ExperimentRecord(
                 scheme=text, p=2, d=2, h=1e-3, n_samples=8, epsilon_requested=1e-9,
-                epsilon0=math.inf, srf=-0.0, seed=3, node_errors=(0.5, math.nan),
-                successes=(True, False), kx=(1.0, None), ka=(2.0, None),
+                epsilon0=math.inf, seed=3, node_errors=(-0.0, math.nan),
+                successes=(True, False), ka=(2.0, None),
             )
         )
     records.append(single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0))
