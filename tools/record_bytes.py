@@ -32,27 +32,21 @@ TRIALS = 500
 BASE_SEEDS = range(1000, 1008)
 
 
-def sweeps(scheme: str) -> list:
-    return [
-        amplification_sweep(
-            P, D, **DEFAULT_AMPLIFICATION_RANGES, trials=TRIALS, scheme=scheme,
-            base_seed=seed,
-        )
-        for seed in BASE_SEEDS
-    ]
+def sweep(scheme: str, base_seed: int) -> list:
+    return amplification_sweep(
+        P, D, **DEFAULT_AMPLIFICATION_RANGES, trials=TRIALS, scheme=scheme,
+        base_seed=base_seed,
+    )
 
 
 def bytes_per_record(scheme: str) -> tuple:
     """(traced bytes held per record, record count) for one scheme."""
-    amplification_sweep(
-        P, D, **DEFAULT_AMPLIFICATION_RANGES, trials=TRIALS, scheme=scheme,
-        base_seed=BASE_SEEDS[0],
-    )
+    sweep(scheme, BASE_SEEDS[0])
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        kept = sweeps(scheme)
+        kept = [sweep(scheme, seed) for seed in BASE_SEEDS]
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
