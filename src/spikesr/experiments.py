@@ -134,10 +134,6 @@ class ExperimentRecord:
         n_samples = self.n_samples
         return _factors([e * n_samples / eps0 for e in self.node_errors], self.successes)
 
-    def node_class(self, index: int) -> str:
-        """'cluster' or 'noncluster' for a 0-based node index."""
-        return "cluster" if index < self.p else "noncluster"
-
     def all_success(self) -> bool:
         return bool(all(self.successes))
 
@@ -426,27 +422,31 @@ def phase_transition_sweep(
     records = amplification_sweep(
         p, d, h_range, n_range, eps_range, trials, scheme, base_seed
     )
-    outcomes = []
-    rows = []
-    for rec in records:
-        if node_index is None:
-            ok = rec.all_success()
-        else:
-            ok = bool(rec.successes[node_index - 1])
-        eps_for_fit = rec.epsilon0
-        if not math.isfinite(eps_for_fit) or eps_for_fit <= 0:
-            eps_for_fit = rec.epsilon_requested
-        outcomes.append(ok)
-        rows.append((1.0, math.log10(rec.srf), math.log10(eps_for_fit)))
-    outcome_arr = np.array(outcomes, dtype=float)
-    if outcome_arr.min() == outcome_arr.max():
+    n = len(records)
+    if node_index is None:
+        outcomes = np.fromiter((rec.all_success() for rec in records), float, n)
+    else:
+        k = node_index - 1
+        outcomes = np.fromiter((rec.successes[k] for rec in records), float, n)
+    # rows [1, log10 srf, log10 eps], with the requested eps where the trial
+    # measured no finite positive eps0; math.log10 keeps the scalar bits
+    features = np.ones((n, 3))
+    features[:, 1] = np.fromiter((math.log10(rec.srf) for rec in records), float, n)
+    features[:, 2] = np.fromiter(
+        (
+            math.log10(rec.epsilon0 if 0 < rec.epsilon0 < math.inf else rec.epsilon_requested)
+            for rec in records
+        ),
+        float,
+        n,
+    )
+    if outcomes.min() == outcomes.max():
         raise DegenerateFitError("degenerate fit: all trials share one outcome")
-    log_srfs = [row[1] for row in rows]
-    if max(log_srfs) - min(log_srfs) < _MIN_LOG_SRF_SPAN:
+    if features[:, 1].max() - features[:, 1].min() < _MIN_LOG_SRF_SPAN:
         raise DegenerateFitError(
             f"degenerate fit: the trials span less than {_MIN_LOG_SRF_SPAN} decade of srf"
         )
-    fit = _logistic_boundary(np.array(rows), outcome_arr)
+    fit = _logistic_boundary(features, outcomes)
     return records, fit
 
 
@@ -497,13 +497,12 @@ def fit_loglog_slope(
     # float buffers hold no float object per point, and srf is computed
     # once per record that has a point
     xs, ys = array("d"), array("d")
+    cluster = node_class == "cluster"
     for rec in records:
         factors = rec.kx if quantity == "kx" else rec.ka
         srf = None
-        for j, value in enumerate(factors):
-            if rec.node_class(j) != node_class or value is None:
-                continue
-            if value > 0 and math.isfinite(value):
+        for value in factors[: rec.p] if cluster else factors[rec.p :]:
+            if value is not None and value > 0 and math.isfinite(value):
                 if srf is None:
                     srf = rec.srf
                 xs.append(srf)
@@ -520,20 +519,6 @@ def fit_loglog_slope(
     return _ols_loglog(xs, ys)
 
 
-def _format_cell(value) -> str:
-    """A CSV cell as csv.writer writes it.  Numbers and flags never need
-    quoting; any other text goes through _csv_text."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    return _csv_text(str(value))
-
-
 @lru_cache(maxsize=256)
 def _csv_text(text: str) -> str:
     """text quoted as the running Python's csv.writer quotes a field of a
@@ -547,44 +532,32 @@ def _csv_text(text: str) -> str:
     return buf.getvalue()[: -len(",\n")]
 
 
-def _rows(record: ExperimentRecord):
-    """Each node's CSV cells of a record in CSV_HEADER order.
-
-    The per-trial cells are formatted, and srf and kx computed, once per
-    record, not once per node.
-    """
-    trial = [
-        _format_cell(value)
-        for value in (
-            record.scheme,
-            record.p,
-            record.d,
-            record.h,
-            record.n_samples,
-            record.epsilon_requested,
-            record.epsilon0,
-            record.srf,
-        )
-    ]
-    seed = _format_cell(record.seed)
-    kx = record.kx
-    for j in range(record.d):
-        yield [
-            *trial,
-            _format_cell(j + 1),
-            _format_cell(record.node_class(j)),
-            _format_cell(record.node_errors[j]),
-            _format_cell(record.successes[j]),
-            _format_cell(kx[j]),
-            _format_cell(record.ka[j]),
-            seed,
-        ]
-
-
 def write_records_csv(records, stream) -> None:
     """Write one CSV row per (record, node) under CSV_HEADER, byte for byte
     what csv.writer with a line-feed line terminator writes, one write per
-    record."""
+    record.
+
+    A float cell is its repr and a count (p, d, N, node_index, seed) its
+    str, as csv.writer writes them; a success flag is true or false, a
+    missing factor is an empty cell, and node_class is cluster for node
+    indices 1..p, else noncluster.  The scheme, the one text cell, is quoted
+    as csv.writer quotes it.  A record whose per-node tuples are shorter
+    than d raises IndexError before any of its rows is written.
+    """
     stream.write(CSV_HEADER + "\n")
-    for record in records:
-        stream.write("".join([",".join(row) + "\n" for row in _rows(record)]))
+    for rec in records:
+        # the trial's cells, srf and kx are formed once per record
+        trial = (
+            f"{_csv_text(rec.scheme)},{rec.p!s},{rec.d!s},{rec.h!r},{rec.n_samples!s},"
+            f"{rec.epsilon_requested!r},{rec.epsilon0!r},{rec.srf!r}"
+        )
+        p, seed, errors, flags, kx, ka = (
+            rec.p, rec.seed, rec.node_errors, rec.successes, rec.kx, rec.ka
+        )
+        rows = [
+            f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},{errors[j]!r},"
+            f"{'true' if flags[j] else 'false'},{'' if kx[j] is None else repr(kx[j])},"
+            f"{'' if ka[j] is None else repr(ka[j])},{seed!s}\n"
+            for j in range(rec.d)
+        ]
+        stream.write("".join(rows))

@@ -231,7 +231,10 @@ def test_records_take_no_srf_or_kx_argument():
 
 def test_single_experiment_node_classes():
     record = single_experiment(3, 5, 0.01, 64, 1e-10, "S1", seed=1)
-    assert [record.node_class(j) for j in range(5)] == [
+    buf = io.StringIO()
+    write_records_csv([record], buf)
+    column = CSV_HEADER.split(",").index("node_class")
+    assert [row.split(",")[column] for row in buf.getvalue().splitlines()[1:]] == [
         "cluster", "cluster", "cluster", "noncluster", "noncluster",
     ]
 
@@ -480,7 +483,8 @@ def _fit_points(records, quantity, node_class):
     xs, ys = [], []
     for rec in records:
         for j, value in enumerate(getattr(rec, quantity)):
-            if rec.node_class(j) == node_class and value is not None and value > 0:
+            in_class = "cluster" if j < rec.p else "noncluster"
+            if in_class == node_class and value is not None and value > 0:
                 xs.append(rec.srf)
                 ys.append(value)
     return xs, ys
@@ -621,6 +625,45 @@ def test_phase_fit_takes_the_requested_eps_where_no_eps0_was_measured(monkeypatc
     ]
 
 
+def _reference_phase_fit(records, node_index):
+    """The former list-based feature construction of phase_transition_sweep,
+    kept as a reference."""
+    outcomes = []
+    rows = []
+    for rec in records:
+        if node_index is None:
+            ok = rec.all_success()
+        else:
+            ok = bool(rec.successes[node_index - 1])
+        eps_for_fit = rec.epsilon0
+        if not math.isfinite(eps_for_fit) or eps_for_fit <= 0:
+            eps_for_fit = rec.epsilon_requested
+        outcomes.append(ok)
+        rows.append((1.0, math.log10(rec.srf), math.log10(eps_for_fit)))
+    outcome_arr = np.array(outcomes, dtype=float)
+    assert outcome_arr.min() != outcome_arr.max()
+    log_srfs = [row[1] for row in rows]
+    assert max(log_srfs) - min(log_srfs) >= 0.1
+    return experiments._logistic_boundary(np.array(rows), outcome_arr)
+
+
+@pytest.mark.parametrize("node_index", [None, 1, 4])
+@pytest.mark.parametrize("scheme", ["S1", "S2"])
+def test_phase_fit_is_the_list_based_fit_to_the_bit(scheme, node_index):
+    # noise up to 10 also fails the non-cluster node 4
+    ranges = {**DEFAULT_PHASE_RANGES, "eps_range": (1e-12, 10.0)}
+    records, fit = phase_transition_sweep(
+        2, 4, **ranges, trials=150, scheme=scheme, base_seed=3, node_index=node_index
+    )
+    if scheme == "S2":
+        # worst-case failures measure no eps0 and fit the requested eps
+        assert any(rec.failure is not None and math.isnan(rec.epsilon0) for rec in records)
+    ref = _reference_phase_fit(records, node_index)
+    assert (fit.n_success, fit.n_failure) == (ref.n_success, ref.n_failure)
+    for name in ("slope", "intercept"):
+        assert getattr(fit, name).hex() == getattr(ref, name).hex(), name
+
+
 @pytest.mark.parametrize("node_index", [0, 9])
 def test_phase_transition_rejects_node_index_before_any_trial(monkeypatch, node_index):
     calls = []
@@ -670,7 +713,7 @@ def _reference_rows(record):
             "eps0": record.epsilon0,
             "srf": record.srf,
             "node_index": j + 1,
-            "node_class": record.node_class(j),
+            "node_class": "cluster" if j < record.p else "noncluster",
             "e": record.node_errors[j],
             "succ": record.successes[j],
             "Kx": record.kx[j],
@@ -721,11 +764,40 @@ def test_writers_match_dict_based_reference(scheme, p):
             )
         )
     records.append(single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0))
+    # numpy scalars in the count and float cells, and signed zeros, NaN and
+    # infinities in the float cells
+    for count, real in ((np.int64, np.float64), (np.uint64, float)):
+        for eps_req, eps0 in ((-0.0, 1e-9), (math.inf, math.nan), (math.nan, -0.0)):
+            records.append(
+                ExperimentRecord(
+                    scheme="S2", p=count(2), d=count(3), h=real(2e-2), n_samples=count(40),
+                    epsilon_requested=real(eps_req), epsilon0=real(eps0), seed=count(2**63 - 1),
+                    node_errors=(1e-12, -0.0, math.inf), successes=(True, True, False),
+                    ka=(math.inf, -0.0, None),
+                )
+            )
     assert any(rec.failure is not None for rec in records)
     assert any(rec.failure is None for rec in records)
     buf = io.StringIO()
     write_records_csv(records, buf)
     assert buf.getvalue() == _reference_csv(records)
+
+
+@pytest.mark.parametrize("succeeded", [True, False])
+def test_a_record_shorter_than_d_raises_before_its_rows_are_written(succeeded):
+    good = single_experiment(2, 3, 0.02, 48, 1e-8, "S1", seed=1)
+    assert good.all_success()
+    # per-node tuples of 3 under d = 4; a failed record's kx holds d values
+    short = dataclasses.replace(good, d=4)
+    if not succeeded:
+        short = dataclasses.replace(short, successes=(False,) * 3, ka=(None,) * 3)
+    assert len(short.kx) == (3 if succeeded else 4)
+    buf = io.StringIO()
+    with pytest.raises(IndexError):
+        write_records_csv([good, good, short, good], buf)
+    expected = io.StringIO()
+    write_records_csv([good, good], expected)
+    assert buf.getvalue() == expected.getvalue()
 
 
 def _reference_sweep(p, d, h_range, n_range, eps_range, trials, scheme, base_seed):
