@@ -226,6 +226,41 @@ def _srf(p: int, h: float, n_samples: int) -> float:
     return srf
 
 
+def _measure(
+    train: SpikeTrain, p: int, n_samples: int, epsilon: float, scheme: str, seed: int
+) -> SpectralSamples:
+    """The trial's samples and their measured noise epsilon0: S1 samples with
+    bounded random noise, S2 the exact spectrum of the worst-case signal,
+    with epsilon0 its deviation from the clean spectrum of train."""
+    if scheme == "S1":
+        return sample_spectrum(train, n_samples, epsilon, seed)
+    values = clean_spectrum(worst_case_signal(train, p, epsilon).perturbed, n_samples)
+    return SpectralSamples(
+        values, float(np.abs(clean_spectrum(train, n_samples) - values).max())
+    )
+
+
+def _score(x: list, train: SpikeTrain, estimate: SpikeTrain, eps0: float) -> tuple:
+    """Per-node errors, success flags and amplitude factors of an estimate of
+    train, whose nodes are x as Python floats."""
+    # dist[j, l]: estimate j to true node l.  True node l is scored by its
+    # nearest estimate, and Ka compares true node l with that estimate.
+    dist = _circular_distance(estimate.nodes[:, None], train.nodes[None, :])
+    errors = dist.min(axis=0).tolist()
+    # Python scalars on the d per-node values, for the reason prony.py
+    # gives; they round as float64 does.
+    successes = _shared_flags(
+        tuple(e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x)))
+    )
+    if not eps0 > 0:
+        return tuple(errors), successes, _missing_node_tuples(len(x))[2]
+    amp_err = train.amplitudes - estimate.amplitudes[dist.argmin(axis=0)]
+    # hypot, not np.abs: complex np.abs may differ from the scalar abs in
+    # the last ulp, and hypot matches it bit for bit
+    amp_errors = np.hypot(amp_err.real, amp_err.imag).tolist()
+    return tuple(errors), successes, _factors([a / eps0 for a in amp_errors], successes)
+
+
 def single_experiment(
     p: int,
     d: int,
@@ -249,9 +284,11 @@ def single_experiment(
     true nodes; on success the node and amplitude errors are normalized by
     epsilon0/N and epsilon0 respectively.
 
-    h and epsilon are taken as Python floats and p, d, n_samples and seed
-    as Python ints, so numpy scalars give the record a Python call gives; a
-    count that is not an integer, such as 64.0, raises TypeError.
+    The trial measures (_measure), estimates (mp_recover) and scores
+    (_score); each stage calls the public functions through this module's
+    names.  h and epsilon are taken as Python floats and p, d, n_samples and
+    seed as Python ints, so numpy scalars give the record a Python call
+    gives; a count that is not an integer, such as 64.0, raises TypeError.
     """
     p, d, n_samples, seed = map(operator.index, (p, d, n_samples, seed))
     h, epsilon = float(h), float(epsilon)
@@ -259,63 +296,23 @@ def single_experiment(
         raise ValueError("need at least 2 d samples")
     _check_cluster_indices(p, d)
     x = [node / (2.0 * math.pi) for node in _standard_nodes(p, d, h)]
-    amps = _scheme_amplitudes(scheme, d)
-    train = SpikeTrain(amplitudes=amps, nodes=x)
+    train = SpikeTrain(amplitudes=_scheme_amplitudes(scheme, d), nodes=x)
 
     # the record computes its srf on read; a draw that gives none fails here
     _srf(p, h, n_samples)
 
     eps0 = math.nan
-    failure = None
-    node_errors, successes, ka = _missing_node_tuples(d)
     try:
-        if scheme == "S1":
-            samples = sample_spectrum(train, n_samples, epsilon, seed)
-        else:
-            perturbed = worst_case_signal(train, p, epsilon).perturbed
-            values = clean_spectrum(perturbed, n_samples)
-            samples = SpectralSamples(
-                values, float(np.abs(clean_spectrum(train, n_samples) - values).max())
-            )
-        eps0 = samples.actual_noise
-        result = mp_recover(samples, d)
-    except SpikesrError as exc:
+        samples = _measure(train, p, n_samples, epsilon, scheme, seed)
         # a worst-case failure leaves eps0 NaN; an estimator failure keeps it
-        failure = str(exc)
-    else:
-        est_nodes = result.estimate.nodes
-        est_amps = result.estimate.amplitudes
-        # dist[j, l]: estimate j to true node l.  True node l is scored by its
-        # nearest estimate, and Ka compares true node l with that estimate.
-        dist = _circular_distance(est_nodes[:, None], train.nodes[None, :])
-        errors = dist.min(axis=0).tolist()
-        nearest = dist.argmin(axis=0)
-        # Python scalars on the d per-node values, for the reason prony.py
-        # gives; they round as float64 does.
-        node_errors = tuple(errors)
-        successes = _shared_flags(
-            tuple(e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x)))
+        eps0 = samples.actual_noise
+        estimate = mp_recover(samples, d).estimate
+    except SpikesrError as exc:
+        return ExperimentRecord(
+            scheme, p, d, h, n_samples, epsilon, eps0, seed, *_missing_node_tuples(d), str(exc)
         )
-        if eps0 > 0:
-            amp_err = amps - est_amps[nearest]
-            # hypot, not np.abs: complex np.abs may differ from the scalar
-            # abs in the last ulp, and hypot matches it bit for bit
-            amp_errors = np.hypot(amp_err.real, amp_err.imag).tolist()
-            ka = _factors([a / eps0 for a in amp_errors], successes)
-
     return ExperimentRecord(
-        scheme=scheme,
-        p=p,
-        d=d,
-        h=h,
-        n_samples=n_samples,
-        epsilon_requested=epsilon,
-        epsilon0=eps0,
-        seed=seed,
-        node_errors=node_errors,
-        successes=successes,
-        ka=ka,
-        failure=failure,
+        scheme, p, d, h, n_samples, epsilon, eps0, seed, *_score(x, train, estimate, eps0)
     )
 
 

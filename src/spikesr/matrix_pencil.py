@@ -15,6 +15,7 @@ are the z_j.  This is the shift-invariance form of the Matrix Pencil method
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +54,8 @@ def mp_recover(
 ) -> RecoveryResult:
     """Recover d nodes and amplitudes from N >= 2d unit-rate samples.
 
-    The pencil parameter L defaults to ceil(N / 2) and must lie in [d, N - d].
+    The pencil parameter L defaults to ceil(N / 2) and must be an integer in
+    [d, N - d]; one that is not, such as 4.0, raises TypeError.
 
     One SVD of the (L+1) x (N-L) sample Hankel matrix gives the d leading left
     singular vectors U; the least-squares solution Psi of U[:-1] Psi = U[1:]
@@ -73,7 +75,7 @@ def mp_recover(
         raise ValueError("model order d must be at least 1")
     if n < 2 * d:
         raise ValueError(f"need at least 2 d = {2 * d} samples, got {n}")
-    L = -(-n // 2) if pencil_param is None else pencil_param
+    L = -(-n // 2) if pencil_param is None else operator.index(pencil_param)
     if not d <= L <= n - d:
         raise ValueError(f"pencil parameter must lie in [{d}, {n - d}]")
 

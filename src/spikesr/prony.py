@@ -10,6 +10,7 @@ vector of a Hankel matrix, companion-matrix roots, Vandermonde least squares.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,7 +40,9 @@ class PronySolution:
 
 
 def prony_map(amplitudes, nodes, count: int) -> np.ndarray:
-    """Power sums mu_k = sum_j a_j w_j^k for k = 0..count-1."""
+    """Power sums mu_k = sum_j a_j w_j^k for k = 0..count-1.  A count that is
+    not an integer, such as 2.0, raises TypeError."""
+    count = operator.index(count)
     if count < 1:
         raise ValueError("need at least one output value")
     a = np.atleast_1d(np.asarray(amplitudes, dtype=complex))

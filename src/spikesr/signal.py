@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +176,9 @@ def fourier_at(train: SpikeTrain, s):
 
 
 def clean_spectrum(train: SpikeTrain, count: int) -> np.ndarray:
-    """Noiseless unit-rate samples m_k = F(-k), k = 0..count-1."""
+    """Noiseless unit-rate samples m_k = F(-k), k = 0..count-1.  A count that
+    is not an integer, such as 4.0, raises TypeError."""
+    count = operator.index(count)
     if count < 1:
         raise ValueError("need at least one sample")
     return fourier_at(train, -np.arange(count))

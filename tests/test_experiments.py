@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spikesr import experiments
+from spikesr import experiments, worstcase
 from spikesr.errors import DegenerateFitError, InsufficientDataError
 from spikesr.experiments import (
     CSV_HEADER,
@@ -67,6 +67,56 @@ def test_estimator_samples_carry_the_recorded_eps0(monkeypatch, scheme, h):
     record = single_experiment(2, 3, h, 48, 1e-9, scheme, seed=0)
     assert record.failure is None and len(seen) == 1
     assert seen[0].actual_noise == record.epsilon0 > 0
+
+
+def _count_trial_calls(monkeypatch):
+    """Counting wrappers on the names the traced bench patches; returns the
+    counts and the worst-case constructions that raised."""
+    counts = dict.fromkeys(
+        ["sample_spectrum", "clean_spectrum", "worst_case_signal", "mp_recover", "prony_solve"], 0
+    )
+    rejected = []
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            try:
+                return inner(*args, **kwargs)
+            except Exception:
+                if name == "worst_case_signal":
+                    rejected.append(args)
+                raise
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ["sample_spectrum", "clean_spectrum", "worst_case_signal", "mp_recover"]:
+        counting(experiments, name)
+    counting(worstcase, "prony_solve")
+    return counts, rejected
+
+
+@pytest.mark.parametrize("scheme", ["S1", "S2"])
+def test_each_trial_calls_the_traced_stages_once(monkeypatch, scheme):
+    counts, rejected = _count_trial_calls(monkeypatch)
+    outcomes = set()
+    for h in (5e-3, 2e-2, 6e-2):
+        for eps in (1e-12, 1e-8, 1e-4):
+            before, n_rejected = dict(counts), len(rejected)
+            single_experiment(2, 4, h, 64, eps, scheme, seed=3)
+            calls = {name: counts[name] - before[name] for name in counts}
+            if scheme == "S1":
+                want = {"sample_spectrum": 1, "mp_recover": 1}
+            else:
+                accepted = len(rejected) == n_rejected
+                outcomes.add(accepted)
+                want = {"worst_case_signal": 1, "prony_solve": 1}
+                if accepted:
+                    want.update(clean_spectrum=2, mp_recover=1)
+            assert calls == {name: want.get(name, 0) for name in counts}, (h, eps)
+    if scheme == "S2":
+        assert outcomes == {True, False}
 
 
 def test_single_experiment_s2_too_large_epsilon_fails_gracefully():

@@ -153,6 +153,16 @@ def test_recover_validates_arguments():
         mp_recover(sample_spectrum(train, 3, 0.0, 0), 2)  # too few samples
 
 
+@pytest.mark.parametrize("pencil_param", [4.0, 4.5])
+def test_recover_rejects_a_fractional_pencil_param(pencil_param):
+    # a float pencil used to reach the Hankel index as an untyped IndexError
+    train = SpikeTrain(amplitudes=[1.0, 2.0], nodes=[0.1, 0.3])
+    samples = sample_spectrum(train, 8, 0.0, 0)
+    with pytest.raises(TypeError):
+        mp_recover(samples, 2, pencil_param)
+    assert mp_recover(samples, 2, np.int64(4)).pencil_param == 4
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_recover_rejects_non_finite_samples(bad):
     train = SpikeTrain(amplitudes=[1.0, 2.0], nodes=[0.1, 0.3])

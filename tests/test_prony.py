@@ -230,6 +230,13 @@ def test_prony_map_rejects_bad_count_and_unequal_lengths(amplitudes, nodes, coun
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0])
+def test_prony_map_rejects_a_fractional_count(count):
+    # np.arange of a float would silently round 2.5 up to 3 power sums
+    with pytest.raises(TypeError):
+        prony_map([1.0], [0.5], count)
+
+
 @pytest.mark.parametrize("d", [0, -1])
 def test_prony_solve_rejects_order_below_one(d):
     with pytest.raises(ValueError) as excinfo:

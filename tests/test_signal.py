@@ -144,6 +144,15 @@ def test_clean_spectrum_needs_a_sample():
         clean_spectrum(train, 0)
 
 
+@pytest.mark.parametrize("count", [4.5, 4.0, np.float64(4.0)])
+def test_clean_spectrum_rejects_a_fractional_count(count):
+    # np.arange of a float would silently round 4.5 up to 5 samples
+    train = SpikeTrain(amplitudes=[1.0], nodes=[0.0])
+    with pytest.raises(TypeError):
+        clean_spectrum(train, count)
+    assert len(clean_spectrum(train, np.int64(4))) == 4
+
+
 def test_sample_spectrum_draws_disk_noise():
     # radius uniform on [0, bound], then angle uniform on [0, 2 pi), one stream
     train = SpikeTrain(amplitudes=[1.0, -0.5j], nodes=[0.2, 0.45])
