@@ -10,8 +10,6 @@ parameter draws and the fitting helpers extract the power-law scalings.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 from array import array
@@ -171,15 +169,19 @@ def _circular_distance(a, b) -> np.ndarray:
     return np.abs(diff - np.rint(diff))
 
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+
+
 @lru_cache(maxsize=64)
 def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
     """Read-only amplitudes of a scheme's d nodes, built once per (scheme, d)."""
+    _check_scheme(scheme)
     if scheme == "S1":
         amps = 1j ** np.arange(d)
-    elif scheme == "S2":
-        amps = ((-1.0) ** np.arange(d)).astype(complex)
     else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        amps = ((-1.0) ** np.arange(d)).astype(complex)
     amps.flags.writeable = False
     return amps
 
@@ -371,7 +373,6 @@ def amplification_sweep(
 
 def _logistic_boundary(features: np.ndarray, outcomes: np.ndarray) -> PhaseBoundaryFit:
     """Newton-iterated logistic regression of outcome on [1, log srf, log eps]."""
-    n, _ = features.shape
     ridge = 1e-6
     w = np.zeros(3)
     for _ in range(200):
@@ -516,45 +517,33 @@ def fit_loglog_slope(
     return _ols_loglog(xs, ys)
 
 
-@lru_cache(maxsize=256)
-def _csv_text(text: str) -> str:
-    """text quoted as the running Python's csv.writer quotes a field of a
-    row of several, with a line-feed line terminator.  The rule differs
-    across Python versions (3.13 quotes a carriage return, 3.10-3.12 do
-    not), so it is asked of the csv module rather than restated, once per
-    distinct text."""
-    buf = io.StringIO()
-    # a second, empty field: a row of one empty field is written as ""
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[: -len(",\n")]
-
-
 def write_records_csv(records, stream) -> None:
-    """Write one CSV row per (record, node) under CSV_HEADER, byte for byte
-    what csv.writer with a line-feed line terminator writes, one write per
+    """Write one CSV row per (record, node) under CSV_HEADER, one write per
     record.
 
-    A float cell is its repr and a count (p, d, N, node_index, seed) its
-    str, as csv.writer writes them; a success flag is true or false, a
-    missing factor is an empty cell, and node_class is cluster for node
-    indices 1..p, else noncluster.  The scheme, the one text cell, is quoted
-    as csv.writer quotes it.  A record whose per-node tuples are shorter
-    than d raises IndexError before any of its rows is written.
+    Every number cell is the str of its value, so a numpy scalar writes the
+    same number as the Python scalar it holds; a success flag is true or
+    false, a missing factor is an empty cell, and node_class is cluster for
+    node indices 1..p, else noncluster.  The scheme cell is written as it
+    is: a record whose scheme is not in SCHEMES raises ValueError, and one
+    whose per-node tuples are shorter than d raises IndexError, before any
+    of its rows is written.
     """
     stream.write(CSV_HEADER + "\n")
     for rec in records:
+        _check_scheme(rec.scheme)
         # the trial's cells, srf and kx are formed once per record
         trial = (
-            f"{_csv_text(rec.scheme)},{rec.p!s},{rec.d!s},{rec.h!r},{rec.n_samples!s},"
-            f"{rec.epsilon_requested!r},{rec.epsilon0!r},{rec.srf!r}"
+            f"{rec.scheme},{rec.p!s},{rec.d!s},{rec.h!s},{rec.n_samples!s},"
+            f"{rec.epsilon_requested!s},{rec.epsilon0!s},{rec.srf!s}"
         )
         p, seed, errors, flags, kx, ka = (
             rec.p, rec.seed, rec.node_errors, rec.successes, rec.kx, rec.ka
         )
         rows = [
-            f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},{errors[j]!r},"
-            f"{'true' if flags[j] else 'false'},{'' if kx[j] is None else repr(kx[j])},"
-            f"{'' if ka[j] is None else repr(ka[j])},{seed!s}\n"
+            f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},{errors[j]!s},"
+            f"{'true' if flags[j] else 'false'},{'' if kx[j] is None else str(kx[j])},"
+            f"{'' if ka[j] is None else str(ka[j])},{seed!s}\n"
             for j in range(rec.d)
         ]
         stream.write("".join(rows))

@@ -61,9 +61,9 @@ def prony_map(amplitudes, nodes, count: int) -> np.ndarray:
 # wrappers) cost more in dispatch than the arithmetic, so an order's tables
 # are built once and the tests read their few values as Python scalars
 # (tolist, item), and the layout is built on Python floats.  Python floats
-# round and compare exactly as float64 does, moduli still come from numpy's
-# abs where they did, and every LAPACK call keeps its inputs, so results are
-# bit-identical.
+# round and compare exactly as float64 does, every modulus comes from numpy's
+# abs, and each LAPACK call gets the float64 or complex128 arrays its
+# array-only form would, so the results equal those of that form bit for bit.
 @lru_cache(maxsize=64)
 def _order_tables(d: int) -> tuple:
     """Read-only tables of an order-d system: the d x (d+1) Hankel index

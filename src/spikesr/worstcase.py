@@ -102,8 +102,8 @@ def worst_case_signal(
 
     # The checks read their p or d values as Python scalars, for the reason
     # prony.py gives: every S2 trial runs them on a handful of values.  The
-    # moduli come from numpy's abs as before, and Python floats round as
-    # float64 does, so every test and value is bit-identical.
+    # moduli come from numpy's abs, and Python floats round and compare as
+    # float64 does, so each check decides as it would on the arrays.
     cluster_amps = train.amplitudes[sl]
     if max(map(abs, cluster_amps.imag.tolist())) > 1e-12 * max(
         1.0, *abs(cluster_amps).tolist()
