@@ -849,10 +849,12 @@ def test_a_record_shorter_than_d_raises_before_its_rows_are_written(succeeded):
 
 def _as_numpy_scalars(record):
     """record with its counts as np.int64 and its floats as np.float64."""
+    counts = ("p", "d", "n_samples", "seed")
+    reals = ("h", "epsilon_requested", "epsilon0")
     return dataclasses.replace(
         record,
-        **{name: np.int64(getattr(record, name)) for name in ("p", "d", "n_samples", "seed")},
-        **{name: np.float64(getattr(record, name)) for name in ("h", "epsilon_requested", "epsilon0")},
+        **{name: np.int64(getattr(record, name)) for name in counts},
+        **{name: np.float64(getattr(record, name)) for name in reals},
         node_errors=tuple(map(np.float64, record.node_errors)),
         ka=tuple(None if v is None else np.float64(v) for v in record.ka),
     )
