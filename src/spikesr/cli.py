@@ -99,12 +99,9 @@ def _spike_train(obj) -> SpikeTrain:
 
 
 def _spectral_samples(obj) -> SpectralSamples:
-    """Samples of a samples file; actual_noise defaults to 0 and other keys
-    are ignored."""
-    return SpectralSamples(
-        values=_complex_array(obj["values"]),
-        actual_noise=float(obj.get("actual_noise", 0.0)),
-    )
+    """Samples of a samples file: its values alone; other keys, such as an
+    older file's actual_noise, are ignored."""
+    return SpectralSamples(values=_complex_array(obj["values"]), actual_noise=0.0)
 
 
 def _read_input(path: str, kind: str, parse):
@@ -178,12 +175,10 @@ def _write_sweep(args, records, stream) -> None:
 
 def cmd_recover(args) -> int:
     samples = _read_input(args.input, "samples", _spectral_samples)
-    result = mp_recover(samples, args.order, args.pencil)
-    args.pencil = result.pencil_param
+    result = mp_recover(samples, args.order)
     _write_json_report(args, {
         "nodes": result.estimate.nodes,
         "amplitudes": result.estimate.amplitudes,
-        "L": result.pencil_param,
         "sigma": result.singular_values,
     })
     return 0
@@ -326,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     option = command("recover", cmd_recover, "Matrix Pencil recovery from a samples file")
     option("--input", "-i", required=True, help="SpectralSamples JSON file")
     option("--order", "-d", type=int, required=True, help="model order d")
-    option("--pencil", "-L", type=int, help="pencil parameter (default ceil(N/2))")
 
     option = command("experiment", cmd_experiment, "amplification or phase-transition sweep")
     option("--seed", type=int, default=0, help="base random seed (default %(default)s)")

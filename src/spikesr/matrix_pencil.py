@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,30 +42,24 @@ class RecoveryResult:
     """
 
     estimate: SpikeTrain
-    pencil_param: int
     singular_values: np.ndarray
 
 
-def mp_recover(
-    samples: SpectralSamples,
-    d: int,
-    pencil_param: Optional[int] = None,
-) -> RecoveryResult:
+def mp_recover(samples: SpectralSamples, d: int) -> RecoveryResult:
     """Recover d nodes and amplitudes from N >= 2d unit-rate samples.
 
-    The pencil parameter L defaults to ceil(N / 2) and must be an integer in
-    [d, N - d]; one that is not, such as 4.0, raises TypeError.
-
-    One SVD of the (L+1) x (N-L) sample Hankel matrix gives the d leading left
-    singular vectors U; the least-squares solution Psi of U[:-1] Psi = U[1:]
-    has the node exponentials z_j as its eigenvalues.  The node amplitudes are
-    fitted by least squares on the N x d Fourier Vandermonde of the recovered
-    angles.  Nodes are returned sorted ascending.
+    One SVD of the (ceil(N/2)+1) x floor(N/2) sample Hankel matrix gives the
+    d leading left singular vectors U; the least-squares solution Psi of
+    U[:-1] Psi = U[1:] has the node exponentials z_j as its eigenvalues.  The
+    node amplitudes are fitted by least squares on the N x d Fourier
+    Vandermonde of the recovered angles.  Nodes are returned sorted ascending.
+    A d that is not an integer, such as 2.0, raises TypeError.
 
     Raises RankDeficiencyError when the d-th singular value of the Hankel
     matrix falls under 1e-13 times its largest one, and EigenFailureError
     when the shift solve fails or yields coincident nodes.
     """
+    d = operator.index(d)
     values = samples.values
     if not np.isfinite(values).all():
         raise ValueError("samples must be finite")
@@ -75,9 +68,7 @@ def mp_recover(
         raise ValueError("model order d must be at least 1")
     if n < 2 * d:
         raise ValueError(f"need at least 2 d = {2 * d} samples, got {n}")
-    L = -(-n // 2) if pencil_param is None else operator.index(pencil_param)
-    if not d <= L <= n - d:
-        raise ValueError(f"pencil parameter must lie in [{d}, {n - d}]")
+    L = -(-n // 2)
 
     hankel = values[np.add.outer(np.arange(L + 1), np.arange(n - L))]
     u, sigma, _ = np.linalg.svd(hankel, full_matrices=False)
@@ -108,6 +99,5 @@ def mp_recover(
 
     return RecoveryResult(
         estimate=SpikeTrain(amplitudes=amps, nodes=nodes),
-        pencil_param=L,
         singular_values=sigma,
     )

@@ -144,7 +144,9 @@ def _scaled_gap(gap: float, kind: str, scale: float, scale_name: str) -> float:
 
 def _check_cluster_indices(p: int, d: int, kappa: int = 1) -> None:
     """Reject a cluster of p nodes at 1-based index kappa that does not fit
-    in d nodes or has fewer than two nodes."""
+    in d nodes or has fewer than two nodes.  A count that is not an integer,
+    such as 2.0, raises TypeError."""
+    p, d, kappa = map(operator.index, (p, d, kappa))
     if not (2 <= p <= d):
         raise ValueError("cluster size p must satisfy 2 <= p <= d")
     if not (1 <= kappa <= d - p + 1):

@@ -169,7 +169,9 @@ def displacement_scaling_probe(
 
     For each h the centered cluster (p equispaced nodes spanning h,
     alternating unit amplitudes) is perturbed with
-    epsilon = 0.02 (tau h)^{2p-1}, where tau = 1/(p-1).
+    epsilon = 0.02 (tau h)^{2p-1}, where tau = 1/(p-1).  Before any solve, an
+    h that is not finite and positive, or whose epsilon underflows to 0,
+    raises ValueError naming it.
 
     Returns one (srf, node_displacement/epsilon, amplitude_displacement/epsilon)
     row per h, where srf = 1/(tau h).  On a log-log scale the node column
@@ -177,12 +179,17 @@ def displacement_scaling_probe(
     """
     _check_cluster_indices(p, p)
     tau = 1.0 / (p - 1)
-    rows = []
+    probes = []
     for h in h_values:
         gap = tau * h
+        eps = _PROBE_EPS_COEFF * gap ** (2 * p - 1) if 0 < h < math.inf else 0.0
+        if not eps > 0:
+            raise ValueError(f"cannot probe h = {h}: need a finite h > 0 with epsilon > 0")
+        probes.append((h, gap, eps))
+    rows = []
+    for h, gap, eps in probes:
         nodes = -h / 2.0 + gap * np.arange(p)
         train = SpikeTrain(amplitudes=(-1.0) ** np.arange(p), nodes=nodes)
-        eps = _PROBE_EPS_COEFF * gap ** (2 * p - 1)
         report = worst_case_signal(train, p, eps)
         rows.append(
             (1.0 / gap, report.node_displacement / eps, report.amplitude_displacement / eps)

@@ -30,7 +30,6 @@ def test_recover_pair(pair_samples_file, tmp_path, capsys):
     assert main(["recover", "-i", str(pair_samples_file), "-d", "2", "-o", str(out)]) == 0
     report = json.loads(out.read_text())
     np.testing.assert_allclose(report["nodes"], [-1 / 3, 1 / 3], atol=1e-9)
-    assert report["L"] == 2
     assert report["config"]["seed"] is None
 
 
@@ -59,9 +58,12 @@ def test_recover_estimator_failure_exits_3(tmp_path, capsys):
     assert main(["recover", "-i", str(src), "-d", "3"]) == 3
 
 
-def test_recover_bad_pencil_exits_2(pair_samples_file, capsys):
-    assert main(["recover", "-i", str(pair_samples_file), "-d", "2", "--pencil", "1"]) == 2
-    assert "pencil parameter must lie in [2, 2]" in capsys.readouterr().err
+def test_recover_has_no_pencil_option(pair_samples_file, capsys):
+    # the estimator runs at its one pencil parameter, ceil(N/2)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["recover", "-i", str(pair_samples_file), "-d", "2", "--pencil", "2"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --pencil 2" in capsys.readouterr().err
 
 
 def test_recover_non_finite_samples_exit_2(tmp_path, capsys):
@@ -69,18 +71,6 @@ def test_recover_non_finite_samples_exit_2(tmp_path, capsys):
     src.write_text('{"values": [[2, 0], [-1, 0], [NaN, 0], [2, 0], [-1, 0], [-1, 0]]}')
     assert main(["recover", "-i", str(src), "-d", "2"]) == 2
     assert "samples must be finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("actual_noise", ["NaN", "Infinity", "-1"])
-def test_recover_bad_actual_noise_exits_2(tmp_path, capsys, actual_noise):
-    src = tmp_path / "noise.json"
-    src.write_text(
-        '{"values": [[2, 0], [-1, 0], [-1, 0], [2, 0]], "actual_noise": %s}' % actual_noise
-    )
-    out = tmp_path / "out.json"
-    assert main(["recover", "-i", str(src), "-d", "2", "-o", str(out)]) == 2
-    assert "actual_noise must be finite and nonnegative" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_version(capsys):
@@ -702,7 +692,7 @@ def _one_value_per_option(tmp_path, samples_file):
         "kappa": ("--kappa", 1),
     }
     return {
-        "recover": {"input": ("-i", str(samples_file)), "order": ("-d", 2), "pencil": ("-L", 2)},
+        "recover": {"input": ("-i", str(samples_file)), "order": ("-d", 2)},
         "experiment": {
             "seed": ("--seed", 5),
             "kind": ("--kind", "phase"),

@@ -14,7 +14,7 @@ def _circular(a, b):
     return np.minimum(frac, 1.0 - frac)
 
 
-def _reference_recover(samples, d, pencil_param=None, rank_tol=1e-13):
+def _reference_recover(samples, d, rank_tol=1e-13):
     """The former two-SVD estimator, kept as a reference.
 
     Each row-shifted Hankel block is reduced by its own rank-d truncated SVD,
@@ -23,7 +23,7 @@ def _reference_recover(samples, d, pencil_param=None, rank_tol=1e-13):
     """
     values = samples.values
     n = len(values)
-    L = -(-n // 2) if pencil_param is None else pencil_param
+    L = -(-n // 2)
     hankel = values[np.add.outer(np.arange(L + 1), np.arange(n - L))]
     u1, s1, v1h = np.linalg.svd(hankel[:-1], full_matrices=False)
     u2, s2, v2h = np.linalg.svd(hankel[1:], full_matrices=False)
@@ -47,38 +47,40 @@ def _reference_recover(samples, d, pencil_param=None, rank_tol=1e-13):
     amps, *_ = np.linalg.lstsq(vand, values, rcond=None)
     return RecoveryResult(
         estimate=SpikeTrain(amplitudes=amps, nodes=nodes),
-        pencil_param=L,
         singular_values=s2,
     )
 
 
 @pytest.mark.parametrize(
-    "n, d, expected",
+    "n, d, pencil",
     [(2, 1, 1), (3, 1, 2), (7, 2, 4), (8, 3, 4), (8, 4, 4)],
 )
-def test_default_pencil_is_ceil_half_n(n, d, expected):
+def test_default_pencil_is_ceil_half_n(n, d, pencil):
     # N = 2d is enough samples for d nodes, d = 1 included
     nodes = np.linspace(-0.3, 0.3, d)
     train = SpikeTrain(amplitudes=np.arange(1.0, d + 1), nodes=nodes)
-    result = mp_recover(sample_spectrum(train, n, 0.0, 0), d)
-    assert result.pencil_param == expected
+    samples = sample_spectrum(train, n, 0.0, 0)
+    result = mp_recover(samples, d)
+    hankel = samples.values[np.add.outer(np.arange(pencil + 1), np.arange(n - pencil))]
+    assert hankel.shape == (-(-n // 2) + 1, n // 2)
+    sigma = np.linalg.svd(hankel, full_matrices=False)[1][:d]
+    np.testing.assert_array_equal(result.singular_values, sigma)
     np.testing.assert_allclose(result.estimate.nodes, nodes, atol=1e-9)
 
 
 def test_recover_single_spike():
     train = SpikeTrain(amplitudes=[1.0], nodes=[0.2])
     samples = sample_spectrum(train, 8, 0.0, 0)
-    result = mp_recover(samples, 1, 4)
+    result = mp_recover(samples, 1)
     assert result.estimate.nodes[0] == pytest.approx(0.2, abs=1e-10)
     assert result.estimate.amplitudes[0] == pytest.approx(1.0, abs=1e-10)
-    assert result.pencil_param == 4
     assert len(result.singular_values) == 1
 
 
 def test_recover_symmetric_pair_wraps_to_principal_range():
     train = SpikeTrain(amplitudes=[1.0, 1.0], nodes=[1 / 3, 2 / 3])
     samples = sample_spectrum(train, 4, 0.0, 0)
-    result = mp_recover(samples, 2, 2)
+    result = mp_recover(samples, 2)
     np.testing.assert_allclose(result.estimate.nodes, [-1 / 3, 1 / 3], atol=1e-10)
     np.testing.assert_allclose(result.estimate.amplitudes, [1, 1], atol=1e-9)
 
@@ -91,7 +93,7 @@ def test_recover_random_three_spikes():
             break
     amps = rng.normal(size=3) + 1j * rng.normal(size=3)
     train = SpikeTrain(amplitudes=amps, nodes=nodes)
-    result = mp_recover(sample_spectrum(train, 16, 0.0, 0), 3, 8)
+    result = mp_recover(sample_spectrum(train, 16, 0.0, 0), 3)
     assert np.abs(result.estimate.nodes - nodes).max() < 1e-9
     assert np.abs(result.estimate.amplitudes - amps).max() < 1e-9
 
@@ -146,21 +148,7 @@ def test_recover_validates_arguments():
     train = SpikeTrain(amplitudes=[1.0, 2.0], nodes=[0.1, 0.3])
     samples = sample_spectrum(train, 8, 0.0, 0)
     with pytest.raises(ValueError):
-        mp_recover(samples, 2, 1)  # pencil below d
-    with pytest.raises(ValueError):
-        mp_recover(samples, 2, 7)  # pencil above N - d
-    with pytest.raises(ValueError):
         mp_recover(sample_spectrum(train, 3, 0.0, 0), 2)  # too few samples
-
-
-@pytest.mark.parametrize("pencil_param", [4.0, 4.5])
-def test_recover_rejects_a_fractional_pencil_param(pencil_param):
-    # a float pencil used to reach the Hankel index as an untyped IndexError
-    train = SpikeTrain(amplitudes=[1.0, 2.0], nodes=[0.1, 0.3])
-    samples = sample_spectrum(train, 8, 0.0, 0)
-    with pytest.raises(TypeError):
-        mp_recover(samples, 2, pencil_param)
-    assert mp_recover(samples, 2, np.int64(4)).pencil_param == 4
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -180,14 +168,14 @@ def test_result_json_schema(tmp_path):
     src.write_text(json.dumps({"values": [[v.real, v.imag] for v in samples.values.tolist()]}))
     assert cli.main(["recover", "-i", str(src), "-d", "1", "-o", str(out)]) == 0
     obj = json.loads(out.read_text())
-    assert list(obj) == ["timestamp", "config", "nodes", "amplitudes", "L", "sigma"]
+    assert list(obj) == ["timestamp", "config", "nodes", "amplitudes", "sigma"]
     result = mp_recover(samples, 1)
     assert obj["nodes"] == result.estimate.nodes.tolist()
     assert obj["amplitudes"] == [[a.real, a.imag] for a in result.estimate.amplitudes.tolist()]
-    assert obj["L"] == 4
     assert obj["nodes"][0] == pytest.approx(0.25, abs=1e-10)
     # one spike of unit amplitude: the Hankel matrix is the rank-one outer
-    # product of two unit-modulus vectors of lengths L + 1 = 5 and N - L = 4
+    # product of two unit-modulus vectors of lengths ceil(N/2) + 1 = 5 and
+    # floor(N/2) = 4
     assert obj["sigma"] == [pytest.approx(np.sqrt(20.0))]
 
 
@@ -267,9 +255,9 @@ def test_recover_rejects_order_below_one(d):
     assert str(excinfo.value) == "model order d must be at least 1"
 
 
-def _numpy_checks_recover(samples, d, pencil_param=None):
+def _numpy_checks_recover(samples, d):
     """An earlier mp_recover, which tested its arrays with numpy reductions,
-    kept as a reference for the scalar checks: (nodes, amplitudes, L, leading
+    kept as a reference for the scalar checks: (nodes, amplitudes, leading
     singular values), or the same exception with the same message."""
     values = samples.values
     if not np.isfinite(values).all():
@@ -279,9 +267,7 @@ def _numpy_checks_recover(samples, d, pencil_param=None):
         raise ValueError("model order d must be at least 1")
     if n < 2 * d:
         raise ValueError(f"need at least 2 d = {2 * d} samples, got {n}")
-    L = -(-n // 2) if pencil_param is None else pencil_param
-    if not d <= L <= n - d:
-        raise ValueError(f"pencil parameter must lie in [{d}, {n - d}]")
+    L = -(-n // 2)
     hankel = values[np.add.outer(np.arange(L + 1), np.arange(n - L))]
     u, sigma, _ = np.linalg.svd(hankel, full_matrices=False)
     u, sigma = u[:, :d], sigma[:d]
@@ -301,23 +287,21 @@ def _numpy_checks_recover(samples, d, pencil_param=None):
         raise EigenFailureError("eigen failure: recovered nodes are not distinct")
     vand = np.exp(2j * np.pi * np.multiply.outer(np.arange(n), nodes))
     amps, *_ = np.linalg.lstsq(vand, values, rcond=None)
-    return nodes, amps, L, sigma
+    return nodes, amps, sigma
 
 
 def _reference_inputs():
-    """(samples, d, pencil_param) triples that reach every branch of mp_recover."""
+    """(samples, d) pairs that reach every branch of mp_recover."""
     pair = sample_spectrum(SpikeTrain([1.0, -1.0], [0.1, 0.3]), 8, 0.0, 0)
     bad = pair.values.copy()
     bad[2] = complex(np.inf, 0.0)
     k = np.arange(16)
     one_ray = 0.9**k * np.exp(2j * np.pi * 0.1 * k) + 0.5**k * np.exp(2j * np.pi * 0.1 * k)
-    yield SpectralSamples(bad, 0.0), 2, None  # non-finite samples
-    yield pair, 0, None  # order below one
-    yield pair, 5, None  # too few samples
-    yield pair, 2, 1  # pencil below d
-    yield pair, 2, 7  # pencil above N - d
-    yield sample_spectrum(SpikeTrain([1.0], [0.2]), 16, 0.0, 0), 3, None  # rank deficient
-    yield SpectralSamples(one_ray, 0.0), 2, None  # coincident angles
+    yield SpectralSamples(bad, 0.0), 2  # non-finite samples
+    yield pair, 0  # order below one
+    yield pair, 5  # too few samples
+    yield sample_spectrum(SpikeTrain([1.0], [0.2]), 16, 0.0, 0), 3  # rank deficient
+    yield SpectralSamples(one_ray, 0.0), 2  # coincident angles
     rng = np.random.default_rng(24)
     for _ in range(60):
         d = int(rng.integers(1, 6))
@@ -327,9 +311,7 @@ def _reference_inputs():
             continue
         amps = rng.uniform(0.1, 3.0, d) * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
         noise = 10.0 ** rng.uniform(-12, 0)
-        samples = sample_spectrum(SpikeTrain(amps, nodes), n, noise, int(rng.integers(99)))
-        pencil = None if rng.uniform() < 0.5 else int(rng.integers(d, n - d + 1))
-        yield samples, d, pencil
+        yield sample_spectrum(SpikeTrain(amps, nodes), n, noise, int(rng.integers(99))), d
     # clustered S2 trials, where some nodes are missed
     for _ in range(60):
         h = 10.0 ** rng.uniform(-3, -1)
@@ -337,22 +319,21 @@ def _reference_inputs():
         x = np.array([0.0, h, 0.3, 0.45])
         amps = (-1.0) ** np.arange(4)
         train = SpikeTrain(amps + 10.0 ** rng.uniform(-14, -2) * rng.normal(size=4), x)
-        yield sample_spectrum(train, n, 0.0, 0), 4, None
+        yield sample_spectrum(train, n, 0.0, 0), 4
 
 
-def _assert_recover_matches_reference(samples, d, pencil):
+def _assert_recover_matches_reference(samples, d):
     try:
-        nodes, amps, L, sigma = _numpy_checks_recover(samples, d, pencil)
+        nodes, amps, sigma = _numpy_checks_recover(samples, d)
     except (ValueError, RankDeficiencyError, EigenFailureError) as exc:
         with pytest.raises(type(exc)) as excinfo:
-            mp_recover(samples, d, pencil)
+            mp_recover(samples, d)
         assert str(excinfo.value) == str(exc)
         return str(exc)
-    result = mp_recover(samples, d, pencil)
+    result = mp_recover(samples, d)
     assert np.array_equal(result.estimate.nodes, nodes)
     assert np.array_equal(result.estimate.amplitudes, amps)
     assert np.array_equal(result.singular_values, sigma)
-    assert result.pencil_param == L
     return "recovered"
 
 
@@ -364,12 +345,11 @@ def test_recover_matches_numpy_checks_reference_on_every_branch(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
     pair = sample_spectrum(SpikeTrain([1.0, -1.0], [0.1, 0.3]), 16, 0.0, 0)
-    outcomes.add(_assert_recover_matches_reference(pair, 2, None))
+    outcomes.add(_assert_recover_matches_reference(pair, 2))
     assert outcomes == {
         "samples must be finite",
         "model order d must be at least 1",
         "need at least 2 d = 10 samples, got 8",
-        "pencil parameter must lie in [2, 6]",
         "rank deficiency: the Hankel matrix has fewer than d significant singular values",
         "eigen failure: recovered nodes are not distinct",
         "eigen failure: Eigenvalues did not converge",

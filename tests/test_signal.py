@@ -18,6 +18,7 @@ from spikesr.signal import (
     sample_spectrum,
     standard_cluster_geometry,
 )
+from spikesr.worstcase import displacement_scaling_probe, worst_case_signal
 
 
 def _meets_cluster_conditions(nodes, geometry, rtol=1e-9):
@@ -373,7 +374,7 @@ def test_spike_train_json_rejects_non_finite_values(tmp_path, capsys, amplitudes
 
 def _samples_read(tmp_path, monkeypatch, obj):
     """The samples `spikesr recover -d 1` hands to mp_recover for a samples
-    file holding obj; the run must exit 0 with a report that has its L."""
+    file holding obj; the run must exit 0."""
     seen = []
 
     def recording_recover(samples, *args):
@@ -382,7 +383,7 @@ def _samples_read(tmp_path, monkeypatch, obj):
 
     monkeypatch.setattr(cli, "mp_recover", recording_recover)
     code, report = _run_cli(tmp_path, ["recover", "-d", "1"], json.dumps(obj))
-    assert code == 0 and "L" in report and len(seen) == 1
+    assert code == 0 and len(seen) == 1
     return seen[0]
 
 
@@ -405,8 +406,16 @@ def test_samples_json_ignores_a_stored_noise_bound(tmp_path, monkeypatch, noise_
     samples = _samples_read(tmp_path, monkeypatch, obj)
     np.testing.assert_array_equal(samples.values, [1, 1j])
     assert samples.actual_noise == 0.0
-    obj["actual_noise"] = 1e-9
-    assert _samples_read(tmp_path, monkeypatch, obj).actual_noise == 1e-9
+
+
+@pytest.mark.parametrize("actual_noise", [1e-9, math.nan, -1.0])
+def test_samples_json_ignores_a_stored_actual_noise(tmp_path, monkeypatch, actual_noise):
+    # the estimator reads the values alone, so a stored noise level is dropped,
+    # even one that SpectralSamples would reject
+    obj = {"values": [[1, 0], [0, 1]], "actual_noise": actual_noise}
+    samples = _samples_read(tmp_path, monkeypatch, obj)
+    np.testing.assert_array_equal(samples.values, [1, 1j])
+    assert samples.actual_noise == 0.0
 
 
 def test_cluster_geometry_validation():
@@ -420,6 +429,37 @@ def test_cluster_geometry_validation():
         ClusterGeometry(p=2, d=3, h=0.1, T=1.0, tau=0.0, eta=0.1)
     with pytest.raises(ValueError, match=r"^eta must lie in \(0, 1\]$"):
         ClusterGeometry(p=2, d=3, h=0.1, T=1.0, tau=0.5, eta=1.5)
+
+
+# Each call takes its counts through `count`: p = 2 (and d = 3, kappa = 1
+# where the call has them).
+_COUNT_CALLS = {
+    "standard_cluster_geometry": lambda count: standard_cluster_geometry(
+        count(2), count(3), 0.1
+    ),
+    "ClusterGeometry": lambda count: ClusterGeometry(
+        p=count(2), d=count(3), h=0.1, T=1.0, tau=1.0, eta=0.5, kappa=count(1)
+    ),
+    "ClusterGeometry.from_nodes": lambda count: ClusterGeometry.from_nodes(
+        [0.0, 0.01, 0.3], count(2), count(1)
+    ),
+    "worst_case_signal": lambda count: worst_case_signal(
+        SpikeTrain([1.0, -1.0, 1.0], [0.0, 0.01, 0.3]), count(2), 1e-9, count(1)
+    ),
+    "displacement_scaling_probe": lambda count: displacement_scaling_probe(count(2), [0.1]),
+    "mp_recover": lambda count: mp_recover(
+        sample_spectrum(SpikeTrain([1.0, -1.0], [0.1, 0.3]), 8, 0.0, 0), count(2)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", _COUNT_CALLS.values(), ids=list(_COUNT_CALLS))
+def test_a_fractional_count_raises_type_error(call):
+    # a float count is rejected before any work, even an integral one;
+    # numpy integers are counts
+    call(np.int64)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(float)
 
 
 def _geometry_reference(nodes, p, kappa):

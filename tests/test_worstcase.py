@@ -202,6 +202,17 @@ def test_probe_rejects_bad_cluster_size_before_any_solve(p, monkeypatch):
         displacement_scaling_probe(p, [0.1])
 
 
+@pytest.mark.parametrize("h", [1e-120, math.inf, math.nan, 0.0, -0.1])
+def test_probe_rejects_an_extent_it_cannot_probe_before_any_solve(h, monkeypatch):
+    # 1e-120 underflows the bump 0.02 (tau h)^3 to 0
+    def never(*args, **kwargs):
+        raise AssertionError("worst_case_signal must not be called")
+
+    monkeypatch.setattr(worstcase, "worst_case_signal", never)
+    with pytest.raises(ValueError, match=f"^cannot probe h = {h}: "):
+        displacement_scaling_probe(2, [0.1, h])
+
+
 def _reference_report(train, geometry, epsilon, omega=None, grid_points=1001, imag_tol=1e-9):
     """An earlier worst_case_signal, which read the cluster from a geometry and
     measured the spectral deviation itself, kept as a reference: (perturbed,

@@ -23,10 +23,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from spikesr.experiments import (  # noqa: E402
     DEFAULT_AMPLIFICATION_RANGES,
+    SCHEMES,
     amplification_sweep,
 )
 
-SCHEMES = ("S1", "S2")
 P, D = 2, 4
 TRIALS = 500
 BASE_SEEDS = range(1000, 1008)

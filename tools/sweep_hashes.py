@@ -28,13 +28,13 @@ from spikesr.errors import SpikesrError  # noqa: E402
 from spikesr.experiments import (  # noqa: E402
     DEFAULT_AMPLIFICATION_RANGES,
     DEFAULT_PHASE_RANGES,
+    SCHEMES,
     amplification_sweep,
     fit_loglog_slope,
     phase_transition_sweep,
     write_records_csv,
 )
 
-SCHEMES = ("S1", "S2")
 SIZES = ((2, 3), (2, 4), (3, 5))
 RANGES = (("amp", DEFAULT_AMPLIFICATION_RANGES), ("phase", DEFAULT_PHASE_RANGES))
 TRIALS = 300
