@@ -73,6 +73,12 @@ DEFAULT_PHASE_RANGES = {
     "eps_range": (1e-12, 1.0),
 }
 
+# amplification_sweep draws the arguments of this many trials, each from its
+# own stream and in trial order, before it runs them, so that one np.exp
+# serves the block.  The block, not the sweep, bounds the draws held at
+# once: about 60 KB (tracemalloc) whatever the trial count.
+_DRAW_BLOCK = 256
+
 # The least span of log10(srf), in decades, over which the fits below fit a
 # slope.  A narrower sweep fixes none: at 0.01 decade the standard error of a
 # p = 2 cluster node slope is about 5, ten times its value at 0.1 decade.
@@ -360,14 +366,16 @@ def amplification_sweep(
     # checks its own drawn h again, against rounding in the draw.
     _srf(p, h_range[0], max(round(n_range[0]), 2 * d + 2))
     records = []
-    for t in range(trials):
-        rng = np.random.default_rng([base_seed, t])
-        h = float(np.exp(rng.uniform(*log_h)))
-        n = int(round(float(np.exp(rng.uniform(*log_n)))))
-        n = max(n, 2 * d + 2)
-        eps = float(np.exp(rng.uniform(*log_eps)))
-        noise_seed = int(rng.integers(0, 2**63 - 1))
-        records.append(single_experiment(p, d, h, n, eps, scheme, noise_seed))
+    for start in range(0, trials, _DRAW_BLOCK):
+        logs, noise_seeds = [], []
+        for t in range(start, min(start + _DRAW_BLOCK, trials)):
+            rng = np.random.default_rng([base_seed, t])
+            logs += (rng.uniform(*log_h), rng.uniform(*log_n), rng.uniform(*log_eps))
+            noise_seeds.append(int(rng.integers(0, 2**63 - 1)))
+        draws = iter(np.exp(logs).tolist())
+        for h, n, eps, noise_seed in zip(draws, draws, draws, noise_seeds):
+            n = max(round(n), 2 * d + 2)
+            records.append(single_experiment(p, d, h, n, eps, scheme, noise_seed))
     return records
 
 
@@ -412,6 +420,16 @@ def phase_transition_sweep(
     a logistic fit in (log10 srf, log10 eps); its slope is the exponent of the
     critical noise level as a power of srf.
 
+    eps is the noise on the samples.  Under S1 it is the measured eps0, or
+    the requested bound where a trial measured no finite positive eps0.
+    Under S2 a rejected construction measures no eps0, so every trial takes
+    the same unit: the leading-order spectral size of the requested bump,
+    eps (2 pi (N - 1))^(2p-1) / (2p-1)!, from the Taylor term of order 2p-1
+    at the highest sampled frequency N - 1.  It is a leading-order
+    approximation: on the accepted trials of a 2 000-trial sweep on the
+    default phase ranges it is about 1.08 eps0 in the median at p = 2, d = 3,
+    and about 10^4 eps0 at p = 3, d = 5.
+
     Raises DegenerateFitError when every trial shares one outcome, or when
     the trials span less than 0.1 decade of srf.
     """
@@ -426,18 +444,24 @@ def phase_transition_sweep(
     else:
         k = node_index - 1
         outcomes = np.fromiter((rec.successes[k] for rec in records), float, n)
-    # rows [1, log10 srf, log10 eps], with the requested eps where the trial
-    # measured no finite positive eps0; math.log10 keeps the scalar bits
+    # rows [1, log10 srf, log10 eps]; math.log10 keeps the scalar bits
     features = np.ones((n, 3))
     features[:, 1] = np.fromiter((math.log10(rec.srf) for rec in records), float, n)
-    features[:, 2] = np.fromiter(
-        (
+    if scheme == "S1":
+        log_eps = (
             math.log10(rec.epsilon0 if 0 < rec.epsilon0 < math.inf else rec.epsilon_requested)
             for rec in records
-        ),
-        float,
-        n,
-    )
+        )
+    else:
+        order = 2 * p - 1
+        log_factorial = math.log10(math.factorial(order))
+        log_eps = (
+            math.log10(rec.epsilon_requested)
+            + order * math.log10(2.0 * math.pi * (rec.n_samples - 1))
+            - log_factorial
+            for rec in records
+        )
+    features[:, 2] = np.fromiter(log_eps, float, n)
     if outcomes.min() == outcomes.max():
         raise DegenerateFitError("degenerate fit: all trials share one outcome")
     if features[:, 1].max() - features[:, 1].min() < _MIN_LOG_SRF_SPAN:

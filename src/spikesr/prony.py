@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,10 +33,23 @@ _COINCIDENCE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class PronySolution:
-    """Recovered amplitudes and (complex) nodes, sorted by node argument."""
+    """Recovered (complex) nodes, sorted by node argument, and the 2d power
+    sums they solve, both read-only.
 
-    amplitudes: np.ndarray
+    The amplitudes are fitted on first read, by least squares on the full
+    2d x d Vandermonde of the nodes, and kept: a caller that rejects the
+    nodes never pays for the fit.
+    """
+
     nodes: np.ndarray
+    power_sums: np.ndarray
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        exponents = _order_tables(len(self.nodes))[2]
+        vand = np.power.outer(self.nodes, exponents).T
+        amps, *_ = np.linalg.lstsq(vand, self.power_sums, rcond=None)
+        return amps
 
 
 def prony_map(amplitudes, nodes, count: int) -> np.ndarray:
@@ -99,19 +112,20 @@ def prony_solve(mu, d: int) -> PronySolution:
     """Recover d amplitudes and nodes from the first 2d power sums.
 
     Steps: build the d x (d+1) Hankel matrix [mu_{i+j}], take its null vector
-    as the coefficients of the monic node polynomial, read the nodes off the
-    companion-matrix roots, then fit amplitudes by least squares on the full
-    2d x d Vandermonde.  The null vector comes from the smallest right singular
-    vector; the system is flagged degenerate when the second-smallest singular
-    value is also negligible, below _NULL_TOL times the largest (null space
-    dimension above one), or when the leading polynomial coefficient vanishes.
+    as the coefficients of the monic node polynomial, and read the nodes off
+    the companion-matrix roots.  The amplitudes are fitted by least squares
+    on the full 2d x d Vandermonde when the solution's amplitudes are first
+    read.  The null vector comes from the smallest right singular vector; the
+    system is flagged degenerate when the second-smallest singular value is
+    also negligible, below _NULL_TOL times the largest (null space dimension
+    above one), or when the leading polynomial coefficient vanishes.
     Two recovered nodes closer than _COINCIDENCE_TOL times max(1, largest
     node modulus) are repeated roots.
 
     Raises DegenerateSystemError or RepeatedRootsError accordingly.  The output
     is sorted by principal argument of the nodes, ties broken by modulus.
     """
-    data = np.atleast_1d(np.asarray(mu, dtype=complex))
+    data = np.array(mu, dtype=complex, ndmin=1)
     if d < 1:
         raise ValueError("order d must be at least 1")
     if len(data) != 2 * d:
@@ -119,7 +133,7 @@ def prony_solve(mu, d: int) -> PronySolution:
     if not all(map(cmath.isfinite, data.tolist())):
         raise ValueError("power sums must be finite")
 
-    hankel_index, _, exponents = _order_tables(d)
+    hankel_index = _order_tables(d)[0]
     _, sigma, vh = np.linalg.svd(data[hankel_index])
     largest, smallest = sigma.item(0), sigma.item(-1)
     if largest == 0 or smallest / largest < _NULL_TOL:
@@ -143,6 +157,6 @@ def prony_solve(mu, d: int) -> PronySolution:
 
     order = np.lexsort((moduli, np.arctan2(nodes.imag, nodes.real)))
     nodes = nodes[order]
-    vand = np.power.outer(nodes, exponents).T
-    amps, *_ = np.linalg.lstsq(vand, data, rcond=None)
-    return PronySolution(amplitudes=amps, nodes=nodes)
+    # the amplitude fit reads both arrays later, so neither may change
+    nodes.flags.writeable = data.flags.writeable = False
+    return PronySolution(nodes=nodes, power_sums=data)

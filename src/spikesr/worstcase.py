@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,17 +44,43 @@ _PROBE_EPS_COEFF = 0.02
 class WorstCaseReport:
     """Perturbed signal plus measured deviations of its cluster from the source.
 
-    moment_match_error is the worst mismatch of the centered-cluster moments
-    of orders 0..2p-2; last_moment_delta the change in the order-(2p-1) moment
-    (equal to the requested epsilon up to roundoff); the displacements are
-    maxima over the cluster.  At epsilon = 0 every deviation is exactly zero.
+    The report keeps the centered source cluster (its nodes, amplitudes and
+    first 2p moments g) and the centered perturbed cluster, and computes
+    each deviation from them on first read.  moment_match_error is the worst
+    mismatch of the centered-cluster moments of orders 0..2p-2;
+    last_moment_delta the change in the order-(2p-1) moment (equal to the
+    requested epsilon up to roundoff); the displacements are maxima over the
+    cluster.  At epsilon = 0 every deviation is exactly zero.
     """
 
     perturbed: SpikeTrain
-    moment_match_error: float
-    last_moment_delta: float
-    node_displacement: float
-    amplitude_displacement: float
+    source_nodes: np.ndarray
+    source_amplitudes: np.ndarray
+    source_moments: np.ndarray
+    perturbed_nodes: np.ndarray
+    perturbed_amplitudes: np.ndarray
+
+    @cached_property
+    def _perturbed_moments(self) -> np.ndarray:
+        return prony_map(
+            self.perturbed_amplitudes, self.perturbed_nodes, len(self.source_moments)
+        ).real
+
+    @cached_property
+    def moment_match_error(self) -> float:
+        return float(np.abs(self._perturbed_moments[:-1] - self.source_moments[:-1]).max())
+
+    @cached_property
+    def last_moment_delta(self) -> float:
+        return float(self._perturbed_moments[-1] - self.source_moments[-1])
+
+    @cached_property
+    def node_displacement(self) -> float:
+        return float(np.abs(self.perturbed_nodes - self.source_nodes).max())
+
+    @cached_property
+    def amplitude_displacement(self) -> float:
+        return float(np.abs(self.perturbed_amplitudes - self.source_amplitudes).max())
 
 
 def spectral_deviation(
@@ -124,7 +151,7 @@ def worst_case_signal(
         g_bumped = g.copy()
         g_bumped[2 * p - 1] += epsilon
         try:
-            sol = prony_solve(g_bumped.astype(complex), p)
+            sol = prony_solve(g_bumped, p)
         except (DegenerateSystemError, RepeatedRootsError) as exc:
             raise EpsilonTooLargeError(f"epsilon too large: {exc}") from exc
 
@@ -140,25 +167,18 @@ def worst_case_signal(
             raise EpsilonTooLargeError(
                 "epsilon too large: perturbed nodes coincide after the real snap"
             )
-        new_amps = sol.amplitudes[order].real
-
         nodes[sl] = [x + center for x in snapped]
         if not all(a < b for a, b in zip(nodes, nodes[1:])):
             raise EpsilonTooLargeError(
                 "epsilon too large: displaced cluster breaks the node ordering"
             )
+        # read only now, so a rejected construction never fits amplitudes
+        new_amps = sol.amplitudes[order].real
         spliced_amps = train.amplitudes.copy()
         spliced_amps[sl] = new_amps
         perturbed = SpikeTrain(amplitudes=spliced_amps, nodes=nodes)
 
-    new_g = prony_map(new_amps, new_nodes, 2 * p).real
-    return WorstCaseReport(
-        perturbed,
-        moment_match_error=float(np.abs(new_g[:-1] - g[:-1]).max()),
-        last_moment_delta=float(new_g[-1] - g[-1]),
-        node_displacement=float(np.abs(new_nodes - centered).max()),
-        amplitude_displacement=float(np.abs(new_amps - amps_c).max()),
-    )
+    return WorstCaseReport(perturbed, centered, amps_c, g, new_nodes, new_amps)
 
 
 def displacement_scaling_probe(
@@ -169,9 +189,9 @@ def displacement_scaling_probe(
 
     For each h the centered cluster (p equispaced nodes spanning h,
     alternating unit amplitudes) is perturbed with
-    epsilon = 0.02 (tau h)^{2p-1}, where tau = 1/(p-1).  Before any solve, an
-    h that is not finite and positive, or whose epsilon underflows to 0,
-    raises ValueError naming it.
+    epsilon = 0.02 (tau h)^{2p-1}, where tau = 1/(p-1).  Each h is read as a
+    float.  Before any solve, an h that is not finite and positive, or whose
+    epsilon underflows to 0 or overflows, raises ValueError naming it.
 
     Returns one (srf, node_displacement/epsilon, amplitude_displacement/epsilon)
     row per h, where srf = 1/(tau h).  On a log-log scale the node column
@@ -180,11 +200,16 @@ def displacement_scaling_probe(
     _check_cluster_indices(p, p)
     tau = 1.0 / (p - 1)
     probes = []
-    for h in h_values:
+    for h in map(float, h_values):
         gap = tau * h
-        eps = _PROBE_EPS_COEFF * gap ** (2 * p - 1) if 0 < h < math.inf else 0.0
-        if not eps > 0:
-            raise ValueError(f"cannot probe h = {h}: need a finite h > 0 with epsilon > 0")
+        try:
+            eps = _PROBE_EPS_COEFF * gap ** (2 * p - 1) if 0 < h < math.inf else 0.0
+        except OverflowError:
+            eps = math.inf
+        if not 0 < eps < math.inf:
+            raise ValueError(
+                f"cannot probe h = {h}: need a finite h > 0 with a finite epsilon > 0"
+            )
         probes.append((h, gap, eps))
     rows = []
     for h, gap, eps in probes:

@@ -646,12 +646,6 @@ def test_phase_transition_boundary_sanity():
     assert -4.5 < fit.slope < -1.5
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the S2 feature mixes eps0, measured on accepted "
-    "constructions, with the requested bump of rejected ones, so the fit "
-    "separates units, not regimes (slope +5.466 at this seed)",
-)
 def test_s2_phase_boundary_lies_in_criterion_4_window():
     _, fit = phase_transition_sweep(
         2, 3, **DEFAULT_PHASE_RANGES, trials=2000, scheme="S2", base_seed=1
@@ -666,7 +660,18 @@ def test_phase_transition_single_node_selector():
     assert -1.5 < fit.slope < 1.5
 
 
-def test_phase_fit_takes_the_requested_eps_where_no_eps0_was_measured(monkeypatch):
+def _s2_log_eps(rec) -> float:
+    """log10 of the leading-order spectral size of the requested S2 bump,
+    eps (2 pi (N - 1))^(2p-1) / (2p-1)!."""
+    order = 2 * rec.p - 1
+    return math.log10(
+        rec.epsilon_requested
+        * (2 * math.pi * (rec.n_samples - 1)) ** order
+        / math.factorial(order)
+    )
+
+
+def test_s2_phase_fit_takes_the_spectral_size_of_every_requested_eps(monkeypatch):
     fitted = []
 
     def recording_boundary(features, outcomes):
@@ -675,17 +680,17 @@ def test_phase_fit_takes_the_requested_eps_where_no_eps0_was_measured(monkeypatc
 
     real_boundary = experiments._logistic_boundary
     monkeypatch.setattr(experiments, "_logistic_boundary", recording_boundary)
-    # a failed S2 construction measures no eps0
+    # a failed S2 construction measures no eps0, an accepted one does; both
+    # fit the same unit
     records, _ = phase_transition_sweep(
         2, 3, **DEFAULT_PHASE_RANGES, trials=60, scheme="S2", base_seed=1
     )
     unmeasured = [math.isnan(rec.epsilon0) for rec in records]
     assert any(unmeasured) and not all(unmeasured)
     (features,) = fitted
-    assert features[:, 2].tolist() == [
-        math.log10(rec.epsilon_requested if nan else rec.epsilon0)
-        for rec, nan in zip(records, unmeasured)
-    ]
+    np.testing.assert_allclose(
+        features[:, 2], [_s2_log_eps(rec) for rec in records], rtol=0, atol=1e-12
+    )
 
 
 def _reference_phase_fit(records, node_index):
@@ -698,11 +703,20 @@ def _reference_phase_fit(records, node_index):
             ok = rec.all_success()
         else:
             ok = bool(rec.successes[node_index - 1])
-        eps_for_fit = rec.epsilon0
-        if not math.isfinite(eps_for_fit) or eps_for_fit <= 0:
-            eps_for_fit = rec.epsilon_requested
+        if rec.scheme == "S2":
+            order = 2 * rec.p - 1
+            log_eps = (
+                math.log10(rec.epsilon_requested)
+                + order * math.log10(2.0 * math.pi * (rec.n_samples - 1))
+                - math.log10(math.factorial(order))
+            )
+        else:
+            eps_for_fit = rec.epsilon0
+            if not math.isfinite(eps_for_fit) or eps_for_fit <= 0:
+                eps_for_fit = rec.epsilon_requested
+            log_eps = math.log10(eps_for_fit)
         outcomes.append(ok)
-        rows.append((1.0, math.log10(rec.srf), math.log10(eps_for_fit)))
+        rows.append((1.0, math.log10(rec.srf), log_eps))
     outcome_arr = np.array(outcomes, dtype=float)
     assert outcome_arr.min() != outcome_arr.max()
     log_srfs = [row[1] for row in rows]
@@ -719,7 +733,8 @@ def test_phase_fit_is_the_list_based_fit_to_the_bit(scheme, node_index):
         2, 4, **ranges, trials=150, scheme=scheme, base_seed=3, node_index=node_index
     )
     if scheme == "S2":
-        # worst-case failures measure no eps0 and fit the requested eps
+        # worst-case failures measure no eps0; every S2 trial fits the
+        # spectral size of its requested eps
         assert any(rec.failure is not None and math.isnan(rec.epsilon0) for rec in records)
     ref = _reference_phase_fit(records, node_index)
     assert (fit.n_success, fit.n_failure) == (ref.n_success, ref.n_failure)
@@ -921,15 +936,51 @@ def _reference_sweep(p, d, h_range, n_range, eps_range, trials, scheme, base_see
 
 
 @pytest.mark.parametrize("ranges", [DEFAULT_AMPLIFICATION_RANGES, DEFAULT_PHASE_RANGES])
-@pytest.mark.parametrize("scheme", ["S1", "S2"])
-def test_sweep_draws_match_per_draw_log_reference(ranges, scheme):
-    args = (2, 4, ranges["h_range"], ranges["n_range"], ranges["eps_range"], 80, scheme, 9)
+@pytest.mark.parametrize(
+    "scheme, trials",
+    [
+        pytest.param("S1", 80, id="S1"),
+        pytest.param("S2", 80, id="S2"),
+        # two whole draw blocks and one trial in a third
+        pytest.param("S2", 2 * experiments._DRAW_BLOCK + 1, id="S2-blocks"),
+    ],
+)
+def test_sweep_draws_match_per_draw_log_reference(ranges, scheme, trials):
+    args = (2, 4, ranges["h_range"], ranges["n_range"], ranges["eps_range"], trials, scheme, 9)
     records = amplification_sweep(*args)
     expected = _reference_sweep(*args)
     # repr is exact for floats and spells NaN the same on both sides
     assert [repr(rec) for rec in records] == [repr(rec) for rec in expected]
     if scheme == "S2":
         assert any(rec.failure is not None for rec in records)
+
+
+@pytest.mark.parametrize("trials", [3, 256, 257, 600])
+def test_sweep_draws_each_block_before_its_first_trial(monkeypatch, trials):
+    events = []
+    real_rng, real_trial = np.random.default_rng, experiments.single_experiment
+
+    def logging_rng(seed):
+        events.append(("draw", seed[1]))
+        return real_rng(seed)
+
+    def logging_trial(*args):
+        events.append(("trial", None))
+        return real_trial(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", logging_rng)
+    monkeypatch.setattr(experiments, "single_experiment", logging_trial)
+    records = amplification_sweep(
+        2, 4, **DEFAULT_AMPLIFICATION_RANGES, trials=trials, scheme="S2", base_seed=4
+    )
+    assert len(records) == trials
+    block = experiments._DRAW_BLOCK
+    expected = []
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        expected += [("draw", t) for t in range(start, stop)]
+        expected += [("trial", None)] * (stop - start)
+    assert events == expected
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from spikesr import worstcase
+from spikesr import experiments, worstcase
 from spikesr.errors import (
     DegenerateSystemError,
     EpsilonTooLargeError,
@@ -202,14 +203,16 @@ def test_probe_rejects_bad_cluster_size_before_any_solve(p, monkeypatch):
         displacement_scaling_probe(p, [0.1])
 
 
-@pytest.mark.parametrize("h", [1e-120, math.inf, math.nan, 0.0, -0.1])
+@pytest.mark.parametrize(
+    "h", [1e-120, 1e200, np.float64(1e200), math.inf, math.nan, 0.0, -0.1]
+)
 def test_probe_rejects_an_extent_it_cannot_probe_before_any_solve(h, monkeypatch):
-    # 1e-120 underflows the bump 0.02 (tau h)^3 to 0
+    # 1e-120 underflows the bump 0.02 (tau h)^3 to 0, and 1e200 overflows it
     def never(*args, **kwargs):
         raise AssertionError("worst_case_signal must not be called")
 
     monkeypatch.setattr(worstcase, "worst_case_signal", never)
-    with pytest.raises(ValueError, match=f"^cannot probe h = {h}: "):
+    with pytest.raises(ValueError, match=f"^cannot probe h = {re.escape(str(float(h)))}: "):
         displacement_scaling_probe(2, [0.1, h])
 
 
@@ -347,10 +350,7 @@ def test_nodes_coinciding_after_the_real_snap_are_too_large(monkeypatch):
     # a conjugate pair whose imaginary parts pass the complex-node test but
     # whose real parts are equal
     def conjugate_pair(mu, d):
-        return PronySolution(
-            amplitudes=np.array([1.0, -1.0], dtype=complex),
-            nodes=np.array([1e-3 + 1e-12j, 1e-3 - 1e-12j]),
-        )
+        return PronySolution(nodes=np.array([1e-3 + 1e-12j, 1e-3 - 1e-12j]), power_sums=mu)
 
     monkeypatch.setattr(worstcase, "prony_solve", conjugate_pair)
     with pytest.raises(EpsilonTooLargeError) as excinfo:
@@ -358,3 +358,107 @@ def test_nodes_coinciding_after_the_real_snap_are_too_large(monkeypatch):
     assert str(excinfo.value) == (
         "epsilon too large: perturbed nodes coincide after the real snap"
     )
+
+
+def _solutions(monkeypatch):
+    """Record every PronySolution that worst_case_signal receives."""
+    solutions = []
+
+    def recording_solve(mu, d):
+        solutions.append(prony_solve(mu, d))
+        return solutions[-1]
+
+    monkeypatch.setattr(worstcase, "prony_solve", recording_solve)
+    return solutions
+
+
+@pytest.mark.parametrize(
+    "amplitudes, nodes, epsilon, message",
+    [
+        ([1.0, -1.0, 1.0], [-0.005, 0.005, 0.4], 0.01**3, "complex nodes"),
+        ([1.0, 1.0, 1.0], [0.0, 0.01, 0.0100001], 1e-11, "breaks the node ordering"),
+    ],
+)
+def test_a_rejected_construction_fits_no_amplitudes(
+    monkeypatch, amplitudes, nodes, epsilon, message
+):
+    solutions = _solutions(monkeypatch)
+    train = SpikeTrain(amplitudes=amplitudes, nodes=nodes)
+    with pytest.raises(EpsilonTooLargeError, match=message):
+        worst_case_signal(train, 2, epsilon)
+    (solution,) = solutions
+    assert "amplitudes" not in vars(solution)
+
+
+def test_an_accepted_construction_fits_its_amplitudes(monkeypatch):
+    solutions = _solutions(monkeypatch)
+    report = worst_case_signal(_pair_cluster(0.01), 2, 1e-9)
+    (solution,) = solutions
+    assert "amplitudes" in vars(solution)
+    order = solution.nodes.real.argsort()
+    assert np.array_equal(report.perturbed_amplitudes, solution.amplitudes[order].real)
+
+
+def _eager_report(train, p, epsilon):
+    """The construction with its four diagnostics computed at once, as
+    worst_case_signal did before they were computed on read, kept as a
+    reference: (perturbed, the four values in _FIELDS order)."""
+    amps_c = train.amplitudes[:p].real.astype(float)
+    center = 0.5 * (train.nodes[0] + train.nodes[p - 1])
+    centered = train.nodes[:p] - center
+    g = prony_map(amps_c, centered, 2 * p).real
+    if epsilon == 0:
+        perturbed, new_nodes, new_amps = train, centered, amps_c
+    else:
+        g_bumped = g.copy()
+        g_bumped[-1] += epsilon
+        sol = prony_solve(g_bumped.astype(complex), p)
+        order = sol.nodes.real.argsort()
+        new_nodes = sol.nodes.real[order]
+        new_amps = sol.amplitudes[order].real
+        perturbed = SpikeTrain(
+            amplitudes=np.concatenate([new_amps, train.amplitudes[p:]]),
+            nodes=np.concatenate([new_nodes + center, train.nodes[p:]]),
+        )
+    new_g = prony_map(new_amps, new_nodes, 2 * p).real
+    return (
+        perturbed,
+        float(np.abs(new_g[:-1] - g[:-1]).max()),
+        float(new_g[-1] - g[-1]),
+        float(np.abs(new_nodes - centered).max()),
+        float(np.abs(new_amps - amps_c).max()),
+    )
+
+
+@pytest.mark.parametrize(
+    "p, epsilon", [(2, 0.0), (2, 1e-9), (2, 3e-7), (3, 0.0), (3, 1e-14), (3, 1e-12)]
+)
+def test_report_diagnostics_computed_on_read_equal_the_eager_ones(p, epsilon):
+    h = 0.05
+    train = SpikeTrain(
+        amplitudes=[(-1.0) ** j for j in range(p + 1)],
+        nodes=[*(h * np.arange(p) / (p - 1)), 0.4],
+    )
+    report = worst_case_signal(train, p, epsilon)
+    assert not set(_FIELDS) & vars(report).keys()
+    perturbed, *expected = _eager_report(train, p, epsilon)
+    got = [getattr(report, name) for name in _FIELDS]
+    assert [repr(v) for v in got] == [repr(v) for v in expected]
+    assert all(type(v) is float for v in got)
+    assert [getattr(report, name) for name in _FIELDS] == got
+    assert np.array_equal(report.perturbed.nodes, perturbed.nodes)
+    assert np.array_equal(report.perturbed.amplitudes, perturbed.amplitudes)
+
+
+def test_an_s2_trial_computes_no_report_diagnostic(monkeypatch):
+    reports = []
+
+    def recording_signal(*args):
+        reports.append(worst_case_signal(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, "worst_case_signal", recording_signal)
+    record = experiments.single_experiment(2, 4, 0.05, 64, 1e-10, "S2", 0)
+    assert record.failure is None
+    (report,) = reports
+    assert not (set(_FIELDS) | {"_perturbed_moments"}) & vars(report).keys()
