@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,6 +87,18 @@ _DRAW_BLOCK = 256
 _MIN_LOG_SRF_SPAN = 0.1
 
 
+# A record's measured numbers, as float64: the header h, epsilon_requested,
+# epsilon0, then, for a trial that scored its nodes, a node block of the d
+# node errors and the d amplitude factors.
+_HEADER = struct.Struct("3d")
+
+
+@lru_cache(maxsize=64)
+def _layout(d: int) -> struct.Struct:
+    """The header and node block of a scored record with d nodes."""
+    return struct.Struct(f"{3 + 2 * d}d")
+
+
 @dataclass(frozen=True, slots=True)
 class ExperimentRecord:
     """Outcome of one recovery experiment.
@@ -93,33 +107,91 @@ class ExperimentRecord:
     torus; srf = 1/(N * gap) with gap the rescaled cluster spacing.  Per-node
     tuples are indexed like the true nodes (the first p are the cluster);
     amplification factors are present exactly where the node succeeded, the
-    measured noise was nonzero and the factor is finite.  failure tags records
-    where the estimator or the worst-case construction raised instead of
-    returning an estimate.
+    measured noise was nonzero and the factor is finite, and None elsewhere.
+    failure tags records where the estimator or the worst-case construction
+    raised instead of returning an estimate.
 
     A sweep holds thousands of records, so the class is slotted (no
-    __dict__) and keeps only what the trial measured: srf and the node
-    factors kx = e N / epsilon0 are computed from the other fields on each
-    read.  The per-node tuples of a failed trial (and the factors of a trial
-    whose measured noise is zero) are constants shared by every such record
-    with the same d; a failed record's kx is its ka.  Success flags come
-    from a bounded cache keyed by the flags, so records with equal flags
-    mostly share one tuple.  Compare them by value and do not rely on their
-    identity.
+    __dict__) and keeps the trial's measured numbers as float64 in the one
+    bytes value numbers: h, epsilon_requested and epsilon0, then, only for
+    a trial that scored its nodes, the d node errors and the d amplitude
+    factors (NaN for a missing factor).  Build a record with build(), which
+    packs them; h, epsilon_requested, epsilon0, node_errors and ka unpack
+    them on each read, and srf and the node factors kx = e N / epsilon0 are
+    computed from them.  A record without node errors reads NaN errors and
+    missing factors, from tuples shared by every such record with the same
+    d.  Success flags come from a bounded cache keyed by the flags, so
+    records with equal flags mostly share one tuple.  Compare records by
+    value and do not rely on the identity of what they return.
     """
 
     scheme: str
     p: int
     d: int
-    h: float
     n_samples: int
-    epsilon_requested: float
-    epsilon0: float
-    seed: int
-    node_errors: tuple
     successes: tuple
-    ka: tuple
-    failure: Optional[str] = None
+    failure: Optional[str]
+    seed: int
+    numbers: bytes
+
+    @classmethod
+    def build(
+        cls,
+        scheme: str,
+        p: int,
+        d: int,
+        h: float,
+        n_samples: int,
+        epsilon_requested: float,
+        epsilon0: float,
+        seed: int,
+        successes: tuple,
+        node_errors: Optional[Sequence[float]] = None,
+        ka: Optional[Sequence[float]] = None,
+        failure: Optional[str] = None,
+    ) -> "ExperimentRecord":
+        """The record of a trial, with its floats packed into numbers.
+
+        A trial that scored its nodes passes its d node errors and its d
+        amplitude factors, NaN where a factor is missing; one that did not
+        passes neither and stores no node block.  The floats read back as
+        Python floats, bit for bit; the other arguments are kept as given.
+        """
+        if node_errors is None:
+            numbers = _HEADER.pack(h, epsilon_requested, epsilon0)
+        else:
+            numbers = _layout(d).pack(h, epsilon_requested, epsilon0, *node_errors, *ka)
+        return cls(scheme, p, d, n_samples, successes, failure, seed, numbers)
+
+    def _values(self) -> tuple:
+        """h, epsilon_requested and epsilon0, then the node block if the
+        record stores one: the d node errors and the d amplitude factors,
+        NaN where a factor is missing."""
+        if len(self.numbers) == _HEADER.size:
+            return _HEADER.unpack(self.numbers)
+        return _layout(self.d).unpack(self.numbers)
+
+    @property
+    def h(self) -> float:
+        return _HEADER.unpack_from(self.numbers)[0]
+
+    @property
+    def epsilon_requested(self) -> float:
+        return _HEADER.unpack_from(self.numbers)[1]
+
+    @property
+    def epsilon0(self) -> float:
+        return _HEADER.unpack_from(self.numbers)[2]
+
+    @property
+    def node_errors(self) -> tuple:
+        d, values = self.d, self._values()
+        return values[3 : 3 + d] if len(values) > 3 else _unscored_nodes(d)[0]
+
+    @property
+    def ka(self) -> tuple:
+        d, values = self.d, self._values()
+        return _present(values[3 + d :]) if len(values) > 3 else _unscored_nodes(d)[1]
 
     @property
     def srf(self) -> float:
@@ -130,13 +202,12 @@ class ExperimentRecord:
     def kx(self) -> tuple:
         """Node factors e N / epsilon0 where the node succeeded and the factor
         is finite, else None; a fresh tuple on each read unless shared."""
-        eps0 = self.epsilon0
-        if not (eps0 > 0 and any(self.successes)):
-            return _missing_node_tuples(self.d)[2]
-        # a subnormal eps0 can overflow a factor to inf, which Python float
-        # division returns without a warning; it is kept as missing
-        n_samples = self.n_samples
-        return _factors([e * n_samples / eps0 for e in self.node_errors], self.successes)
+        d, values = self.d, self._values()
+        if len(values) == 3:
+            return _unscored_nodes(d)[1]
+        return _present(
+            _node_factors(values[3 : 3 + d], self.successes, self.n_samples, values[2])
+        )
 
     def all_success(self) -> bool:
         return bool(all(self.successes))
@@ -200,18 +271,32 @@ def _shared_flags(successes: tuple) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _missing_node_tuples(d: int) -> tuple:
-    """Per-node errors, success flags and factors of a trial with d nodes
-    that measured none of them, built once per d and shared by every record
-    that keeps them."""
-    return (math.nan,) * d, _shared_flags((False,) * d), (None,) * d
+def _unscored_nodes(d: int) -> tuple:
+    """Node errors and node factors of a record with d nodes and no node
+    block, built once per d and shared by every such record: all NaN and
+    all missing."""
+    return (math.nan,) * d, (None,) * d
 
 
-def _factors(values: list, successes: tuple) -> tuple:
-    """Each factor where its node succeeded and the factor is finite, else None."""
-    return tuple(
-        v if ok and math.isfinite(v) else None for v, ok in zip(values, successes)
-    )
+def _factors(values: list, successes: tuple) -> list:
+    """Each factor where its node succeeded and the factor is finite, else NaN."""
+    return [
+        v if ok and math.isfinite(v) else math.nan for v, ok in zip(values, successes)
+    ]
+
+
+def _node_factors(errors, successes, n_samples: int, eps0: float) -> list:
+    """The node factors e N / eps0 of the node errors, by _factors."""
+    if not eps0 > 0:
+        return [math.nan] * len(errors)
+    # a subnormal eps0 can overflow a factor to inf, which Python float
+    # division returns without a warning; it is kept as missing
+    return _factors([e * n_samples / eps0 for e in errors], successes)
+
+
+def _present(factors) -> tuple:
+    """The factors with None for each NaN, which marks a missing factor."""
+    return tuple(None if math.isnan(v) else v for v in factors)
 
 
 def _nearest_gaps(nodes: list) -> list:
@@ -249,8 +334,8 @@ def _measure(
 
 
 def _score(x: list, train: SpikeTrain, estimate: SpikeTrain, eps0: float) -> tuple:
-    """Per-node errors, success flags and amplitude factors of an estimate of
-    train, whose nodes are x as Python floats."""
+    """Per-node errors, success flags and amplitude factors (NaN where
+    missing) of an estimate of train, whose nodes are x as Python floats."""
     # dist[j, l]: estimate j to true node l.  True node l is scored by its
     # nearest estimate, and Ka compares true node l with that estimate.
     dist = _circular_distance(estimate.nodes[:, None], train.nodes[None, :])
@@ -261,12 +346,12 @@ def _score(x: list, train: SpikeTrain, estimate: SpikeTrain, eps0: float) -> tup
         tuple(e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x)))
     )
     if not eps0 > 0:
-        return tuple(errors), successes, _missing_node_tuples(len(x))[2]
+        return errors, successes, [math.nan] * len(x)
     amp_err = train.amplitudes - estimate.amplitudes[dist.argmin(axis=0)]
     # hypot, not np.abs: complex np.abs may differ from the scalar abs in
     # the last ulp, and hypot matches it bit for bit
     amp_errors = np.hypot(amp_err.real, amp_err.imag).tolist()
-    return tuple(errors), successes, _factors([a / eps0 for a in amp_errors], successes)
+    return errors, successes, _factors([a / eps0 for a in amp_errors], successes)
 
 
 def single_experiment(
@@ -316,11 +401,14 @@ def single_experiment(
         eps0 = samples.actual_noise
         estimate = mp_recover(samples, d).estimate
     except SpikesrError as exc:
-        return ExperimentRecord(
-            scheme, p, d, h, n_samples, epsilon, eps0, seed, *_missing_node_tuples(d), str(exc)
+        # interned, so the records of a sweep share each distinct message
+        return ExperimentRecord.build(
+            scheme, p, d, h, n_samples, epsilon, eps0, seed, _shared_flags((False,) * d),
+            failure=sys.intern(str(exc)),
         )
-    return ExperimentRecord(
-        scheme, p, d, h, n_samples, epsilon, eps0, seed, *_score(x, train, estimate, eps0)
+    errors, successes, ka = _score(x, train, estimate, eps0)
+    return ExperimentRecord.build(
+        scheme, p, d, h, n_samples, epsilon, eps0, seed, successes, errors, ka
     )
 
 
@@ -433,8 +521,10 @@ def phase_transition_sweep(
     Raises DegenerateFitError when every trial shares one outcome, or when
     the trials span less than 0.1 decade of srf.
     """
-    if node_index is not None and not 1 <= node_index <= d:
-        raise ValueError("node_index must lie in 1..d")
+    if node_index is not None:
+        node_index = operator.index(node_index)
+        if not 1 <= node_index <= d:
+            raise ValueError("node_index must lie in 1..d")
     records = amplification_sweep(
         p, d, h_range, n_range, eps_range, trials, scheme, base_seed
     )
@@ -516,17 +606,34 @@ def fit_loglog_slope(
         raise ValueError("quantity must be 'kx' or 'ka'")
     if node_class not in ("cluster", "noncluster"):
         raise ValueError("node_class must be 'cluster' or 'noncluster'")
-    # float buffers hold no float object per point, and srf is computed
-    # once per record that has a point
+    # float buffers hold no float object per point; each record's numbers
+    # are unpacked once, and srf is computed once per record that has a point
     xs, ys = array("d"), array("d")
-    cluster = node_class == "cluster"
+    cluster, node = node_class == "cluster", quantity == "kx"
     for rec in records:
-        factors = rec.kx if quantity == "kx" else rec.ka
+        if len(rec.numbers) == _HEADER.size:
+            continue  # no node block, so no factors
+        p, d, n_samples = rec.p, rec.d, rec.n_samples
+        h, _, eps0, *block = _layout(d).unpack(rec.numbers)
+        lo, hi = (0, p) if cluster else (p, d)
+        if not node:
+            values = block[d + lo : d + hi]
+        elif eps0 > 0:
+            # the factors of _node_factors, inline and without its finite
+            # test, which the test below repeats: calling it took the four
+            # fits of a 500-trial S2 pass from 1.6 to 1.8-2.6 ms
+            values = [
+                e * n_samples / eps0 if ok else math.nan
+                for e, ok in zip(block[lo:hi], rec.successes[lo:hi])
+            ]
+        else:
+            continue
         srf = None
-        for value in factors[: rec.p] if cluster else factors[rec.p :]:
-            if value is not None and value > 0 and math.isfinite(value):
+        for value in values:
+            # false for NaN, the missing factor, and for inf
+            if 0 < value < math.inf:
                 if srf is None:
-                    srf = rec.srf
+                    srf = _srf(p, h, n_samples)
                 xs.append(srf)
                 ys.append(value)
     if len(xs) < 10:
@@ -545,29 +652,41 @@ def write_records_csv(records, stream) -> None:
     """Write one CSV row per (record, node) under CSV_HEADER, one write per
     record.
 
-    Every number cell is the str of its value, so a numpy scalar writes the
-    same number as the Python scalar it holds; a success flag is true or
-    false, a missing factor is an empty cell, and node_class is cluster for
-    node indices 1..p, else noncluster.  The scheme cell is written as it
-    is: a record whose scheme is not in SCHEMES raises ValueError, and one
-    whose per-node tuples are shorter than d raises IndexError, before any
-    of its rows is written.
+    Every number cell is the str of its value, so a numpy scalar count
+    writes the same number as the Python int it holds; a success flag is
+    true or false, a missing factor is an empty cell, and node_class is
+    cluster for node indices 1..p, else noncluster.  The scheme cell is
+    written as it is: a record whose scheme is not in SCHEMES raises
+    ValueError, one whose node block does not hold 2 d values raises
+    struct.error, and one with fewer than d success flags raises IndexError,
+    before any of its rows is written.
     """
     stream.write(CSV_HEADER + "\n")
     for rec in records:
         _check_scheme(rec.scheme)
-        # the trial's cells, srf and kx are formed once per record
+        # the record's numbers are unpacked, and its trial cells, srf and kx
+        # formed, once per record
+        p, d, n_samples, flags = rec.p, rec.d, rec.n_samples, rec.successes
+        h, eps_req, eps0, *block = rec._values()
         trial = (
-            f"{rec.scheme},{rec.p!s},{rec.d!s},{rec.h!s},{rec.n_samples!s},"
-            f"{rec.epsilon_requested!s},{rec.epsilon0!s},{rec.srf!s}"
+            f"{rec.scheme},{p!s},{d!s},{h!s},{n_samples!s},"
+            f"{eps_req!s},{eps0!s},{_srf(p, h, n_samples)!s}"
         )
-        p, seed, errors, flags, kx, ka = (
-            rec.p, rec.seed, rec.node_errors, rec.successes, rec.kx, rec.ka
-        )
-        rows = [
-            f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},{errors[j]!s},"
-            f"{'true' if flags[j] else 'false'},{'' if kx[j] is None else str(kx[j])},"
-            f"{'' if ka[j] is None else str(ka[j])},{seed!s}\n"
-            for j in range(rec.d)
-        ]
+        tail = f",{rec.seed!s}\n"
+        if block:
+            kx = _node_factors(block[:d], flags, n_samples, eps0)
+            # a NaN factor, the missing one, is the one cell unequal to itself
+            rows = [
+                f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},{block[j]!s},"
+                f"{'true' if flags[j] else 'false'},{'' if kx[j] != kx[j] else str(kx[j])},"
+                f"{'' if block[d + j] != block[d + j] else str(block[d + j])}{tail}"
+                for j in range(d)
+            ]
+        else:
+            # no node block: every node error is NaN and every factor missing
+            rows = [
+                f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},nan,"
+                f"{'true' if flags[j] else 'false'},,{tail}"
+                for j in range(d)
+            ]
         stream.write("".join(rows))

@@ -123,8 +123,10 @@ def prony_solve(mu, d: int) -> PronySolution:
     node modulus) are repeated roots.
 
     Raises DegenerateSystemError or RepeatedRootsError accordingly.  The output
-    is sorted by principal argument of the nodes, ties broken by modulus.
+    is sorted by principal argument of the nodes, ties broken by modulus.  An
+    order that is not an integer, such as 2.0, raises TypeError.
     """
+    d = operator.index(d)
     data = np.array(mu, dtype=complex, ndmin=1)
     if d < 1:
         raise ValueError("order d must be at least 1")

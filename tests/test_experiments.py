@@ -1,16 +1,19 @@
 import copy
 import dataclasses
+import gc
 import io
 import math
 import pickle
+import struct
 import tracemalloc
 from types import SimpleNamespace
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from spikesr import experiments, worstcase
-from spikesr.errors import DegenerateFitError, InsufficientDataError
+from spikesr.errors import DegenerateFitError, InsufficientDataError, SpikesrError
 from spikesr.experiments import (
     CSV_HEADER,
     DEFAULT_AMPLIFICATION_RANGES,
@@ -23,7 +26,7 @@ from spikesr.experiments import (
     write_records_csv,
 )
 from spikesr.matrix_pencil import mp_recover
-from spikesr.signal import make_clustered_nodes, standard_cluster_geometry
+from spikesr.signal import SpikeTrain, make_clustered_nodes, standard_cluster_geometry
 
 
 def test_single_experiment_exact_regime_all_succeed():
@@ -197,26 +200,27 @@ def test_records_copy_replace_and_pickle():
     records = _failed_sweep()
     assert {rec.failure is None for rec in records} == {True, False}
     for rec in records:
-        for clone in (copy.copy(rec), copy.deepcopy(rec)):
+        # the floats are bytes, so a NaN epsilon0 compares equal too
+        for clone in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
             assert clone == rec and not hasattr(clone, "__dict__")
-        # unpickling builds new NaN objects, which compare unequal
-        assert repr(pickle.loads(pickle.dumps(rec))) == repr(rec)
         moved = dataclasses.replace(rec, seed=rec.seed + 1)
         assert moved != rec and not hasattr(moved, "__dict__")
         assert dataclasses.replace(moved, seed=rec.seed) == rec
 
 
 def test_records_equal_a_rebuild_with_fresh_tuples():
-    # equality never rests on the shared tuples being the same objects
+    # equality never rests on the shared tuples being the same objects, and
+    # build() packs what a record reads back into an equal record
     for rec in _failed_sweep():
-        fresh = dataclasses.replace(
-            rec,
-            **{
-                name: tuple(list(getattr(rec, name)))
-                for name in ("node_errors", "successes", "ka")
-            },
+        scored = rec.failure is None
+        fresh = ExperimentRecord.build(
+            rec.scheme, rec.p, rec.d, rec.h, rec.n_samples, rec.epsilon_requested,
+            rec.epsilon0, rec.seed, tuple(list(rec.successes)),
+            list(rec.node_errors) if scored else None,
+            [math.nan if v is None else v for v in rec.ka] if scored else None,
+            failure=rec.failure,
         )
-        assert fresh.node_errors is not rec.node_errors
+        assert fresh.successes is not rec.successes
         assert fresh == rec
 
 
@@ -270,13 +274,198 @@ def test_derived_srf_and_kx_are_the_formerly_stored_bits():
 
 
 def test_records_take_no_srf_or_kx_argument():
+    # the constructor takes the packed numbers; the floats they hold, srf
+    # and kx are read-only properties
     rec = single_experiment(2, 4, 0.03, 64, 1e-6, "S1", seed=5)
     fields = dataclasses.asdict(rec)
-    assert [f.name for f in dataclasses.fields(rec)] == list(fields)
-    for name in ("srf", "kx"):
+    assert [f.name for f in dataclasses.fields(rec)] == list(fields) == [
+        "scheme", "p", "d", "n_samples", "successes", "failure", "seed", "numbers",
+    ]
+    assert ExperimentRecord(**fields) == rec
+    for name in ("srf", "kx", "h", "epsilon_requested", "epsilon0", "node_errors", "ka"):
         assert name not in fields and f"{name}=" not in repr(rec)
         with pytest.raises(TypeError):
             ExperimentRecord(**fields, **{name: getattr(rec, name)})
+        # as for any name that is no field (test_records_are_slotted_and_frozen)
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            setattr(rec, name, getattr(rec, name))
+
+
+@dataclasses.dataclass(frozen=True)
+class _TupleRecord:
+    """ExperimentRecord's former tuple layout, kept as a reference: every
+    measured number is a field of its own, a missing factor is None, and
+    srf and kx are computed as single_experiment formerly stored them."""
+
+    scheme: str
+    p: int
+    d: int
+    h: float
+    n_samples: int
+    epsilon_requested: float
+    epsilon0: float
+    seed: int
+    node_errors: tuple
+    successes: tuple
+    ka: tuple
+    failure: Optional[str] = None
+
+    @property
+    def srf(self):
+        return _stored_srf(self.p, self.h, self.n_samples)
+
+    @property
+    def kx(self):
+        return _stored_kx(self)
+
+    def all_success(self):
+        return all(self.successes)
+
+
+def _reference_trial(p, d, h, n_samples, epsilon, scheme, seed):
+    """The tuple-layout record of a trial: single_experiment's measure and
+    estimate stages, scored by the per-true-node reference loop, with a
+    factor that is not finite kept as missing."""
+    x = make_clustered_nodes(standard_cluster_geometry(p, d, h)) / (2 * math.pi)
+    amps = experiments._scheme_amplitudes(scheme, d)
+    eps0 = math.nan
+    try:
+        samples = experiments._measure(
+            SpikeTrain(amplitudes=amps, nodes=x), p, n_samples, epsilon, scheme, seed
+        )
+        eps0 = samples.actual_noise
+        estimate = mp_recover(samples, d).estimate
+    except SpikesrError as exc:
+        return _TupleRecord(
+            scheme, p, d, h, n_samples, epsilon, eps0, seed,
+            (math.nan,) * d, (False,) * d, (None,) * d, str(exc),
+        )
+    # a subnormal eps0 overflows some factors, which are then missing
+    with np.errstate(over="ignore"):
+        errors, successes, _, ka = _reference_scores(
+            x, amps, estimate.nodes, estimate.amplitudes, n_samples, eps0
+        )
+    ka = tuple(v if v is not None and math.isfinite(v) else None for v in ka)
+    return _TupleRecord(scheme, p, d, h, n_samples, epsilon, eps0, seed, errors, successes, ka)
+
+
+def _bits(value):
+    """value with each float spelled by float.hex and each value paired with
+    its type, so NaN, -0.0 and the number types compare exactly."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+_READ_BACK = (
+    "scheme", "p", "d", "h", "n_samples", "epsilon_requested", "epsilon0", "seed",
+    "node_errors", "successes", "ka", "kx", "srf", "failure",
+)
+
+
+def test_every_record_attribute_reads_back_the_trials_bits():
+    trials = [
+        # zero noise: eps0 is 0 and every factor is missing
+        (2, 4, 0.05, 64, 0.0, "S1", 4),
+        # seeds of 2**64 and above seed a trial, and are kept as they are
+        (2, 4, 0.03, 64, 1e-6, "S1", 2**64 + 5),
+        (2, 4, 0.03, 64, 1e-9, "S2", 2**70),
+        # a subnormal noise overflows some node factors
+        *_reference_draws(3, 5, (5e-3, 6e-2), (48, 96), (1e-323, 1e-320), 20, "S1", 0),
+    ]
+    # failed nodes, and the construction failures (NaN eps0) and estimator
+    # failures of _failed_sweep
+    trials += _reference_draws(3, 5, **DEFAULT_PHASE_RANGES, trials=40, scheme="S1", base_seed=2)
+    trials += _reference_draws(3, 5, **DEFAULT_AMPLIFICATION_RANGES, trials=60, scheme="S2", base_seed=1)
+    refs = [_reference_trial(*trial) for trial in trials]
+    assert any(ref.epsilon0 == 0 and ref.failure is None for ref in refs)
+    assert any(ref.failure is not None and math.isnan(ref.epsilon0) for ref in refs)
+    assert any(ref.failure is not None and ref.epsilon0 > 0 for ref in refs)
+    assert any(ref.failure is None and None in ref.ka and any(ref.ka) for ref in refs)
+    assert any(
+        ok and e * ref.n_samples / ref.epsilon0 == math.inf
+        for ref in refs
+        if ref.epsilon0 > 0
+        for e, ok in zip(ref.node_errors, ref.successes)
+    )
+    for trial, ref in zip(trials, refs):
+        rec = single_experiment(*trial)
+        for name in _READ_BACK:
+            assert _bits(getattr(rec, name)) == _bits(getattr(ref, name)), (name, trial)
+        assert rec.all_success() == ref.all_success()
+
+
+def _reference_fit(records, quantity, node_class):
+    """The former fit_loglog_slope's points, read from tuple-layout records
+    and fitted by _ols_loglog; None where fit_loglog_slope raises
+    InsufficientDataError."""
+    xs, ys = [], []
+    for rec in records:
+        factors = getattr(rec, quantity)
+        for value in factors[: rec.p] if node_class == "cluster" else factors[rec.p :]:
+            if value is not None and value > 0 and math.isfinite(value):
+                xs.append(rec.srf)
+                ys.append(value)
+    if len(xs) < 10 or math.log10(max(xs)) - math.log10(min(xs)) < 0.1:
+        return None
+    return experiments._ols_loglog(xs, ys)
+
+
+@pytest.mark.parametrize(
+    "scheme, ranges",
+    [
+        # an S1 trial raises nowhere in these ranges, but its nodes fail
+        pytest.param("S1", DEFAULT_PHASE_RANGES, id="S1-phase"),
+        pytest.param("S2", DEFAULT_PHASE_RANGES, id="S2-phase"),
+        pytest.param("S2", DEFAULT_AMPLIFICATION_RANGES, id="S2-amp"),
+    ],
+)
+def test_csv_and_fits_equal_the_tuple_layouts(scheme, ranges):
+    args = (2, 4, ranges["h_range"], ranges["n_range"], ranges["eps_range"], 150, scheme, 6)
+    records = amplification_sweep(*args)
+    refs = [_reference_trial(*trial) for trial in _reference_draws(*args)]
+    assert any(not ref.all_success() for ref in refs)
+    if scheme == "S2":
+        assert any(ref.failure is not None for ref in refs)
+    buf = io.StringIO()
+    write_records_csv(records, buf)
+    assert buf.getvalue() == _reference_csv(refs)
+    for quantity in ("kx", "ka"):
+        for node_class in ("cluster", "noncluster"):
+            try:
+                fit = fit_loglog_slope(records, quantity, node_class)
+            except InsufficientDataError:
+                fit = None
+            ref = _reference_fit(refs, quantity, node_class)
+            assert _bits(fit and dataclasses.astuple(fit)) == _bits(
+                ref and dataclasses.astuple(ref)
+            ), (quantity, node_class)
+
+
+def test_a_scored_record_holds_no_per_node_float_or_tuple():
+    records = amplification_sweep(
+        2, 4, **DEFAULT_AMPLIFICATION_RANGES, trials=20, scheme="S1", base_seed=3
+    )
+    scored = [rec for rec in records if rec.failure is None]
+    assert scored
+    for rec in scored:
+        referents = gc.get_referents(rec)
+        assert not [obj for obj in referents if isinstance(obj, float)]
+        # the one tuple is the success flags, shared by records with equal flags
+        tuples = [obj for obj in referents if isinstance(obj, tuple)]
+        assert len(tuples) == 1 and tuples[0] is rec.successes
+        assert experiments._shared_flags(tuple(list(rec.successes))) is rec.successes
+        assert len(rec.numbers) == 8 * (3 + 2 * rec.d)
+
+
+def test_failed_records_share_their_failure_text():
+    failed = [rec for rec in _failed_sweep() if rec.failure is not None]
+    texts = {}
+    for rec in failed:
+        assert texts.setdefault(rec.failure, rec.failure) is rec.failure
+    assert len(failed) > len(texts) > 1
+    # a failed record stores only h, epsilon_requested and epsilon0
+    assert {len(rec.numbers) for rec in failed} == {24}
 
 
 def test_single_experiment_node_classes():
@@ -442,7 +631,7 @@ def _planted_record(srf, kx, ka):
     a few ulps of srf and kx: the record computes both from the planted
     extent and node errors."""
     n_samples, eps0 = 64, 1e-6
-    return ExperimentRecord(
+    return ExperimentRecord.build(
         scheme="S1",
         p=2,
         d=3,
@@ -451,9 +640,9 @@ def _planted_record(srf, kx, ka):
         epsilon_requested=1e-6,
         epsilon0=eps0,
         seed=0,
-        node_errors=tuple(k * eps0 / n_samples for k in (kx, kx, 1.0)),
         successes=(True, True, True),
-        ka=(ka, ka, 1.0),
+        node_errors=[k * eps0 / n_samples for k in (kx, kx, 1.0)],
+        ka=[ka, ka, 1.0],
     )
 
 
@@ -832,10 +1021,10 @@ def test_writers_match_dict_based_reference(scheme, p):
     for other in ("S1", "S2"):
         records.append(
             # an infinite eps0 turns the node error -0.0 into the factor -0.0
-            ExperimentRecord(
+            ExperimentRecord.build(
                 scheme=other, p=2, d=2, h=1e-3, n_samples=8, epsilon_requested=1e-9,
-                epsilon0=math.inf, seed=3, node_errors=(-0.0, math.nan),
-                successes=(True, False), ka=(2.0, None),
+                epsilon0=math.inf, seed=3, successes=(True, False),
+                node_errors=[-0.0, math.nan], ka=[2.0, math.nan],
             )
         )
     records.append(single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0))
@@ -844,11 +1033,11 @@ def test_writers_match_dict_based_reference(scheme, p):
     for count, real in ((np.int64, np.float64), (np.uint64, float)):
         for eps_req, eps0 in ((-0.0, 1e-9), (math.inf, math.nan), (math.nan, -0.0)):
             records.append(
-                ExperimentRecord(
+                ExperimentRecord.build(
                     scheme="S2", p=count(2), d=count(3), h=real(2e-2), n_samples=count(40),
                     epsilon_requested=real(eps_req), epsilon0=real(eps0), seed=count(2**63 - 1),
-                    node_errors=(1e-12, -0.0, math.inf), successes=(True, True, False),
-                    ka=(math.inf, -0.0, None),
+                    successes=(True, True, False), node_errors=[1e-12, -0.0, math.inf],
+                    ka=[math.inf, -0.0, math.nan],
                 )
             )
     assert any(rec.failure is not None for rec in records)
@@ -862,13 +1051,17 @@ def test_writers_match_dict_based_reference(scheme, p):
 def test_a_record_shorter_than_d_raises_before_its_rows_are_written(succeeded):
     good = single_experiment(2, 3, 0.02, 48, 1e-8, "S1", seed=1)
     assert good.all_success()
-    # per-node tuples of 3 under d = 4; a failed record's kx holds d values
-    short = dataclasses.replace(good, d=4)
-    if not succeeded:
-        short = dataclasses.replace(short, successes=(False,) * 3, ka=(None,) * 3)
-    assert len(short.kx) == (3 if succeeded else 4)
+    # A node block of 3 nodes under d = 4 fits no d = 4 layout.  A failed
+    # record has no node block and reads d NaN errors, but holds 3 flags.
+    if succeeded:
+        short, error = dataclasses.replace(good, d=4), struct.error
+    else:
+        failed = single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0)
+        assert failed.failure is not None
+        short, error = dataclasses.replace(failed, d=4), IndexError
+        assert len(short.node_errors) == 4 and len(short.successes) == 3
     buf = io.StringIO()
-    with pytest.raises(IndexError):
+    with pytest.raises(error):
         write_records_csv([good, good, short, good], buf)
     expected = io.StringIO()
     write_records_csv([good, good], expected)
@@ -876,15 +1069,19 @@ def test_a_record_shorter_than_d_raises_before_its_rows_are_written(succeeded):
 
 
 def _as_numpy_scalars(record):
-    """record with its counts as np.int64 and its floats as np.float64."""
+    """record rebuilt from its counts as np.int64 and its floats as
+    np.float64."""
     counts = ("p", "d", "n_samples", "seed")
     reals = ("h", "epsilon_requested", "epsilon0")
-    return dataclasses.replace(
-        record,
+    scored = record.failure is None
+    return ExperimentRecord.build(
+        scheme=record.scheme,
         **{name: np.int64(getattr(record, name)) for name in counts},
         **{name: np.float64(getattr(record, name)) for name in reals},
-        node_errors=tuple(map(np.float64, record.node_errors)),
-        ka=tuple(None if v is None else np.float64(v) for v in record.ka),
+        successes=record.successes,
+        node_errors=list(map(np.float64, record.node_errors)) if scored else None,
+        ka=[np.float64(math.nan if v is None else v) for v in record.ka] if scored else None,
+        failure=record.failure,
     )
 
 
@@ -897,7 +1094,9 @@ def test_numpy_scalar_cells_write_the_bytes_of_python_scalars():
     assert any(rec.failure is None for rec in records)
     assert any(rec.failure is not None for rec in records)
     converted = [_as_numpy_scalars(rec) for rec in records]
-    assert type(converted[0].kx[0]) is np.float64
+    # the counts stay numpy scalars; the floats read back as Python floats
+    assert type(converted[0].n_samples) is np.int64
+    assert type(converted[0].h) is float
     python, numpy_ = io.StringIO(), io.StringIO()
     write_records_csv(records, python)
     write_records_csv(converted, numpy_)
@@ -915,24 +1114,30 @@ def test_a_record_with_an_unknown_scheme_raises_before_its_rows_are_written():
     assert buf.getvalue() == expected.getvalue()
 
 
-def _reference_sweep(p, d, h_range, n_range, eps_range, trials, scheme, base_seed):
-    """The former amplification_sweep, which validated the ranges and took
-    their logs on every draw, kept as a reference."""
+def _reference_draws(p, d, h_range, n_range, eps_range, trials, scheme, base_seed):
+    """The single_experiment arguments of each trial, drawn as the former
+    amplification_sweep drew them: validating the ranges and taking their
+    logs on every draw.  Kept as a reference."""
 
     def log_uniform(rng, lo, hi):
         if not 0 < lo <= hi:
             raise ValueError("range bounds must be positive and ordered")
         return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
-    records = []
+    draws = []
     for t in range(trials):
         rng = np.random.default_rng([base_seed, t])
         h = log_uniform(rng, *h_range)
         n = max(int(round(log_uniform(rng, *n_range))), 2 * d + 2)
         eps = log_uniform(rng, *eps_range)
         noise_seed = int(rng.integers(0, 2**63 - 1))
-        records.append(single_experiment(p, d, h, n, eps, scheme, noise_seed))
-    return records
+        draws.append((p, d, h, n, eps, scheme, noise_seed))
+    return draws
+
+
+def _reference_sweep(*args):
+    """The former amplification_sweep, one single_experiment per drawn trial."""
+    return [single_experiment(*trial) for trial in _reference_draws(*args)]
 
 
 @pytest.mark.parametrize("ranges", [DEFAULT_AMPLIFICATION_RANGES, DEFAULT_PHASE_RANGES])
@@ -1099,11 +1304,12 @@ def test_numpy_scalar_inputs_give_the_python_scalar_record(numpy_args):
     record = single_experiment(*numpy_args)
     expected = single_experiment(*python_args)
     assert repr(record) == repr(expected)
-    for field in dataclasses.fields(record):
-        value, want = getattr(record, field.name), getattr(expected, field.name)
-        assert type(value) is type(want), field.name
+    names = [field.name for field in dataclasses.fields(record)]
+    for name in names + ["h", "epsilon_requested", "epsilon0", "node_errors", "ka", "kx"]:
+        value, want = getattr(record, name), getattr(expected, name)
+        assert type(value) is type(want), name
         if isinstance(want, tuple):
-            assert list(map(type, value)) == list(map(type, want)), field.name
+            assert list(map(type, value)) == list(map(type, want)), name
     got, want = io.StringIO(), io.StringIO()
     write_records_csv([record], got)
     write_records_csv([expected], want)

@@ -354,3 +354,13 @@ def test_prony_solve_matches_numpy_checks_reference_on_every_branch():
         "repeated roots: recovered nodes coincide",
         "solved",
     }
+
+
+def test_a_numpy_order_shares_the_python_orders_tables():
+    # the order passes through operator.index, so np.int64(2) keys the same
+    # cached tables as 2
+    mu = prony_map([1.0, -1.0], [np.exp(0.2j), np.exp(0.6j)], 4)
+    prony._order_tables.cache_clear()
+    solutions = [prony_solve(mu, order) for order in (2, np.int64(2))]
+    assert prony._order_tables.cache_info().currsize == 1
+    assert np.array_equal(solutions[0].nodes, solutions[1].nodes)

@@ -6,7 +6,8 @@ import pytest
 
 from spikesr import cli
 from spikesr.matrix_pencil import mp_recover
-from spikesr.prony import prony_map
+from spikesr.experiments import phase_transition_sweep
+from spikesr.prony import prony_map, prony_solve
 from spikesr.signal import (
     ClusterGeometry,
     SpectralSamples,
@@ -432,7 +433,8 @@ def test_cluster_geometry_validation():
 
 
 # Each call takes its counts through `count`: p = 2 (and d = 3, kappa = 1
-# where the call has them).
+# where the call has them); prony_solve and mp_recover take the order d = 2,
+# and phase_transition_sweep only its node_index = 2.
 _COUNT_CALLS = {
     "standard_cluster_geometry": lambda count: standard_cluster_geometry(
         count(2), count(3), 0.1
@@ -449,6 +451,12 @@ _COUNT_CALLS = {
     "displacement_scaling_probe": lambda count: displacement_scaling_probe(count(2), [0.1]),
     "mp_recover": lambda count: mp_recover(
         sample_spectrum(SpikeTrain([1.0, -1.0], [0.1, 0.3]), 8, 0.0, 0), count(2)
+    ),
+    "prony_solve": lambda count: prony_solve(
+        prony_map([1.0, -1.0], [np.exp(0.2j), np.exp(0.6j)], 4), count(2)
+    ),
+    "phase_transition_sweep": lambda count: phase_transition_sweep(
+        2, 3, (2e-3, 1e-1), (32, 128), (1e-12, 1.0), 40, "S1", 1, node_index=count(2)
     ),
 }
 

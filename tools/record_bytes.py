@@ -7,11 +7,11 @@ Run from the repository root:
 For each scheme, eight amplification sweeps (p=2, d=4,
 DEFAULT_AMPLIFICATION_RANGES, 500 trials each, base seeds 1000-1007) run
 under tracemalloc, and the line gives the traced memory still held once
-they have returned, divided by the 4 000 records: the records, their
-per-node tuples and floats, and the list slots that keep them.  One
-warm-up sweep fills the module caches first, so they are not counted.
-The figure depends on the interpreter's object sizes, so compare it with
-a parent commit's on the same Python.
+they have returned, divided by the 4 000 records: the records, the bytes
+that hold their measured numbers, their seeds and the list slots that keep
+them.  One warm-up sweep fills the module caches first, so they are not
+counted.  The figure depends on the interpreter's object sizes, so compare
+it with a parent commit's on the same Python, as CI does on pull requests.
 """
 
 import gc
