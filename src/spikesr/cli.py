@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -202,6 +203,27 @@ def _print_amplification_fits(records) -> None:
             print(f"{label}: {exc}")
 
 
+def _print_failure_counts(records, node_index) -> None:
+    """One line counting a sweep's failed trials in three kinds:
+    construction failures (worst_case_signal raised, so no eps0 was
+    measured), estimator failures (mp_recover raised after eps0 was
+    measured), and scored trials whose outcome fails: the success of node
+    node_index (1-based) when it is given, else of every node."""
+    construction = estimator = scored = 0
+    for rec in records:
+        if rec.failure is None:
+            ok = rec.all_success() if node_index is None else rec.successes[node_index - 1]
+            scored += not ok
+        elif math.isnan(rec.epsilon0):
+            construction += 1
+        else:
+            estimator += 1
+    print(
+        f"failed trials: {construction} construction, {estimator} estimator, "
+        f"{scored} scored, of {len(records)}"
+    )
+
+
 def cmd_experiment(args) -> int:
     if args.node_index is not None and args.kind == "amplification":
         raise CliError("node_index applies only to --kind phase", EXIT_PARSE)
@@ -232,6 +254,7 @@ def cmd_experiment(args) -> int:
             f"boundary slope: {boundary.slope:+.3f} (intercept {boundary.intercept:+.3f}, "
             f"successes {boundary.n_success}, failures {boundary.n_failure})"
         )
+    _print_failure_counts(records, args.node_index)
     return 0
 
 

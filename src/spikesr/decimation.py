@@ -86,7 +86,11 @@ def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
 def _interval_set(starts: np.ndarray, ends: np.ndarray) -> IntervalSet:
     """IntervalSet of components that are already sorted, disjoint and not
     touching, given as start and end arrays."""
-    return IntervalSet(tuple(zip(starts.tolist(), ends.tolist())))
+    # From a list, not straight from the zip: a zip has no length, so CPython
+    # would build the tuple at a guessed size and resize it, and each freed
+    # result would then park on the free list of its own size, which this
+    # path never draws from again (see README, Conventions).
+    return IntervalSet(tuple(list(zip(starts.tolist(), ends.tolist()))))
 
 
 @lru_cache(maxsize=64)
@@ -357,13 +361,26 @@ def predicted_condition_numbers(
     Cluster nodes amplify like (omega tau h)^{-2p+2} / omega for nodes and
     (omega tau h)^{-2p+1} for amplitudes; the rest sit at the 1/omega and 1
     baselines.
+
+    Raises ValueError for omega that is not finite and positive, and for an
+    omega tau h so small that a cluster factor is not a finite float.
     """
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("omega must be finite and positive")
     p = geometry.p
     srf_gap = omega * geometry.tau * geometry.h
-    cluster_node = (1.0 / omega) * srf_gap ** (-2 * p + 2)
-    cluster_amp = srf_gap ** (-2 * p + 1)
+    # Python float powers raise where they overflow (or where srf_gap
+    # underflowed to 0), but float products overflow to inf silently.
+    try:
+        cluster_node = (1.0 / omega) * srf_gap ** (-2 * p + 2)
+        cluster_amp = srf_gap ** (-2 * p + 1)
+    except (OverflowError, ZeroDivisionError):
+        cluster_node = cluster_amp = math.inf
+    if not (math.isfinite(cluster_node) and math.isfinite(cluster_amp)):
+        raise ValueError(
+            f"omega tau h = {srf_gap!r} (omega {omega!r}) is too small for finite "
+            "scaling factors"
+        )
     cluster = geometry.cluster_slice
     return [
         (cluster_node, cluster_amp)

@@ -296,7 +296,8 @@ def _node_factors(errors, successes, n_samples: int, eps0: float) -> list:
 
 def _present(factors) -> tuple:
     """The factors with None for each NaN, which marks a missing factor."""
-    return tuple(None if math.isnan(v) else v for v in factors)
+    # from a sized list; decimation._interval_set says why
+    return tuple([None if math.isnan(v) else v for v in factors])
 
 
 def _nearest_gaps(nodes: list) -> list:
@@ -343,7 +344,7 @@ def _score(x: list, train: SpikeTrain, estimate: SpikeTrain, eps0: float) -> tup
     # Python scalars on the d per-node values, for the reason prony.py
     # gives; they round as float64 does.
     successes = _shared_flags(
-        tuple(e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x)))
+        tuple([e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x))])
     )
     if not eps0 > 0:
         return errors, successes, [math.nan] * len(x)

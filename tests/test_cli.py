@@ -140,6 +140,43 @@ def test_experiment_phase_degenerate_exits_4(capsys):
     assert rc == 4
 
 
+@pytest.mark.parametrize(
+    "kind, node_index", [("amplification", None), ("phase", None), ("phase", 1)]
+)
+def test_experiment_counts_failed_trials_by_kind(capsys, kind, node_index):
+    # At p=3, d=5 under S2 some worst-case constructions are rejected, so the
+    # trial measured no eps0, and some estimates fail after eps0 was measured.
+    argv = ["experiment", "--kind", kind, "-p", "3", "-d", "5", "--scheme", "S2",
+            "--trials", "60", "--seed", "1", "--h-range", "0.1,0.5"]
+    if node_index is not None:
+        argv += ["--node-index", str(node_index)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    ranges = (
+        experiments.DEFAULT_PHASE_RANGES if kind == "phase"
+        else experiments.DEFAULT_AMPLIFICATION_RANGES
+    )
+    records = experiments.amplification_sweep(
+        3, 5, (0.1, 0.5), ranges["n_range"], ranges["eps_range"], 60, "S2", 1
+    )
+    failed = [rec for rec in records if rec.failure is not None]
+    construction = sum(math.isnan(rec.epsilon0) for rec in failed)
+    estimator = len(failed) - construction
+    scored = sum(
+        not (rec.all_success() if node_index is None else rec.successes[node_index - 1])
+        for rec in records
+        if rec.failure is None
+    )
+    assert min(construction, estimator, scored) > 0
+    assert lines[-1] == (
+        f"failed trials: {construction} construction, {estimator} estimator, "
+        f"{scored} scored, of 60"
+    )
+    if kind == "phase":
+        assert f"failures {construction + estimator + scored})" in lines[0]
+
+
 def _assert_fits_no_slope(tmp_path, capsys, kind, h_range):
     """An experiment whose trials all sit at N = 64 and an extent in h_range
     spans less than 0.1 decade of srf: phase exits 4 and writes no file,
@@ -165,7 +202,7 @@ def _assert_fits_no_slope(tmp_path, capsys, kind, h_range):
             ("non-cluster node slope", 60, "noncluster"),
             ("non-cluster amplitude slope", 60, "noncluster"),
         )
-    )
+    ) + "failed trials: 0 construction, 0 estimator, 0 scored, of 60\n"
     assert len(out.read_text().splitlines()) == 3 + 60 * 3
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -895,3 +896,53 @@ def test_predicted_condition_numbers_rejects_bad_omega(omega):
     geometry = ClusterGeometry(p=2, d=3, h=0.01, T=1.0, tau=1.0, eta=0.2, kappa=1)
     with pytest.raises(ValueError, match="omega must be finite and positive"):
         predicted_condition_numbers(geometry, omega)
+
+
+@pytest.mark.parametrize(
+    "p, h, T, omega",
+    [
+        (3, 1e-200, 1.0, 1e-100),  # a power overflows
+        (3, 1e-200, 1.0, 5e-324),  # omega tau h underflows to 0
+        (2, 1e9, 1e9, 1e-110),  # finite powers whose product overflows
+    ],
+)
+def test_predicted_condition_numbers_rejects_a_tiny_omega_tau_h(p, h, T, omega):
+    geometry = ClusterGeometry(p=p, d=5, h=h, T=T, tau=0.5, eta=0.2, kappa=1)
+    with pytest.raises(ValueError, match="omega tau h"):
+        predicted_condition_numbers(geometry, omega)
+
+
+# ------------------------------------------------------ CPython tuple reuse
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython", reason="CPython's tuple free lists"
+)
+def test_interval_sets_leave_no_tuples_behind():
+    # A tuple built from an unsized iterator starts at a guessed size and is
+    # resized; once freed it parks on the free list of its final size, which
+    # nothing here draws from again, so each call would keep a block.  A full
+    # collection empties those lists, so nothing here calls gc.collect().
+    p, d = 3, 8
+    calls = [(sigma_intervals, (1.0, 0.1, (0.5, k + 0.5))) for k in range(1, 20)]
+    for omega in np.geomspace(50.0, 400.0, 40).tolist():
+        for alpha in (1.0 / d**2, 0.05, 0.2, 0.6):
+            h = 0.6 * (2 * d - 1) / 2.0 / omega
+            nodes, geometry = _normalized_cluster(p, d, 2 * math.pi * h)
+            try:
+                size = len(admissible_lambdas(nodes, geometry, omega, alpha))
+            except EmptyAdmissibleSetError:
+                continue
+            if size < 20:
+                calls.append((admissible_lambdas, (nodes, geometry, omega, alpha)))
+    assert {len(f(*args)) for f, args in calls} == set(range(1, 20))
+
+    def run():
+        for _ in range(20):
+            for f, args in calls:
+                f(*args)
+
+    run()  # warm-up
+    before = sys.getallocatedblocks()
+    run()
+    assert sys.getallocatedblocks() - before < 100

@@ -5,6 +5,7 @@ import io
 import math
 import pickle
 import struct
+import sys
 import tracemalloc
 from types import SimpleNamespace
 from typing import Optional
@@ -182,6 +183,29 @@ def test_failed_trials_share_their_per_node_tuples():
     estimated = [rec for rec in records if rec.failure is None]
     assert sum(rec.all_success() for rec in estimated) > 1
     assert any(rec.successes == (False,) * 4 for rec in records if rec.failure)
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython", reason="CPython's tuple free lists"
+)
+def test_trials_leave_no_tuples_behind():
+    # The success flags and the factors a record reads back are per-trial
+    # tuples; built from an unsized iterator, each freed one would park on
+    # the free list of its size, which nothing here draws from again.  A
+    # full collection empties those lists, so nothing here calls gc.collect().
+    def run(seeds):
+        scored = 0
+        for seed in seeds:
+            for d in range(3, 13):
+                record = single_experiment(2, d, 0.05, 64, 1e-9, "S2", seed)
+                record.kx, record.ka
+                scored += record.failure is None
+        return scored
+
+    assert run([0]) == 10  # warm-up; every trial is scored
+    before = sys.getallocatedblocks()
+    run(range(1, 11))
+    assert sys.getallocatedblocks() - before < 100
 
 
 def test_records_are_slotted_and_frozen():
