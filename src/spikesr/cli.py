@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -166,12 +165,12 @@ def _write_json_report(args, body: dict) -> None:
         sys.stdout.write(text)
 
 
-def _write_sweep(args, records, stream) -> None:
+def _write_sweep(args, sweep, stream) -> None:
     """A sweep file: the run's timestamp and config in two comment lines,
-    then the records' CSV."""
+    then the CSV of the sweep's records."""
     stream.write(f"# timestamp: {_timestamp()}\n")
     stream.write(f"# config: {json.dumps(_run_config(args), sort_keys=True)}\n")
-    write_records_csv(records, stream)
+    write_records_csv(sweep, stream)
 
 
 def cmd_recover(args) -> int:
@@ -185,7 +184,7 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _print_amplification_fits(records) -> None:
+def _print_amplification_fits(sweep) -> None:
     for quantity, node_class, label in (
         ("kx", "cluster", "cluster node slope"),
         ("ka", "cluster", "cluster amplitude slope"),
@@ -193,7 +192,7 @@ def _print_amplification_fits(records) -> None:
         ("ka", "noncluster", "non-cluster amplitude slope"),
     ):
         try:
-            fit = fit_loglog_slope(records, quantity, node_class)
+            fit = fit_loglog_slope(sweep, quantity, node_class)
             print(
                 f"{label}: {fit.slope:+.3f} (intercept {fit.intercept:+.3f}, "
                 f"r^2 {fit.r_squared:.3f}, residual std {fit.residual_std:.3f}, "
@@ -203,24 +202,21 @@ def _print_amplification_fits(records) -> None:
             print(f"{label}: {exc}")
 
 
-def _print_failure_counts(records, node_index) -> None:
+def _print_failure_counts(sweep, node_index) -> None:
     """One line counting a sweep's failed trials in three kinds:
     construction failures (worst_case_signal raised, so no eps0 was
     measured), estimator failures (mp_recover raised after eps0 was
     measured), and scored trials whose outcome fails: the success of node
     node_index (1-based) when it is given, else of every node."""
-    construction = estimator = scored = 0
-    for rec in records:
-        if rec.failure is None:
-            ok = rec.all_success() if node_index is None else rec.successes[node_index - 1]
-            scored += not ok
-        elif math.isnan(rec.epsilon0):
-            construction += 1
-        else:
-            estimator += 1
+    failed = sweep.failure_code != 0
+    construction = int(np.count_nonzero(failed & np.isnan(sweep.epsilon0)))
+    estimator = int(np.count_nonzero(failed)) - construction
+    flags = sweep.successes
+    ok = flags.all(axis=1) if node_index is None else flags[:, node_index - 1]
+    scored = int(np.count_nonzero(~failed & ~ok))
     print(
         f"failed trials: {construction} construction, {estimator} estimator, "
-        f"{scored} scored, of {len(records)}"
+        f"{scored} scored, of {len(sweep)}"
     )
 
 
@@ -240,21 +236,21 @@ def cmd_experiment(args) -> int:
         args.trials, args.scheme, args.seed,
     )
     if args.kind == "amplification":
-        records = amplification_sweep(*sweep_args)
+        sweep = amplification_sweep(*sweep_args)
     else:
-        records, boundary = phase_transition_sweep(*sweep_args, args.node_index)
+        sweep, boundary = phase_transition_sweep(*sweep_args, args.node_index)
 
     if args.output:
-        _write_output(args.output, lambda fh: _write_sweep(args, records, fh))
+        _write_output(args.output, lambda fh: _write_sweep(args, sweep, fh))
 
     if args.kind == "amplification":
-        _print_amplification_fits(records)
+        _print_amplification_fits(sweep)
     else:
         print(
             f"boundary slope: {boundary.slope:+.3f} (intercept {boundary.intercept:+.3f}, "
             f"successes {boundary.n_success}, failures {boundary.n_failure})"
         )
-    _print_failure_counts(records, args.node_index)
+    _print_failure_counts(sweep, args.node_index)
     return 0
 
 

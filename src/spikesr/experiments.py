@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
-import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,6 +41,7 @@ __all__ = [
     "DEFAULT_AMPLIFICATION_RANGES",
     "DEFAULT_PHASE_RANGES",
     "ExperimentRecord",
+    "Sweep",
     "SlopeFit",
     "PhaseBoundaryFit",
     "single_experiment",
@@ -87,111 +87,156 @@ _DRAW_BLOCK = 256
 _MIN_LOG_SRF_SPAN = 0.1
 
 
-# A record's measured numbers, as float64: the header h, epsilon_requested,
-# epsilon0, then, for a trial that scored its nodes, a node block of the d
-# node errors and the d amplitude factors.
-_HEADER = struct.Struct("3d")
+@dataclass(frozen=True, slots=True, eq=False)
+class Sweep:
+    """The outcomes of a sweep's trials, one column per measured quantity,
+    indexed by trial.
+
+    A column holds one value per trial, or a row of d per-node values per
+    trial; the nodes are indexed like the true nodes (the first p are the
+    cluster).  amplification_sweep returns its columns as read-only numpy
+    arrays: h, epsilon_requested and epsilon0 (float64), n_samples and seed
+    (int64), failure_code (a small unsigned integer, 0 where the trial
+    returned an estimate, else k where it raised failure_messages[k - 1]),
+    and the n x d columns successes (bool), node_errors and ka (float64,
+    NaN where a value is missing).  A trial that raised has all-false
+    successes and NaN node errors and amplitude factors; its epsilon0 is
+    NaN when the worst-case construction raised and measured when the
+    estimator did.  The one-trial Sweep of single_experiment holds its
+    columns as tuples of Python values instead.
+
+    A Sweep is a sequence of its trials' rows: len() counts its trials, and
+    indexing or iterating gives ExperimentRecord views.  It compares by
+    identity; compare the rows to compare outcomes.
+    """
+
+    scheme: str
+    p: int
+    d: int
+    h: np.ndarray
+    epsilon_requested: np.ndarray
+    epsilon0: np.ndarray
+    n_samples: np.ndarray
+    seed: np.ndarray
+    failure_code: np.ndarray
+    failure_messages: tuple
+    successes: np.ndarray
+    node_errors: np.ndarray
+    ka: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.h)
+
+    def __getitem__(self, index: int) -> "ExperimentRecord":
+        index, n = operator.index(index), len(self.h)
+        if not -n <= index < n:
+            raise IndexError("sweep index out of range")
+        return ExperimentRecord(self, index % n)
+
+    def __iter__(self):
+        return map(ExperimentRecord, repeat(self), range(len(self.h)))
+
+    def __reduce__(self):
+        # numpy unpickles an array writeable, so a copy is frozen again
+        return _read_only_sweep, tuple(getattr(self, name) for name in self.__slots__)
 
 
-@lru_cache(maxsize=64)
-def _layout(d: int) -> struct.Struct:
-    """The header and node block of a scored record with d nodes."""
-    return struct.Struct(f"{3 + 2 * d}d")
+def _read_only_sweep(*args, **kwargs) -> Sweep:
+    """A Sweep of the given fields, with its numpy columns made read-only."""
+    sweep = Sweep(*args, **kwargs)
+    for name in Sweep.__slots__:
+        column = getattr(sweep, name)
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False
+    return sweep
 
 
-@dataclass(frozen=True, slots=True)
+# The columns amplification_sweep fills from each trial's row, and their
+# dtypes; the last three hold d values per trial.
+_COLUMNS = {
+    "h": np.float64,
+    "epsilon_requested": np.float64,
+    "epsilon0": np.float64,
+    "n_samples": np.int64,
+    "seed": np.int64,
+    "successes": np.bool_,
+    "node_errors": np.float64,
+    "ka": np.float64,
+}
+_NODE_COLUMNS = ("successes", "node_errors", "ka")
+
+
+def _python(value):
+    """A column cell with numpy values as Python ones."""
+    return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
+
+
+def _cell(column: str) -> property:
+    """A row's cell of a Sweep column, read with numpy values as Python ones."""
+    return property(lambda row: _python(getattr(row._sweep, column)[row._index]))
+
+
 class ExperimentRecord:
-    """Outcome of one recovery experiment.
+    """The outcome of one recovery experiment: a read-only view of one row
+    of a Sweep, which holds only the Sweep and the row's index.
 
     h is the cluster extent of the [0, pi] layout before rescaling to the
     torus; srf = 1/(N * gap) with gap the rescaled cluster spacing.  Per-node
     tuples are indexed like the true nodes (the first p are the cluster);
     amplification factors are present exactly where the node succeeded, the
     measured noise was nonzero and the factor is finite, and None elsewhere.
-    failure tags records where the estimator or the worst-case construction
-    raised instead of returning an estimate.
+    failure is the message of the error that the estimator or the worst-case
+    construction raised instead of returning an estimate, else None.
 
-    A sweep holds thousands of records, so the class is slotted (no
-    __dict__) and keeps the trial's measured numbers as float64 in the one
-    bytes value numbers: h, epsilon_requested and epsilon0, then, only for
-    a trial that scored its nodes, the d node errors and the d amplitude
-    factors (NaN for a missing factor).  Build a record with build(), which
-    packs them; h, epsilon_requested, epsilon0, node_errors and ka unpack
-    them on each read, and srf and the node factors kx = e N / epsilon0 are
-    computed from them.  A record without node errors reads NaN errors and
-    missing factors, from tuples shared by every such record with the same
-    d.  Success flags come from a bounded cache keyed by the flags, so
-    records with equal flags mostly share one tuple.  Compare records by
-    value and do not rely on the identity of what they return.
+    Every attribute is read from the Sweep as Python values, and srf and the
+    node factors kx = e N / epsilon0 are computed from them on each read.
+    Rows compare and hash by these values, so a row of a sweep equals the
+    row single_experiment returns for the same trial, and a row pickles and
+    copies alone, as a one-trial Sweep of its own values.
     """
 
-    scheme: str
-    p: int
-    d: int
-    n_samples: int
-    successes: tuple
-    failure: Optional[str]
-    seed: int
-    numbers: bytes
+    __slots__ = ("_sweep", "_index")
 
-    @classmethod
-    def build(
-        cls,
-        scheme: str,
-        p: int,
-        d: int,
-        h: float,
-        n_samples: int,
-        epsilon_requested: float,
-        epsilon0: float,
-        seed: int,
-        successes: tuple,
-        node_errors: Optional[Sequence[float]] = None,
-        ka: Optional[Sequence[float]] = None,
-        failure: Optional[str] = None,
-    ) -> "ExperimentRecord":
-        """The record of a trial, with its floats packed into numbers.
+    def __init__(self, sweep: Sweep, index: int):
+        object.__setattr__(self, "_sweep", sweep)
+        object.__setattr__(self, "_index", index)
 
-        A trial that scored its nodes passes its d node errors and its d
-        amplitude factors, NaN where a factor is missing; one that did not
-        passes neither and stores no node block.  The floats read back as
-        Python floats, bit for bit; the other arguments are kept as given.
-        """
-        if node_errors is None:
-            numbers = _HEADER.pack(h, epsilon_requested, epsilon0)
-        else:
-            numbers = _layout(d).pack(h, epsilon_requested, epsilon0, *node_errors, *ka)
-        return cls(scheme, p, d, n_samples, successes, failure, seed, numbers)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-    def _values(self) -> tuple:
-        """h, epsilon_requested and epsilon0, then the node block if the
-        record stores one: the d node errors and the d amplitude factors,
-        NaN where a factor is missing."""
-        if len(self.numbers) == _HEADER.size:
-            return _HEADER.unpack(self.numbers)
-        return _layout(self.d).unpack(self.numbers)
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    scheme = property(operator.attrgetter("_sweep.scheme"))
+    p = property(operator.attrgetter("_sweep.p"))
+    d = property(operator.attrgetter("_sweep.d"))
+    h = _cell("h")
+    epsilon_requested = _cell("epsilon_requested")
+    epsilon0 = _cell("epsilon0")
+    n_samples = _cell("n_samples")
+    seed = _cell("seed")
+    _failure_code = _cell("failure_code")
+    _successes = _cell("successes")
+    _node_errors = _cell("node_errors")
+    _ka = _cell("ka")
 
     @property
-    def h(self) -> float:
-        return _HEADER.unpack_from(self.numbers)[0]
+    def failure(self) -> Optional[str]:
+        code = self._failure_code
+        return self._sweep.failure_messages[code - 1] if code else None
 
     @property
-    def epsilon_requested(self) -> float:
-        return _HEADER.unpack_from(self.numbers)[1]
-
-    @property
-    def epsilon0(self) -> float:
-        return _HEADER.unpack_from(self.numbers)[2]
+    def successes(self) -> tuple:
+        return tuple(self._successes)
 
     @property
     def node_errors(self) -> tuple:
-        d, values = self.d, self._values()
-        return values[3 : 3 + d] if len(values) > 3 else _unscored_nodes(d)[0]
+        return tuple(self._node_errors)
 
     @property
     def ka(self) -> tuple:
-        d, values = self.d, self._values()
-        return _present(values[3 + d :]) if len(values) > 3 else _unscored_nodes(d)[1]
+        # NaN, the one value unequal to itself, marks a missing factor
+        return tuple([None if v != v else v for v in self._ka])
 
     @property
     def srf(self) -> float:
@@ -201,16 +246,63 @@ class ExperimentRecord:
     @property
     def kx(self) -> tuple:
         """Node factors e N / epsilon0 where the node succeeded and the factor
-        is finite, else None; a fresh tuple on each read unless shared."""
-        d, values = self.d, self._values()
-        if len(values) == 3:
-            return _unscored_nodes(d)[1]
-        return _present(
-            _node_factors(values[3 : 3 + d], self.successes, self.n_samples, values[2])
+        is finite, else None."""
+        factors = _node_factors(
+            self._node_errors, self._successes, self.n_samples, self.epsilon0
         )
+        return tuple([None if v != v else v for v in factors])
 
     def all_success(self) -> bool:
-        return bool(all(self.successes))
+        return bool(all(self._successes))
+
+    def _fields(self) -> tuple:
+        """The arguments of _trial_row that rebuild this row alone."""
+        return (
+            self.scheme, self.p, self.d, self.h, self.n_samples, self.epsilon_requested,
+            self.epsilon0, self.seed, self.successes, self.failure, self.node_errors,
+            tuple(self._ka),
+        )
+
+    def _key(self) -> tuple:
+        """The row's values, with its floats as their float64 bytes, so that
+        a NaN compares equal to itself and -0.0 unequal to 0.0."""
+        scheme, p, d, h, n, eps_req, eps0, seed, flags, failure, errors, ka = self._fields()
+        floats = array("d", [h, eps_req, eps0, *errors, *ka])
+        return scheme, p, d, n, seed, flags, failure, floats.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, ExperimentRecord):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return _trial_row, self._fields()
+
+    def __repr__(self) -> str:
+        names = (
+            "scheme", "p", "d", "h", "n_samples", "epsilon_requested", "epsilon0",
+            "seed", "successes", "failure", "node_errors", "ka",
+        )
+        values = (*self._fields()[:11], self.ka)
+        cells = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+        return f"ExperimentRecord({cells})"
+
+
+def _trial_row(
+    scheme, p, d, h, n_samples, epsilon_requested, epsilon0, seed, successes, failure,
+    node_errors, ka,
+) -> ExperimentRecord:
+    """The row of a one-trial Sweep whose columns are tuples of the given
+    values, built without numpy; ka holds NaN for a missing factor."""
+    code, messages = (0, ()) if failure is None else (1, (failure,))
+    sweep = Sweep(
+        scheme, p, d, (h,), (epsilon_requested,), (epsilon0,), (n_samples,), (seed,),
+        (code,), messages, (successes,), (node_errors,), (ka,),
+    )
+    return ExperimentRecord(sweep, 0)
 
 
 @dataclass(frozen=True)
@@ -263,21 +355,6 @@ def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
     return amps
 
 
-@lru_cache(maxsize=256)
-def _shared_flags(successes: tuple) -> tuple:
-    """The first tuple seen of a pattern of success flags, so the records
-    of a sweep hold one tuple per pattern rather than one per trial."""
-    return successes
-
-
-@lru_cache(maxsize=64)
-def _unscored_nodes(d: int) -> tuple:
-    """Node errors and node factors of a record with d nodes and no node
-    block, built once per d and shared by every such record: all NaN and
-    all missing."""
-    return (math.nan,) * d, (None,) * d
-
-
 def _factors(values: list, successes: tuple) -> list:
     """Each factor where its node succeeded and the factor is finite, else NaN."""
     return [
@@ -294,12 +371,6 @@ def _node_factors(errors, successes, n_samples: int, eps0: float) -> list:
     return _factors([e * n_samples / eps0 for e in errors], successes)
 
 
-def _present(factors) -> tuple:
-    """The factors with None for each NaN, which marks a missing factor."""
-    # from a sized list; decimation._interval_set says why
-    return tuple([None if math.isnan(v) else v for v in factors])
-
-
 def _nearest_gaps(nodes: list) -> list:
     """Distance from each of a strictly increasing list of nodes to its
     nearest other node, inf for a lone node.  Float subtraction rounds
@@ -307,6 +378,12 @@ def _nearest_gaps(nodes: list) -> list:
     neighbour, and the neighbour gaps give the minimum over all pairs."""
     gaps = [b - a for a, b in zip(nodes, nodes[1:])]
     return list(map(min, [math.inf, *gaps], [*gaps, math.inf]))
+
+
+def _srf_column(p: int, h: np.ndarray, n_samples: np.ndarray) -> np.ndarray:
+    """_srf of each trial of a column of extents and sample counts, bit for
+    bit; unlike _srf it does not check that each is finite."""
+    return 1.0 / (n_samples * ((h / (2.0 * math.pi)) / (p - 1)))
 
 
 def _srf(p: int, h: float, n_samples: int) -> float:
@@ -342,10 +419,9 @@ def _score(x: list, train: SpikeTrain, estimate: SpikeTrain, eps0: float) -> tup
     dist = _circular_distance(estimate.nodes[:, None], train.nodes[None, :])
     errors = dist.min(axis=0).tolist()
     # Python scalars on the d per-node values, for the reason prony.py
-    # gives; they round as float64 does.
-    successes = _shared_flags(
-        tuple([e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x))])
-    )
+    # gives; they round as float64 does.  The flags come from a sized list,
+    # for the reason decimation._interval_set gives.
+    successes = tuple([e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x))])
     if not eps0 > 0:
         return errors, successes, [math.nan] * len(x)
     amp_err = train.amplitudes - estimate.amplitudes[dist.argmin(axis=0)]
@@ -382,10 +458,15 @@ def single_experiment(
     (_score); each stage calls the public functions through this module's
     names.  h and epsilon are taken as Python floats and p, d, n_samples and
     seed as Python ints, so numpy scalars give the record a Python call
-    gives; a count that is not an integer, such as 64.0, raises TypeError.
+    gives; a count that is not an integer, such as 64.0, raises TypeError,
+    and a negative seed ValueError.  The record is the row of a one-trial
+    Sweep whose columns are tuples of Python values, so a trial allocates
+    no numpy column.
     """
     p, d, n_samples, seed = map(operator.index, (p, d, n_samples, seed))
     h, epsilon = float(h), float(epsilon)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if n_samples < 2 * d:
         raise ValueError("need at least 2 d samples")
     _check_cluster_indices(p, d)
@@ -402,14 +483,14 @@ def single_experiment(
         eps0 = samples.actual_noise
         estimate = mp_recover(samples, d).estimate
     except SpikesrError as exc:
-        # interned, so the records of a sweep share each distinct message
-        return ExperimentRecord.build(
-            scheme, p, d, h, n_samples, epsilon, eps0, seed, _shared_flags((False,) * d),
-            failure=sys.intern(str(exc)),
+        missing = [math.nan] * d
+        return _trial_row(
+            scheme, p, d, h, n_samples, epsilon, eps0, seed, (False,) * d, str(exc),
+            missing, missing,
         )
     errors, successes, ka = _score(x, train, estimate, eps0)
-    return ExperimentRecord.build(
-        scheme, p, d, h, n_samples, epsilon, eps0, seed, successes, errors, ka
+    return _trial_row(
+        scheme, p, d, h, n_samples, epsilon, eps0, seed, successes, None, errors, ka
     )
 
 
@@ -432,14 +513,15 @@ def amplification_sweep(
     trials: int,
     scheme: str,
     base_seed: int,
-) -> list[ExperimentRecord]:
+) -> Sweep:
     """Repeat single_experiment with (h, N, eps) drawn log-uniformly per trial.
 
     Each trial derives its own random stream from (base_seed, trial index), so
     the full sweep is reproducible and individual trials can be re-run from the
     seed stored on their record.  A sample count drawn below 2d+2 is raised
     to 2d+2; an n_range whose upper bound rounds below 2d+2 raises ValueError
-    before any trial.
+    before any trial.  Each trial's record is copied into the columns of the
+    returned Sweep, and each distinct failure message is kept once.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -454,7 +536,11 @@ def amplification_sweep(
     # The largest srf a trial can draw, from the least h and N; each trial
     # checks its own drawn h again, against rounding in the draw.
     _srf(p, h_range[0], max(round(n_range[0]), 2 * d + 2))
-    records = []
+    columns = {
+        name: np.empty((trials, d) if name in _NODE_COLUMNS else trials, dtype)
+        for name, dtype in _COLUMNS.items()
+    }
+    codes, messages = array("L"), {}
     for start in range(0, trials, _DRAW_BLOCK):
         logs, noise_seeds = [], []
         for t in range(start, min(start + _DRAW_BLOCK, trials)):
@@ -462,10 +548,17 @@ def amplification_sweep(
             logs += (rng.uniform(*log_h), rng.uniform(*log_n), rng.uniform(*log_eps))
             noise_seeds.append(int(rng.integers(0, 2**63 - 1)))
         draws = iter(np.exp(logs).tolist())
-        for h, n, eps, noise_seed in zip(draws, draws, draws, noise_seeds):
+        trial_draws = zip(draws, draws, draws, noise_seeds)
+        for index, (h, n, eps, noise_seed) in enumerate(trial_draws, start):
             n = max(round(n), 2 * d + 2)
-            records.append(single_experiment(p, d, h, n, eps, scheme, noise_seed))
-    return records
+            row = single_experiment(p, d, h, n, eps, scheme, noise_seed)
+            for name, column in columns.items():
+                column[index] = getattr(row._sweep, name)[row._index]
+            failure = row.failure
+            code = 0 if failure is None else messages.setdefault(failure, len(messages) + 1)
+            codes.append(code)
+    columns["failure_code"] = np.array(codes, np.min_scalar_type(len(messages)))
+    return _read_only_sweep(scheme, p, d, **columns, failure_messages=tuple(messages))
 
 
 def _logistic_boundary(features: np.ndarray, outcomes: np.ndarray) -> PhaseBoundaryFit:
@@ -501,7 +594,7 @@ def phase_transition_sweep(
     scheme: str,
     base_seed: int,
     node_index: Optional[int] = None,
-) -> tuple[list[ExperimentRecord], PhaseBoundaryFit]:
+) -> tuple[Sweep, PhaseBoundaryFit]:
     """Sweep (srf, eps) space and fit the success/failure boundary.
 
     The outcome of a trial is all-nodes success, or the success of one node
@@ -526,31 +619,27 @@ def phase_transition_sweep(
         node_index = operator.index(node_index)
         if not 1 <= node_index <= d:
             raise ValueError("node_index must lie in 1..d")
-    records = amplification_sweep(
+    sweep = amplification_sweep(
         p, d, h_range, n_range, eps_range, trials, scheme, base_seed
     )
-    n = len(records)
-    if node_index is None:
-        outcomes = np.fromiter((rec.all_success() for rec in records), float, n)
-    else:
-        k = node_index - 1
-        outcomes = np.fromiter((rec.successes[k] for rec in records), float, n)
+    n, flags = len(sweep), sweep.successes
+    outcomes = flags.all(axis=1) if node_index is None else flags[:, node_index - 1]
+    outcomes = outcomes.astype(float)
     # rows [1, log10 srf, log10 eps]; math.log10 keeps the scalar bits
     features = np.ones((n, 3))
-    features[:, 1] = np.fromiter((math.log10(rec.srf) for rec in records), float, n)
+    srf = _srf_column(p, sweep.h, sweep.n_samples)
+    features[:, 1] = np.fromiter(map(math.log10, srf.tolist()), float, n)
     if scheme == "S1":
-        log_eps = (
-            math.log10(rec.epsilon0 if 0 < rec.epsilon0 < math.inf else rec.epsilon_requested)
-            for rec in records
-        )
+        eps0 = sweep.epsilon0
+        measured = np.where((0 < eps0) & (eps0 < math.inf), eps0, sweep.epsilon_requested)
+        log_eps = map(math.log10, measured.tolist())
     else:
         order = 2 * p - 1
         log_factorial = math.log10(math.factorial(order))
+        draws = zip(sweep.epsilon_requested.tolist(), sweep.n_samples.tolist())
         log_eps = (
-            math.log10(rec.epsilon_requested)
-            + order * math.log10(2.0 * math.pi * (rec.n_samples - 1))
-            - log_factorial
-            for rec in records
+            math.log10(eps) + order * math.log10(2.0 * math.pi * (n - 1)) - log_factorial
+            for eps, n in draws
         )
     features[:, 2] = np.fromiter(log_eps, float, n)
     if outcomes.min() == outcomes.max():
@@ -559,8 +648,7 @@ def phase_transition_sweep(
         raise DegenerateFitError(
             f"degenerate fit: the trials span less than {_MIN_LOG_SRF_SPAN} decade of srf"
         )
-    fit = _logistic_boundary(features, outcomes)
-    return records, fit
+    return sweep, _logistic_boundary(features, outcomes)
 
 
 def _ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
@@ -591,13 +679,60 @@ def _ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
     )
 
 
+def _runs(records):
+    """(sweep, start, stop) for each run of consecutive rows of one Sweep
+    in records, in order; a Sweep is one run of all its rows."""
+    if isinstance(records, Sweep):
+        yield records, 0, len(records)
+        return
+    sweep, start, stop = None, 0, 0
+    for row in records:
+        if row._sweep is sweep and row._index == stop:
+            stop += 1
+            continue
+        if sweep is not None:
+            yield sweep, start, stop
+        sweep, start, stop = row._sweep, row._index, row._index + 1
+    if sweep is not None:
+        yield sweep, start, stop
+
+
+def _fit_points(sweep: Sweep, start: int, stop: int, node: bool, cluster: bool) -> tuple:
+    """The (srf, factor) points of rows start..stop of a sweep, in row and
+    then node order: the node ("kx") or amplitude factors of its cluster or
+    non-cluster nodes that are positive and finite."""
+    p, d = sweep.p, sweep.d
+    nodes = slice(0, p) if cluster else slice(p, d)
+    n_samples = np.asarray(sweep.n_samples[start:stop], dtype=np.int64)
+    # NaN marks what is missing; nothing here warns about it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if node:
+            eps0 = np.asarray(sweep.epsilon0[start:stop], dtype=float)[:, None]
+            errors = np.asarray(sweep.node_errors[start:stop], dtype=float)[:, nodes]
+            flags = np.asarray(sweep.successes[start:stop], dtype=bool)[:, nodes]
+            # e N / eps0 as _node_factors forms it, where the node succeeded
+            # and eps0 > 0; the test below drops the rest with the missing
+            # factors
+            values = np.where(flags & (eps0 > 0), errors * n_samples[:, None] / eps0, np.nan)
+        else:
+            values = np.asarray(sweep.ka[start:stop], dtype=float)[:, nodes]
+        # false for NaN, the missing factor, and for inf
+        usable = (0 < values) & (values < math.inf)
+    h = np.asarray(sweep.h[start:stop], dtype=float)
+    srf = np.broadcast_to(_srf_column(p, h, n_samples)[:, None], values.shape)
+    return srf[usable], values[usable]
+
+
 def fit_loglog_slope(
-    records: Iterable[ExperimentRecord],
+    records: Sweep | Iterable[ExperimentRecord],
     quantity: str = "kx",
     node_class: str = "cluster",
 ) -> SlopeFit:
     """OLS slope of log10(amplification factor) against log10(srf).
 
+    records is a Sweep or any iterable of its rows, which may come from
+    several Sweeps; each run of consecutive rows of one Sweep is read as a
+    slice of its columns, and the points keep the order of the rows.
     quantity selects the node ("kx") or amplitude ("ka") factors; node_class
     selects "cluster" or "noncluster" nodes.  Only successful nodes carry
     factors; fewer than 10 of them, or points that span less than 0.1 decade
@@ -607,41 +742,17 @@ def fit_loglog_slope(
         raise ValueError("quantity must be 'kx' or 'ka'")
     if node_class not in ("cluster", "noncluster"):
         raise ValueError("node_class must be 'cluster' or 'noncluster'")
-    # float buffers hold no float object per point; each record's numbers
-    # are unpacked once, and srf is computed once per record that has a point
-    xs, ys = array("d"), array("d")
-    cluster, node = node_class == "cluster", quantity == "kx"
-    for rec in records:
-        if len(rec.numbers) == _HEADER.size:
-            continue  # no node block, so no factors
-        p, d, n_samples = rec.p, rec.d, rec.n_samples
-        h, _, eps0, *block = _layout(d).unpack(rec.numbers)
-        lo, hi = (0, p) if cluster else (p, d)
-        if not node:
-            values = block[d + lo : d + hi]
-        elif eps0 > 0:
-            # the factors of _node_factors, inline and without its finite
-            # test, which the test below repeats: calling it took the four
-            # fits of a 500-trial S2 pass from 1.6 to 1.8-2.6 ms
-            values = [
-                e * n_samples / eps0 if ok else math.nan
-                for e, ok in zip(block[lo:hi], rec.successes[lo:hi])
-            ]
-        else:
-            continue
-        srf = None
-        for value in values:
-            # false for NaN, the missing factor, and for inf
-            if 0 < value < math.inf:
-                if srf is None:
-                    srf = _srf(p, h, n_samples)
-                xs.append(srf)
-                ys.append(value)
+    points = [
+        _fit_points(*run, quantity == "kx", node_class == "cluster")
+        for run in _runs(records)
+    ]
+    xs = np.concatenate([x for x, _ in points]) if points else np.empty(0)
+    ys = np.concatenate([y for _, y in points]) if points else np.empty(0)
     if len(xs) < 10:
         raise InsufficientDataError(
             f"insufficient data: {len(xs)} usable points in class {node_class!r}"
         )
-    if math.log10(max(xs)) - math.log10(min(xs)) < _MIN_LOG_SRF_SPAN:
+    if math.log10(xs.max()) - math.log10(xs.min()) < _MIN_LOG_SRF_SPAN:
         raise InsufficientDataError(
             f"insufficient data: the {len(xs)} usable points in class {node_class!r} "
             f"span less than {_MIN_LOG_SRF_SPAN} decade of srf"
@@ -649,45 +760,48 @@ def fit_loglog_slope(
     return _ols_loglog(xs, ys)
 
 
-def write_records_csv(records, stream) -> None:
+def _column_list(column, start: int, stop: int) -> list:
+    """Rows start..stop of a column as a list of Python values."""
+    cells = column[start:stop]
+    return cells.tolist() if isinstance(cells, np.ndarray) else list(map(_python, cells))
+
+
+def write_records_csv(records: Sweep | Iterable[ExperimentRecord], stream) -> None:
     """Write one CSV row per (record, node) under CSV_HEADER, one write per
     record.
 
-    Every number cell is the str of its value, so a numpy scalar count
-    writes the same number as the Python int it holds; a success flag is
-    true or false, a missing factor is an empty cell, and node_class is
-    cluster for node indices 1..p, else noncluster.  The scheme cell is
-    written as it is: a record whose scheme is not in SCHEMES raises
-    ValueError, one whose node block does not hold 2 d values raises
-    struct.error, and one with fewer than d success flags raises IndexError,
-    before any of its rows is written.
+    records is a Sweep or any iterable of its rows, read as fit_loglog_slope
+    reads them.  Every number cell is the str of its Python value; a success
+    flag is true or false, a missing factor is an empty cell, and node_class
+    is cluster for node indices 1..p, else noncluster.  The scheme cell is
+    written as it is: rows of a Sweep whose scheme is not in SCHEMES raise
+    ValueError, and a row with fewer than d per-node values raises
+    IndexError, before any of its rows is written.
     """
     stream.write(CSV_HEADER + "\n")
-    for rec in records:
-        _check_scheme(rec.scheme)
-        # the record's numbers are unpacked, and its trial cells, srf and kx
-        # formed, once per record
-        p, d, n_samples, flags = rec.p, rec.d, rec.n_samples, rec.successes
-        h, eps_req, eps0, *block = rec._values()
-        trial = (
-            f"{rec.scheme},{p!s},{d!s},{h!s},{n_samples!s},"
-            f"{eps_req!s},{eps0!s},{_srf(p, h, n_samples)!s}"
-        )
-        tail = f",{rec.seed!s}\n"
-        if block:
-            kx = _node_factors(block[:d], flags, n_samples, eps0)
+    for sweep, start, stop in _runs(records):
+        _check_scheme(sweep.scheme)
+        scheme, p, d = sweep.scheme, sweep.p, sweep.d
+        columns = [
+            _column_list(getattr(sweep, name), start, stop)
+            for name in (
+                "h", "n_samples", "epsilon_requested", "epsilon0", "seed",
+                "successes", "node_errors", "ka",
+            )
+        ]
+        for h, n_samples, eps_req, eps0, seed, flags, errors, ka in zip(*columns):
+            # the trial cells, srf and kx are formed once per record
+            trial = (
+                f"{scheme},{p!s},{d!s},{h!s},{n_samples!s},"
+                f"{eps_req!s},{eps0!s},{_srf(p, h, n_samples)!s}"
+            )
+            tail = f",{seed!s}\n"
+            kx = _node_factors(errors, flags, n_samples, eps0)
             # a NaN factor, the missing one, is the one cell unequal to itself
             rows = [
-                f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},{block[j]!s},"
+                f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},{errors[j]!s},"
                 f"{'true' if flags[j] else 'false'},{'' if kx[j] != kx[j] else str(kx[j])},"
-                f"{'' if block[d + j] != block[d + j] else str(block[d + j])}{tail}"
+                f"{'' if ka[j] != ka[j] else str(ka[j])}{tail}"
                 for j in range(d)
             ]
-        else:
-            # no node block: every node error is NaN and every factor missing
-            rows = [
-                f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},nan,"
-                f"{'true' if flags[j] else 'false'},,{tail}"
-                for j in range(d)
-            ]
-        stream.write("".join(rows))
+            stream.write("".join(rows))

@@ -635,12 +635,23 @@ def test_experiment_node_index_rejected_for_amplification(
     assert not out.exists()
 
 
+def _no_trials(p, d, *_args):
+    """A stub phase sweep: a Sweep of no trials and a fixed boundary."""
+    floats, counts = np.empty(0), np.empty(0, np.int64)
+    nodes = np.empty((0, d))
+    sweep = experiments.Sweep(
+        "S1", p, d, floats, floats, floats, counts, counts, np.empty(0, np.uint8), (),
+        nodes.astype(bool), nodes, nodes,
+    )
+    return sweep, PhaseBoundaryFit(-3.0, 0.0, 1, 1)
+
+
 def test_experiment_node_index_reaches_phase_sweep(tmp_path, capsys, monkeypatch):
     seen = []
 
     def fake_sweep(*args):
         seen.append(args[8])
-        return [], PhaseBoundaryFit(-3.0, 0.0, 1, 1)
+        return _no_trials(*args)
 
     monkeypatch.setattr(cli, "phase_transition_sweep", fake_sweep)
     out = tmp_path / "node.csv"
@@ -766,7 +777,7 @@ def test_flag_and_config_values_embed_the_same_config(
     pair_samples_file, tmp_path, monkeypatch, subcommand
 ):
     monkeypatch.setattr(
-        cli, "phase_transition_sweep", lambda *args: ([], PhaseBoundaryFit(-3.0, 0.0, 1, 1))
+        cli, "phase_transition_sweep", _no_trials
     )
     out = tmp_path / "out.txt"
     values = {
@@ -797,7 +808,7 @@ def test_recorded_params_are_the_declared_options(
     pair_samples_file, tmp_path, monkeypatch, subcommand
 ):
     monkeypatch.setattr(
-        cli, "phase_transition_sweep", lambda *args: ([], PhaseBoundaryFit(-3.0, 0.0, 1, 1))
+        cli, "phase_transition_sweep", _no_trials
     )
     recorded = []
     run_config = cli._run_config

@@ -4,7 +4,6 @@ import gc
 import io
 import math
 import pickle
-import struct
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -14,12 +13,18 @@ import numpy as np
 import pytest
 
 from spikesr import experiments, worstcase
-from spikesr.errors import DegenerateFitError, InsufficientDataError, SpikesrError
+from spikesr.errors import (
+    DegenerateFitError,
+    EigenFailureError,
+    InsufficientDataError,
+    SpikesrError,
+)
 from spikesr.experiments import (
     CSV_HEADER,
     DEFAULT_AMPLIFICATION_RANGES,
     DEFAULT_PHASE_RANGES,
     ExperimentRecord,
+    Sweep,
     amplification_sweep,
     fit_loglog_slope,
     phase_transition_sweep,
@@ -158,31 +163,21 @@ def _failed_sweep():
     )
 
 
-def test_failed_trials_share_their_per_node_tuples():
-    failed = [rec for rec in _failed_sweep() if rec.failure is not None]
+def test_failed_trials_read_nan_errors_and_missing_factors():
+    sweep = _failed_sweep()
+    failed = [rec for rec in sweep if rec.failure is not None]
     # a failed construction leaves eps0 NaN; a failed estimate measured it
     construction = [rec for rec in failed if math.isnan(rec.epsilon0)]
     assert 0 < len(construction) < len(failed)
-    first = failed[0]
-    assert len(first.node_errors) == 5 and all(map(math.isnan, first.node_errors))
-    assert first.successes == (False,) * 5
-    assert first.kx == (None,) * 5
     for rec in failed:
-        assert rec.node_errors is first.node_errors
-        assert rec.successes is first.successes
-        assert rec.kx is first.kx
-        assert rec.ka is rec.kx
-    # in an S2 sweep, records with equal success flags, failed or not, hold
-    # one tuple
-    records = amplification_sweep(
-        2, 4, **DEFAULT_AMPLIFICATION_RANGES, trials=200, scheme="S2", base_seed=1
-    )
-    shared = {}
-    for rec in records:
-        assert shared.setdefault(rec.successes, rec.successes) is rec.successes
-    estimated = [rec for rec in records if rec.failure is None]
-    assert sum(rec.all_success() for rec in estimated) > 1
-    assert any(rec.successes == (False,) * 4 for rec in records if rec.failure)
+        assert len(rec.node_errors) == 5 and all(map(math.isnan, rec.node_errors))
+        assert rec.successes == (False,) * 5
+        assert rec.kx == rec.ka == (None,) * 5
+    # the columns hold the same: all-false flags and NaN values
+    failed_rows = sweep.failure_code != 0
+    assert not sweep.successes[failed_rows].any()
+    assert np.isnan(sweep.node_errors[failed_rows]).all()
+    assert np.isnan(sweep.ka[failed_rows]).all()
 
 
 @pytest.mark.skipif(
@@ -209,7 +204,7 @@ def test_trials_leave_no_tuples_behind():
 
 
 def test_records_are_slotted_and_frozen():
-    for rec in _failed_sweep()[:10]:
+    for rec in list(_failed_sweep())[:10]:
         assert not hasattr(rec, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.seed = 1
@@ -224,28 +219,32 @@ def test_records_copy_replace_and_pickle():
     records = _failed_sweep()
     assert {rec.failure is None for rec in records} == {True, False}
     for rec in records:
-        # the floats are bytes, so a NaN epsilon0 compares equal too
+        # floats compare by their bytes, so a NaN epsilon0 compares equal too
         for clone in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
-            assert clone == rec and not hasattr(clone, "__dict__")
-        moved = dataclasses.replace(rec, seed=rec.seed + 1)
-        assert moved != rec and not hasattr(moved, "__dict__")
-        assert dataclasses.replace(moved, seed=rec.seed) == rec
+            assert clone == rec and hash(clone) == hash(rec)
+            assert not hasattr(clone, "__dict__")
+            # a row copies and pickles alone, as a one-trial Sweep
+            assert len(clone._sweep) == 1
+        # a row is a view, not a dataclass: replace a field of its Sweep
+        with pytest.raises(TypeError):
+            dataclasses.replace(rec, seed=rec.seed + 1)
+    assert len(pickle.dumps(records[0])) < len(pickle.dumps(records)) / 20
 
 
 def test_records_equal_a_rebuild_with_fresh_tuples():
-    # equality never rests on the shared tuples being the same objects, and
-    # build() packs what a record reads back into an equal record
+    # equality never rests on shared objects: a one-trial Sweep of what a
+    # row reads back, in fresh tuples, gives an equal row
     for rec in _failed_sweep():
-        scored = rec.failure is None
-        fresh = ExperimentRecord.build(
+        fresh = experiments._trial_row(
             rec.scheme, rec.p, rec.d, rec.h, rec.n_samples, rec.epsilon_requested,
-            rec.epsilon0, rec.seed, tuple(list(rec.successes)),
-            list(rec.node_errors) if scored else None,
-            [math.nan if v is None else v for v in rec.ka] if scored else None,
-            failure=rec.failure,
+            rec.epsilon0, rec.seed, tuple(list(rec.successes)), rec.failure,
+            list(rec.node_errors), [math.nan if v is None else v for v in rec.ka],
         )
-        assert fresh.successes is not rec.successes
-        assert fresh == rec
+        assert fresh._sweep is not rec._sweep
+        assert fresh == rec and hash(fresh) == hash(rec)
+        fields = fresh._fields()
+        moved = experiments._trial_row(*fields[:7], rec.seed + 1, *fields[8:])
+        assert moved != rec
 
 
 def _stored_srf(p, h, n_samples):
@@ -298,20 +297,16 @@ def test_derived_srf_and_kx_are_the_formerly_stored_bits():
 
 
 def test_records_take_no_srf_or_kx_argument():
-    # the constructor takes the packed numbers; the floats they hold, srf
-    # and kx are read-only properties
+    # the constructor takes a Sweep and a row index; every value, srf and
+    # kx included, is a read-only property
     rec = single_experiment(2, 4, 0.03, 64, 1e-6, "S1", seed=5)
-    fields = dataclasses.asdict(rec)
-    assert [f.name for f in dataclasses.fields(rec)] == list(fields) == [
-        "scheme", "p", "d", "n_samples", "successes", "failure", "seed", "numbers",
-    ]
-    assert ExperimentRecord(**fields) == rec
+    assert ExperimentRecord(rec._sweep, 0) == rec
+    assert "srf=" not in repr(rec) and "kx=" not in repr(rec)
     for name in ("srf", "kx", "h", "epsilon_requested", "epsilon0", "node_errors", "ka"):
-        assert name not in fields and f"{name}=" not in repr(rec)
         with pytest.raises(TypeError):
-            ExperimentRecord(**fields, **{name: getattr(rec, name)})
-        # as for any name that is no field (test_records_are_slotted_and_frozen)
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+            ExperimentRecord(rec._sweep, 0, **{name: getattr(rec, name)})
+        # as for any other name (test_records_are_slotted_and_frozen)
+        with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(rec, name, getattr(rec, name))
 
 
@@ -473,23 +468,23 @@ def test_a_scored_record_holds_no_per_node_float_or_tuple():
     scored = [rec for rec in records if rec.failure is None]
     assert scored
     for rec in scored:
+        # a row refers to its Sweep and its index, and to nothing per node
         referents = gc.get_referents(rec)
-        assert not [obj for obj in referents if isinstance(obj, float)]
-        # the one tuple is the success flags, shared by records with equal flags
-        tuples = [obj for obj in referents if isinstance(obj, tuple)]
-        assert len(tuples) == 1 and tuples[0] is rec.successes
-        assert experiments._shared_flags(tuple(list(rec.successes))) is rec.successes
-        assert len(rec.numbers) == 8 * (3 + 2 * rec.d)
+        assert records in referents
+        assert not [obj for obj in referents if isinstance(obj, (float, tuple, list))]
 
 
 def test_failed_records_share_their_failure_text():
-    failed = [rec for rec in _failed_sweep() if rec.failure is not None]
+    sweep = _failed_sweep()
+    failed = [rec for rec in sweep if rec.failure is not None]
     texts = {}
     for rec in failed:
         assert texts.setdefault(rec.failure, rec.failure) is rec.failure
     assert len(failed) > len(texts) > 1
-    # a failed record stores only h, epsilon_requested and epsilon0
-    assert {len(rec.numbers) for rec in failed} == {24}
+    # the Sweep keeps each distinct message once, and a code per trial
+    assert sweep.failure_messages == tuple(texts)
+    assert sweep.failure_code.dtype == np.uint8
+    assert sorted(set(sweep.failure_code.tolist())) == list(range(len(texts) + 1))
 
 
 def test_single_experiment_node_classes():
@@ -505,7 +500,7 @@ def test_single_experiment_node_classes():
 def test_amplification_sweep_deterministic_and_sized():
     runs = [amplification_sweep(2, 3, (5e-3, 6e-2), (48, 96), (1e-10, 1e-4), 5, "S1", 3)
             for _ in range(2)]
-    assert runs[0] == runs[1]
+    assert list(runs[0]) == list(runs[1])
     assert len(runs[0]) == 5
     # trial records can be reproduced individually from their stored seed
     rec = runs[0][2]
@@ -650,28 +645,33 @@ def test_scoring_fails_a_true_node_left_without_an_estimate(monkeypatch):
     assert rec.kx[2] == 0.0
 
 
-def _planted_record(srf, kx, ka):
-    """A p=2, d=3 record whose srf and two cluster node factors come within
-    a few ulps of srf and kx: the record computes both from the planted
-    extent and node errors."""
+def _planted_sweep(points):
+    """A p=2, d=3 Sweep with one trial per (srf, kx, ka) point, whose srf
+    and two cluster node factors come within a few ulps of srf and kx: the
+    rows compute both from the planted extents and node errors."""
     n_samples, eps0 = 64, 1e-6
-    return ExperimentRecord.build(
+    srf, kx, ka = np.array(points, dtype=float).reshape(-1, 3).T
+    count = len(srf)
+    errors = np.column_stack([kx, kx, np.ones(count)]) * eps0 / n_samples
+    return experiments.Sweep(
         scheme="S1",
         p=2,
         d=3,
         h=2 * math.pi / (n_samples * srf),
-        n_samples=n_samples,
-        epsilon_requested=1e-6,
-        epsilon0=eps0,
-        seed=0,
-        successes=(True, True, True),
-        node_errors=[k * eps0 / n_samples for k in (kx, kx, 1.0)],
-        ka=[ka, ka, 1.0],
+        epsilon_requested=np.full(count, 1e-6),
+        epsilon0=np.full(count, eps0),
+        n_samples=np.full(count, n_samples),
+        seed=np.zeros(count, np.int64),
+        failure_code=np.zeros(count, np.uint8),
+        failure_messages=(),
+        successes=np.ones((count, 3), bool),
+        node_errors=errors,
+        ka=np.column_stack([ka, ka, np.ones(count)]),
     )
 
 
 def test_fit_loglog_slope_planted_square():
-    records = [_planted_record(srf, srf**2, srf**3) for srf in np.geomspace(1, 100, 12)]
+    records = _planted_sweep([(srf, srf**2, srf**3) for srf in np.geomspace(1, 100, 12)])
     fit = fit_loglog_slope(records, "kx", "cluster")
     assert fit.slope == pytest.approx(2.0, abs=1e-9)
     assert fit.r_squared == pytest.approx(1.0)
@@ -679,14 +679,14 @@ def test_fit_loglog_slope_planted_square():
 
 
 def test_fit_loglog_slope_planted_cubic_with_intercept():
-    records = [_planted_record(srf, srf**2, 7 * srf**3) for srf in np.geomspace(1, 100, 12)]
+    records = _planted_sweep([(srf, srf**2, 7 * srf**3) for srf in np.geomspace(1, 100, 12)])
     fit = fit_loglog_slope(records, "ka", "cluster")
     assert fit.slope == pytest.approx(3.0, abs=1e-9)
     assert fit.intercept == pytest.approx(math.log10(7.0), abs=1e-9)
 
 
 def test_fit_loglog_slope_insufficient_data():
-    records = [_planted_record(srf, srf**2, srf**3) for srf in (1.0, 2.0)]
+    records = _planted_sweep([(srf, srf**2, srf**3) for srf in (1.0, 2.0)])
     with pytest.raises(InsufficientDataError):
         fit_loglog_slope(records, "kx", "cluster")
     with pytest.raises(ValueError):
@@ -697,7 +697,7 @@ def test_fit_loglog_slope_insufficient_data():
 
 def test_fit_loglog_slope_rejects_points_sharing_one_srf():
     # twelve points at one srf fix no slope, however many there are
-    records = [_planted_record(5.0, 25.0, 125.0) for _ in range(12)]
+    records = _planted_sweep([(5.0, 25.0, 125.0)] * 12)
     for quantity in ("kx", "ka"):
         with pytest.raises(
             InsufficientDataError,
@@ -711,7 +711,7 @@ def test_fit_loglog_slope_needs_a_tenth_of_a_decade_of_srf():
     # it is fitted
     for span, fits in ((0.0999, False), (0.1001, True)):
         srfs = 10 ** np.linspace(0.5, 0.5 + span, 12)
-        records = [_planted_record(srf, srf**2, srf**3) for srf in srfs]
+        records = _planted_sweep([(srf, srf**2, srf**3) for srf in srfs])
         if fits:
             assert fit_loglog_slope(records, "kx", "cluster").slope == pytest.approx(2.0)
         else:
@@ -787,10 +787,164 @@ def test_fit_loglog_slope_matches_the_lstsq_reference_on_a_sweep(scheme):
     assert fitted >= 2
 
 
+# The per-trial columns of a Sweep, which _take indexes by trial.
+_TRIAL_COLUMNS = (
+    "h", "epsilon_requested", "epsilon0", "n_samples", "seed", "failure_code",
+    "successes", "node_errors", "ka",
+)
+
+
+def _take(sweep, trials):
+    """A Sweep of the given trials of sweep, in the given order."""
+    trials = np.asarray(trials, dtype=int)
+    return dataclasses.replace(
+        sweep, **{name: getattr(sweep, name)[trials] for name in _TRIAL_COLUMNS}
+    )
+
+
+def _interleaved_rows(parts, run_length):
+    """Rows of the Sweeps in parts, in runs of run_length consecutive rows
+    taken from each Sweep in turn, with the position of each row in the
+    concatenation of parts."""
+    offsets = np.cumsum([0, *map(len, parts)])
+    rows, order = [], []
+    for start in range(0, max(map(len, parts)), run_length):
+        for part, offset in zip(parts, offsets):
+            for index in range(start, min(start + run_length, len(part))):
+                rows.append(part[index])
+                order.append(offset + index)
+    return rows, order
+
+
+@pytest.mark.parametrize("scheme", ["S1", "S2"])
+def test_rows_pooled_from_several_sweeps_fit_and_write_as_one_sweep(scheme):
+    sweep = amplification_sweep(
+        2, 4, **DEFAULT_AMPLIFICATION_RANGES, trials=240, scheme=scheme, base_seed=11
+    )
+    parts = [_take(sweep, range(lo, hi)) for lo, hi in ((0, 70), (70, 150), (150, 240))]
+    # the pooled rows in sweep order, as the bench pools its kept passes
+    pooled = [row for part in parts for row in part]
+    # runs of 7 rows from each part in turn, and single rows of the first two
+    interleaved, order = _interleaved_rows(parts, 7)
+    singles, single_order = _interleaved_rows(parts[:2], 1)
+    # rows of one Sweep that skip, repeat and go back
+    scattered = [*range(0, 240, 3), 5, 5, *range(239, 100, -7)]
+    assert len(list(experiments._runs(interleaved))) > 30
+    cases = (
+        (pooled, range(240)),
+        (interleaved, order),
+        (singles, single_order),
+        ([sweep[i] for i in scattered], scattered),
+    )
+    for rows, trials in cases:
+        assert rows == list(_take(sweep, trials))
+        reference = _take(sweep, trials)
+        for quantity in ("kx", "ka"):
+            for node_class in ("cluster", "noncluster"):
+                fits = [
+                    dataclasses.astuple(fit_loglog_slope(records, quantity, node_class))
+                    for records in (rows, reference)
+                ]
+                assert _bits(fits[0]) == _bits(fits[1]), (quantity, node_class)
+        written, expected = io.StringIO(), io.StringIO()
+        write_records_csv(rows, written)
+        write_records_csv(reference, expected)
+        assert written.getvalue() == expected.getvalue()
+    pooled_csv = io.StringIO()
+    write_records_csv(pooled, pooled_csv)
+    assert pooled_csv.getvalue() == _reference_csv(list(sweep))
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython", reason="CPython's object sizes"
+)
+def test_kept_sweeps_and_pooled_rows_hold_few_bytes_per_trial():
+    # tools/record_bytes.py measured 113-115 B per trial held by kept
+    # 500-trial Sweeps on CPython 3.11 (109 B of column data and the
+    # Sweep's arrays and tables), and 72 B more per row pooled in a list (a
+    # 48 B view, its index where above 256, and its list slot).  The
+    # bounds allow 25% more; the former records held 230-263 B per trial.
+    args = (2, 4, *DEFAULT_AMPLIFICATION_RANGES.values(), 500, "S2")
+    amplification_sweep(*args[:5], 1, "S2", 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [amplification_sweep(*args, seed) for seed in (2, 3)]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+        pooled = [row for sweep in kept for row in sweep]
+        held_pooled = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pooled) == 1000
+    assert held / 1000 <= 1.25 * 115, held / 1000
+    assert (held_pooled - held) / 1000 <= 1.25 * 72, (held_pooled - held) / 1000
+
+
+def test_a_sweep_is_a_read_only_sequence_of_its_rows():
+    sweep = amplification_sweep(
+        2, 4, **DEFAULT_AMPLIFICATION_RANGES, trials=20, scheme="S2", base_seed=3
+    )
+    rows = list(sweep)
+    assert len(sweep) == len(rows) == 20
+    assert rows == [sweep[i] for i in range(20)]
+    assert all(row._sweep is sweep for row in rows)
+    assert sweep[-1] == rows[-1] and sweep[-1]._index == 19
+    for index in (20, -21):
+        with pytest.raises(IndexError):
+            sweep[index]
+    dtypes = {
+        "h": np.float64, "epsilon_requested": np.float64, "epsilon0": np.float64,
+        "n_samples": np.int64, "seed": np.int64, "failure_code": np.uint8,
+        "successes": np.bool_, "node_errors": np.float64, "ka": np.float64,
+    }
+    for name, dtype in dtypes.items():
+        column = getattr(sweep, name)
+        assert column.dtype == dtype and len(column) == 20, name
+        assert column.shape[1:] == ((4,) if column.ndim == 2 else ())
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = column[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sweep.h = sweep.h.copy()
+    # copies keep the columns read-only and the rows equal
+    for clone in (copy.copy(sweep), copy.deepcopy(sweep), pickle.loads(pickle.dumps(sweep))):
+        assert list(clone) == rows
+        assert not any(getattr(clone, name).flags.writeable for name in dtypes)
+    # a row reads the columns
+    for i, row in enumerate(rows):
+        assert row.seed == sweep.seed[i] and row.successes == tuple(sweep.successes[i])
+
+
+def test_single_experiment_returns_the_row_of_a_one_trial_sweep_of_tuples():
+    for args in ((2, 4, 0.03, 64, 1e-6, "S1", 5), (2, 3, 0.001, 48, 1e-2, "S2", 0)):
+        rec = single_experiment(*args)
+        assert isinstance(rec._sweep, Sweep) and len(rec._sweep) == 1
+        for name in _TRIAL_COLUMNS:
+            assert type(getattr(rec._sweep, name)) is tuple, name
+    assert rec.failure is not None and rec._sweep.failure_messages == (rec.failure,)
+
+
+def test_a_sweep_keeps_more_than_255_distinct_failure_messages(monkeypatch):
+    raised = []
+
+    def failing_recover(samples, d):
+        raised.append(f"eigen failure: number {len(raised)}")
+        raise EigenFailureError(raised[-1])
+
+    monkeypatch.setattr(experiments, "mp_recover", failing_recover)
+    sweep = amplification_sweep(
+        2, 3, **DEFAULT_AMPLIFICATION_RANGES, trials=300, scheme="S1", base_seed=0
+    )
+    assert sweep.failure_messages == tuple(raised) and len(raised) == 300
+    assert sweep.failure_code.itemsize > 1 and not sweep.failure_code.flags.writeable
+    assert [row.failure for row in sweep] == raised
+
+
 def test_fit_loglog_slope_matches_the_lstsq_reference_on_15000_points():
     # a planted record carries each point on its two cluster nodes
     xs, ys = _synthetic_points(7_500)
-    records = [_planted_record(x, y, y) for x, y in zip(xs, ys)]
+    records = _planted_sweep(list(zip(xs, ys, ys)))
     fit = fit_loglog_slope(records, "kx", "cluster")
     _assert_fits_agree(fit, _reference_ols_loglog(*_fit_points(records, "kx", "cluster")))
     assert fit.count == 15_000 and fit.slope == pytest.approx(2.0, abs=0.03)
@@ -1039,17 +1193,15 @@ def _reference_csv(records):
 @pytest.mark.parametrize("scheme", ["S1", "S2"])
 @pytest.mark.parametrize("p", [2, 3])
 def test_writers_match_dict_based_reference(scheme, p):
-    records = amplification_sweep(
+    records = list(amplification_sweep(
         p, p + 2, **DEFAULT_PHASE_RANGES, trials=60, scheme=scheme, base_seed=p
-    )
+    ))
+    trial_row = experiments._trial_row
     for other in ("S1", "S2"):
+        # an infinite eps0 turns the node error -0.0 into the factor -0.0
         records.append(
-            # an infinite eps0 turns the node error -0.0 into the factor -0.0
-            ExperimentRecord.build(
-                scheme=other, p=2, d=2, h=1e-3, n_samples=8, epsilon_requested=1e-9,
-                epsilon0=math.inf, seed=3, successes=(True, False),
-                node_errors=[-0.0, math.nan], ka=[2.0, math.nan],
-            )
+            trial_row(other, 2, 2, 1e-3, 8, 1e-9, math.inf, 3, (True, False), None,
+                      [-0.0, math.nan], [2.0, math.nan])
         )
     records.append(single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0))
     # numpy scalars in the count and float cells, and signed zeros, NaN and
@@ -1057,11 +1209,10 @@ def test_writers_match_dict_based_reference(scheme, p):
     for count, real in ((np.int64, np.float64), (np.uint64, float)):
         for eps_req, eps0 in ((-0.0, 1e-9), (math.inf, math.nan), (math.nan, -0.0)):
             records.append(
-                ExperimentRecord.build(
-                    scheme="S2", p=count(2), d=count(3), h=real(2e-2), n_samples=count(40),
-                    epsilon_requested=real(eps_req), epsilon0=real(eps0), seed=count(2**63 - 1),
-                    successes=(True, True, False), node_errors=[1e-12, -0.0, math.inf],
-                    ka=[math.inf, -0.0, math.nan],
+                trial_row(
+                    "S2", count(2), count(3), real(2e-2), count(40), real(eps_req),
+                    real(eps0), count(2**63 - 1), (True, True, False), None,
+                    [1e-12, -0.0, math.inf], [math.inf, -0.0, math.nan],
                 )
             )
     assert any(rec.failure is not None for rec in records)
@@ -1075,17 +1226,16 @@ def test_writers_match_dict_based_reference(scheme, p):
 def test_a_record_shorter_than_d_raises_before_its_rows_are_written(succeeded):
     good = single_experiment(2, 3, 0.02, 48, 1e-8, "S1", seed=1)
     assert good.all_success()
-    # A node block of 3 nodes under d = 4 fits no d = 4 layout.  A failed
-    # record has no node block and reads d NaN errors, but holds 3 flags.
+    # a Sweep that claims d = 4 holds 3 values per node column
     if succeeded:
-        short, error = dataclasses.replace(good, d=4), struct.error
+        short = dataclasses.replace(good._sweep, d=4)[0]
     else:
         failed = single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0)
         assert failed.failure is not None
-        short, error = dataclasses.replace(failed, d=4), IndexError
-        assert len(short.node_errors) == 4 and len(short.successes) == 3
+        short = dataclasses.replace(failed._sweep, d=4)[0]
+    assert len(short.node_errors) == len(short.successes) == 3
     buf = io.StringIO()
-    with pytest.raises(error):
+    with pytest.raises(IndexError):
         write_records_csv([good, good, short, good], buf)
     expected = io.StringIO()
     write_records_csv([good, good], expected)
@@ -1095,17 +1245,17 @@ def test_a_record_shorter_than_d_raises_before_its_rows_are_written(succeeded):
 def _as_numpy_scalars(record):
     """record rebuilt from its counts as np.int64 and its floats as
     np.float64."""
-    counts = ("p", "d", "n_samples", "seed")
-    reals = ("h", "epsilon_requested", "epsilon0")
-    scored = record.failure is None
-    return ExperimentRecord.build(
-        scheme=record.scheme,
-        **{name: np.int64(getattr(record, name)) for name in counts},
-        **{name: np.float64(getattr(record, name)) for name in reals},
-        successes=record.successes,
-        node_errors=list(map(np.float64, record.node_errors)) if scored else None,
-        ka=[np.float64(math.nan if v is None else v) for v in record.ka] if scored else None,
-        failure=record.failure,
+    return experiments._trial_row(
+        record.scheme,
+        *map(np.int64, (record.p, record.d)),
+        np.float64(record.h),
+        np.int64(record.n_samples),
+        *map(np.float64, (record.epsilon_requested, record.epsilon0)),
+        np.int64(record.seed),
+        tuple(map(np.bool_, record.successes)),
+        record.failure,
+        list(map(np.float64, record.node_errors)),
+        [np.float64(math.nan if v is None else v) for v in record.ka],
     )
 
 
@@ -1118,8 +1268,8 @@ def test_numpy_scalar_cells_write_the_bytes_of_python_scalars():
     assert any(rec.failure is None for rec in records)
     assert any(rec.failure is not None for rec in records)
     converted = [_as_numpy_scalars(rec) for rec in records]
-    # the counts stay numpy scalars; the floats read back as Python floats
-    assert type(converted[0].n_samples) is np.int64
+    # a row reads its cells back as Python values
+    assert type(converted[0].n_samples) is int
     assert type(converted[0].h) is float
     python, numpy_ = io.StringIO(), io.StringIO()
     write_records_csv(records, python)
@@ -1129,7 +1279,7 @@ def test_numpy_scalar_cells_write_the_bytes_of_python_scalars():
 
 def test_a_record_with_an_unknown_scheme_raises_before_its_rows_are_written():
     good = single_experiment(2, 3, 0.02, 48, 1e-8, "S1", seed=1)
-    unknown = dataclasses.replace(good, scheme="S3")
+    unknown = dataclasses.replace(good._sweep, scheme="S3")[0]
     buf = io.StringIO()
     with pytest.raises(ValueError, match=r"unknown scheme 'S3'; expected one of \('S1', 'S2'\)"):
         write_records_csv([good, good, unknown, good], buf)
@@ -1328,7 +1478,7 @@ def test_numpy_scalar_inputs_give_the_python_scalar_record(numpy_args):
     record = single_experiment(*numpy_args)
     expected = single_experiment(*python_args)
     assert repr(record) == repr(expected)
-    names = [field.name for field in dataclasses.fields(record)]
+    names = ["scheme", "p", "d", "n_samples", "successes", "failure", "seed"]
     for name in names + ["h", "epsilon_requested", "epsilon0", "node_errors", "ka", "kx"]:
         value, want = getattr(record, name), getattr(expected, name)
         assert type(value) is type(want), name
@@ -1346,16 +1496,34 @@ def test_single_experiment_rejects_a_float_count(scheme):
         single_experiment(2, 4, 0.03, 64.0, 1e-6, scheme, 5)
 
 
+def _rejected(d, n_samples, scheme, message, seed=1):
+    """A parameter set of the test below, with the id of its first four."""
+    return pytest.param(
+        d, n_samples, scheme, seed, message, id=f"{d}-{n_samples}-{scheme}-{message}"
+    )
+
+
+_NEGATIVE_SEED = "seed must be a non-negative integer"
+
+
 @pytest.mark.parametrize(
-    "d, n_samples, scheme, message",
+    "d, n_samples, scheme, seed, message",
     [
-        (4, 7, "S2", "need at least 2 d samples"),
-        (3, 5, "S1", "need at least 2 d samples"),
-        (3, 64, "S3", "unknown scheme 'S3'; expected one of ('S1', 'S2')"),
-        (3, 64, "s1", "unknown scheme 's1'; expected one of ('S1', 'S2')"),
+        _rejected(4, 7, "S2", "need at least 2 d samples"),
+        _rejected(3, 5, "S1", "need at least 2 d samples"),
+        _rejected(3, 64, "S3", "unknown scheme 'S3'; expected one of ('S1', 'S2')"),
+        _rejected(3, 64, "s1", "unknown scheme 's1'; expected one of ('S1', 'S2')"),
+        # rejected before any work under both schemes: S1 would otherwise
+        # fail only inside sample_spectrum, and S2 record the seed
+        _rejected(3, 64, "S1", _NEGATIVE_SEED, seed=-5),
+        _rejected(3, 64, "S2", _NEGATIVE_SEED, seed=-5),
     ],
 )
-def test_single_experiment_rejects_few_samples_and_unknown_schemes(d, n_samples, scheme, message):
+def test_single_experiment_rejects_few_samples_and_unknown_schemes(
+    monkeypatch, d, n_samples, scheme, seed, message
+):
+    counts, _ = _count_trial_calls(monkeypatch)
     with pytest.raises(ValueError) as excinfo:
-        single_experiment(2, d, 0.05, n_samples, 1e-9, scheme, 1)
+        single_experiment(2, d, 0.05, n_samples, 1e-9, scheme, seed)
     assert str(excinfo.value) == message
+    assert not any(counts.values())

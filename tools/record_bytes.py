@@ -1,4 +1,4 @@
-"""Print the bytes a sweep's records hold, per record, for schemes S1 and S2.
+"""Print the bytes a sweep's results hold, per record, for schemes S1 and S2.
 
 Run from the repository root:
 
@@ -6,12 +6,17 @@ Run from the repository root:
 
 For each scheme, eight amplification sweeps (p=2, d=4,
 DEFAULT_AMPLIFICATION_RANGES, 500 trials each, base seeds 1000-1007) run
-under tracemalloc, and the line gives the traced memory still held once
-they have returned, divided by the 4 000 records: the records, the bytes
-that hold their measured numbers, their seeds and the list slots that keep
-them.  One warm-up sweep fills the module caches first, so they are not
-counted.  The figure depends on the interpreter's object sizes, so compare
-it with a parent commit's on the same Python, as CI does on pull requests.
+under tracemalloc, and two lines give the traced memory still held once
+they have returned, divided by the 4 000 records:
+
+- "S1"/"S2": the kept Sweeps alone, their column arrays and tables;
+- "S1 pooled"/"S2 pooled": the kept Sweeps with every row view pooled into
+  one list, as bench/workloads.py pools the kept passes for its fits; the
+  difference is the view, its index and its list slot.
+
+One warm-up sweep fills the module caches first, so they are not counted.
+The figures depend on the interpreter's object sizes, so compare them with
+a parent commit's on the same Python, as CI does on pull requests.
 """
 
 import gc
@@ -32,7 +37,7 @@ TRIALS = 500
 BASE_SEEDS = range(1000, 1008)
 
 
-def sweep(scheme: str, base_seed: int) -> list:
+def sweep(scheme: str, base_seed: int):
     return amplification_sweep(
         P, D, **DEFAULT_AMPLIFICATION_RANGES, trials=TRIALS, scheme=scheme,
         base_seed=base_seed,
@@ -40,7 +45,8 @@ def sweep(scheme: str, base_seed: int) -> list:
 
 
 def bytes_per_record(scheme: str) -> tuple:
-    """(traced bytes held per record, record count) for one scheme."""
+    """(traced bytes held per record by the kept Sweeps, the same with every
+    row pooled in one list, record count) for one scheme."""
     sweep(scheme, BASE_SEEDS[0])
     gc.collect()
     tracemalloc.start()
@@ -49,16 +55,19 @@ def bytes_per_record(scheme: str) -> tuple:
         kept = [sweep(scheme, seed) for seed in BASE_SEEDS]
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
+        pooled = [row for result in kept for row in result]
+        held_pooled = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    count = sum(map(len, kept))
-    return held / count, count
+    count = len(pooled)
+    return held / count, held_pooled / count, count
 
 
 def main() -> None:
     for scheme in SCHEMES:
-        per_record, count = bytes_per_record(scheme)
-        print(f"{scheme} (p={P}, d={D}, {count} records): {per_record:.0f} B per record")
+        kept, pooled, count = bytes_per_record(scheme)
+        for label, figure in ((scheme, kept), (f"{scheme} pooled", pooled)):
+            print(f"{label} (p={P}, d={D}, {count} records): {figure:.0f} B per record")
 
 
 if __name__ == "__main__":
