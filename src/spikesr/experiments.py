@@ -3,9 +3,10 @@ thresholds for clustered signals.
 
 A single experiment builds the standard clustered layout, rescales it to the
 unit torus, samples its spectrum under one of two perturbation schemes, runs
-the Matrix Pencil estimator, and records per-node errors, success flags, and
-noise-normalized amplification factors.  Sweeps repeat this over log-uniform
-parameter draws and the fitting helpers extract the power-law scalings.
+the Matrix Pencil estimator, and records per-node node and amplitude errors
+and success flags, from which the noise-normalized amplification factors are
+derived.  Sweeps repeat this over log-uniform parameter draws and the fitting
+helpers extract the power-law scalings.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 from functools import lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -98,10 +99,10 @@ class Sweep:
     arrays: h, epsilon_requested and epsilon0 (float64), n_samples and seed
     (int64), failure_code (a small unsigned integer, 0 where the trial
     returned an estimate, else k where it raised failure_messages[k - 1]),
-    and the n x d columns successes (bool), node_errors and ka (float64,
-    NaN where a value is missing).  A trial that raised has all-false
-    successes and NaN node errors and amplitude factors; its epsilon0 is
-    NaN when the worst-case construction raised and measured when the
+    and the n x d columns successes (bool), node_errors and amplitude_errors
+    (float64, |a - a_est| per node, NaN where missing).  A trial that raised
+    has all-false successes and NaN node and amplitude errors; its epsilon0
+    is NaN when the worst-case construction raised and measured when the
     estimator did.  The one-trial Sweep of single_experiment holds its
     columns as tuples of Python values instead.
 
@@ -122,7 +123,7 @@ class Sweep:
     failure_messages: tuple
     successes: np.ndarray
     node_errors: np.ndarray
-    ka: np.ndarray
+    amplitude_errors: np.ndarray
 
     def __len__(self) -> int:
         return len(self.h)
@@ -139,6 +140,13 @@ class Sweep:
     def __reduce__(self):
         # numpy unpickles an array writeable, so a copy is frozen again
         return _read_only_sweep, tuple(getattr(self, name) for name in self.__slots__)
+
+    def _rows(self, start: int, stop: int) -> "Sweep":
+        """Rows start..stop as a Sweep of numpy columns, the form every reader
+        takes: views of numpy columns, or arrays of a one-trial Sweep's tuples."""
+        names = (*_COLUMNS, "failure_code")
+        columns = {name: np.asarray(getattr(self, name)[start:stop]) for name in names}
+        return replace(self, **columns)
 
 
 def _read_only_sweep(*args, **kwargs) -> Sweep:
@@ -161,19 +169,27 @@ _COLUMNS = {
     "seed": np.int64,
     "successes": np.bool_,
     "node_errors": np.float64,
-    "ka": np.float64,
+    "amplitude_errors": np.float64,
 }
-_NODE_COLUMNS = ("successes", "node_errors", "ka")
-
-
-def _python(value):
-    """A column cell with numpy values as Python ones."""
-    return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
+_NODE_COLUMNS = ("successes", "node_errors", "amplitude_errors")
 
 
 def _cell(column: str) -> property:
-    """A row's cell of a Sweep column, read with numpy values as Python ones."""
-    return property(lambda row: _python(getattr(row._sweep, column)[row._index]))
+    """A row's cell of a Sweep column as a Python value, or as a tuple of
+    Python values for a per-node column."""
+
+    def read(row):
+        value = np.asarray(getattr(row._sweep, column)[row._index]).tolist()
+        return tuple(value) if column in _NODE_COLUMNS else value
+
+    return property(read)
+
+
+# The row attributes that are the arguments of _trial_row, in its order.
+_ROW_ARGS = (
+    "scheme", "p", "d", "h", "n_samples", "epsilon_requested", "epsilon0", "seed",
+    "successes", "failure", "node_errors", "_amplitude_errors",
+)
 
 
 class ExperimentRecord:
@@ -183,16 +199,18 @@ class ExperimentRecord:
     h is the cluster extent of the [0, pi] layout before rescaling to the
     torus; srf = 1/(N * gap) with gap the rescaled cluster spacing.  Per-node
     tuples are indexed like the true nodes (the first p are the cluster);
-    amplification factors are present exactly where the node succeeded, the
-    measured noise was nonzero and the factor is finite, and None elsewhere.
-    failure is the message of the error that the estimator or the worst-case
-    construction raised instead of returning an estimate, else None.
+    the factors kx = e N / epsilon0 and ka = |a - a_est| / epsilon0 are
+    present exactly where the node succeeded, the measured noise was
+    positive and the factor is finite, and None elsewhere.  failure is the
+    message of the error that the estimator or the worst-case construction
+    raised instead of returning an estimate, else None.
 
-    Every attribute is read from the Sweep as Python values, and srf and the
-    node factors kx = e N / epsilon0 are computed from them on each read.
-    Rows compare and hash by these values, so a row of a sweep equals the
-    row single_experiment returns for the same trial, and a row pickles and
-    copies alone, as a one-trial Sweep of its own values.
+    Every attribute is read from the Sweep as Python values, and srf, kx
+    and ka are computed on each read by _srf and _factors, as the fit and
+    the CSV writer compute them.  Rows compare and hash by their values, so
+    a row of a sweep equals the row single_experiment returns for the same
+    trial, and a row pickles and copies alone, as a one-trial Sweep of its
+    own values.
     """
 
     __slots__ = ("_sweep", "_index")
@@ -215,60 +233,45 @@ class ExperimentRecord:
     epsilon0 = _cell("epsilon0")
     n_samples = _cell("n_samples")
     seed = _cell("seed")
-    _failure_code = _cell("failure_code")
-    _successes = _cell("successes")
-    _node_errors = _cell("node_errors")
-    _ka = _cell("ka")
+    successes = _cell("successes")
+    node_errors = _cell("node_errors")
+    _amplitude_errors = _cell("amplitude_errors")
 
     @property
     def failure(self) -> Optional[str]:
-        code = self._failure_code
+        code = self._sweep.failure_code[self._index]
         return self._sweep.failure_messages[code - 1] if code else None
 
-    @property
-    def successes(self) -> tuple:
-        return tuple(self._successes)
-
-    @property
-    def node_errors(self) -> tuple:
-        return tuple(self._node_errors)
-
-    @property
-    def ka(self) -> tuple:
-        # NaN, the one value unequal to itself, marks a missing factor
-        return tuple([None if v != v else v for v in self._ka])
+    def _row(self) -> Sweep:
+        return self._sweep._rows(self._index, self._index + 1)
 
     @property
     def srf(self) -> float:
-        """1/(N * gap), as _srf computes it from p, h and N."""
-        return _srf(self.p, self.h, self.n_samples)
+        row = self._row()
+        return _srf(row.p, row.h, row.n_samples).item()
 
-    @property
-    def kx(self) -> tuple:
-        """Node factors e N / epsilon0 where the node succeeded and the factor
-        is finite, else None."""
-        factors = _node_factors(
-            self._node_errors, self._successes, self.n_samples, self.epsilon0
-        )
+    def _factor_cells(self, quantity: str) -> tuple:
+        factors = _factors(self._row(), quantity)[0].tolist()
+        # NaN, the one value unequal to itself, marks a missing factor
         return tuple([None if v != v else v for v in factors])
 
-    def all_success(self) -> bool:
-        return bool(all(self._successes))
+    kx = property(lambda row: row._factor_cells("kx"))
+    ka = property(lambda row: row._factor_cells("ka"))
 
-    def _fields(self) -> tuple:
-        """The arguments of _trial_row that rebuild this row alone."""
-        return (
-            self.scheme, self.p, self.d, self.h, self.n_samples, self.epsilon_requested,
-            self.epsilon0, self.seed, self.successes, self.failure, self.node_errors,
-            tuple(self._ka),
-        )
+    def all_success(self) -> bool:
+        return bool(all(self._sweep.successes[self._index]))
 
     def _key(self) -> tuple:
         """The row's values, with its floats as their float64 bytes, so that
-        a NaN compares equal to itself and -0.0 unequal to 0.0."""
-        scheme, p, d, h, n, eps_req, eps0, seed, flags, failure, errors, ka = self._fields()
-        floats = array("d", [h, eps_req, eps0, *errors, *ka])
-        return scheme, p, d, n, seed, flags, failure, floats.tobytes()
+        a NaN compares equal to itself and -0.0 unequal to 0.0.  Counts and
+        seeds are Python ints: the bytes of an object column are pointers."""
+        row = self._row()
+        floats = [row.h, row.epsilon_requested, row.epsilon0, *row.node_errors]
+        return (
+            row.scheme, row.p, row.d, self.failure, *row.n_samples.tolist(),
+            *row.seed.tolist(), row.successes.tobytes(), np.concatenate(floats).tobytes(),
+            row.amplitude_errors.tobytes(),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, ExperimentRecord):
@@ -279,28 +282,23 @@ class ExperimentRecord:
         return hash(self._key())
 
     def __reduce__(self):
-        return _trial_row, self._fields()
+        return _trial_row, tuple([getattr(self, name) for name in _ROW_ARGS])
 
     def __repr__(self) -> str:
-        names = (
-            "scheme", "p", "d", "h", "n_samples", "epsilon_requested", "epsilon0",
-            "seed", "successes", "failure", "node_errors", "ka",
-        )
-        values = (*self._fields()[:11], self.ka)
-        cells = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
-        return f"ExperimentRecord({cells})"
+        cells = (f"{name.lstrip('_')}={getattr(self, name)!r}" for name in _ROW_ARGS)
+        return f"ExperimentRecord({', '.join(cells)})"
 
 
 def _trial_row(
     scheme, p, d, h, n_samples, epsilon_requested, epsilon0, seed, successes, failure,
-    node_errors, ka,
+    node_errors, amplitude_errors,
 ) -> ExperimentRecord:
     """The row of a one-trial Sweep whose columns are tuples of the given
-    values, built without numpy; ka holds NaN for a missing factor."""
+    values, built without numpy."""
     code, messages = (0, ()) if failure is None else (1, (failure,))
     sweep = Sweep(
         scheme, p, d, (h,), (epsilon_requested,), (epsilon0,), (n_samples,), (seed,),
-        (code,), messages, (successes,), (node_errors,), (ka,),
+        (code,), messages, (successes,), (node_errors,), (amplitude_errors,),
     )
     return ExperimentRecord(sweep, 0)
 
@@ -355,20 +353,19 @@ def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
     return amps
 
 
-def _factors(values: list, successes: tuple) -> list:
-    """Each factor where its node succeeded and the factor is finite, else NaN."""
-    return [
-        v if ok and math.isfinite(v) else math.nan for v, ok in zip(values, successes)
-    ]
-
-
-def _node_factors(errors, successes, n_samples: int, eps0: float) -> list:
-    """The node factors e N / eps0 of the node errors, by _factors."""
-    if not eps0 > 0:
-        return [math.nan] * len(errors)
-    # a subnormal eps0 can overflow a factor to inf, which Python float
-    # division returns without a warning; it is kept as missing
-    return _factors([e * n_samples / eps0 for e in errors], successes)
+def _factors(sweep: Sweep, quantity: str) -> np.ndarray:
+    """The node ("kx", e N / epsilon0) or amplitude ("ka") factors of each
+    trial and node of a Sweep of numpy columns: each where the node
+    succeeded, epsilon0 > 0 and the factor is finite (a subnormal epsilon0
+    can overflow it), else NaN."""
+    if quantity == "kx":
+        numerators = sweep.node_errors * sweep.n_samples[:, None]
+    else:
+        numerators = sweep.amplitude_errors
+    eps0 = sweep.epsilon0[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = numerators / eps0
+    return np.where(sweep.successes & (eps0 > 0) & np.isfinite(values), values, np.nan)
 
 
 def _nearest_gaps(nodes: list) -> list:
@@ -380,21 +377,20 @@ def _nearest_gaps(nodes: list) -> list:
     return list(map(min, [math.inf, *gaps], [*gaps, math.inf]))
 
 
-def _srf_column(p: int, h: np.ndarray, n_samples: np.ndarray) -> np.ndarray:
-    """_srf of each trial of a column of extents and sample counts, bit for
-    bit; unlike _srf it does not check that each is finite."""
+def _srf(p: int, h, n_samples):
+    """1/(N * gap) with gap the cluster spacing of the layout rescaled to the
+    torus, of one trial or, to the same bits, of columns of trials."""
     return 1.0 / (n_samples * ((h / (2.0 * math.pi)) / (p - 1)))
 
 
-def _srf(p: int, h: float, n_samples: int) -> float:
-    """1/(N * gap) with gap the cluster spacing of the layout rescaled to the
-    torus.  An h too small for a finite srf raises ValueError."""
-    gap = (h / (2.0 * math.pi)) / (p - 1)
-    # a gap that underflows to 0 has no finite srf either
-    srf = 1.0 / (n_samples * gap) if gap else math.inf
+def _check_srf(p: int, h: float, n_samples: int) -> None:
+    """Raise ValueError where h is too small for a finite _srf."""
+    try:
+        srf = _srf(p, h, n_samples)
+    except ZeroDivisionError:  # the gap underflows to 0
+        srf = math.inf
     if not math.isfinite(srf):
         raise ValueError(f"cluster extent h={h!r} is too small for a finite srf")
-    return srf
 
 
 def _measure(
@@ -411,24 +407,21 @@ def _measure(
     )
 
 
-def _score(x: list, train: SpikeTrain, estimate: SpikeTrain, eps0: float) -> tuple:
-    """Per-node errors, success flags and amplitude factors (NaN where
-    missing) of an estimate of train, whose nodes are x as Python floats."""
+def _score(x: list, train: SpikeTrain, estimate: SpikeTrain) -> tuple:
+    """Per-node errors, success flags and amplitude errors of an estimate of
+    train, whose nodes are x as Python floats."""
     # dist[j, l]: estimate j to true node l.  True node l is scored by its
-    # nearest estimate, and Ka compares true node l with that estimate.
+    # nearest estimate, and its amplitude error is against that estimate.
     dist = _circular_distance(estimate.nodes[:, None], train.nodes[None, :])
     errors = dist.min(axis=0).tolist()
     # Python scalars on the d per-node values, for the reason prony.py
     # gives; they round as float64 does.  The flags come from a sized list,
     # for the reason decimation._interval_set gives.
     successes = tuple([e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x))])
-    if not eps0 > 0:
-        return errors, successes, [math.nan] * len(x)
     amp_err = train.amplitudes - estimate.amplitudes[dist.argmin(axis=0)]
     # hypot, not np.abs: complex np.abs may differ from the scalar abs in
     # the last ulp, and hypot matches it bit for bit
-    amp_errors = np.hypot(amp_err.real, amp_err.imag).tolist()
-    return errors, successes, _factors([a / eps0 for a in amp_errors], successes)
+    return errors, successes, np.hypot(amp_err.real, amp_err.imag).tolist()
 
 
 def single_experiment(
@@ -474,23 +467,22 @@ def single_experiment(
     train = SpikeTrain(amplitudes=_scheme_amplitudes(scheme, d), nodes=x)
 
     # the record computes its srf on read; a draw that gives none fails here
-    _srf(p, h, n_samples)
+    _check_srf(p, h, n_samples)
 
-    eps0 = math.nan
+    eps0, failure = math.nan, None
     try:
         samples = _measure(train, p, n_samples, epsilon, scheme, seed)
         # a worst-case failure leaves eps0 NaN; an estimator failure keeps it
         eps0 = samples.actual_noise
         estimate = mp_recover(samples, d).estimate
     except SpikesrError as exc:
-        missing = [math.nan] * d
-        return _trial_row(
-            scheme, p, d, h, n_samples, epsilon, eps0, seed, (False,) * d, str(exc),
-            missing, missing,
-        )
-    errors, successes, ka = _score(x, train, estimate, eps0)
+        failure, errors = str(exc), [math.nan] * d
+        successes, amplitude_errors = (False,) * d, errors
+    else:
+        errors, successes, amplitude_errors = _score(x, train, estimate)
     return _trial_row(
-        scheme, p, d, h, n_samples, epsilon, eps0, seed, successes, None, errors, ka
+        scheme, p, d, h, n_samples, epsilon, eps0, seed, successes, failure, errors,
+        amplitude_errors,
     )
 
 
@@ -520,11 +512,18 @@ def amplification_sweep(
     the full sweep is reproducible and individual trials can be re-run from the
     seed stored on their record.  A sample count drawn below 2d+2 is raised
     to 2d+2; an n_range whose upper bound rounds below 2d+2 raises ValueError
-    before any trial.  Each trial's record is copied into the columns of the
-    returned Sweep, and each distinct failure message is kept once.
+    before any trial, as do an unknown scheme and a negative base_seed; a
+    base_seed that is not an integer raises TypeError.  Each trial's record
+    is copied into the columns of the returned Sweep, and each distinct
+    failure message is kept once.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_scheme(scheme)
+    if not hasattr(type(base_seed), "__index__"):
+        raise TypeError(f"base_seed must be an integer, not {base_seed!r}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be a non-negative integer, not {base_seed!r}")
     log_h, log_n, log_eps = map(_log_bounds, (h_range, n_range, eps_range))
     _check_standard_extent(h_range[1])
     _check_cluster_indices(p, d)
@@ -535,7 +534,7 @@ def amplification_sweep(
         )
     # The largest srf a trial can draw, from the least h and N; each trial
     # checks its own drawn h again, against rounding in the draw.
-    _srf(p, h_range[0], max(round(n_range[0]), 2 * d + 2))
+    _check_srf(p, h_range[0], max(round(n_range[0]), 2 * d + 2))
     columns = {
         name: np.empty((trials, d) if name in _NODE_COLUMNS else trials, dtype)
         for name, dtype in _COLUMNS.items()
@@ -627,7 +626,7 @@ def phase_transition_sweep(
     outcomes = outcomes.astype(float)
     # rows [1, log10 srf, log10 eps]; math.log10 keeps the scalar bits
     features = np.ones((n, 3))
-    srf = _srf_column(p, sweep.h, sweep.n_samples)
+    srf = _srf(p, sweep.h, sweep.n_samples)
     features[:, 1] = np.fromiter(map(math.log10, srf.tolist()), float, n)
     if scheme == "S1":
         eps0 = sweep.epsilon0
@@ -680,46 +679,28 @@ def _ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
 
 
 def _runs(records):
-    """(sweep, start, stop) for each run of consecutive rows of one Sweep
-    in records, in order; a Sweep is one run of all its rows."""
+    """Each run of consecutive rows of one Sweep in records, in order, as a
+    Sweep of numpy columns (Sweep._rows); a Sweep is one run of all its
+    rows."""
     if isinstance(records, Sweep):
-        yield records, 0, len(records)
+        yield records._rows(0, len(records))
         return
-    sweep, start, stop = None, 0, 0
-    for row in records:
-        if row._sweep is sweep and row._index == stop:
-            stop += 1
-            continue
-        if sweep is not None:
-            yield sweep, start, stop
-        sweep, start, stop = row._sweep, row._index, row._index + 1
-    if sweep is not None:
-        yield sweep, start, stop
+    # along a run, a row's index less its position in records is constant
+    keyed = ((row._sweep, row._index - position, row) for position, row in enumerate(records))
+    for (sweep, _), run in groupby(keyed, operator.itemgetter(0, 1)):
+        indices = [row._index for *_, row in run]
+        yield sweep._rows(indices[0], indices[-1] + 1)
 
 
-def _fit_points(sweep: Sweep, start: int, stop: int, node: bool, cluster: bool) -> tuple:
-    """The (srf, factor) points of rows start..stop of a sweep, in row and
-    then node order: the node ("kx") or amplitude factors of its cluster or
-    non-cluster nodes that are positive and finite."""
-    p, d = sweep.p, sweep.d
-    nodes = slice(0, p) if cluster else slice(p, d)
-    n_samples = np.asarray(sweep.n_samples[start:stop], dtype=np.int64)
-    # NaN marks what is missing; nothing here warns about it
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if node:
-            eps0 = np.asarray(sweep.epsilon0[start:stop], dtype=float)[:, None]
-            errors = np.asarray(sweep.node_errors[start:stop], dtype=float)[:, nodes]
-            flags = np.asarray(sweep.successes[start:stop], dtype=bool)[:, nodes]
-            # e N / eps0 as _node_factors forms it, where the node succeeded
-            # and eps0 > 0; the test below drops the rest with the missing
-            # factors
-            values = np.where(flags & (eps0 > 0), errors * n_samples[:, None] / eps0, np.nan)
-        else:
-            values = np.asarray(sweep.ka[start:stop], dtype=float)[:, nodes]
-        # false for NaN, the missing factor, and for inf
-        usable = (0 < values) & (values < math.inf)
-    h = np.asarray(sweep.h[start:stop], dtype=float)
-    srf = np.broadcast_to(_srf_column(p, h, n_samples)[:, None], values.shape)
+def _fit_points(run: Sweep, quantity: str, cluster: bool) -> tuple:
+    """The (srf, factor) points of a Sweep of numpy columns, in row and then
+    node order: the factors (_factors) of its cluster or non-cluster nodes
+    that are present and positive."""
+    nodes = slice(0, run.p) if cluster else slice(run.p, run.d)
+    values = _factors(run, quantity)[:, nodes]
+    # false for NaN, the missing factor
+    usable = values > 0
+    srf = np.broadcast_to(_srf(run.p, run.h, run.n_samples)[:, None], values.shape)
     return srf[usable], values[usable]
 
 
@@ -742,10 +723,7 @@ def fit_loglog_slope(
         raise ValueError("quantity must be 'kx' or 'ka'")
     if node_class not in ("cluster", "noncluster"):
         raise ValueError("node_class must be 'cluster' or 'noncluster'")
-    points = [
-        _fit_points(*run, quantity == "kx", node_class == "cluster")
-        for run in _runs(records)
-    ]
+    points = [_fit_points(run, quantity, node_class == "cluster") for run in _runs(records)]
     xs = np.concatenate([x for x, _ in points]) if points else np.empty(0)
     ys = np.concatenate([y for _, y in points]) if points else np.empty(0)
     if len(xs) < 10:
@@ -758,12 +736,6 @@ def fit_loglog_slope(
             f"span less than {_MIN_LOG_SRF_SPAN} decade of srf"
         )
     return _ols_loglog(xs, ys)
-
-
-def _column_list(column, start: int, stop: int) -> list:
-    """Rows start..stop of a column as a list of Python values."""
-    cells = column[start:stop]
-    return cells.tolist() if isinstance(cells, np.ndarray) else list(map(_python, cells))
 
 
 def write_records_csv(records: Sweep | Iterable[ExperimentRecord], stream) -> None:
@@ -779,24 +751,20 @@ def write_records_csv(records: Sweep | Iterable[ExperimentRecord], stream) -> No
     IndexError, before any of its rows is written.
     """
     stream.write(CSV_HEADER + "\n")
-    for sweep, start, stop in _runs(records):
-        _check_scheme(sweep.scheme)
-        scheme, p, d = sweep.scheme, sweep.p, sweep.d
-        columns = [
-            _column_list(getattr(sweep, name), start, stop)
-            for name in (
-                "h", "n_samples", "epsilon_requested", "epsilon0", "seed",
-                "successes", "node_errors", "ka",
-            )
-        ]
-        for h, n_samples, eps_req, eps0, seed, flags, errors, ka in zip(*columns):
-            # the trial cells, srf and kx are formed once per record
-            trial = (
-                f"{scheme},{p!s},{d!s},{h!s},{n_samples!s},"
-                f"{eps_req!s},{eps0!s},{_srf(p, h, n_samples)!s}"
-            )
+    for run in _runs(records):
+        _check_scheme(run.scheme)
+        scheme, p, d = run.scheme, run.p, run.d
+        columns = (
+            run.h, run.n_samples, run.epsilon_requested, run.epsilon0, run.seed,
+            run.successes, run.node_errors, _srf(p, run.h, run.n_samples),
+            _factors(run, "kx"), _factors(run, "ka"),
+        )
+        for h, n, eps_req, eps0, seed, flags, errors, srf, kx, ka in zip(
+            *[column.tolist() for column in columns]
+        ):
+            # the trial cells are formed once per record
+            trial = f"{scheme},{p!s},{d!s},{h!s},{n!s},{eps_req!s},{eps0!s},{srf!s}"
             tail = f",{seed!s}\n"
-            kx = _node_factors(errors, flags, n_samples, eps0)
             # a NaN factor, the missing one, is the one cell unequal to itself
             rows = [
                 f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},{errors[j]!s},"

@@ -449,6 +449,7 @@ def test_decimation_bad_parameters_exit_2(tmp_path, capsys, flags, message):
         # every draw would be raised to 2d+2 = 8, so the range is refused
         (["--trials", "3", "--scheme", "S2", "--n-range", "5,5"],
          "n_range must reach 2 d + 2 = 8 samples; its upper bound rounds to 5"),
+        (["--seed", "-1"], "base_seed must be a non-negative integer, not -1"),
     ],
 )
 @pytest.mark.parametrize("kind", ["amplification", "phase"])

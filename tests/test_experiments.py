@@ -153,6 +153,15 @@ def test_overflowing_factors_are_missing():
         for rec in records
         for ok, kx in zip(rec.successes, rec.kx)
     )
+    # the amplitude factors of successful nodes overflow too, and are missing
+    overflowing = [
+        ka
+        for rec, amplitude_errors in zip(records, records.amplitude_errors.tolist())
+        for ok, a, ka in zip(rec.successes, amplitude_errors, rec.ka)
+        if ok and a / rec.epsilon0 == math.inf
+    ]
+    assert len(overflowing) > 10
+    assert overflowing == [None] * len(overflowing)
 
 
 def _failed_sweep():
@@ -177,7 +186,7 @@ def test_failed_trials_read_nan_errors_and_missing_factors():
     failed_rows = sweep.failure_code != 0
     assert not sweep.successes[failed_rows].any()
     assert np.isnan(sweep.node_errors[failed_rows]).all()
-    assert np.isnan(sweep.ka[failed_rows]).all()
+    assert np.isnan(sweep.amplitude_errors[failed_rows]).all()
 
 
 @pytest.mark.skipif(
@@ -235,16 +244,50 @@ def test_records_equal_a_rebuild_with_fresh_tuples():
     # equality never rests on shared objects: a one-trial Sweep of what a
     # row reads back, in fresh tuples, gives an equal row
     for rec in _failed_sweep():
-        fresh = experiments._trial_row(
+        fields = [
             rec.scheme, rec.p, rec.d, rec.h, rec.n_samples, rec.epsilon_requested,
             rec.epsilon0, rec.seed, tuple(list(rec.successes)), rec.failure,
-            list(rec.node_errors), [math.nan if v is None else v for v in rec.ka],
-        )
+            list(rec.node_errors), list(rec._amplitude_errors),
+        ]
+        fresh = experiments._trial_row(*fields)
         assert fresh._sweep is not rec._sweep
         assert fresh == rec and hash(fresh) == hash(rec)
-        fields = fresh._fields()
         moved = experiments._trial_row(*fields[:7], rec.seed + 1, *fields[8:])
         assert moved != rec
+
+
+def test_rows_with_seeds_from_2_63_up_compare_copy_write_and_fit_by_value():
+    # such a seed column is an object array, whose bytes are pointers: the
+    # rows must still compare, hash, copy, write and fit by value
+    trials = [
+        (2, 4, 0.03, 64, 1e-6, "S1", 2**64 + 5),
+        (2, 4, 0.03, 64, 1e-9, "S2", 2**70),
+        (2, 4, 0.03, 64, 1e-9, "S2", 2**63),
+    ]
+    # enough scored trials over a decade of srf for every fit
+    trials += [
+        (2, 4, h, 64, 1e-6, scheme, 2**64 + k)
+        for k, h in enumerate(np.geomspace(5e-3, 6e-2, 8).tolist())
+        for scheme in ("S1", "S2")
+    ]
+    rows = [single_experiment(*trial) for trial in trials]
+    for trial, row in zip(trials, rows):
+        again = single_experiment(*trial)
+        assert again._sweep is not row._sweep and again.seed == row.seed == trial[-1]
+        assert again == row and hash(again) == hash(row)
+        for clone in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
+            assert clone == row and hash(clone) == hash(row)
+        # an S2 trial draws nothing from its seed, so only the seed differs
+        assert single_experiment(*trial[:-1], trial[-1] + 1) != row
+    refs = [_reference_trial(*trial) for trial in trials]
+    written = io.StringIO()
+    write_records_csv(rows, written)
+    assert written.getvalue() == _reference_csv(refs)
+    for quantity in ("kx", "ka"):
+        for node_class in ("cluster", "noncluster"):
+            fit = fit_loglog_slope(rows, quantity, node_class)
+            ref = _reference_fit(refs, quantity, node_class)
+            assert _bits(dataclasses.astuple(fit)) == _bits(dataclasses.astuple(ref))
 
 
 def _stored_srf(p, h, n_samples):
@@ -647,8 +690,9 @@ def test_scoring_fails_a_true_node_left_without_an_estimate(monkeypatch):
 
 def _planted_sweep(points):
     """A p=2, d=3 Sweep with one trial per (srf, kx, ka) point, whose srf
-    and two cluster node factors come within a few ulps of srf and kx: the
-    rows compute both from the planted extents and node errors."""
+    and two cluster node and amplitude factors come within a few ulps of
+    srf, kx and ka: the rows compute them from the planted extents, node
+    errors and amplitude errors."""
     n_samples, eps0 = 64, 1e-6
     srf, kx, ka = np.array(points, dtype=float).reshape(-1, 3).T
     count = len(srf)
@@ -666,7 +710,7 @@ def _planted_sweep(points):
         failure_messages=(),
         successes=np.ones((count, 3), bool),
         node_errors=errors,
-        ka=np.column_stack([ka, ka, np.ones(count)]),
+        amplitude_errors=np.column_stack([ka, ka, np.ones(count)]) * eps0,
     )
 
 
@@ -790,7 +834,7 @@ def test_fit_loglog_slope_matches_the_lstsq_reference_on_a_sweep(scheme):
 # The per-trial columns of a Sweep, which _take indexes by trial.
 _TRIAL_COLUMNS = (
     "h", "epsilon_requested", "epsilon0", "n_samples", "seed", "failure_code",
-    "successes", "node_errors", "ka",
+    "successes", "node_errors", "amplitude_errors",
 )
 
 
@@ -897,7 +941,7 @@ def test_a_sweep_is_a_read_only_sequence_of_its_rows():
     dtypes = {
         "h": np.float64, "epsilon_requested": np.float64, "epsilon0": np.float64,
         "n_samples": np.int64, "seed": np.int64, "failure_code": np.uint8,
-        "successes": np.bool_, "node_errors": np.float64, "ka": np.float64,
+        "successes": np.bool_, "node_errors": np.float64, "amplitude_errors": np.float64,
     }
     for name, dtype in dtypes.items():
         column = getattr(sweep, name)
@@ -1255,7 +1299,7 @@ def _as_numpy_scalars(record):
         tuple(map(np.bool_, record.successes)),
         record.failure,
         list(map(np.float64, record.node_errors)),
-        [np.float64(math.nan if v is None else v) for v in record.ka],
+        list(map(np.float64, record._amplitude_errors)),
     )
 
 
@@ -1404,6 +1448,43 @@ def test_sweep_rejects_an_n_range_below_2d_plus_2_before_any_trial(monkeypatch):
         "n_range must reach 2 d + 2 = 8 samples; its upper bound rounds to 7"
     )
     assert calls == []
+
+
+_UNKNOWN_SCHEME = r"^unknown scheme '{}'; expected one of \('S1', 'S2'\)$"
+_NEGATIVE_BASE_SEED = r"^base_seed must be a non-negative integer, not "
+_NOT_INTEGER = r"^base_seed must be an integer, not "
+
+
+@pytest.mark.parametrize(
+    "scheme, base_seed, error, message",
+    [
+        pytest.param("S3", 0, ValueError, _UNKNOWN_SCHEME.format("S3"), id="scheme-S3"),
+        pytest.param("s2", 0, ValueError, _UNKNOWN_SCHEME.format("s2"), id="scheme-s2"),
+        pytest.param("S2", -1, ValueError, _NEGATIVE_BASE_SEED + "-1$", id="seed-minus-1"),
+        pytest.param("S1", np.int64(-3), ValueError, _NEGATIVE_BASE_SEED, id="numpy-seed"),
+        pytest.param("S1", 1.5, TypeError, _NOT_INTEGER + r"1\.5$", id="seed-1.5"),
+        pytest.param("S2", "7", TypeError, _NOT_INTEGER + "'7'$", id="seed-str"),
+    ],
+)
+def test_sweeps_reject_a_bad_scheme_or_base_seed_before_any_draw_or_trial(
+    monkeypatch, scheme, base_seed, error, message
+):
+    calls, draws = [], []
+    real_rng = np.random.default_rng
+
+    def logging_rng(seed):
+        draws.append(seed)
+        return real_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", logging_rng)
+    monkeypatch.setattr(experiments, "single_experiment", lambda *args: calls.append(args))
+    for sweep in (amplification_sweep, phase_transition_sweep):
+        with pytest.raises(error, match=message):
+            sweep(
+                2, 4, **DEFAULT_AMPLIFICATION_RANGES, trials=3, scheme=scheme,
+                base_seed=base_seed,
+            )
+    assert calls == [] and draws == []
 
 
 def test_sweep_raises_smaller_draws_of_a_wider_n_range_to_2d_plus_2():
