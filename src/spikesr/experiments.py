@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import groupby, repeat
 from typing import Iterable, Optional, Sequence
@@ -88,23 +88,33 @@ _DRAW_BLOCK = 256
 _MIN_LOG_SRF_SPAN = 0.1
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Sweep:
-    """The outcomes of a sweep's trials, one column per measured quantity,
-    indexed by trial.
+@lru_cache(maxsize=64)
+def _trial_dtype(d: int) -> np.dtype:
+    """What one trial of d nodes measured, as one numpy record: h,
+    epsilon_requested and epsilon0 (float64), n_samples and seed (int64),
+    and d per-node values of successes (bool), node_errors and
+    amplitude_errors (float64, |a - a_est| per node, NaN where missing)."""
+    return np.dtype([
+        ("h", np.float64), ("epsilon_requested", np.float64), ("epsilon0", np.float64),
+        ("n_samples", np.int64), ("seed", np.int64), ("successes", np.bool_, (d,)),
+        ("node_errors", np.float64, (d,)), ("amplitude_errors", np.float64, (d,)),
+    ])
 
-    A column holds one value per trial, or a row of d per-node values per
-    trial; the nodes are indexed like the true nodes (the first p are the
-    cluster).  amplification_sweep returns its columns as read-only numpy
-    arrays: h, epsilon_requested and epsilon0 (float64), n_samples and seed
-    (int64), failure_code (a small unsigned integer, 0 where the trial
-    returned an estimate, else k where it raised failure_messages[k - 1]),
-    and the n x d columns successes (bool), node_errors and amplitude_errors
-    (float64, |a - a_est| per node, NaN where missing).  A trial that raised
-    has all-false successes and NaN node and amplitude errors; its epsilon0
-    is NaN when the worst-case construction raised and measured when the
-    estimator did.  The one-trial Sweep of single_experiment holds its
-    columns as tuples of Python values instead.
+
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """The outcomes of a sweep's trials: one record of _trial_dtype(d) per
+    trial, and the failure of each.
+
+    Each field of the trials reads as a read-only column indexed by trial,
+    such as sweep.h or sweep.successes (n x d); the nodes are indexed like
+    the true nodes (the first p are the cluster).  failure_code holds a
+    small unsigned integer per trial, 0 where the trial returned an
+    estimate, else k where it raised failure_messages[k - 1].  A trial that
+    raised has all-false successes and NaN node and amplitude errors; its
+    epsilon0 is NaN when the worst-case construction raised and measured
+    when the estimator did.  The arrays are made read-only on construction,
+    so a copy or an unpickled Sweep is frozen too.
 
     A Sweep is a sequence of its trials' rows: len() counts its trials, and
     indexing or iterating gives ExperimentRecord views.  It compares by
@@ -114,73 +124,48 @@ class Sweep:
     scheme: str
     p: int
     d: int
-    h: np.ndarray
-    epsilon_requested: np.ndarray
-    epsilon0: np.ndarray
-    n_samples: np.ndarray
-    seed: np.ndarray
+    trials: np.ndarray
     failure_code: np.ndarray
     failure_messages: tuple
-    successes: np.ndarray
-    node_errors: np.ndarray
-    amplitude_errors: np.ndarray
+
+    def __post_init__(self):
+        self.trials.setflags(write=False)
+        self.failure_code.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.h)
+        return len(self.trials)
 
     def __getitem__(self, index: int) -> "ExperimentRecord":
-        index, n = operator.index(index), len(self.h)
+        index, n = operator.index(index), len(self.trials)
         if not -n <= index < n:
             raise IndexError("sweep index out of range")
         return ExperimentRecord(self, index % n)
 
     def __iter__(self):
-        return map(ExperimentRecord, repeat(self), range(len(self.h)))
+        return map(ExperimentRecord, repeat(self), range(len(self.trials)))
 
     def __reduce__(self):
-        # numpy unpickles an array writeable, so a copy is frozen again
-        return _read_only_sweep, tuple(getattr(self, name) for name in self.__slots__)
+        # numpy unpickles an array writeable; the constructor freezes it again
+        return Sweep, tuple(vars(self).values())
 
-    def _rows(self, start: int, stop: int) -> "Sweep":
-        """Rows start..stop as a Sweep of numpy columns, the form every reader
-        takes: views of numpy columns, or arrays of a one-trial Sweep's tuples."""
-        names = (*_COLUMNS, "failure_code")
-        columns = {name: np.asarray(getattr(self, name)[start:stop]) for name in names}
-        return replace(self, **columns)
+    def _take(self, indices) -> "Sweep":
+        """The trials at indices, a slice or a sequence of indices, as a Sweep."""
+        trials, codes = self.trials[indices], self.failure_code[indices]
+        return Sweep(self.scheme, self.p, self.d, trials, codes, self.failure_messages)
 
 
-def _read_only_sweep(*args, **kwargs) -> Sweep:
-    """A Sweep of the given fields, with its numpy columns made read-only."""
-    sweep = Sweep(*args, **kwargs)
-    for name in Sweep.__slots__:
-        column = getattr(sweep, name)
-        if isinstance(column, np.ndarray):
-            column.flags.writeable = False
-    return sweep
+# each field of the trials is a column of the Sweep, as a read-only view
+for _name in _trial_dtype(2).names:
+    setattr(Sweep, _name, property(lambda sweep, name=_name: sweep.trials[name]))
 
 
-# The columns amplification_sweep fills from each trial's row, and their
-# dtypes; the last three hold d values per trial.
-_COLUMNS = {
-    "h": np.float64,
-    "epsilon_requested": np.float64,
-    "epsilon0": np.float64,
-    "n_samples": np.int64,
-    "seed": np.int64,
-    "successes": np.bool_,
-    "node_errors": np.float64,
-    "amplitude_errors": np.float64,
-}
-_NODE_COLUMNS = ("successes", "node_errors", "amplitude_errors")
-
-
-def _cell(column: str) -> property:
-    """A row's cell of a Sweep column as a Python value, or as a tuple of
-    Python values for a per-node column."""
+def _cell(name: str) -> property:
+    """A row's cell of a trial field as a Python value, or as a tuple of
+    Python values for a per-node field."""
 
     def read(row):
-        value = np.asarray(getattr(row._sweep, column)[row._index]).tolist()
-        return tuple(value) if column in _NODE_COLUMNS else value
+        value = row._sweep.trials[name][row._index].tolist()
+        return tuple(value) if isinstance(value, list) else value
 
     return property(read)
 
@@ -207,10 +192,10 @@ class ExperimentRecord:
 
     Every attribute is read from the Sweep as Python values, and srf, kx
     and ka are computed on each read by _srf and _factors, as the fit and
-    the CSV writer compute them.  Rows compare and hash by their values, so
-    a row of a sweep equals the row single_experiment returns for the same
-    trial, and a row pickles and copies alone, as a one-trial Sweep of its
-    own values.
+    the CSV writer compute them.  Rows compare and hash by their scheme, p,
+    d, failure and the bytes of their trial, so a row of a sweep equals the
+    row single_experiment returns for the same trial, and a row pickles and
+    copies alone, as a one-trial Sweep of its own values.
     """
 
     __slots__ = ("_sweep", "_index")
@@ -242,16 +227,13 @@ class ExperimentRecord:
         code = self._sweep.failure_code[self._index]
         return self._sweep.failure_messages[code - 1] if code else None
 
-    def _row(self) -> Sweep:
-        return self._sweep._rows(self._index, self._index + 1)
-
     @property
     def srf(self) -> float:
-        row = self._row()
-        return _srf(row.p, row.h, row.n_samples).item()
+        sweep, index = self._sweep, self._index
+        return _srf(sweep.p, sweep.h[index], sweep.n_samples[index]).item()
 
     def _factor_cells(self, quantity: str) -> tuple:
-        factors = _factors(self._row(), quantity)[0].tolist()
+        factors = _factors(self._sweep._take([self._index]), quantity)[0].tolist()
         # NaN, the one value unequal to itself, marks a missing factor
         return tuple([None if v != v else v for v in factors])
 
@@ -262,16 +244,10 @@ class ExperimentRecord:
         return bool(all(self._sweep.successes[self._index]))
 
     def _key(self) -> tuple:
-        """The row's values, with its floats as their float64 bytes, so that
-        a NaN compares equal to itself and -0.0 unequal to 0.0.  Counts and
-        seeds are Python ints: the bytes of an object column are pointers."""
-        row = self._row()
-        floats = [row.h, row.epsilon_requested, row.epsilon0, *row.node_errors]
-        return (
-            row.scheme, row.p, row.d, self.failure, *row.n_samples.tolist(),
-            *row.seed.tolist(), row.successes.tobytes(), np.concatenate(floats).tobytes(),
-            row.amplitude_errors.tobytes(),
-        )
+        """The row's values, with its trial as its bytes, so that a NaN
+        compares equal to itself and -0.0 unequal to 0.0."""
+        trial = self._sweep.trials[self._index].tobytes()
+        return self.scheme, self.p, self.d, self.failure, trial
 
     def __eq__(self, other):
         if not isinstance(other, ExperimentRecord):
@@ -293,13 +269,13 @@ def _trial_row(
     scheme, p, d, h, n_samples, epsilon_requested, epsilon0, seed, successes, failure,
     node_errors, amplitude_errors,
 ) -> ExperimentRecord:
-    """The row of a one-trial Sweep whose columns are tuples of the given
-    values, built without numpy."""
-    code, messages = (0, ()) if failure is None else (1, (failure,))
-    sweep = Sweep(
-        scheme, p, d, (h,), (epsilon_requested,), (epsilon0,), (n_samples,), (seed,),
-        (code,), messages, (successes,), (node_errors,), (amplitude_errors,),
-    )
+    """The row of a one-trial Sweep of the given values."""
+    trial = (h, epsilon_requested, epsilon0, n_samples, seed, successes, node_errors,
+             amplitude_errors)
+    messages = () if failure is None else (failure,)
+    # code 1 names the one message of a failed trial
+    codes = np.array([len(messages)], np.uint8)
+    sweep = Sweep(scheme, p, d, np.array([trial], _trial_dtype(d)), codes, messages)
     return ExperimentRecord(sweep, 0)
 
 
@@ -355,9 +331,8 @@ def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
 
 def _factors(sweep: Sweep, quantity: str) -> np.ndarray:
     """The node ("kx", e N / epsilon0) or amplitude ("ka") factors of each
-    trial and node of a Sweep of numpy columns: each where the node
-    succeeded, epsilon0 > 0 and the factor is finite (a subnormal epsilon0
-    can overflow it), else NaN."""
+    trial and node of a Sweep: each where the node succeeded, epsilon0 > 0
+    and the factor is finite (a subnormal epsilon0 can overflow it), else NaN."""
     if quantity == "kx":
         numerators = sweep.node_errors * sweep.n_samples[:, None]
     else:
@@ -409,19 +384,17 @@ def _measure(
 
 def _score(x: list, train: SpikeTrain, estimate: SpikeTrain) -> tuple:
     """Per-node errors, success flags and amplitude errors of an estimate of
-    train, whose nodes are x as Python floats."""
+    train, whose nodes are x as Python floats, as arrays for the trial's
+    record."""
     # dist[j, l]: estimate j to true node l.  True node l is scored by its
     # nearest estimate, and its amplitude error is against that estimate.
     dist = _circular_distance(estimate.nodes[:, None], train.nodes[None, :])
-    errors = dist.min(axis=0).tolist()
-    # Python scalars on the d per-node values, for the reason prony.py
-    # gives; they round as float64 does.  The flags come from a sized list,
-    # for the reason decimation._interval_set gives.
-    successes = tuple([e < gap / 3.0 for e, gap in zip(errors, _nearest_gaps(x))])
+    errors = dist.min(axis=0)
+    successes = errors < np.divide(_nearest_gaps(x), 3.0)
     amp_err = train.amplitudes - estimate.amplitudes[dist.argmin(axis=0)]
     # hypot, not np.abs: complex np.abs may differ from the scalar abs in
     # the last ulp, and hypot matches it bit for bit
-    return errors, successes, np.hypot(amp_err.real, amp_err.imag).tolist()
+    return errors, successes, np.hypot(amp_err.real, amp_err.imag)
 
 
 def single_experiment(
@@ -452,14 +425,15 @@ def single_experiment(
     names.  h and epsilon are taken as Python floats and p, d, n_samples and
     seed as Python ints, so numpy scalars give the record a Python call
     gives; a count that is not an integer, such as 64.0, raises TypeError,
-    and a negative seed ValueError.  The record is the row of a one-trial
-    Sweep whose columns are tuples of Python values, so a trial allocates
-    no numpy column.
+    and a seed outside the int64 field of the trial, negative or from 2**63
+    up, ValueError.  The record is the row of a one-trial Sweep.
     """
     p, d, n_samples, seed = map(operator.index, (p, d, n_samples, seed))
     h, epsilon = float(h), float(epsilon)
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
+    if seed >= 2**63:
+        raise ValueError("seed must be below 2**63")
     if n_samples < 2 * d:
         raise ValueError("need at least 2 d samples")
     _check_cluster_indices(p, d)
@@ -514,7 +488,7 @@ def amplification_sweep(
     to 2d+2; an n_range whose upper bound rounds below 2d+2 raises ValueError
     before any trial, as do an unknown scheme and a negative base_seed; a
     base_seed that is not an integer raises TypeError.  Each trial's record
-    is copied into the columns of the returned Sweep, and each distinct
+    is copied into the trials of the returned Sweep, and each distinct
     failure message is kept once.
     """
     if trials < 1:
@@ -535,10 +509,7 @@ def amplification_sweep(
     # The largest srf a trial can draw, from the least h and N; each trial
     # checks its own drawn h again, against rounding in the draw.
     _check_srf(p, h_range[0], max(round(n_range[0]), 2 * d + 2))
-    columns = {
-        name: np.empty((trials, d) if name in _NODE_COLUMNS else trials, dtype)
-        for name, dtype in _COLUMNS.items()
-    }
+    table = np.empty(trials, _trial_dtype(d))
     codes, messages = array("L"), {}
     for start in range(0, trials, _DRAW_BLOCK):
         logs, noise_seeds = [], []
@@ -551,13 +522,12 @@ def amplification_sweep(
         for index, (h, n, eps, noise_seed) in enumerate(trial_draws, start):
             n = max(round(n), 2 * d + 2)
             row = single_experiment(p, d, h, n, eps, scheme, noise_seed)
-            for name, column in columns.items():
-                column[index] = getattr(row._sweep, name)[row._index]
+            table[index] = row._sweep.trials[row._index]
             failure = row.failure
             code = 0 if failure is None else messages.setdefault(failure, len(messages) + 1)
             codes.append(code)
-    columns["failure_code"] = np.array(codes, np.min_scalar_type(len(messages)))
-    return _read_only_sweep(scheme, p, d, **columns, failure_messages=tuple(messages))
+    codes = np.array(codes, np.min_scalar_type(len(messages)))
+    return Sweep(scheme, p, d, table, codes, tuple(messages))
 
 
 def _logistic_boundary(features: np.ndarray, outcomes: np.ndarray) -> PhaseBoundaryFit:
@@ -679,23 +649,19 @@ def _ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
 
 
 def _runs(records):
-    """Each run of consecutive rows of one Sweep in records, in order, as a
-    Sweep of numpy columns (Sweep._rows); a Sweep is one run of all its
-    rows."""
+    """Each run of consecutive rows of one Sweep in records, in order, as the
+    Sweep of those rows (Sweep._take); a Sweep is one run of all its rows."""
     if isinstance(records, Sweep):
-        yield records._rows(0, len(records))
+        yield records
         return
-    # along a run, a row's index less its position in records is constant
-    keyed = ((row._sweep, row._index - position, row) for position, row in enumerate(records))
-    for (sweep, _), run in groupby(keyed, operator.itemgetter(0, 1)):
-        indices = [row._index for *_, row in run]
-        yield sweep._rows(indices[0], indices[-1] + 1)
+    for sweep, run in groupby(records, operator.attrgetter("_sweep")):
+        yield sweep._take([row._index for row in run])
 
 
 def _fit_points(run: Sweep, quantity: str, cluster: bool) -> tuple:
-    """The (srf, factor) points of a Sweep of numpy columns, in row and then
-    node order: the factors (_factors) of its cluster or non-cluster nodes
-    that are present and positive."""
+    """The (srf, factor) points of a Sweep, in row and then node order: the
+    factors (_factors) of its cluster or non-cluster nodes that are present
+    and positive."""
     nodes = slice(0, run.p) if cluster else slice(run.p, run.d)
     values = _factors(run, quantity)[:, nodes]
     # false for NaN, the missing factor
@@ -712,8 +678,8 @@ def fit_loglog_slope(
     """OLS slope of log10(amplification factor) against log10(srf).
 
     records is a Sweep or any iterable of its rows, which may come from
-    several Sweeps; each run of consecutive rows of one Sweep is read as a
-    slice of its columns, and the points keep the order of the rows.
+    several Sweeps; each run of consecutive rows of one Sweep is read as
+    one Sweep of those rows, and the points keep the order of the rows.
     quantity selects the node ("kx") or amplitude ("ka") factors; node_class
     selects "cluster" or "noncluster" nodes.  Only successful nodes carry
     factors; fewer than 10 of them, or points that span less than 0.1 decade
@@ -754,22 +720,25 @@ def write_records_csv(records: Sweep | Iterable[ExperimentRecord], stream) -> No
     for run in _runs(records):
         _check_scheme(run.scheme)
         scheme, p, d = run.scheme, run.p, run.d
-        columns = (
-            run.h, run.n_samples, run.epsilon_requested, run.epsilon0, run.seed,
-            run.successes, run.node_errors, _srf(p, run.h, run.n_samples),
-            _factors(run, "kx"), _factors(run, "ka"),
-        )
-        for h, n, eps_req, eps0, seed, flags, errors, srf, kx, ka in zip(
-            *[column.tolist() for column in columns]
-        ):
-            # the trial cells are formed once per record
-            trial = f"{scheme},{p!s},{d!s},{h!s},{n!s},{eps_req!s},{eps0!s},{srf!s}"
-            tail = f",{seed!s}\n"
-            # a NaN factor, the missing one, is the one cell unequal to itself
-            rows = [
-                f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},{errors[j]!s},"
-                f"{'true' if flags[j] else 'false'},{'' if kx[j] != kx[j] else str(kx[j])},"
-                f"{'' if ka[j] != ka[j] else str(ka[j])}{tail}"
-                for j in range(d)
-            ]
-            stream.write("".join(rows))
+        # a block of trials at a time is read as Python lists
+        for start in range(0, len(run), _DRAW_BLOCK):
+            block = run._take(slice(start, start + _DRAW_BLOCK))
+            columns = (
+                block.h, block.n_samples, block.epsilon_requested, block.epsilon0,
+                block.seed, block.successes, block.node_errors,
+                _srf(p, block.h, block.n_samples), _factors(block, "kx"), _factors(block, "ka"),
+            )
+            for h, n, eps_req, eps0, seed, flags, errors, srf, kx, ka in zip(
+                *[column.tolist() for column in columns]
+            ):
+                # the trial cells are formed once per record
+                trial = f"{scheme},{p!s},{d!s},{h!s},{n!s},{eps_req!s},{eps0!s},{srf!s}"
+                tail = f",{seed!s}\n"
+                # a NaN factor, the missing one, is the one cell unequal to itself
+                rows = [
+                    f"{trial},{j + 1},{'cluster' if j < p else 'noncluster'},{errors[j]!s},"
+                    f"{'true' if flags[j] else 'false'},{'' if kx[j] != kx[j] else str(kx[j])},"
+                    f"{'' if ka[j] != ka[j] else str(ka[j])}{tail}"
+                    for j in range(d)
+                ]
+                stream.write("".join(rows))

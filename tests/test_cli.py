@@ -638,12 +638,8 @@ def test_experiment_node_index_rejected_for_amplification(
 
 def _no_trials(p, d, *_args):
     """A stub phase sweep: a Sweep of no trials and a fixed boundary."""
-    floats, counts = np.empty(0), np.empty(0, np.int64)
-    nodes = np.empty((0, d))
-    sweep = experiments.Sweep(
-        "S1", p, d, floats, floats, floats, counts, counts, np.empty(0, np.uint8), (),
-        nodes.astype(bool), nodes, nodes,
-    )
+    trials = np.empty(0, experiments._trial_dtype(d))
+    sweep = experiments.Sweep("S1", p, d, trials, np.empty(0, np.uint8), ())
     return sweep, PhaseBoundaryFit(-3.0, 0.0, 1, 1)
 
 

@@ -256,17 +256,58 @@ def test_records_equal_a_rebuild_with_fresh_tuples():
         assert moved != rec
 
 
-def test_rows_with_seeds_from_2_63_up_compare_copy_write_and_fit_by_value():
-    # such a seed column is an object array, whose bytes are pointers: the
-    # rows must still compare, hash, copy, write and fit by value
+def _row_cells():
+    """The _trial_row arguments of a scored S1 trial, in fresh objects: a
+    node error of 0.0, and NaN errors that are new float objects."""
+    return [
+        "S1", 2, 3, 0.03, 64, 1e-6, 9e-7, 5, (True, False, True), None,
+        [0.0, float("nan"), 1e-9], [2e-6, float("nan"), 3e-7],
+    ]
+
+
+# Each _trial_row argument position of _row_cells and a value that changes
+# that one cell.
+_CHANGED_CELLS = {
+    "h": (3, 0.031),
+    "n_samples": (4, 65),
+    "epsilon_requested": (5, 2e-6),
+    "epsilon0": (6, 8e-7),
+    "seed": (7, 6),
+    "one success flag": (8, (True, True, True)),
+    "failure message": (9, "eigen failure"),
+    "node error 0.0 to -0.0": (10, [-0.0, math.nan, 1e-9]),
+    "one amplitude error": (11, [2e-6, math.nan, 4e-7]),
+    "scheme": (0, "S2"),
+}
+
+
+def test_rows_compare_by_every_cell_of_their_trial():
+    row = experiments._trial_row(*_row_cells())
+    fresh = experiments._trial_row(*_row_cells())
+    assert fresh._sweep is not row._sweep
+    assert fresh == row and hash(fresh) == hash(row)
+    for name, (position, value) in _CHANGED_CELLS.items():
+        cells = _row_cells()
+        cells[position] = value
+        changed = experiments._trial_row(*cells)
+        assert changed != row and row != changed, name
+    # two failed rows differ by their messages alone
+    failed = [experiments._trial_row(*_row_cells()[:9], text, *_row_cells()[10:])
+              for text in ("eigen failure", "rank failure")]
+    assert failed[0] != failed[1]
+
+
+def test_rows_with_seeds_near_2_63_compare_copy_write_and_fit_by_value():
+    # the seeds at the top of the int64 field: the rows must compare, hash,
+    # copy, write and fit by value
     trials = [
-        (2, 4, 0.03, 64, 1e-6, "S1", 2**64 + 5),
-        (2, 4, 0.03, 64, 1e-9, "S2", 2**70),
-        (2, 4, 0.03, 64, 1e-9, "S2", 2**63),
+        (2, 4, 0.03, 64, 1e-6, "S1", 2**63 - 1),
+        (2, 4, 0.03, 64, 1e-9, "S2", 2**62 + 5),
+        (2, 4, 0.03, 64, 1e-9, "S2", 2**63 - 1),
     ]
     # enough scored trials over a decade of srf for every fit
     trials += [
-        (2, 4, h, 64, 1e-6, scheme, 2**64 + k)
+        (2, 4, h, 64, 1e-6, scheme, 2**63 - 1 - k)
         for k, h in enumerate(np.geomspace(5e-3, 6e-2, 8).tolist())
         for scheme in ("S1", "S2")
     ]
@@ -278,7 +319,7 @@ def test_rows_with_seeds_from_2_63_up_compare_copy_write_and_fit_by_value():
         for clone in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
             assert clone == row and hash(clone) == hash(row)
         # an S2 trial draws nothing from its seed, so only the seed differs
-        assert single_experiment(*trial[:-1], trial[-1] + 1) != row
+        assert single_experiment(*trial[:-1], trial[-1] - 1) != row
     refs = [_reference_trial(*trial) for trial in trials]
     written = io.StringIO()
     write_records_csv(rows, written)
@@ -429,9 +470,10 @@ def test_every_record_attribute_reads_back_the_trials_bits():
     trials = [
         # zero noise: eps0 is 0 and every factor is missing
         (2, 4, 0.05, 64, 0.0, "S1", 4),
-        # seeds of 2**64 and above seed a trial, and are kept as they are
-        (2, 4, 0.03, 64, 1e-6, "S1", 2**64 + 5),
-        (2, 4, 0.03, 64, 1e-9, "S2", 2**70),
+        # seeds up to the top of the int64 field seed a trial, and are kept
+        # as they are
+        (2, 4, 0.03, 64, 1e-6, "S1", 2**63 - 1),
+        (2, 4, 0.03, 64, 1e-9, "S2", 2**62 + 5),
         # a subnormal noise overflows some node factors
         *_reference_draws(3, 5, (5e-3, 6e-2), (48, 96), (1e-323, 1e-320), 20, "S1", 0),
     ]
@@ -696,22 +738,15 @@ def _planted_sweep(points):
     n_samples, eps0 = 64, 1e-6
     srf, kx, ka = np.array(points, dtype=float).reshape(-1, 3).T
     count = len(srf)
-    errors = np.column_stack([kx, kx, np.ones(count)]) * eps0 / n_samples
-    return experiments.Sweep(
-        scheme="S1",
-        p=2,
-        d=3,
-        h=2 * math.pi / (n_samples * srf),
-        epsilon_requested=np.full(count, 1e-6),
-        epsilon0=np.full(count, eps0),
-        n_samples=np.full(count, n_samples),
-        seed=np.zeros(count, np.int64),
-        failure_code=np.zeros(count, np.uint8),
-        failure_messages=(),
-        successes=np.ones((count, 3), bool),
-        node_errors=errors,
-        amplitude_errors=np.column_stack([ka, ka, np.ones(count)]) * eps0,
-    )
+    trials = np.zeros(count, experiments._trial_dtype(3))
+    trials["h"] = 2 * math.pi / (n_samples * srf)
+    trials["epsilon_requested"] = 1e-6
+    trials["epsilon0"] = eps0
+    trials["n_samples"] = n_samples
+    trials["successes"] = True
+    trials["node_errors"] = np.column_stack([kx, kx, np.ones(count)]) * eps0 / n_samples
+    trials["amplitude_errors"] = np.column_stack([ka, ka, np.ones(count)]) * eps0
+    return experiments.Sweep("S1", 2, 3, trials, np.zeros(count, np.uint8), ())
 
 
 def test_fit_loglog_slope_planted_square():
@@ -831,18 +866,12 @@ def test_fit_loglog_slope_matches_the_lstsq_reference_on_a_sweep(scheme):
     assert fitted >= 2
 
 
-# The per-trial columns of a Sweep, which _take indexes by trial.
-_TRIAL_COLUMNS = (
-    "h", "epsilon_requested", "epsilon0", "n_samples", "seed", "failure_code",
-    "successes", "node_errors", "amplitude_errors",
-)
-
-
 def _take(sweep, trials):
     """A Sweep of the given trials of sweep, in the given order."""
     trials = np.asarray(trials, dtype=int)
-    return dataclasses.replace(
-        sweep, **{name: getattr(sweep, name)[trials] for name in _TRIAL_COLUMNS}
+    return experiments.Sweep(
+        sweep.scheme, sweep.p, sweep.d, sweep.trials[trials], sweep.failure_code[trials],
+        sweep.failure_messages,
     )
 
 
@@ -960,12 +989,13 @@ def test_a_sweep_is_a_read_only_sequence_of_its_rows():
         assert row.seed == sweep.seed[i] and row.successes == tuple(sweep.successes[i])
 
 
-def test_single_experiment_returns_the_row_of_a_one_trial_sweep_of_tuples():
+def test_single_experiment_returns_the_row_of_a_one_trial_sweep():
     for args in ((2, 4, 0.03, 64, 1e-6, "S1", 5), (2, 3, 0.001, 48, 1e-2, "S2", 0)):
         rec = single_experiment(*args)
         assert isinstance(rec._sweep, Sweep) and len(rec._sweep) == 1
-        for name in _TRIAL_COLUMNS:
-            assert type(getattr(rec._sweep, name)) is tuple, name
+        assert rec._sweep.trials.dtype == experiments._trial_dtype(args[1])
+        assert rec._sweep.trials.shape == rec._sweep.failure_code.shape == (1,)
+        assert not rec._sweep.trials.flags.writeable
     assert rec.failure is not None and rec._sweep.failure_messages == (rec.failure,)
 
 
@@ -1332,6 +1362,31 @@ def test_a_record_with_an_unknown_scheme_raises_before_its_rows_are_written():
     assert buf.getvalue() == expected.getvalue()
 
 
+class _Discard:
+    """A stream that drops what is written to it."""
+
+    def write(self, text):
+        pass
+
+
+def test_writing_a_long_sweep_peaks_as_high_as_a_short_one():
+    # the writer reads at most a block of trials of a run as Python lists at
+    # a time, so its peak does not grow with the run's length
+    sweep = amplification_sweep(
+        2, 4, **DEFAULT_AMPLIFICATION_RANGES, trials=1000, scheme="S2", base_seed=4
+    )
+    peaks = []
+    for records in (_take(sweep, range(250)), sweep):
+        write_records_csv(records, _Discard())
+        tracemalloc.start()
+        try:
+            write_records_csv(records, _Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 def _reference_draws(p, d, h_range, n_range, eps_range, trials, scheme, base_seed):
     """The single_experiment arguments of each trial, drawn as the former
     amplification_sweep drew them: validating the ranges and taking their
@@ -1585,6 +1640,7 @@ def _rejected(d, n_samples, scheme, message, seed=1):
 
 
 _NEGATIVE_SEED = "seed must be a non-negative integer"
+_SEED_BOUND = "seed must be below 2**63"
 
 
 @pytest.mark.parametrize(
@@ -1598,6 +1654,9 @@ _NEGATIVE_SEED = "seed must be a non-negative integer"
         # fail only inside sample_spectrum, and S2 record the seed
         _rejected(3, 64, "S1", _NEGATIVE_SEED, seed=-5),
         _rejected(3, 64, "S2", _NEGATIVE_SEED, seed=-5),
+        # the int64 seed field holds no larger seed
+        _rejected(3, 64, "S1", _SEED_BOUND, seed=2**63),
+        _rejected(3, 64, "S2", _SEED_BOUND, seed=2**63),
     ],
 )
 def test_single_experiment_rejects_few_samples_and_unknown_schemes(

@@ -9,7 +9,8 @@ DEFAULT_AMPLIFICATION_RANGES, 500 trials each, base seeds 1000-1007) run
 under tracemalloc, and two lines give the traced memory still held once
 they have returned, divided by the 4 000 records:
 
-- "S1"/"S2": the kept Sweeps alone, their column arrays and tables;
+- "S1"/"S2": the kept Sweeps alone, their trial array, failure codes and
+  tables;
 - "S1 pooled"/"S2 pooled": the kept Sweeps with every row view pooled into
   one list, as bench/workloads.py pools the kept passes for its fits; the
   difference is the view, its index and its list slot.
