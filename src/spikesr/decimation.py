@@ -100,7 +100,7 @@ def _noncluster_pairs(d: int, kappa: int, p: int) -> np.ndarray:
     in_cluster = np.zeros(d, dtype=bool)
     in_cluster[kappa - 1 : kappa - 1 + p] = True
     mask = np.triu(~np.logical_and.outer(in_cluster, in_cluster), 1)
-    mask.flags.writeable = False
+    mask.setflags(write=False)
     return mask
 
 
@@ -110,7 +110,7 @@ def _partner_columns(d: int) -> np.ndarray:
     order."""
     cols = np.broadcast_to(np.arange(d), (d, d))[~np.eye(d, dtype=bool)]
     cols = cols.reshape(d, d - 1)
-    cols.flags.writeable = False
+    cols.setflags(write=False)
     return cols
 
 
@@ -120,8 +120,8 @@ def _confluent_factors(d: int) -> tuple:
     column) of the 2d x 2d confluent Vandermonde."""
     exponents = np.arange(2 * d)
     factors = np.arange(1, 2 * d)[:, None]
-    exponents.flags.writeable = False
-    factors.flags.writeable = False
+    exponents.setflags(write=False)
+    factors.setflags(write=False)
     return exponents, factors
 
 
@@ -340,7 +340,7 @@ def gautschi_bounds(z) -> JacobianBoundReport:
     matrix = _confluent(w)
     inverse = np.linalg.inv(matrix)
     row_norms = np.abs(inverse).sum(axis=1)
-    matrix.flags.writeable = False
+    matrix.setflags(write=False)
     return JacobianBoundReport(
         delta=delta,
         gamma=gamma,

@@ -154,11 +154,6 @@ class Sweep:
         return Sweep(self.scheme, self.p, self.d, trials, codes, self.failure_messages)
 
 
-# each field of the trials is a column of the Sweep, as a read-only view
-for _name in _trial_dtype(2).names:
-    setattr(Sweep, _name, property(lambda sweep, name=_name: sweep.trials[name]))
-
-
 def _cell(name: str) -> property:
     """A row's cell of a trial field as a Python value, or as a tuple of
     Python values for a per-node field."""
@@ -168,13 +163,6 @@ def _cell(name: str) -> property:
         return tuple(value) if isinstance(value, list) else value
 
     return property(read)
-
-
-# The row attributes that are the arguments of _trial_row, in its order.
-_ROW_ARGS = (
-    "scheme", "p", "d", "h", "n_samples", "epsilon_requested", "epsilon0", "seed",
-    "successes", "failure", "node_errors", "_amplitude_errors",
-)
 
 
 class ExperimentRecord:
@@ -190,12 +178,13 @@ class ExperimentRecord:
     message of the error that the estimator or the worst-case construction
     raised instead of returning an estimate, else None.
 
-    Every attribute is read from the Sweep as Python values, and srf, kx
-    and ka are computed on each read by _srf and _factors, as the fit and
-    the CSV writer compute them.  Rows compare and hash by their scheme, p,
-    d, failure and the bytes of their trial, so a row of a sweep equals the
-    row single_experiment returns for the same trial, and a row pickles and
-    copies alone, as a one-trial Sweep of its own values.
+    Every attribute is read from the Sweep as Python values: each field of
+    the trials under the name of its Sweep column, a per-node one as a
+    tuple, and srf, kx and ka computed on each read by _srf and _factors,
+    as the fit and the CSV writer compute them.  Rows compare and hash by
+    their scheme, p, d, failure and the bytes of their trial, so a row of a
+    sweep equals the row single_experiment returns for the same trial, and a
+    row pickles and copies alone, as a one-trial Sweep of its own values.
     """
 
     __slots__ = ("_sweep", "_index")
@@ -213,14 +202,6 @@ class ExperimentRecord:
     scheme = property(operator.attrgetter("_sweep.scheme"))
     p = property(operator.attrgetter("_sweep.p"))
     d = property(operator.attrgetter("_sweep.d"))
-    h = _cell("h")
-    epsilon_requested = _cell("epsilon_requested")
-    epsilon0 = _cell("epsilon0")
-    n_samples = _cell("n_samples")
-    seed = _cell("seed")
-    successes = _cell("successes")
-    node_errors = _cell("node_errors")
-    _amplitude_errors = _cell("amplitude_errors")
 
     @property
     def failure(self) -> Optional[str]:
@@ -258,20 +239,25 @@ class ExperimentRecord:
         return hash(self._key())
 
     def __reduce__(self):
-        return _trial_row, tuple([getattr(self, name) for name in _ROW_ARGS])
+        trial = tuple([getattr(self, name) for name in self._sweep.trials.dtype.names])
+        return _trial_row, (self.scheme, self.p, self.d, self.failure, trial)
 
     def __repr__(self) -> str:
-        cells = (f"{name.lstrip('_')}={getattr(self, name)!r}" for name in _ROW_ARGS)
+        names = ("scheme", "p", "d", *self._sweep.trials.dtype.names, "failure")
+        cells = (f"{name}={getattr(self, name)!r}" for name in names)
         return f"ExperimentRecord({', '.join(cells)})"
 
 
-def _trial_row(
-    scheme, p, d, h, n_samples, epsilon_requested, epsilon0, seed, successes, failure,
-    node_errors, amplitude_errors,
-) -> ExperimentRecord:
-    """The row of a one-trial Sweep of the given values."""
-    trial = (h, epsilon_requested, epsilon0, n_samples, seed, successes, node_errors,
-             amplitude_errors)
+# each field of the trials is a read-only column of a Sweep, and a cell of a
+# row under the same name
+for _name in _trial_dtype(2).names:
+    setattr(Sweep, _name, property(lambda sweep, name=_name: sweep.trials[name]))
+    setattr(ExperimentRecord, _name, _cell(_name))
+
+
+def _trial_row(scheme, p, d, failure, trial: tuple) -> ExperimentRecord:
+    """The row of a one-trial Sweep of the given values, with trial the cells
+    of _trial_dtype(d) in its order."""
     messages = () if failure is None else (failure,)
     # code 1 names the one message of a failed trial
     codes = np.array([len(messages)], np.uint8)
@@ -325,7 +311,7 @@ def _scheme_amplitudes(scheme: str, d: int) -> np.ndarray:
         amps = 1j ** np.arange(d)
     else:
         amps = ((-1.0) ** np.arange(d)).astype(complex)
-    amps.flags.writeable = False
+    amps.setflags(write=False)
     return amps
 
 
@@ -454,10 +440,8 @@ def single_experiment(
         successes, amplitude_errors = (False,) * d, errors
     else:
         errors, successes, amplitude_errors = _score(x, train, estimate)
-    return _trial_row(
-        scheme, p, d, h, n_samples, epsilon, eps0, seed, successes, failure, errors,
-        amplitude_errors,
-    )
+    trial = (h, epsilon, eps0, n_samples, seed, successes, errors, amplitude_errors)
+    return _trial_row(scheme, p, d, failure, trial)
 
 
 def _log_bounds(bounds: tuple) -> tuple:

@@ -88,7 +88,7 @@ def _order_tables(d: int) -> tuple:
         np.arange(2 * d),
     )
     for table in tables:
-        table.flags.writeable = False
+        table.setflags(write=False)
     return tables
 
 
@@ -160,5 +160,6 @@ def prony_solve(mu, d: int) -> PronySolution:
     order = np.lexsort((moduli, np.arctan2(nodes.imag, nodes.real)))
     nodes = nodes[order]
     # the amplitude fit reads both arrays later, so neither may change
-    nodes.flags.writeable = data.flags.writeable = False
+    nodes.setflags(write=False)
+    data.setflags(write=False)
     return PronySolution(nodes=nodes, power_sums=data)

@@ -31,7 +31,7 @@ def _frozen_1d(values, dtype) -> np.ndarray:
     out = np.array(values, dtype=dtype, ndmin=1)
     if out.ndim != 1:
         raise ValueError("expected a one-dimensional sequence")
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 

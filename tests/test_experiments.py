@@ -4,6 +4,7 @@ import gc
 import io
 import math
 import pickle
+import re
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -244,55 +245,64 @@ def test_records_equal_a_rebuild_with_fresh_tuples():
     # equality never rests on shared objects: a one-trial Sweep of what a
     # row reads back, in fresh tuples, gives an equal row
     for rec in _failed_sweep():
-        fields = [
-            rec.scheme, rec.p, rec.d, rec.h, rec.n_samples, rec.epsilon_requested,
-            rec.epsilon0, rec.seed, tuple(list(rec.successes)), rec.failure,
-            list(rec.node_errors), list(rec._amplitude_errors),
-        ]
-        fresh = experiments._trial_row(*fields)
+        names = ("scheme", "p", "d", "failure", *rec._sweep.trials.dtype.names)
+        cells = {name: getattr(rec, name) for name in names}
+        cells.update(
+            successes=tuple(list(rec.successes)), node_errors=list(rec.node_errors),
+            amplitude_errors=list(rec.amplitude_errors),
+        )
+        fresh = _row_of(cells)
         assert fresh._sweep is not rec._sweep
         assert fresh == rec and hash(fresh) == hash(rec)
-        moved = experiments._trial_row(*fields[:7], rec.seed + 1, *fields[8:])
+        moved = _row_of({**cells, "seed": rec.seed + 1})
         assert moved != rec
 
 
 def _row_cells():
-    """The _trial_row arguments of a scored S1 trial, in fresh objects: a
-    node error of 0.0, and NaN errors that are new float objects."""
-    return [
-        "S1", 2, 3, 0.03, 64, 1e-6, 9e-7, 5, (True, False, True), None,
-        [0.0, float("nan"), 1e-9], [2e-6, float("nan"), 3e-7],
-    ]
+    """The cells of a scored S1 trial by name, in fresh objects: a node
+    error of 0.0, and NaN errors that are new float objects."""
+    return {
+        "scheme": "S1", "p": 2, "d": 3, "failure": None, "h": 0.03,
+        "epsilon_requested": 1e-6, "epsilon0": 9e-7, "n_samples": 64, "seed": 5,
+        "successes": (True, False, True), "node_errors": [0.0, float("nan"), 1e-9],
+        "amplitude_errors": [2e-6, float("nan"), 3e-7],
+    }
 
 
-# Each _trial_row argument position of _row_cells and a value that changes
-# that one cell.
+def _row_of(cells):
+    """The _trial_row of cells by name, its trial in the order of the dtype."""
+    trial = tuple([cells[name] for name in experiments._trial_dtype(cells["d"]).names])
+    return experiments._trial_row(
+        cells["scheme"], cells["p"], cells["d"], cells["failure"], trial
+    )
+
+
+# Each cell of _row_cells and a value that changes that one cell: one
+# success flag, node error 0.0 to -0.0 and one amplitude error.
 _CHANGED_CELLS = {
-    "h": (3, 0.031),
-    "n_samples": (4, 65),
-    "epsilon_requested": (5, 2e-6),
-    "epsilon0": (6, 8e-7),
-    "seed": (7, 6),
-    "one success flag": (8, (True, True, True)),
-    "failure message": (9, "eigen failure"),
-    "node error 0.0 to -0.0": (10, [-0.0, math.nan, 1e-9]),
-    "one amplitude error": (11, [2e-6, math.nan, 4e-7]),
-    "scheme": (0, "S2"),
+    "h": 0.031,
+    "n_samples": 65,
+    "epsilon_requested": 2e-6,
+    "epsilon0": 8e-7,
+    "seed": 6,
+    "successes": (True, True, True),
+    "failure": "eigen failure",
+    "node_errors": [-0.0, math.nan, 1e-9],
+    "amplitude_errors": [2e-6, math.nan, 4e-7],
+    "scheme": "S2",
 }
 
 
 def test_rows_compare_by_every_cell_of_their_trial():
-    row = experiments._trial_row(*_row_cells())
-    fresh = experiments._trial_row(*_row_cells())
+    row = _row_of(_row_cells())
+    fresh = _row_of(_row_cells())
     assert fresh._sweep is not row._sweep
     assert fresh == row and hash(fresh) == hash(row)
-    for name, (position, value) in _CHANGED_CELLS.items():
-        cells = _row_cells()
-        cells[position] = value
-        changed = experiments._trial_row(*cells)
+    for name, value in _CHANGED_CELLS.items():
+        changed = _row_of({**_row_cells(), name: value})
         assert changed != row and row != changed, name
     # two failed rows differ by their messages alone
-    failed = [experiments._trial_row(*_row_cells()[:9], text, *_row_cells()[10:])
+    failed = [_row_of({**_row_cells(), "failure": text})
               for text in ("eigen failure", "rank failure")]
     assert failed[0] != failed[1]
 
@@ -989,6 +999,30 @@ def test_a_sweep_is_a_read_only_sequence_of_its_rows():
         assert row.seed == sweep.seed[i] and row.successes == tuple(sweep.successes[i])
 
 
+def test_rows_read_each_trial_field_under_its_sweep_column_name():
+    s1 = amplification_sweep(
+        2, 4, **DEFAULT_AMPLIFICATION_RANGES, trials=5, scheme="S1", base_seed=3
+    )
+    s2 = _failed_sweep()
+    scored = next(row for row in s1 if row.failure is None)
+    failed = next(row for row in s2 if row.failure is not None)
+    for row in (scored, failed):
+        sweep = row._sweep
+        for name in experiments._trial_dtype(row.d).names:
+            cell = getattr(sweep, name)[row._index].tolist()
+            expected = tuple(cell) if isinstance(cell, list) else cell
+            value = getattr(row, name)
+            # repr tells NaN and -0.0 apart, and a tuple from a scalar
+            assert repr(value) == repr(expected), name
+            cells = value if isinstance(value, tuple) else (value,)
+            assert {type(v) for v in cells} <= {bool, int, float}, name
+        # every name= that repr prints is an attribute of the row, in order
+        names = re.findall(r"(?:\(|, )(\w+)=", repr(row))
+        assert names == ["scheme", "p", "d", *sweep.trials.dtype.names, "failure"]
+        cells = ", ".join(f"{name}={getattr(row, name)!r}" for name in names)
+        assert repr(row) == f"ExperimentRecord({cells})"
+
+
 def test_single_experiment_returns_the_row_of_a_one_trial_sweep():
     for args in ((2, 4, 0.03, 64, 1e-6, "S1", 5), (2, 3, 0.001, 48, 1e-2, "S2", 0)):
         rec = single_experiment(*args)
@@ -1274,8 +1308,8 @@ def test_writers_match_dict_based_reference(scheme, p):
     for other in ("S1", "S2"):
         # an infinite eps0 turns the node error -0.0 into the factor -0.0
         records.append(
-            trial_row(other, 2, 2, 1e-3, 8, 1e-9, math.inf, 3, (True, False), None,
-                      [-0.0, math.nan], [2.0, math.nan])
+            trial_row(other, 2, 2, None, (1e-3, 1e-9, math.inf, 8, 3, (True, False),
+                                          [-0.0, math.nan], [2.0, math.nan]))
         )
     records.append(single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0))
     # numpy scalars in the count and float cells, and signed zeros, NaN and
@@ -1284,9 +1318,9 @@ def test_writers_match_dict_based_reference(scheme, p):
         for eps_req, eps0 in ((-0.0, 1e-9), (math.inf, math.nan), (math.nan, -0.0)):
             records.append(
                 trial_row(
-                    "S2", count(2), count(3), real(2e-2), count(40), real(eps_req),
-                    real(eps0), count(2**63 - 1), (True, True, False), None,
-                    [1e-12, -0.0, math.inf], [math.inf, -0.0, math.nan],
+                    "S2", count(2), count(3), None,
+                    (real(2e-2), real(eps_req), real(eps0), count(40), count(2**63 - 1),
+                     (True, True, False), [1e-12, -0.0, math.inf], [math.inf, -0.0, math.nan]),
                 )
             )
     assert any(rec.failure is not None for rec in records)
@@ -1322,14 +1356,14 @@ def _as_numpy_scalars(record):
     return experiments._trial_row(
         record.scheme,
         *map(np.int64, (record.p, record.d)),
-        np.float64(record.h),
-        np.int64(record.n_samples),
-        *map(np.float64, (record.epsilon_requested, record.epsilon0)),
-        np.int64(record.seed),
-        tuple(map(np.bool_, record.successes)),
         record.failure,
-        list(map(np.float64, record.node_errors)),
-        list(map(np.float64, record._amplitude_errors)),
+        (
+            *map(np.float64, (record.h, record.epsilon_requested, record.epsilon0)),
+            *map(np.int64, (record.n_samples, record.seed)),
+            tuple(map(np.bool_, record.successes)),
+            list(map(np.float64, record.node_errors)),
+            list(map(np.float64, record.amplitude_errors)),
+        ),
     )
 
 

@@ -1,9 +1,13 @@
+import gc
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import spikesr
 from spikesr import cli
 from spikesr.matrix_pencil import mp_recover
 from spikesr.experiments import phase_transition_sweep
@@ -603,3 +607,27 @@ def test_spike_train_rejects_two_dimensional_values(amplitudes, nodes):
     with pytest.raises(ValueError) as excinfo:
         SpikeTrain(amplitudes=amplitudes, nodes=nodes)
     assert str(excinfo.value) == "expected a one-dimensional sequence"
+
+
+def test_frozen_arrays_leave_no_blocks_behind():
+    # An array frozen by setflags leaves no block held once it is gone;
+    # assigning arr.flags.writeable = False left some at the assigning line.
+    def build(count):
+        for _ in range(count):
+            SpikeTrain(amplitudes=[1.0, 2.0], nodes=[0.1, 0.3])
+            prony_solve(np.array([1.0, 0.5 + 0.1j, 0.3 + 0.2j, 0.1 + 0.05j]), 2)
+
+    build(10)
+    gc.collect()
+    package = [tracemalloc.Filter(True, os.path.join(os.path.dirname(spikesr.__file__), "*"))]
+    tracemalloc.start()
+    try:
+        build(3)
+        before = tracemalloc.take_snapshot().filter_traces(package)
+        build(300)
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(package)
+    finally:
+        tracemalloc.stop()
+    grown = [stat for stat in after.compare_to(before, "lineno") if stat.size_diff > 0]
+    assert grown == []
