@@ -15,11 +15,11 @@ and the resolved configuration is embedded in every output, so runs are
 reproducible byte for byte apart from one timestamp line.  The other
 subcommands draw no random numbers and record a null seed.
 
-Failures map to exit codes in one place, main: a CliError exits with its own
-code, a DegenerateFitError with 4, any other package error or a LinAlgError
-with 3, and a ValueError or a MemoryError with 2.  A value that argparse
-rejects, from a flag or a config file, and a missing required option exit 2
-through argparse itself.
+Failures map to exit codes in one place, main: a CliError exits with 2, a
+DegenerateFitError with 4, any other package error or a LinAlgError with 3,
+and a ValueError or a MemoryError with 2.  A value that argparse rejects,
+from a flag or a config file, and a missing required option exit 2 through
+argparse itself.
 
 This module is the one place that reads and writes the JSON files (the spike
 train and samples inputs, and the recover, worstcase and decimation reports)
@@ -61,9 +61,7 @@ EXIT_DEGENERATE_FIT = 4
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """An input or output error that main reports and exits 2 for."""
 
 
 def _load_config_file(path: str) -> list:
@@ -73,11 +71,11 @@ def _load_config_file(path: str) -> list:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.strip() for line in fh]
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read config file: {exc}", EXIT_PARSE) from exc
+        raise CliError(f"cannot read config file: {exc}") from exc
     tokens = [line for line in lines if line and not line.startswith("#")]
     for token in tokens:
         if not token.startswith("-"):
-            raise CliError(f"bad config line (expected a flag token): {token!r}", EXIT_PARSE)
+            raise CliError(f"bad config line (expected a flag token): {token!r}")
     return tokens
 
 
@@ -99,8 +97,9 @@ def _spike_train(obj) -> SpikeTrain:
 
 
 def _spectral_samples(obj) -> SpectralSamples:
-    """Samples of a samples file: its values alone; other keys, such as an
-    older file's actual_noise, are ignored."""
+    """Samples of a samples file: its values alone, which SpectralSamples
+    rejects unless finite; other keys, such as an older file's actual_noise,
+    are ignored."""
     return SpectralSamples(values=_complex_array(obj["values"]), actual_noise=0.0)
 
 
@@ -111,11 +110,11 @@ def _read_input(path: str, kind: str, parse):
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot parse input file {path}: {exc}", EXIT_PARSE) from exc
+        raise CliError(f"cannot parse input file {path}: {exc}") from exc
     try:
         return parse(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad {kind} file: {exc}", EXIT_PARSE) from exc
+        raise CliError(f"bad {kind} file: {exc}") from exc
 
 
 def _json_default(array: np.ndarray) -> list:
@@ -144,7 +143,7 @@ def _write_output(path: str, write, mode: str = "w") -> None:
         with open(path, mode, encoding="utf-8", newline="") as fh:
             write(fh)
     except OSError as exc:
-        raise CliError(f"cannot write output file: {exc}", EXIT_PARSE) from exc
+        raise CliError(f"cannot write output file: {exc}") from exc
 
 
 def _check_writable(path: str) -> None:
@@ -222,7 +221,7 @@ def _print_failure_counts(sweep, node_index) -> None:
 
 def cmd_experiment(args) -> int:
     if args.node_index is not None and args.kind == "amplification":
-        raise CliError("node_index applies only to --kind phase", EXIT_PARSE)
+        raise CliError("node_index applies only to --kind phase")
     ranges = (
         DEFAULT_AMPLIFICATION_RANGES if args.kind == "amplification" else DEFAULT_PHASE_RANGES
     )
@@ -389,10 +388,10 @@ def main(argv=None) -> int:
             print(f"spikesr {__version__}")
             return 0
         if args.config:  # the command line's --config never reaches this parse
-            raise CliError("a config file cannot set --config", EXIT_PARSE)
+            raise CliError("a config file cannot set --config")
         return args.handler(args)
     except CliError as exc:
-        message, code = str(exc), exc.code
+        message, code = str(exc), EXIT_PARSE
     except DegenerateFitError as exc:
         message, code = str(exc), EXIT_DEGENERATE_FIT
     # LinAlgError is a ValueError, so it must be caught first.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, repeat
 from typing import Iterable, Optional, Sequence
@@ -113,8 +113,10 @@ class Sweep:
     estimate, else k where it raised failure_messages[k - 1].  A trial that
     raised has all-false successes and NaN node and amplitude errors; its
     epsilon0 is NaN when the worst-case construction raised and measured
-    when the estimator did.  The arrays are made read-only on construction,
-    so a copy or an unpickled Sweep is frozen too.
+    when the estimator did.  A Sweep is checked on construction: its scheme
+    is in SCHEMES, 2 <= p <= d and its trials are of _trial_dtype(d), or it
+    raises ValueError.  Its arrays are made read-only then, so a copy or an
+    unpickled Sweep is frozen too.
 
     A Sweep is a sequence of its trials' rows: len() counts its trials, and
     indexing or iterating gives ExperimentRecord views.  It compares by
@@ -129,6 +131,10 @@ class Sweep:
     failure_messages: tuple
 
     def __post_init__(self):
+        _check_scheme(self.scheme)
+        _check_cluster_indices(self.p, self.d)
+        if self.trials.dtype != _trial_dtype(self.d):
+            raise ValueError(f"trials must be of the trial dtype of d={self.d}")
         self.trials.setflags(write=False)
         self.failure_code.setflags(write=False)
 
@@ -165,9 +171,10 @@ def _cell(name: str) -> property:
     return property(read)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class ExperimentRecord:
-    """The outcome of one recovery experiment: a read-only view of one row
-    of a Sweep, which holds only the Sweep and the row's index.
+    """The outcome of one recovery experiment: a frozen view of one row of a
+    Sweep, whose two fields are the Sweep and the row's index.
 
     h is the cluster extent of the [0, pi] layout before rescaling to the
     torus; srf = 1/(N * gap) with gap the rescaled cluster spacing.  Per-node
@@ -188,16 +195,8 @@ class ExperimentRecord:
     """
 
     __slots__ = ("_sweep", "_index")
-
-    def __init__(self, sweep: Sweep, index: int):
-        object.__setattr__(self, "_sweep", sweep)
-        object.__setattr__(self, "_index", index)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    _sweep: Sweep
+    _index: int
 
     scheme = property(operator.attrgetter("_sweep.scheme"))
     p = property(operator.attrgetter("_sweep.p"))
@@ -695,14 +694,10 @@ def write_records_csv(records: Sweep | Iterable[ExperimentRecord], stream) -> No
     records is a Sweep or any iterable of its rows, read as fit_loglog_slope
     reads them.  Every number cell is the str of its Python value; a success
     flag is true or false, a missing factor is an empty cell, and node_class
-    is cluster for node indices 1..p, else noncluster.  The scheme cell is
-    written as it is: rows of a Sweep whose scheme is not in SCHEMES raise
-    ValueError, and a row with fewer than d per-node values raises
-    IndexError, before any of its rows is written.
+    is cluster for node indices 1..p, else noncluster.
     """
     stream.write(CSV_HEADER + "\n")
     for run in _runs(records):
-        _check_scheme(run.scheme)
         scheme, p, d = run.scheme, run.p, run.d
         # a block of trials at a time is read as Python lists
         for start in range(0, len(run), _DRAW_BLOCK):

@@ -53,7 +53,8 @@ def mp_recover(samples: SpectralSamples, d: int) -> RecoveryResult:
     U[:-1] Psi = U[1:] has the node exponentials z_j as its eigenvalues.  The
     node amplitudes are fitted by least squares on the N x d Fourier
     Vandermonde of the recovered angles.  Nodes are returned sorted ascending.
-    A d that is not an integer, such as 2.0, raises TypeError.
+    The samples are finite, as SpectralSamples requires; a d that is not an
+    integer, such as 2.0, raises TypeError.
 
     Raises RankDeficiencyError when the d-th singular value of the Hankel
     matrix falls under 1e-13 times its largest one, and EigenFailureError
@@ -61,8 +62,6 @@ def mp_recover(samples: SpectralSamples, d: int) -> RecoveryResult:
     """
     d = operator.index(d)
     values = samples.values
-    if not np.isfinite(values).all():
-        raise ValueError("samples must be finite")
     n = len(values)
     if d < 1:
         raise ValueError("model order d must be at least 1")

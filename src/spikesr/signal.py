@@ -158,7 +158,8 @@ class SpectralSamples:
     """Equispaced unit-rate spectral measurements with their measured noise.
 
     values[k] approximates m_k = F(-k); actual_noise is the measured maximum
-    of |values[k] - m_k|.
+    of |values[k] - m_k|.  The values must be finite; a NaN or infinite one
+    raises ValueError("samples must be finite").
     """
 
     values: np.ndarray
@@ -166,6 +167,8 @@ class SpectralSamples:
 
     def __post_init__(self):
         vals = _frozen_1d(self.values, complex)
+        if not np.isfinite(vals).all():
+            raise ValueError("samples must be finite")
         if not 0 <= self.actual_noise < math.inf:
             raise ValueError("actual_noise must be finite and nonnegative")
         object.__setattr__(self, "values", vals)

@@ -218,11 +218,14 @@ def test_records_are_slotted_and_frozen():
         assert not hasattr(rec, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.seed = 1
-        # A name that is no field cannot be set either.  The frozen
-        # __setattr__ of a slotted dataclass raises TypeError for it, not
-        # FrozenInstanceError, on CPython 3.11 at least.
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        # nor a name that is no field
+        with pytest.raises(dataclasses.FrozenInstanceError):
             rec.extra = 1
+        for name in ("seed", "_sweep"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rec, name)
+        # a row equals only rows
+        assert rec != object()
 
 
 def test_records_copy_replace_and_pickle():
@@ -235,7 +238,8 @@ def test_records_copy_replace_and_pickle():
             assert not hasattr(clone, "__dict__")
             # a row copies and pickles alone, as a one-trial Sweep
             assert len(clone._sweep) == 1
-        # a row is a view, not a dataclass: replace a field of its Sweep
+        # a row's dataclass fields are its Sweep and index alone, so a trial
+        # field cannot be replaced on the row: replace it on its Sweep
         with pytest.raises(TypeError):
             dataclasses.replace(rec, seed=rec.seed + 1)
     assert len(pickle.dumps(records[0])) < len(pickle.dumps(records)) / 20
@@ -942,7 +946,7 @@ def test_rows_pooled_from_several_sweeps_fit_and_write_as_one_sweep(scheme):
     sys.implementation.name != "cpython", reason="CPython's object sizes"
 )
 def test_kept_sweeps_and_pooled_rows_hold_few_bytes_per_trial():
-    # tools/record_bytes.py measured 113-115 B per trial held by kept
+    # tools/record_bytes.py measured about 110 B per trial held by kept
     # 500-trial Sweeps on CPython 3.11 (109 B of column data and the
     # Sweep's arrays and tables), and 72 B more per row pooled in a list (a
     # 48 B view, its index where above 256, and its list slot).  The
@@ -1332,22 +1336,36 @@ def test_writers_match_dict_based_reference(scheme, p):
 
 @pytest.mark.parametrize("succeeded", [True, False])
 def test_a_record_shorter_than_d_raises_before_its_rows_are_written(succeeded):
-    good = single_experiment(2, 3, 0.02, 48, 1e-8, "S1", seed=1)
-    assert good.all_success()
-    # a Sweep that claims d = 4 holds 3 values per node column
     if succeeded:
-        short = dataclasses.replace(good._sweep, d=4)[0]
+        row = single_experiment(2, 3, 0.02, 48, 1e-8, "S1", seed=1)
+        assert row.all_success()
     else:
-        failed = single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0)
-        assert failed.failure is not None
-        short = dataclasses.replace(failed._sweep, d=4)[0]
-    assert len(short.node_errors) == len(short.successes) == 3
-    buf = io.StringIO()
-    with pytest.raises(IndexError):
-        write_records_csv([good, good, short, good], buf)
-    expected = io.StringIO()
-    write_records_csv([good, good], expected)
-    assert buf.getvalue() == expected.getvalue()
+        row = single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0)
+        assert row.failure is not None
+    assert len(row.node_errors) == len(row.successes) == 3
+    # a Sweep that claims d = 4 over 3 values per node column cannot be
+    # built, so no short row reaches the CSV writer
+    with pytest.raises(ValueError, match=r"^trials must be of the trial dtype of d=4$"):
+        dataclasses.replace(row._sweep, d=4)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"scheme": "S3"}, r"^unknown scheme 'S3'; expected one of \('S1', 'S2'\)$"),
+        ({"p": 1}, r"^cluster size p must satisfy 2 <= p <= d$"),
+    ],
+    ids=["scheme", "p"],
+)
+def test_a_sweep_is_checked_when_it_is_built(change, message):
+    scored = single_experiment(2, 3, 0.02, 48, 1e-8, "S1", seed=1)
+    failed = single_experiment(2, 3, 0.001, 48, 1e-2, "S2", seed=0)
+    assert scored.all_success() and failed.failure is not None
+    # an invalid Sweep cannot be built, so none reaches the CSV writer or
+    # the fit
+    for row in (scored, failed):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(row._sweep, **change)
 
 
 def _as_numpy_scalars(record):
@@ -1383,17 +1401,6 @@ def test_numpy_scalar_cells_write_the_bytes_of_python_scalars():
     write_records_csv(records, python)
     write_records_csv(converted, numpy_)
     assert numpy_.getvalue() == python.getvalue()
-
-
-def test_a_record_with_an_unknown_scheme_raises_before_its_rows_are_written():
-    good = single_experiment(2, 3, 0.02, 48, 1e-8, "S1", seed=1)
-    unknown = dataclasses.replace(good._sweep, scheme="S3")[0]
-    buf = io.StringIO()
-    with pytest.raises(ValueError, match=r"unknown scheme 'S3'; expected one of \('S1', 'S2'\)"):
-        write_records_csv([good, good, unknown, good], buf)
-    expected = io.StringIO()
-    write_records_csv([good, good], expected)
-    assert buf.getvalue() == expected.getvalue()
 
 
 class _Discard:

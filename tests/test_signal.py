@@ -398,6 +398,16 @@ def test_spectral_samples_reject_a_non_finite_or_negative_noise(actual_noise):
         SpectralSamples([1, 2], actual_noise)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_spectral_samples_reject_non_finite_values(bad):
+    # mp_recover relies on this check and makes none of its own
+    train = SpikeTrain(amplitudes=[1.0, 2.0], nodes=[0.1, 0.3])
+    values = sample_spectrum(train, 8, 0.0, 0).values.copy()
+    values[3] = bad
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        SpectralSamples(values, 0.0)
+
+
 def test_samples_json_noise_levels_default_to_zero(tmp_path, monkeypatch):
     samples = _samples_read(tmp_path, monkeypatch, {"values": [[1, 0], [0, 1]]})
     np.testing.assert_array_equal(samples.values, [1, 1j])
