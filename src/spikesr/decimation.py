@@ -64,7 +64,9 @@ class IntervalSet:
 def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
     """Start and end arrays of the sorted disjoint components of the closed
     intervals [starts[i], ends[i]], which the caller has checked are ordered
-    and free of NaN.
+    and free of NaN: the one sigma set sigma_intervals returns.
+    admissible_lambdas reads its gaps off the sorted pieces instead and never
+    merges them.
 
     One pass: the intervals are sorted by start, and a new component begins
     wherever a start exceeds the running maximum of the ends before it.
@@ -235,16 +237,20 @@ def admissible_lambdas(
     Every pair involving a non-cluster node must keep mapped angular distance
     at least alpha (default 1/d^2); cluster pairs automatically satisfy the
     linear separation 2 pi lambda tau h on this range because omega h is capped
-    at (2d-1)/2.  The set is built with one merge: the sigma-set pieces of all
-    those pairs (see sigma_intervals) are generated together as flat arrays,
-    each piece is padded outward by _PAD = 1e-12 so that the returned set is
-    conservative, and the padded pieces are merged once.  The admissible
-    components are the gaps of positive length before, between and after the
-    merged components clipped to the range.  Rounding is monotone, so padding
-    each piece gives the same set as padding the merged components.  Only
-    clipped components of positive length bound the gaps: a component that
-    clips to a single point is dropped, so the gaps on either side of it join
-    into one.
+    at (2d-1)/2.  The set is read off the sigma-set pieces of all those pairs
+    (see sigma_intervals) in one sweep, and the excluded set is never built:
+    the pieces are generated together as flat arrays, each is padded outward
+    by _PAD = 1e-12 so that the returned set is conservative, and the padded
+    pieces are sorted by start.  The gap before each piece runs from the
+    running maximum of the ends before it, seeded with the range's lower
+    end, to its start; the gap after the last piece runs to the upper end;
+    the gaps of positive length are the admissible components.  Every
+    endpoint is a padded piece endpoint or an end of the range, so the sweep
+    gives the same floats as merging the padded pieces, clipping the merged
+    components to the range and taking the gaps between them.  A padded
+    piece that is a single point, as where the pad is below the float
+    spacing of the rates, is dropped first: it excludes no interval, so the
+    gaps on either side of it join into one.
 
     Raises ValueError for non-finite or non-positive omega, alpha outside
     (0, pi], non-finite or coincident nodes, and a range that would need
@@ -273,14 +279,21 @@ def admissible_lambdas(
     lo = omega / (2.0 * (2 * d - 1))
     hi = omega / (2 * d - 1)
     starts, ends = _sigma_pieces(seps, alpha, lo, hi)
-    # No endpoint check before the merge: _sigma_pieces keeps only pieces with
-    # starts <= ends, which drops NaN and reversed ones, and padding by the
-    # non-negative _PAD keeps them ordered.
-    starts, ends = _merge(starts - _PAD, ends + _PAD)
-    starts, ends = np.maximum(starts, lo), np.minimum(ends, hi)
-    keep = starts < ends
-    gap_starts = np.concatenate(([lo], ends[keep]))
-    gap_ends = np.concatenate((starts[keep], [hi]))
+    # _sigma_pieces keeps only pieces with lo <= starts <= ends <= hi, which
+    # drops NaN and reversed ones; padding by the non-negative _PAD keeps them
+    # ordered and every start at most hi, so no gap needs capping at hi.  A
+    # padded piece that is still a single point would split the gap around it
+    # in two, so only pieces of positive length bound the gaps.
+    starts, ends = starts - _PAD, ends + _PAD
+    wide = starts < ends
+    starts, ends = starts[wide], ends[wide]
+    # The gap before a piece is positive only where its start exceeds every
+    # end before it, so of a run of tied starts only the first can close one,
+    # and the running maximum at that piece does not depend on how the sort
+    # orders the run: any sort, stable or not, gives the same floats.
+    order = starts.argsort()
+    gap_starts = np.maximum.accumulate(np.concatenate(([lo], ends[order])))
+    gap_ends = np.concatenate((starts[order], [hi]))
     keep = gap_starts < gap_ends
     if not keep.any():
         raise EmptyAdmissibleSetError(

@@ -594,6 +594,61 @@ def test_admissible_bridges_single_point_exclusions(monkeypatch):
     assert got.intervals == _composed_admissible(nodes, geometry, omega, 1e-300, 0.0)
 
 
+def _padded_pieces(nodes, geometry, omega, alpha, pad):
+    """Padded sigma-set pieces of the non-cluster pairs over the rate range."""
+    d = geometry.d
+    gaps = np.abs(np.subtract.outer(nodes, nodes))
+    seps = gaps[decimation._noncluster_pairs(d, geometry.kappa, geometry.p)]
+    starts, ends = _sigma_pieces(seps, alpha, omega / (2.0 * (2 * d - 1)), omega / (2 * d - 1))
+    return starts - pad, ends + pad
+
+
+def test_admissible_matches_reference_where_the_pad_is_below_the_float_spacing(monkeypatch):
+    # At omega 2e5 and 5e5 the rates lie above 2e4, where adjacent floats are
+    # more than 2e-12 apart, so a 1e-12 pad leaves a piece of width 0 a single
+    # point.  Such a piece excludes no interval, and the gaps either side of
+    # it must join.
+    p, d = 2, 3
+    single_points = 0
+    for omega in (2e5, 5e5):
+        h = 0.5 * (2 * d - 1) / (2.0 * omega)
+        nodes, geometry = _normalized_cluster(p, d, 2 * math.pi * h)
+        for alpha in (1e-300, 1e-9, 1.0 / 9):
+            for pad in (0.0, 1e-12):
+                monkeypatch.setattr(decimation, "_PAD", pad)
+                starts, ends = _padded_pieces(nodes, geometry, omega, alpha, pad)
+                single_points += np.count_nonzero(starts == ends)
+                expected = _reference_admissible(nodes, geometry, omega, alpha, pad)
+                got = admissible_lambdas(nodes, geometry, omega, alpha)
+                assert got.intervals == expected, (omega, alpha, pad)
+                if alpha == 1e-300:
+                    assert got.intervals == ((omega / 10, omega / 5),)
+    assert single_points == 2 * (10_000 + 25_000)
+
+
+def test_admissible_matches_reference_with_tied_piece_starts(monkeypatch):
+    # Separations 1/4 (three pairs), 1/2 and 3/4 are dyadic, so their pieces
+    # start at bit-identical rates: of a run of tied starts only the first can
+    # close a gap, whatever order the sort leaves the run in.
+    nodes = np.array([0.0, 1 / 128, 1 / 4, 1 / 2, 3 / 4])
+    geometry = ClusterGeometry.from_nodes(nodes, 2)
+    tied = 0
+    for omega in (100.0, 300.0, 570.0):
+        for alpha in (1 / 25, 0.5, 1.5):
+            for pad in (0.0, 1e-12):
+                monkeypatch.setattr(decimation, "_PAD", pad)
+                starts, _ = _padded_pieces(nodes, geometry, omega, alpha, pad)
+                tied += starts.size - np.unique(starts).size
+                expected = _reference_admissible(nodes, geometry, omega, alpha, pad)
+                if expected is None:
+                    with pytest.raises(EmptyAdmissibleSetError):
+                        admissible_lambdas(nodes, geometry, omega, alpha)
+                else:
+                    got = admissible_lambdas(nodes, geometry, omega, alpha)
+                    assert got.intervals == expected, (omega, alpha, pad)
+    assert tied == 340
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
