@@ -606,9 +606,14 @@ def phase_transition_sweep(
 def _ols_loglog(xs: Sequence[float], ys: Sequence[float]) -> SlopeFit:
     """Least-squares line through (log10 x, log10 y) from centred sums:
     slope = sum(dx dy) / sum(dx^2), with the residuals formed in place.
-    The x values must not all be equal."""
-    lx = np.array(xs, dtype=float)
-    ly = np.array(ys, dtype=float)
+    The x values must not all be equal.
+
+    The logs, centred values and residuals overwrite xs and ys where they
+    are float64 arrays, so no copy of a point is made; its one caller,
+    fit_loglog_slope, passes arrays it owns.  Other inputs, such as lists,
+    are converted to new arrays."""
+    lx = np.asarray(xs, dtype=float)
+    ly = np.asarray(ys, dtype=float)
     np.log10(lx, out=lx)
     np.log10(ly, out=ly)
     n = len(lx)
@@ -667,14 +672,22 @@ def fit_loglog_slope(
     selects "cluster" or "noncluster" nodes.  Only successful nodes carry
     factors; fewer than 10 of them, or points that span less than 0.1 decade
     of srf, raise InsufficientDataError.
+
+    Each fitted point is held once: the pooled srf and factor arrays, which
+    _ols_loglog fits in place, plus one run's temporaries.  The x parts of
+    the runs are released once xs is joined, and the y parts once ys is.
     """
     if quantity not in ("kx", "ka"):
         raise ValueError("quantity must be 'kx' or 'ka'")
     if node_class not in ("cluster", "noncluster"):
         raise ValueError("node_class must be 'cluster' or 'noncluster'")
-    points = [_fit_points(run, quantity, node_class == "cluster") for run in _runs(records)]
-    xs = np.concatenate([x for x, _ in points]) if points else np.empty(0)
-    ys = np.concatenate([y for _, y in points]) if points else np.empty(0)
+    parts = [_fit_points(run, quantity, node_class == "cluster") for run in _runs(records)]
+    xs = [x for x, _ in parts]
+    ys = [y for _, y in parts]
+    del parts
+    # rebinding each name releases its list of parts
+    xs = np.concatenate(xs) if xs else np.empty(0)
+    ys = np.concatenate(ys) if ys else np.empty(0)
     if len(xs) < 10:
         raise InsufficientDataError(
             f"insufficient data: {len(xs)} usable points in class {node_class!r}"

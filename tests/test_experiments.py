@@ -1079,6 +1079,28 @@ def test_slope_fit_allocates_at_most_60_percent_of_the_lstsq_reference():
     assert peaks["fit"] <= 0.6 * peaks["reference"], peaks
 
 
+def test_slope_fit_holds_each_pooled_point_once():
+    # 16 planted 500-trial Sweeps, pooled as rows: the two float64 arrays
+    # of the 16 000 points take 16 B a point, which leaves 20 B for the
+    # parts being joined and one run's temporaries
+    xs, ys = _synthetic_points(8_000)
+    sweeps = [
+        _planted_sweep(list(zip(xs[i : i + 500], ys[i : i + 500], ys[i : i + 500])))
+        for i in range(0, 8_000, 500)
+    ]
+    rows = [row for sweep in sweeps for row in sweep]
+    for quantity in ("kx", "ka"):
+        fit_loglog_slope(rows, quantity, "cluster")
+        tracemalloc.start()
+        try:
+            fit = fit_loglog_slope(rows, quantity, "cluster")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.count == 16_000 and fit.slope == pytest.approx(2.0, abs=0.03)
+        assert peak <= 36 * fit.count, (quantity, peak / fit.count)
+
+
 def test_logistic_boundary_without_a_noise_column_is_degenerate():
     # an all-zero log-eps column leaves its weight at exactly 0
     srf_column = np.linspace(0.0, 2.0, 20)

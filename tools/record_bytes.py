@@ -1,4 +1,5 @@
-"""Print the bytes a sweep's results hold, per record, for schemes S1 and S2.
+"""Print the bytes a sweep's results hold, per record, for schemes S1 and S2,
+and the bytes a slope fit over them takes, per fitted point.
 
 Run from the repository root:
 
@@ -14,6 +15,11 @@ they have returned, divided by the 4 000 records:
 - "S1 pooled"/"S2 pooled": the kept Sweeps with every row view pooled into
   one list, as bench/workloads.py pools the kept passes for its fits; the
   difference is the view, its index and its list slot.
+
+One more line, "S2 fit peak", gives the traced peak of
+fit_loglog_slope(rows, "kx", "cluster") over the 4 000 pooled S2 rows,
+divided by the points it fits: the pooled srf and factor arrays plus one
+run's temporaries, as the bench's accuracy check fits its kept passes.
 
 One warm-up sweep fills the module caches first, so they are not counted.
 The figures depend on the interpreter's object sizes, so compare them with
@@ -31,6 +37,7 @@ from spikesr.experiments import (  # noqa: E402
     DEFAULT_AMPLIFICATION_RANGES,
     SCHEMES,
     amplification_sweep,
+    fit_loglog_slope,
 )
 
 P, D = 2, 4
@@ -47,7 +54,7 @@ def sweep(scheme: str, base_seed: int):
 
 def bytes_per_record(scheme: str) -> tuple:
     """(traced bytes held per record by the kept Sweeps, the same with every
-    row pooled in one list, record count) for one scheme."""
+    row pooled in one list, that list) for one scheme."""
     sweep(scheme, BASE_SEEDS[0])
     gc.collect()
     tracemalloc.start()
@@ -61,14 +68,34 @@ def bytes_per_record(scheme: str) -> tuple:
     finally:
         tracemalloc.stop()
     count = len(pooled)
-    return held / count, held_pooled / count, count
+    return held / count, held_pooled / count, pooled
+
+
+def fit_peak(rows) -> tuple:
+    """(traced peak of a node-factor fit of the cluster nodes of rows per
+    fitted point, point count); one fit first fills the caches."""
+    fit_loglog_slope(rows, "kx", "cluster")
+    tracemalloc.start()
+    try:
+        count = fit_loglog_slope(rows, "kx", "cluster").count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / count, count
 
 
 def main() -> None:
     for scheme in SCHEMES:
-        kept, pooled, count = bytes_per_record(scheme)
+        kept, pooled, rows = bytes_per_record(scheme)
+        count = len(rows)
         for label, figure in ((scheme, kept), (f"{scheme} pooled", pooled)):
             print(f"{label} (p={P}, d={D}, {count} records): {figure:.0f} B per record")
+        if scheme == "S2":
+            figure, points = fit_peak(rows)
+            print(
+                f"{scheme} fit peak (kx, cluster, {points} points of {count} records): "
+                f"{figure:.0f} B per point"
+            )
 
 
 if __name__ == "__main__":
