@@ -113,7 +113,7 @@ def _read_input(path: str, kind: str, parse):
         raise CliError(f"cannot parse input file {path}: {exc}") from exc
     try:
         return parse(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CliError(f"bad {kind} file: {exc}") from exc
 
 

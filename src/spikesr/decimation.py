@@ -61,28 +61,24 @@ class IntervalSet:
 # microsecond each on Python-level dispatch, more than the arithmetic, so the
 # kernels call the ndarray methods and ufuncs those wrappers end in, which run
 # the same C loops and give bit-identical results.
-def _merge(starts: np.ndarray, ends: np.ndarray) -> tuple:
-    """Start and end arrays of the sorted disjoint components of the closed
-    intervals [starts[i], ends[i]], which the caller has checked are ordered
-    and free of NaN: the one sigma set sigma_intervals returns.
-    admissible_lambdas reads its gaps off the sorted pieces instead and never
-    merges them.
+def _gaps(starts: np.ndarray, ends: np.ndarray, lo: float, hi: float) -> tuple:
+    """Start and end arrays of the gaps of positive length that the closed
+    intervals [starts[i], ends[i]], ordered and free of NaN, leave in
+    [lo, hi], for hi at least every start.
 
-    One pass: the intervals are sorted by start, and a new component begins
-    wherever a start exceeds the running maximum of the ends before it.
-    Merging only compares and copies endpoints, so it is exact.
+    One sweep: the intervals are sorted by start; the gap before each runs
+    from the running maximum of the ends before it, seeded with lo, to its
+    start, and the gap after the last runs to hi.  It only compares and
+    copies endpoints, so it is exact.  A gap is positive only where a start
+    exceeds every end before it, so of a run of tied starts only the first
+    can close one, and the running maximum there does not depend on how the
+    sort orders the run: any sort, stable or not, gives the same floats.
     """
-    if starts.size == 0:
-        return starts, ends
-    # Intervals with tied starts never split a component: the running maximum
-    # of their ends is the same in any order, so sorting by start suffices and
-    # any sort, stable or not, gives the same components.
     order = starts.argsort()
-    starts, reach = starts[order], np.maximum.accumulate(ends[order])
-    breaks = (starts[1:] > reach[:-1]).nonzero()[0]
-    first = np.concatenate(([0], breaks + 1))
-    last = np.concatenate((breaks, [starts.size - 1]))
-    return starts[first], reach[last]
+    gap_starts = np.maximum.accumulate(np.concatenate(([lo], ends[order])))
+    gap_ends = np.concatenate((starts[order], [hi]))
+    keep = gap_starts < gap_ends
+    return gap_starts[keep], gap_ends[keep]
 
 
 def _interval_set(starts: np.ndarray, ends: np.ndarray) -> IntervalSet:
@@ -211,6 +207,9 @@ def sigma_intervals(delta: float, alpha: float, interval) -> IntervalSet:
     integer multiples of 1 / delta.  It is the one-separation case of the
     piece generator admissible_lambdas uses for all pairs at once, and raises
     ValueError when that would build more than _MAX_PIECES = 2**24 pieces.
+    The set is read off the gap sweep admissible_lambdas runs, _gaps, over
+    the whole real line: its components are what lies between consecutive
+    gaps, so touching or overlapping pieces join.
     """
     if not delta > 0:
         raise ValueError("node separation must be positive")
@@ -223,7 +222,8 @@ def sigma_intervals(delta: float, alpha: float, interval) -> IntervalSet:
     if b < a:
         raise ValueError("empty interval")
     starts, ends = _sigma_pieces(np.array([float(delta)]), alpha, a, b)
-    return _interval_set(*_merge(starts, ends))
+    gap_starts, gap_ends = _gaps(starts, ends, -math.inf, math.inf)
+    return _interval_set(gap_ends[:-1], gap_starts[1:])
 
 
 def admissible_lambdas(
@@ -238,19 +238,16 @@ def admissible_lambdas(
     at least alpha (default 1/d^2); cluster pairs automatically satisfy the
     linear separation 2 pi lambda tau h on this range because omega h is capped
     at (2d-1)/2.  The set is read off the sigma-set pieces of all those pairs
-    (see sigma_intervals) in one sweep, and the excluded set is never built:
-    the pieces are generated together as flat arrays, each is padded outward
-    by _PAD = 1e-12 so that the returned set is conservative, and the padded
-    pieces are sorted by start.  The gap before each piece runs from the
-    running maximum of the ends before it, seeded with the range's lower
-    end, to its start; the gap after the last piece runs to the upper end;
-    the gaps of positive length are the admissible components.  Every
-    endpoint is a padded piece endpoint or an end of the range, so the sweep
-    gives the same floats as merging the padded pieces, clipping the merged
-    components to the range and taking the gaps between them.  A padded
-    piece that is a single point, as where the pad is below the float
-    spacing of the rates, is dropped first: it excludes no interval, so the
-    gaps on either side of it join into one.
+    (see sigma_intervals) in one sweep, _gaps, and the excluded set is never
+    built: the pieces are generated together as flat arrays, each is padded
+    outward by _PAD = 1e-12 so that the returned set is conservative, and
+    the gaps of positive length the padded pieces leave in the range are the
+    admissible components.  Every endpoint is a padded piece endpoint or an
+    end of the range, so the sweep gives the same floats as merging the
+    padded pieces, clipping the merged components to the range and taking
+    the gaps between them.  A padded piece that is a single point, as where
+    the pad is below the float spacing of the rates, is dropped first: it
+    excludes no interval, so the gaps on either side of it join into one.
 
     Raises ValueError for non-finite or non-positive omega, alpha outside
     (0, pi], non-finite or coincident nodes, and a range that would need
@@ -286,20 +283,12 @@ def admissible_lambdas(
     # in two, so only pieces of positive length bound the gaps.
     starts, ends = starts - _PAD, ends + _PAD
     wide = starts < ends
-    starts, ends = starts[wide], ends[wide]
-    # The gap before a piece is positive only where its start exceeds every
-    # end before it, so of a run of tied starts only the first can close one,
-    # and the running maximum at that piece does not depend on how the sort
-    # orders the run: any sort, stable or not, gives the same floats.
-    order = starts.argsort()
-    gap_starts = np.maximum.accumulate(np.concatenate(([lo], ends[order])))
-    gap_ends = np.concatenate((starts[order], [hi]))
-    keep = gap_starts < gap_ends
-    if not keep.any():
+    gap_starts, gap_ends = _gaps(starts[wide], ends[wide], lo, hi)
+    if gap_starts.size == 0:
         raise EmptyAdmissibleSetError(
             "empty admissible set: every rate in the range violates a separation condition"
         )
-    return _interval_set(gap_starts[keep], gap_ends[keep])
+    return _interval_set(gap_starts, gap_ends)
 
 
 def _confluent(w: np.ndarray) -> np.ndarray:

@@ -49,6 +49,22 @@ def test_recover_malformed_input_exits_2(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["recover", "-i", str(bad), "-d", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+    # an integer too large for a float is a bad file to every reader
+    huge = "1" + "0" * 400
+    node = f'{{"amplitudes": [[1, 0], [-1, 0], [1, 0]], "nodes": [0, 0.01, {huge}]}}'
+    amplitude = f'{{"amplitudes": [[1, 0], [-1, {huge}], [1, 0]], "nodes": [0, 0.01, 0.3]}}'
+    for argv, text, kind in [
+        (["recover", "-d", "2"], f'{{"values": [[2, 0], [{huge}, 0], [-1, 0]]}}', "samples"),
+        (["worstcase", "-p", "2", "--epsilon", "1e-9"], node, "spike-train"),
+        (["worstcase", "-p", "2", "--epsilon", "1e-9"], amplitude, "spike-train"),
+        (["decimation", "-p", "2", "--omega", "100"], node, "spike-train"),
+        (["decimation", "-p", "2", "--omega", "100"], amplitude, "spike-train"),
+    ]:
+        bad.write_text(text)
+        assert main([argv[0], "-i", str(bad), *argv[1:]]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad {kind} file: int too large to convert to float\n"
+        )
 
 
 def test_recover_estimator_failure_exits_3(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from spikesr import decimation
 from spikesr.decimation import (
-    _merge,
+    _gaps,
     _sigma_pieces,
     admissible_lambdas,
     gautschi_bounds,
@@ -103,7 +103,9 @@ def _endpoints(pairs):
 def _merged(starts, ends):
     """Components, as (start, end) pairs, of the ordered, NaN-free intervals
     [starts[i], ends[i]]."""
-    starts, ends = _merge(np.asarray(starts, dtype=float), np.asarray(ends, dtype=float))
+    starts, ends = _lexsort_merge(
+        np.asarray(starts, dtype=float), np.asarray(ends, dtype=float)
+    )
     return tuple(zip(starts.tolist(), ends.tolist()))
 
 
@@ -163,7 +165,9 @@ def _reference_gautschi(z):
 
 
 def test_interval_set_merges_and_sorts():
-    s = decimation._interval_set(*_merge(np.array([3.0, 0.0, 0.5]), np.array([4.0, 1.0, 2.0])))
+    s = decimation._interval_set(
+        *_lexsort_merge(np.array([3.0, 0.0, 0.5]), np.array([4.0, 1.0, 2.0]))
+    )
     assert s.intervals == ((0, 2), (3, 4))
     assert sum(b - a for a, b in s) == pytest.approx(3.0)
     assert s.contains(1.5) and not s.contains(2.5)
@@ -186,20 +190,22 @@ def test_complement_within_bridges_a_single_point():
 
 
 def test_merge_by_start_matches_lexsort_with_tied_starts():
-    # _merge sorts by start alone with an unstable sort, so tied starts may
-    # come out in any order; the components must not depend on that order,
-    # which every shuffled and the reversed order of the same pieces checks.
+    # _gaps sorts by start alone with an unstable sort, so tied starts may
+    # come out in any order; the gaps must not depend on that order, which
+    # every shuffled and the reversed order of the same pieces checks against
+    # the gaps between the components of a merge sorted by (start, end).
     rng = np.random.default_rng(17)
     for size in (1, 2, 5, 40, 300):
         for _ in range(20):
             # few distinct starts, so most of them are tied; some pieces are points
             starts = rng.integers(0, max(2, size // 4), size).astype(float)
             ends = starts + rng.choice([0.0, 0.5, 1.0, 3.0], size)
-            expected = _lexsort_merge(starts, ends)
+            first, last = _lexsort_merge(starts, ends)
+            expected = (np.append(-math.inf, last), np.append(first, math.inf))
             orders = [np.arange(size), np.arange(size)[::-1]]
             orders += [rng.permutation(size) for _ in range(3)]
             for order in orders:
-                got = _merge(starts[order], ends[order])
+                got = _gaps(starts[order], ends[order], -math.inf, math.inf)
                 assert np.array_equal(got[0], expected[0])
                 assert np.array_equal(got[1], expected[1])
 
@@ -221,7 +227,7 @@ def test_interval_set_constructor_cases(pieces, merged):
     starts, ends = _endpoints(pieces)
     assert _merged(starts, ends) == merged
     assert _merged(starts[::-1], ends[::-1]) == merged
-    s = decimation._interval_set(*_merge(starts, ends))
+    s = decimation._interval_set(*_lexsort_merge(starts, ends))
     assert s.intervals == merged
     assert len(s) == len(merged)
     assert list(s) == list(merged)
@@ -282,14 +288,17 @@ def test_sigma_intervals_membership_matches_direct_evaluation():
 
 
 def test_sigma_intervals_match_reference_loop():
+    # alpha at pi, or just below it, makes neighbouring pieces touch or
+    # nearly touch, so the sweep must join them as the reference merge does
     rng = np.random.default_rng(4)
-    for _ in range(300):
-        delta = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
-        alpha = rng.uniform(1e-3, math.pi)
-        a = rng.uniform(-10, 10)
-        b = a + float(np.exp(rng.uniform(np.log(1e-3), np.log(20.0))))
-        expected = tuple(_reference_merge(_reference_sigma_pieces(delta, alpha, a, b)))
-        assert sigma_intervals(delta, alpha, (a, b)).intervals == expected
+    for alpha_draw in (None, math.pi, math.nextafter(math.pi, 0)):
+        for _ in range(300):
+            delta = float(np.exp(rng.uniform(np.log(0.05), np.log(50.0))))
+            alpha = rng.uniform(1e-3, math.pi) if alpha_draw is None else alpha_draw
+            a = rng.uniform(-10, 10)
+            b = a + float(np.exp(rng.uniform(np.log(1e-3), np.log(20.0))))
+            expected = tuple(_reference_merge(_reference_sigma_pieces(delta, alpha, a, b)))
+            assert sigma_intervals(delta, alpha, (a, b)).intervals == expected
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

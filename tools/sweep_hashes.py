@@ -1,5 +1,5 @@
-"""Print the sha256 identity of twelve fixed amplification sweeps and of
-one fixed decimation scan.
+"""Print the sha256 identity of twelve fixed amplification sweeps, of
+one fixed decimation scan and of a fixed set of sigma sets.
 
 Run from the repository root:
 
@@ -22,6 +22,13 @@ the midpoint of its widest interval, and the Gautschi bounds and measured
 row norms of the nodes mapped at that rate, or the class of the package
 error a step raises.
 
+The sigma line is the digest of the sigma_intervals sets of 2000 draws from
+seed 7: separation delta log-uniform in [1e-3, 100], a range starting
+uniform in [-10, 10] and log-uniform in [1e-6, 50] long, and alpha one of
+pi, the float just below pi, 1.0 and 0.1 for about half the draws and
+log-uniform in [1e-3, pi) for the rest.  At alpha near pi neighbouring
+pieces touch or nearly touch, so the joins are covered.
+
 A change that should leave the sweep output, its fits and the decimation
 analysis alone prints the same lines as its parent on the same machine; the
 digits may differ between machines whose BLAS kernels round differently.
@@ -37,7 +44,11 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from spikesr.decimation import admissible_lambdas, gautschi_bounds  # noqa: E402
+from spikesr.decimation import (  # noqa: E402
+    admissible_lambdas,
+    gautschi_bounds,
+    sigma_intervals,
+)
 from spikesr.errors import SpikesrError  # noqa: E402
 from spikesr.experiments import (  # noqa: E402
     DEFAULT_AMPLIFICATION_RANGES,
@@ -60,6 +71,8 @@ TRIALS = 300
 BASE_SEED = 7
 SCAN_P, SCAN_D = 3, 8
 SCAN_POINTS = 200
+SIGMA_DRAWS = 2000
+SIGMA_ALPHAS = (math.pi, math.nextafter(math.pi, 0.0), 1.0, 0.1)
 
 
 def digest(records) -> str:
@@ -111,6 +124,25 @@ def scan_digest() -> str:
     return sha.hexdigest()[:16]
 
 
+def sigma_digest() -> str:
+    """Digest of the fixed sigma sets the module docstring describes."""
+    rng = np.random.default_rng(BASE_SEED)
+    deltas = np.exp(rng.uniform(math.log(1e-3), math.log(100.0), SIGMA_DRAWS))
+    starts = rng.uniform(-10.0, 10.0, SIGMA_DRAWS)
+    lengths = np.exp(rng.uniform(math.log(1e-6), math.log(50.0), SIGMA_DRAWS))
+    drawn = np.exp(rng.uniform(math.log(1e-3), math.log(math.pi), SIGMA_DRAWS))
+    # a pick below len(SIGMA_ALPHAS) takes that fixed alpha, any other the drawn one
+    picks = rng.integers(0, 2 * len(SIGMA_ALPHAS), SIGMA_DRAWS)
+    sha = hashlib.sha256()
+    for delta, a, length, alpha, pick in zip(
+        deltas.tolist(), starts.tolist(), lengths.tolist(), drawn.tolist(), picks.tolist()
+    ):
+        if pick < len(SIGMA_ALPHAS):
+            alpha = SIGMA_ALPHAS[pick]
+        sha.update(repr(sigma_intervals(delta, alpha, (a, a + length)).intervals).encode())
+    return sha.hexdigest()[:16]
+
+
 def main() -> None:
     fits = []
     for scheme in SCHEMES:
@@ -132,6 +164,7 @@ def main() -> None:
                     fits.append(f"{sweep} boundary: {slope}")
     print("\n".join(fits))
     print(f"decimation ({SCAN_P}, {SCAN_D}) scan: {scan_digest()}")
+    print(f"decimation sigma sets: {sigma_digest()}")
 
 
 if __name__ == "__main__":
